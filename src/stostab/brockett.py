@@ -21,11 +21,14 @@ v2 closes the loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .lyapunov import v2_gradient, v2_hessian, sontag_control
+from .lyapunov import _v2_derivatives, sontag_control
+# Not called here, but kept bound in this module: tools that trace the loop's
+# layers look these names up on it.
+from .lyapunov import v2_gradient, v2_hessian  # noqa: F401
 from .sde import ITO, SdeSystem
 
 _E3 = np.array([0.0, 0.0, 1.0])
@@ -94,11 +97,50 @@ def controllability_rank(p: SystemParams, x) -> int:
     return int(np.linalg.matrix_rank(m, tol=tol))
 
 
+def _g_row3(p: SystemParams, x) -> tuple:
+    """Third row (b3 x2, -b4 x1) of g; the first two rows are diag(b1, b2)."""
+    return p.b3 * x[..., 1], -p.b4 * x[..., 0]
+
+
+def _h_entries(p: SystemParams, c, e, hess) -> tuple:
+    """Entries (H11, H12, H22) of H = g^T Hess(v2) g, written out.
+
+    ``(c, e)`` is the third row of g and ``hess`` the six entries
+    (h11, h12, h13, h22, h23, h33) of Hess(v2).  The terms are those of the
+    double sum over g's nonzero entries, added in the order of that sum.
+    """
+    h11, h12, h13, h22, h23, h33 = hess
+    b1, b2 = p.b1, p.b2
+    return (b1 * h11 * b1 + 2.0 * (b1 * h13 * c) + c * h33 * c,
+            b1 * h12 * b2 + b1 * h13 * e + c * h23 * b2 + c * h33 * e,
+            b2 * h22 * b2 + 2.0 * (b2 * h23 * e) + e * h33 * e)
+
+
+def _eigs(h11, h12, h22) -> tuple:
+    """Eigenvalues of [[h11, h12], [h12, h22]], ascending."""
+    mid = 0.5 * (h11 + h22)
+    rad = np.sqrt((0.5 * (h11 - h22)) ** 2 + h12 * h12)
+    return mid - rad, mid + rad
+
+
+def _gains(d: DiffusionDesign, lam1, lam2, x) -> tuple:
+    """B1 = k1 lam1^2 |x|^2 and B2 = k2 lam2^2 |x|^2 x3."""
+    r2 = np.einsum('...i,...i->...', x, x)
+    return d.k1 * lam1 ** 2 * r2, d.k2 * lam2 ** 2 * r2 * x[..., 2]
+
+
+def _sigma_entries(p: SystemParams, c, e, b1v, b2v) -> tuple:
+    """Components of sigma = g B, with (c, e) the third row of g."""
+    return p.b1 * b1v, p.b2 * b2v, c * b1v + e * b2v
+
+
 def h_matrix(p: SystemParams, x) -> np.ndarray:
     """Symmetric 2x2 form H(x) = g^T Hess(v2) g, batched."""
-    g = g_matrix(p, x)
-    hess = v2_hessian(x)
-    return np.einsum('...ji,...jk,...kl->...il', g, hess, g)
+    x = np.asarray(x, dtype=float)
+    _, hess = _v2_derivatives(x)
+    h11, h12, h22 = _h_entries(p, *_g_row3(p, x), hess)
+    return np.stack([np.stack([h11, h12], axis=-1),
+                     np.stack([h12, h22], axis=-1)], axis=-2)
 
 
 def eigs_sym2(h) -> tuple:
@@ -109,29 +151,22 @@ def eigs_sym2(h) -> tuple:
     if np.any(np.abs(h[..., 0, 1] - h[..., 1, 0])
               > 1e-9 * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))):
         raise ValueError("matrix is not symmetric")
-    a = h[..., 0, 0]
-    b = h[..., 0, 1]
-    c = h[..., 1, 1]
-    mid = 0.5 * (a + c)
-    rad = np.sqrt((0.5 * (a - c)) ** 2 + b * b)
-    return mid - rad, mid + rad
+    return _eigs(h[..., 0, 0], h[..., 0, 1], h[..., 1, 1])
 
 
 def diffusion_b(d: DiffusionDesign, p: SystemParams, x) -> tuple:
     """Noise gains (B1, B2) of the eigenvalue-scaled design."""
     x = np.asarray(x, dtype=float)
-    lam1, lam2 = eigs_sym2(h_matrix(p, x))
-    r2 = np.einsum('...i,...i->...', x, x)
-    return d.k1 * lam1 ** 2 * r2, d.k2 * lam2 ** 2 * r2 * x[..., 2]
+    _, hess = _v2_derivatives(x)
+    lam1, lam2 = _eigs(*_h_entries(p, *_g_row3(p, x), hess))
+    return _gains(d, lam1, lam2, x)
 
 
 def sigma(p: SystemParams, d: DiffusionDesign, x) -> np.ndarray:
     """Single-channel diffusion sigma = g B."""
     x = np.asarray(x, dtype=float)
-    b1v, b2v = diffusion_b(d, p, x)
-    g = g_matrix(p, x)
-    b = np.stack([b1v, b2v], axis=-1)
-    return np.einsum('...ik,...k->...i', g, b)
+    return np.stack(_sigma_entries(p, *_g_row3(p, x), *diffusion_b(d, p, x)),
+                    axis=-1)
 
 
 def _lambda_gradients(p: SystemParams, x) -> tuple:
@@ -158,12 +193,10 @@ def _pieces(p: SystemParams, d: DiffusionDesign, x):
     x = np.asarray(x, dtype=float)
     g = g_matrix(p, x)
     lam1, lam2 = eigs_sym2(h_matrix(p, x))
+    b1v, b2v = _gains(d, lam1, lam2, x)
+    s = np.stack(_sigma_entries(p, *_g_row3(p, x), b1v, b2v), axis=-1)
     r2 = np.einsum('...i,...i->...', x, x)
     x3 = x[..., 2]
-    b1v = d.k1 * lam1 ** 2 * r2
-    b2v = d.k2 * lam2 ** 2 * r2 * x3
-    b = np.stack([b1v, b2v], axis=-1)
-    s = np.einsum('...ik,...k->...i', g, b)
 
     # Product rule on B: analytic in |x|^2 and x3, numeric in the eigenvalues.
     dl1, dl2 = _lambda_gradients(p, x)
@@ -220,34 +253,76 @@ def randomized_drift(p: SystemParams, d: DiffusionDesign, x) -> np.ndarray:
     return out
 
 
+class LoopTerms(NamedTuple):
+    """Closed-loop quantities at a batch of states, from :func:`loop_terms`."""
+
+    b1: np.ndarray          # noise gain B1
+    b2: np.ndarray          # noise gain B2
+    sigma: np.ndarray       # diffusion g B, shape (..., 3)
+    f_term: np.ndarray      # F of the universal formula
+    g_term: np.ndarray      # G = ||L_g v2||^2
+    lg: np.ndarray          # L_g v2, shape (..., 2)
+    control: np.ndarray     # Sontag control u, shape (..., 2)
+    drift: np.ndarray       # randomized drift + g u, shape (..., 3)
+
+
+def loop_terms(p: SystemParams, d: DiffusionDesign, x) -> LoopTerms:
+    """Evaluate the whole closed loop at x in one pass.
+
+    The v2 derivatives, H, its eigenvalues, B, sigma, F, G, L_g v2, the
+    Sontag control and the Ito drift are each computed once, with the zeros
+    of g skipped.  The drift keeps the grouped form of
+    :func:`randomized_drift` in its third component.
+    """
+    x = np.asarray(x, dtype=float)
+    (d1, d2, d3), hess = _v2_derivatives(x)
+    h11, h12, h13, h22, h23, h33 = hess
+    c, e = _g_row3(p, x)
+    lam1, lam2 = _eigs(*_h_entries(p, c, e, hess))
+    b1v, b2v = _gains(d, lam1, lam2, x)
+    s1, s2, s3 = _sigma_entries(p, c, e, b1v, b2v)
+    f3 = _drift_third(p, b1v, b2v)
+    quad = (s1 * (h11 * s1 + 2.0 * (h12 * s2 + h13 * s3))
+            + s2 * (h22 * s2 + 2.0 * h23 * s3) + h33 * s3 * s3)
+    f_term = d3 * f3 + 0.5 * quad
+    lg1 = p.b1 * d1 + c * d3
+    lg2 = p.b2 * d2 + e * d3
+    g_term = lg1 * lg1 + lg2 * lg2
+    lg = np.stack([lg1, lg2], axis=-1)
+    u = sontag_control(f_term, g_term, lg)
+    u1 = u[..., 0]
+    u2 = u[..., 1]
+    drift = np.stack([p.b1 * u1, p.b2 * u2, c * u1 + e * u2 + f3], axis=-1)
+    return LoopTerms(b1v, b2v, np.stack([s1, s2, s3], axis=-1), f_term, g_term,
+                     lg, u, drift)
+
+
 def sontag_terms(p: SystemParams, d: DiffusionDesign, x) -> tuple:
     """(F, G, L_g v2) feeding the universal formula.
 
     F is the generator of v2 along the uncontrolled randomized loop (drift
     part plus noise trace); G = ||L_g v2||^2.
     """
-    x = np.asarray(x, dtype=float)
-    grad = v2_gradient(x)
-    hess = v2_hessian(x)
-    g = g_matrix(p, x)
-    b1v, b2v = diffusion_b(d, p, x)
-    b = np.stack([b1v, b2v], axis=-1)
-    s = np.einsum('...ik,...k->...i', g, b)
-    f_term = grad[..., 2] * _drift_third(p, b1v, b2v) \
-        + 0.5 * np.einsum('...i,...ij,...j->...', s, hess, s)
-    lg = np.einsum('...i,...ik->...k', grad, g)
-    g_term = np.einsum('...k,...k->...', lg, lg)
-    return f_term, g_term, lg
+    t = loop_terms(p, d, x)
+    return t.f_term, t.g_term, t.lg
 
 
 @dataclass(frozen=True, eq=False)
 class ClosedLoop:
-    """Assembled Ito loop: drift = randomized drift + g u_s, diffusion = sigma."""
+    """Assembled Ito loop: drift = randomized drift + g u_s, diffusion = sigma.
+
+    ``terms(x)`` evaluates drift, diffusion and control together in one
+    pass; the ``sde`` callables and ``control`` are views of the same kernel.
+    """
 
     params: SystemParams
     design: DiffusionDesign
     sde: SdeSystem
     control: Callable
+
+    def terms(self, x) -> LoopTerms:
+        """The one-pass kernel :func:`loop_terms` of this loop."""
+        return loop_terms(self.params, self.design, x)
 
 
 def closed_loop(p: SystemParams, d: DiffusionDesign) -> ClosedLoop:
@@ -262,35 +337,17 @@ def closed_loop(p: SystemParams, d: DiffusionDesign) -> ClosedLoop:
         raise ValueError("brockett6 violated: B(0) != 0 for this design")
 
     def drift(x):
-        x = np.asarray(x, dtype=float)
-        grad = v2_gradient(x)
-        hess = v2_hessian(x)
-        g = g_matrix(p, x)
-        b1v, b2v = diffusion_b(d, p, x)
-        b = np.stack([b1v, b2v], axis=-1)
-        s = np.einsum('...ik,...k->...i', g, b)
-        f3 = _drift_third(p, b1v, b2v)
-        f_term = grad[..., 2] * f3 \
-            + 0.5 * np.einsum('...i,...ij,...j->...', s, hess, s)
-        lg = np.einsum('...i,...ik->...k', grad, g)
-        g_term = np.einsum('...k,...k->...', lg, lg)
-        u = sontag_control(f_term, g_term, lg)
-        out = np.einsum('...ik,...k->...i', g, u)
-        out[..., 2] += f3
-        return out
+        return loop_terms(p, d, x).drift
 
     def diffusion(x):
         return sigma(p, d, x)
 
     def control(x):
-        f_term, g_term, lg = sontag_terms(p, d, x)
-        return sontag_control(f_term, g_term, lg)
+        return loop_terms(p, d, x).control
 
     if np.any(drift(zero) != 0.0) or np.any(diffusion(zero) != 0.0):
         raise ValueError("closed loop does not preserve the origin exactly")
-    sde = SdeSystem(3, drift, diffusion, ITO,
-                    diffusion_jacobian=lambda x: sigma_jacobian(p, d, x))
-    return ClosedLoop(p, d, sde, control)
+    return ClosedLoop(p, d, SdeSystem(3, drift, diffusion, ITO), control)
 
 
 # Radii of the shrinking-circle sequences in the design report.

@@ -32,8 +32,8 @@ from .brockett import (CONTINUITY_RADII, DiffusionDesign, SystemParams,
 from .lyapunov import v2_eval
 from .sde import IntegrationDiverged, Trajectory, trajectory_to_csv
 from .verify import (GridSpec, mc_stability, scan_generator,
-                     small_control_scan, wilson_interval, wong_zakai_experiment,
-                     write_scan_csv, write_summary)
+                     small_control_scan, wong_zakai_experiment, write_scan_csv,
+                     write_summary)
 
 
 class ConfigError(ValueError):

@@ -58,13 +58,14 @@ def v2_eval(x):
     return 2.0 * y - a * (1.0 + y) + 2.0 * a ** (1.0 + 0.5 * y)
 
 
-def v2_gradient(x):
-    """Closed-form gradient of :func:`v2_eval`.
+def _v2_derivatives(x):
+    """Gradient entries (d1, d2, d3) and Hessian entries
+    (h11, h12, h13, h22, h23, h33) of :func:`v2_eval`, from one pass.
 
-    The planar components are x_i (-(1+x3^2) + (2+x3^2) (X/2)^(x3^2/2)); the
-    axial one is x3 (4 - X + 2 (X/2)^(1+x3^2/2) log(X/2)).  At X = 0 the
-    power-log terms take their limit 0; the 0^0 corner (X = 0, x3 = 0) is
-    defined as 1.  Both extensions leave the gradient continuous.
+    X/2, x3^2, the power (X/2)^(1 + x3^2/2) and log(X/2) are evaluated once;
+    the lower powers follow by dividing by X/2.  Below ``X_GUARD`` the
+    log-carrying terms take their X -> 0 limits (see :func:`v2_gradient` and
+    :func:`v2_hessian`).
     """
     _, x1, x2, x3 = _coords(x)
     big_x = x1 * x1 + x2 * x2
@@ -74,11 +75,39 @@ def v2_gradient(x):
     small = big_x < X_GUARD
     a_safe = np.where(small, 1.0, a)
     log_a = np.log(a_safe)
-    pow_pm1 = np.where(small, np.where(y > 0.0, 0.0, 1.0), a_safe ** (p - 1.0))
-    planar = -(1.0 + y) + 2.0 * p * pow_pm1
-    pow_log = np.where(small, 0.0, a_safe ** p * log_a)
-    axial = 4.0 - 2.0 * a + 2.0 * pow_log
-    return np.stack([x1 * planar, x2 * planar, x3 * axial], axis=-1)
+    a_p = a_safe ** p
+    a_pm1 = a_p / a_safe
+    h_axis = -(1.0 + y)                           # planar Hessian on X = 0
+    planar = h_axis + 2.0 * p * a_pm1
+
+    # The 0^0 corner (X = 0, x3 = 0) of the gradient's power is defined as 1.
+    grad_planar = np.where(small & (y > 0.0), h_axis, planar)
+    # a_safe = 1 wherever X < X_GUARD, so the power-log terms vanish there.
+    d3 = x3 * (4.0 - 2.0 * a + 2.0 * a_p * log_a)
+
+    rank1 = 2.0 * p * (p - 1.0) * (a_pm1 / a_safe)   # coefficient of x_i x_j
+    cross = 2.0 * x3 * (a_pm1 * (1.0 + p * log_a) - 1.0)
+    h11 = np.where(small, h_axis, planar + rank1 * x1 * x1)
+    h22 = np.where(small, h_axis, planar + rank1 * x2 * x2)
+    h12 = np.where(small, 0.0, rank1 * x1 * x2)
+    h13 = np.where(small, 0.0, x1 * cross)
+    h23 = np.where(small, 0.0, x2 * cross)
+    h33 = np.where(small, 4.0,
+                   4.0 - 2.0 * a + 2.0 * a_p * log_a + 2.0 * y * a_p * log_a * log_a)
+    return ((x1 * grad_planar, x2 * grad_planar, d3),
+            (h11, h12, h13, h22, h23, h33))
+
+
+def v2_gradient(x):
+    """Closed-form gradient of :func:`v2_eval`.
+
+    The planar components are x_i (-(1+x3^2) + (2+x3^2) (X/2)^(x3^2/2)); the
+    axial one is x3 (4 - X + 2 (X/2)^(1+x3^2/2) log(X/2)).  At X = 0 the
+    power-log terms take their limit 0; the 0^0 corner (X = 0, x3 = 0) is
+    defined as 1.  Both extensions leave the gradient continuous.
+    """
+    grad, _ = _v2_derivatives(x)
+    return np.stack(grad, axis=-1)
 
 
 def v2_hessian(x):
@@ -89,30 +118,7 @@ def v2_hessian(x):
     transverse second derivative there is +1), so this is a choice: the
     within-plane continuation is the one the noise design relies on.
     """
-    _, x1, x2, x3 = _coords(x)
-    big_x = x1 * x1 + x2 * x2
-    a = 0.5 * big_x
-    y = x3 * x3
-    p = 1.0 + 0.5 * y
-    small = big_x < X_GUARD
-    a_safe = np.where(small, 1.0, a)
-    log_a = np.log(a_safe)
-    a_pm1 = a_safe ** (p - 1.0)
-    a_pm2 = a_safe ** (p - 2.0)
-    a_p = a_safe ** p
-
-    planar = -(1.0 + y) + 2.0 * p * a_pm1
-    rank1 = 2.0 * p * (p - 1.0) * a_pm2          # coefficient of x_i x_j
-    cross = 2.0 * x3 * (a_pm1 * (1.0 + p * log_a) - 1.0)
-
-    h11 = np.where(small, -(1.0 + y), planar + rank1 * x1 * x1)
-    h22 = np.where(small, -(1.0 + y), planar + rank1 * x2 * x2)
-    h12 = np.where(small, 0.0, rank1 * x1 * x2)
-    h13 = np.where(small, 0.0, x1 * cross)
-    h23 = np.where(small, 0.0, x2 * cross)
-    h33 = np.where(small, 4.0,
-                   4.0 - 2.0 * a + 2.0 * a_p * log_a + 2.0 * y * a_p * log_a * log_a)
-
+    _, (h11, h12, h13, h22, h23, h33) = _v2_derivatives(x)
     row1 = np.stack([h11, h12, h13], axis=-1)
     row2 = np.stack([h12, h22, h23], axis=-1)
     row3 = np.stack([h13, h23, h33], axis=-1)

@@ -278,7 +278,8 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
                  n_buckets: int = 50, record_every: int = 0) -> StabilityReport:
     """Euler-Maruyama ensemble of the closed loop with common bookkeeping.
 
-    All paths step together as one batched state array; path i consumes
+    All paths step together as one batched state array, and each step
+    evaluates the loop once through ``cl.terms``; path i consumes
     increments from its own seed-word stream, so results are reproducible
     and unchanged under ensemble enlargement.  ``record_every`` > 0 stores
     every k-th state for all paths (plus the final one) for export.
@@ -316,14 +317,11 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
         rec_times.append(0.0)
         rec_states.append(x.copy())
 
-    drift_fn = cl.sde.drift
-    diff_fn = cl.sde.diffusion
     for k in range(n_steps):
-        f = drift_fn(x)
-        s = diff_fn(x)
-        x_new = x + f * dt + s * dw[:, k, None]
-        bad = ~np.isfinite(x_new).all(axis=1) \
-            | (np.linalg.norm(x_new, axis=1) > DIVERGENCE_BOUND)
+        terms = cl.terms(x)
+        x_new = x + terms.drift * dt + terms.sigma * dw[:, k, None]
+        norm_new = np.linalg.norm(x_new, axis=1)
+        bad = ~np.isfinite(x_new).all(axis=1) | (norm_new > DIVERGENCE_BOUND)
         newly_dead = alive & bad
         if newly_dead.any():
             # Park dead paths at the equilibrium; stats mask them out below.
@@ -338,9 +336,7 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
             bcount[b] += len(z)
         alive &= ~bad
         np.maximum(sup_v2, np.where(alive, v2_new, -np.inf), out=sup_v2)
-        np.maximum(sup_norm,
-                   np.where(alive, np.linalg.norm(x_new, axis=1), -np.inf),
-                   out=sup_norm)
+        np.maximum(sup_norm, np.where(alive, norm_new, -np.inf), out=sup_norm)
         x = x_new
         v2 = v2_new
         if recording and ((k + 1) % record_every == 0 or k + 1 == n_steps):

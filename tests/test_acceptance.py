@@ -122,6 +122,20 @@ def test_criterion_7_small_control_property(loop44):
               f"and ends below 1e-4", ok)
 
 
+def test_criterion_7_control_decays_linearly(loop44):
+    # |u| ~ r near the origin, so the gate above holds with max|u|/r just
+    # below 1 and a margin of order 1e-10; the slope shows the decay law and
+    # the printed margin shows how close a rounding change comes to the gate.
+    rep = small_control_scan(loop44, (1e-1, 1e-2, 1e-3, 1e-4),
+                             n_dirs=1000, seed=1)
+    slope = np.polyfit(np.log(rep.radii[-3:]), np.log(rep.max_control[-3:]), 1)[0]
+    margin = 1e-4 - rep.max_control[-1]
+    report("7 (slope)", f"log max |u| against log r has slope {slope:.4f} over "
+                        f"the last three radii; gate margin {margin:.3g} "
+                        f"(max |u| / r = {rep.max_control[-1] / 1e-4:.8f})",
+           slope >= 0.99)
+
+
 def test_criterion_8_monte_carlo_stabilization(ensemble):
     median = ensemble.v2_terminal_quantiles[1]
     ok = (ensemble.v2_start == 2.0 and median < 2.0

@@ -6,13 +6,18 @@ import pytest
 from stostab import (CONTINUITY_RADII, ClosedLoop, DiffusionDesign,
                      SystemParams, check_design_conditions, closed_loop,
                      controllability_rank, diffusion_b, eigs_sym2, g_matrix,
-                     generator, h_matrix, prefeedback_v, randomized_drift,
-                     sigma, sigma_jacobian, sontag_terms, v2_field)
+                     generator, h_matrix, loop_terms, prefeedback_v,
+                     randomized_drift, sigma, sigma_jacobian, sontag_terms,
+                     v2_field, v2_hessian)
 from stostab.sde import jacobian_fd
+
+from loop_oracle import oracle_loop
 
 P44 = SystemParams(1.0, 1.0, 4.0, 4.0)
 CHAINED = SystemParams(1.0, 1.0, 1.0, 0.0)
 D4 = DiffusionDesign(1e-4, 1e-4)
+PARITY_PLANTS = (P44, CHAINED, SystemParams(1.0, 1.0, 1.0, 4.0),
+                 SystemParams(2.0, -1.0, 3.0, 0.5))
 
 
 def test_params_validation():
@@ -177,6 +182,59 @@ def test_closed_loop_generator_negative():
     axis = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, -1.5]])
     br_axis = generator(v2_field(), cl.sde.drift, cl.sde.diffusion, axis)
     assert np.all(br_axis.value() < 0.0)
+
+
+@pytest.mark.parametrize("p", PARITY_PLANTS)
+@pytest.mark.parametrize("d", (D4, DiffusionDesign(1.0, 0.5)))
+def test_closed_loop_matches_einsum_oracle(p, d):
+    # Rounding differs from the oracle, and entries that cancel far from the
+    # origin can differ by up to 1e-5 relative, so each output column is
+    # gated at 1e-12 of its largest magnitude rather than element-wise.
+    rng = np.random.default_rng(13)
+    pts = np.vstack([rng.uniform(-3, 3, (300, 3)),
+                     rng.uniform(-3, 3, (20, 3)) * [1.0, 1.0, 0.0],
+                     [[0.0, 0.0, 0.5], [0.0, 0.0, -1.5], [0.0, 0.0, 3.0],
+                      [0.0, 0.0, 0.0]]])
+    cl = closed_loop(p, d)
+    views = (cl.sde.drift, cl.sde.diffusion, cl.control)
+    for got_fn, want in zip(views, oracle_loop(p, d, pts)):
+        tol = 1e-12 * np.abs(want).max(axis=0)
+        got = got_fn(pts)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= tol)
+        # one state and a batch of one give the same rows under the same gate
+        for i in (0, len(pts) - 4, len(pts) - 1):
+            one = got_fn(pts[i])
+            batch1 = got_fn(pts[i:i + 1])
+            assert one.shape == want.shape[1:]
+            assert batch1.shape == (1,) + want.shape[1:]
+            assert np.all(np.abs(one - want[i]) <= tol)
+            assert np.all(np.abs(batch1[0] - want[i]) <= tol)
+    # the origin is preserved exactly and the control vanishes on the axis
+    for out in oracle_loop(p, d, pts[-1]) + tuple(f(pts[-1]) for f in views):
+        assert np.all(out == 0.0)
+    assert np.all(cl.control(pts[-4:-1]) == 0.0)
+
+
+def test_loop_terms_views_agree():
+    pts = np.random.default_rng(14).uniform(-2, 2, (100, 3))
+    p = PARITY_PLANTS[3]
+    cl = closed_loop(p, D4)
+    t = loop_terms(p, D4, pts)
+    assert np.array_equal(cl.terms(pts).drift, t.drift)
+    assert np.array_equal(cl.sde.drift(pts), t.drift)
+    assert np.array_equal(cl.control(pts), t.control)
+    assert np.array_equal(sigma(p, D4, pts), t.sigma)
+    b1v, b2v = diffusion_b(D4, p, pts)
+    assert np.array_equal(b1v, t.b1) and np.array_equal(b2v, t.b2)
+    f, g, lg = sontag_terms(p, D4, pts)
+    assert np.array_equal(f, t.f_term) and np.array_equal(g, t.g_term)
+    assert np.array_equal(lg, t.lg)
+    # explicit H entries against the 3-operand einsum
+    gm = g_matrix(p, pts)
+    want = np.einsum('...ji,...jk,...kl->...il', gm, v2_hessian(pts), gm)
+    assert np.all(np.abs(h_matrix(p, pts) - want)
+                  <= 1e-12 * np.abs(want).max(axis=0))
 
 
 def test_sontag_terms_consistency():

@@ -203,6 +203,15 @@ def test_wong_zakai_validation(tmp_path):
                     "--out", str(tmp_path)]) == 2
 
 
+def test_wong_zakai_divergence_exits_3(tmp_path, capsys):
+    # x0 = 2e12 lies beyond the divergence bound 1e12, so the pathwise ODE
+    # raises IntegrationDiverged after its first knot interval (t = 1/16)
+    code = run_cli(["wong-zakai", "--x0", "2e12", "--n-real", "50",
+                    "--meshes", "16,64", "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err == "error: integration diverged at t=0.0625\n"
+
+
 def test_module_entry_point(tmp_path):
     r = subprocess.run([sys.executable, "-m", "stostab.cli", "controllability",
                         "--n-points", "20", "--out", str(tmp_path / "m")],

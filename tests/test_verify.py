@@ -13,6 +13,8 @@ from stostab import (DiffusionDesign, GridSpec, SdeSystem, SystemParams,
 from stostab.sde import ITO, STRATONOVICH
 from stostab.verify import path_seeds, wilson_halfwidth
 
+from loop_oracle import oracle_loop
+
 P44 = SystemParams(1.0, 1.0, 4.0, 4.0)
 D4 = DiffusionDesign(1e-4, 1e-4)
 DZ = DiffusionDesign(0.0, 0.0)
@@ -223,6 +225,30 @@ def test_mc_reproducible_and_prefix_stable():
     # enlarging the ensemble must not disturb existing paths
     c = mc_stability(cl, (0.0, 0.0, 1.0), n_paths=8, **kw)
     assert np.array_equal(c.terminal_states[:4], a.terminal_states)
+
+
+def test_mc_steps_match_plain_em_on_nondegenerate_plant():
+    # b1 b4 - b2 b3 = 3 != 0, so the Ito drift carries f3 = -(3/2) B1 B2;
+    # on the (1, 1, 4, 4) plant f3 vanishes and a kernel without it would
+    # go unnoticed.  The gains are large enough for f3 to move the terminal
+    # states by about 1e-4 relative over this horizon.
+    p = SystemParams(1.0, 1.0, 1.0, 4.0)
+    d = DiffusionDesign(1e-2, 1e-2)
+    x0 = np.array([0.4, -0.3, 0.8])
+    dt, n_steps, n_paths, seed = 1e-3, 200, 20, 5
+    rep = mc_stability(closed_loop(p, d), x0, dt=dt, horizon=n_steps * dt,
+                       n_paths=n_paths, eps=5.0, conv_threshold=0.1,
+                       m_level=20.0, seed=seed)
+    assert rep.n_steps == n_steps and rep.n_diverged == 0
+
+    dw = np.stack([np.random.default_rng(int(s)).standard_normal(n_steps)
+                   for s in path_seeds(seed, n_paths)]) * np.sqrt(dt)
+    x = np.tile(x0, (n_paths, 1))
+    for k in range(n_steps):
+        drift, diffusion, _ = oracle_loop(p, d, x)
+        x = x + drift * dt + diffusion * dw[:, k, None]
+    err = np.abs(rep.terminal_states - x).max() / np.abs(x).max()
+    assert err < 1e-9
 
 
 def test_mc_validation():
