@@ -29,7 +29,7 @@ from .lyapunov import _v2_derivatives, sontag_control
 # Not called here, but kept bound in this module: tools that trace the loop's
 # layers look these names up on it.
 from .lyapunov import v2_gradient, v2_hessian  # noqa: F401
-from .sde import ITO, SdeSystem
+from .sde import ITO, SdeSystem, jacobian_fd
 
 _E3 = np.array([0.0, 0.0, 1.0])
 
@@ -117,10 +117,13 @@ def _h_entries(p: SystemParams, c, e, hess) -> tuple:
 
 
 def _eigs(h11, h12, h22) -> tuple:
-    """Eigenvalues of [[h11, h12], [h12, h22]], ascending."""
+    """Eigenvalues of [[h11, h12], [h12, h22]], ascending; the smaller in
+    magnitude is det(H) over the larger, since mid -/+ rad would cancel."""
     mid = 0.5 * (h11 + h22)
     rad = np.sqrt((0.5 * (h11 - h22)) ** 2 + h12 * h12)
-    return mid - rad, mid + rad
+    big = mid + np.copysign(rad, mid)
+    small = (h11 * h22 - h12 * h12) / np.where(big == 0.0, 1.0, big)
+    return np.minimum(small, big), np.maximum(small, big)
 
 
 def _gains(d: DiffusionDesign, lam1, lam2, x) -> tuple:
@@ -169,25 +172,6 @@ def sigma(p: SystemParams, d: DiffusionDesign, x) -> np.ndarray:
                     axis=-1)
 
 
-def _lambda_gradients(p: SystemParams, x) -> tuple:
-    # Central differences, step max(1e-6, 1e-6 |x_j|): the eigenvalues have no
-    # tractable closed-form gradient away from the x1 = x2 = 0 plane.
-    x = np.asarray(x, dtype=float)
-    d1 = np.empty(x.shape)
-    d2 = np.empty(x.shape)
-    for j in range(3):
-        h = np.maximum(1e-6, 1e-6 * np.abs(x[..., j]))
-        xp = x.copy()
-        xp[..., j] += h
-        xm = x.copy()
-        xm[..., j] -= h
-        l1p, l2p = eigs_sym2(h_matrix(p, xp))
-        l1m, l2m = eigs_sym2(h_matrix(p, xm))
-        d1[..., j] = (l1p - l1m) / (2.0 * h)
-        d2[..., j] = (l2p - l2m) / (2.0 * h)
-    return d1, d2
-
-
 def _pieces(p: SystemParams, d: DiffusionDesign, x):
     """One-pass evaluation of (g, B1, B2, sigma, grad B1, grad B2)."""
     x = np.asarray(x, dtype=float)
@@ -198,8 +182,10 @@ def _pieces(p: SystemParams, d: DiffusionDesign, x):
     r2 = np.einsum('...i,...i->...', x, x)
     x3 = x[..., 2]
 
-    # Product rule on B: analytic in |x|^2 and x3, numeric in the eigenvalues.
-    dl1, dl2 = _lambda_gradients(p, x)
+    # Product rule on B: analytic in |x|^2 and x3, central differences in the
+    # eigenvalues (no tractable closed form away from the x1 = x2 = 0 plane).
+    dl = jacobian_fd(lambda y: np.stack(eigs_sym2(h_matrix(p, y)), axis=-1), x)
+    dl1, dl2 = dl[..., 0, :], dl[..., 1, :]
     grad_b1 = d.k1 * (2.0 * lam1[..., None] * dl1 * r2[..., None]
                       + (lam1 ** 2)[..., None] * 2.0 * x)
     grad_b2 = d.k2 * (2.0 * lam2[..., None] * dl2 * (r2 * x3)[..., None]

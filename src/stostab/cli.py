@@ -30,7 +30,7 @@ from .brockett import (CONTINUITY_RADII, DiffusionDesign, SystemParams,
                        check_design_conditions, closed_loop,
                        controllability_rank, diffusion_b)
 from .lyapunov import v2_eval
-from .sde import IntegrationDiverged, Trajectory, trajectory_to_csv
+from .sde import IntegrationDiverged, Trajectory, trajectory_to_csv, write_csv
 from .verify import (GridSpec, mc_stability, scan_generator,
                      small_control_scan, wong_zakai_experiment, write_scan_csv,
                      write_summary)
@@ -254,15 +254,11 @@ def cmd_simulate(cfg: dict, out: str, hdr: list) -> int:
         states = rep.record_states[i]
         traj = Trajectory(rep.record_times, states, cl.control(states))
         trajectory_to_csv(traj, os.path.join(out, f"path_{i:04d}.csv"), hdr)
-    with open(os.path.join(out, "v2_drift_buckets.csv"), "w") as fh:
-        for line in hdr:
-            fh.write(f"# {line}\n")
-        fh.write("bucket_start,bucket_end,mean_dv2_dt,stderr,count\n")
-        for j in range(len(rep.bucket_counts)):
-            fh.write(",".join(f"{v:.17g}" for v in (
-                rep.bucket_edges[j], rep.bucket_edges[j + 1],
-                rep.bucket_mean_drift[j], rep.bucket_stderr[j])) +
-                f",{rep.bucket_counts[j]}\n")
+    edges = rep.bucket_edges.tolist()
+    write_csv(os.path.join(out, "v2_drift_buckets.csv"),
+              ["bucket_start", "bucket_end", "mean_dv2_dt", "stderr", "count"],
+              zip(edges[:-1], edges[1:], rep.bucket_mean_drift.tolist(),
+                  rep.bucket_stderr.tolist(), rep.bucket_counts.tolist()), hdr)
     q05, q50, q95 = rep.v2_terminal_quantiles
     write_summary(os.path.join(out, "summary.txt"), [
         ("n_paths", rep.n_paths),
@@ -368,12 +364,8 @@ def cmd_check_design(cfg: dict, out: str, hdr: list) -> int:
 def cmd_wong_zakai(cfg: dict, out: str, hdr: list) -> int:
     rep = wong_zakai_experiment(cfg["x0"], cfg["horizon"], cfg["meshes"],
                                 cfg["n_real"], cfg["seed"])
-    with open(os.path.join(out, "wz_mse.csv"), "w") as fh:
-        for line in hdr:
-            fh.write(f"# {line}\n")
-        fh.write("mesh,mse\n")
-        for mesh, mse in zip(rep.meshes, rep.mse):
-            fh.write(f"{mesh},{mse:.17g}\n")
+    write_csv(os.path.join(out, "wz_mse.csv"), ["mesh", "mse"],
+              zip(rep.meshes, rep.mse.tolist()), hdr)
     write_summary(os.path.join(out, "summary.txt"), [
         ("n_fine", rep.n_fine),
         ("n_real", rep.n_real),

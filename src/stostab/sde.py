@@ -67,17 +67,12 @@ def jacobian_fd(fn: Callable, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SdeSystem:
-    """Drift/diffusion pair with a declared convention.
-
-    ``diffusion_jacobian`` is optional; when absent, conversions fall back to
-    central finite differences with the :func:`fd_step` policy.
-    """
+    """Drift/diffusion pair with a declared convention."""
 
     dim: int
     drift: Callable
     diffusion: Callable
     convention: str = ITO
-    diffusion_jacobian: Optional[Callable] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -133,21 +128,30 @@ class WienerPath:
                           self.values[::factor].copy(), self.seed)
 
 
+def wiener_increments(dt: float, seeds, n_steps: int) -> np.ndarray:
+    """Row i: n_steps i.i.d. N(0, dt) draws from ``default_rng(seeds[i])``.
+
+    The same seed reproduces the same row bit for bit on one platform.
+    """
+    dw = np.empty((len(seeds), n_steps))
+    for row, seed in zip(dw, seeds):
+        np.random.default_rng(int(seed)).standard_normal(out=row)
+    dw *= np.sqrt(dt)
+    return dw
+
+
 def sample_wiener(dt: float, horizon: float, seed: int, t0: float = 0.0) -> WienerPath:
     """Sample a Wiener path on floor(horizon/dt) + 1 equispaced points.
 
-    Increments are i.i.d. N(0, dt) drawn from ``numpy.random.default_rng(seed)``;
-    the same seed reproduces the same path bit for bit on one platform.
+    The increments are those of :func:`wiener_increments` for ``seed``.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if horizon < dt:
         raise ValueError(f"horizon must be at least dt, got {horizon} < {dt}")
     n = int(np.floor(horizon / dt + 1e-9))
-    rng = np.random.default_rng(seed)
-    w = np.empty(n + 1)
-    w[0] = 0.0
-    np.cumsum(rng.standard_normal(n) * np.sqrt(dt), out=w[1:])
+    w = np.zeros(n + 1)
+    np.cumsum(wiener_increments(dt, [seed], n)[0], out=w[1:])
     return WienerPath(t0, dt, w, int(seed))
 
 
@@ -193,22 +197,19 @@ def stratonovich_to_ito(sys: SdeSystem) -> SdeSystem:
     """Add the drift correction (1/2)(d sigma/dx) sigma; diffusion unchanged.
 
     The input must be declared Stratonovich; converting an Ito system is an
-    error rather than a silent no-op.  Uses the system's analytic diffusion
-    Jacobian when present, otherwise central finite differences.
+    error rather than a silent no-op.  d sigma/dx is taken by
+    :func:`jacobian_fd`.
     """
     if sys.convention != STRATONOVICH:
         raise ValueError("stratonovich_to_ito expects a Stratonovich system")
-    jac = sys.diffusion_jacobian
-    if jac is None:
-        jac = lambda x: jacobian_fd(sys.diffusion, x)
     drift, diffusion = sys.drift, sys.diffusion
 
     def corrected(x):
         s = np.asarray(diffusion(x), float)
-        corr = 0.5 * np.einsum('...ij,...j->...i', np.asarray(jac(x), float), s)
+        corr = 0.5 * np.einsum('...ij,...j->...i', jacobian_fd(diffusion, x), s)
         return np.asarray(drift(x), float) + corr
 
-    return SdeSystem(sys.dim, corrected, diffusion, ITO, sys.diffusion_jacobian)
+    return SdeSystem(sys.dim, corrected, diffusion, ITO)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,6 +233,23 @@ class Trajectory:
         return self.states[-1]
 
 
+def _step_path(sys: SdeSystem, x0, path: WienerPath, step: Callable) -> Trajectory:
+    """States x_{k+1} = step(x_k, dw_k) over the increments of ``path``."""
+    x = np.array(x0, dtype=float)
+    if x.shape != (sys.dim,):
+        raise ValueError(f"x0 must have shape ({sys.dim},)")
+    dw = path.increments()
+    times = path.times
+    states = np.empty((len(dw) + 1, sys.dim))
+    states[0] = x
+    for k in range(len(dw)):
+        x = step(x, dw[k])
+        if not _finite(x):
+            raise IntegrationDiverged(times[k + 1], states[k].copy())
+        states[k + 1] = x
+    return Trajectory(times.copy(), states)
+
+
 def euler_maruyama(sys: SdeSystem, x0, path: WienerPath) -> Trajectory:
     """Ito stepping x_{k+1} = x_k + f(x_k) dt + sigma(x_k) dw_k on the path mesh.
 
@@ -240,21 +258,9 @@ def euler_maruyama(sys: SdeSystem, x0, path: WienerPath) -> Trajectory:
     """
     if sys.convention != ITO:
         raise ValueError("euler_maruyama expects an Ito-form system")
-    x = np.array(x0, dtype=float)
-    if x.shape != (sys.dim,):
-        raise ValueError(f"x0 must have shape ({sys.dim},)")
-    dw = path.increments()
-    dt = path.dt
-    times = path.times
-    states = np.empty((len(dw) + 1, sys.dim))
-    states[0] = x
-    for k in range(len(dw)):
-        x = x + np.asarray(sys.drift(x), float) * dt \
-              + np.asarray(sys.diffusion(x), float) * dw[k]
-        if not _finite(x):
-            raise IntegrationDiverged(times[k + 1], states[k].copy())
-        states[k + 1] = x
-    return Trajectory(times.copy(), states)
+    f, s, dt = sys.drift, sys.diffusion, path.dt
+    return _step_path(sys, x0, path, lambda x, dw: x + np.asarray(f(x), float) * dt
+                      + np.asarray(s(x), float) * dw)
 
 
 def heun_stratonovich(sys: SdeSystem, x0, path: WienerPath) -> Trajectory:
@@ -265,24 +271,16 @@ def heun_stratonovich(sys: SdeSystem, x0, path: WienerPath) -> Trajectory:
     """
     if sys.convention != STRATONOVICH:
         raise ValueError("heun_stratonovich expects a Stratonovich system")
-    x = np.array(x0, dtype=float)
-    if x.shape != (sys.dim,):
-        raise ValueError(f"x0 must have shape ({sys.dim},)")
-    dw = path.increments()
-    dt = path.dt
-    times = path.times
-    states = np.empty((len(dw) + 1, sys.dim))
-    states[0] = x
-    for k in range(len(dw)):
-        fx = np.asarray(sys.drift(x), float)
-        sx = np.asarray(sys.diffusion(x), float)
-        y = x + fx * dt + sx * dw[k]
-        x = x + 0.5 * (fx + np.asarray(sys.drift(y), float)) * dt \
-              + 0.5 * (sx + np.asarray(sys.diffusion(y), float)) * dw[k]
-        if not _finite(x):
-            raise IntegrationDiverged(times[k + 1], states[k].copy())
-        states[k + 1] = x
-    return Trajectory(times.copy(), states)
+    f, s, dt = sys.drift, sys.diffusion, path.dt
+
+    def step(x, dw):
+        fx = np.asarray(f(x), float)
+        sx = np.asarray(s(x), float)
+        y = x + fx * dt + sx * dw
+        return x + 0.5 * (fx + np.asarray(f(y), float)) * dt \
+                 + 0.5 * (sx + np.asarray(s(y), float)) * dw
+
+    return _step_path(sys, x0, path, step)
 
 
 def ode_drive(sys: SdeSystem, x0, noise: PiecewiseLinearNoise,
@@ -324,21 +322,32 @@ def ode_drive(sys: SdeSystem, x0, noise: PiecewiseLinearNoise,
     return Trajectory(np.asarray(times), np.asarray(states))
 
 
+def write_header(fh, header_lines) -> None:
+    """Write each header line prefixed with ``# ``."""
+    for line in header_lines:
+        fh.write(f"# {line}\n")
+
+
+def write_csv(path, columns, rows, header_lines=()) -> None:
+    """Write the header, the column names, then rows of numbers at ``.17g``.
+
+    Rows of Python numbers (``.tolist()``) format faster than numpy scalars.
+    """
+    with open(path, "w") as fh:
+        write_header(fh, header_lines)
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
 def trajectory_to_csv(traj: Trajectory, path, header_lines=()) -> None:
     """Write ``t,x1,...,xn[,u1,...,um]`` rows at 17 significant digits.
 
     ``header_lines`` are emitted first, one per line, prefixed with ``# ``.
     """
-    dim = traj.states.shape[1]
-    cols = ["t"] + [f"x{i + 1}" for i in range(dim)]
+    cols = ["t"] + [f"x{i + 1}" for i in range(traj.states.shape[1])]
+    data = [traj.times, traj.states]
     if traj.controls is not None:
         cols += [f"u{i + 1}" for i in range(traj.controls.shape[1])]
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(cols) + "\n")
-        for k in range(len(traj.times)):
-            row = [traj.times[k], *traj.states[k]]
-            if traj.controls is not None:
-                row += list(traj.controls[k])
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        data.append(traj.controls)
+    write_csv(path, cols, np.column_stack(data).tolist(), header_lines)

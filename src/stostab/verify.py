@@ -19,9 +19,10 @@ import numpy as np
 from . import brockett
 from .brockett import ClosedLoop, DiffusionDesign, SystemParams
 from .lyapunov import ScalarField, generator, v2_eval, v2_field, v2_gradient
-from .sde import (DIVERGENCE_BOUND, ITO, STRATONOVICH, SdeSystem, WienerPath,
-                  euler_maruyama, jacobian_fd, ode_drive, piecewise_linear_lift,
-                  sample_wiener)
+from .sde import (DIVERGENCE_BOUND, ITO, STRATONOVICH, SdeSystem,
+                  euler_maruyama, ode_drive, piecewise_linear_lift,
+                  sample_wiener, stratonovich_to_ito, wiener_increments,
+                  write_csv, write_header)
 
 
 def path_seeds(master_seed: int, n: int) -> np.ndarray:
@@ -159,12 +160,9 @@ def scan_generator(cl: ClosedLoop, grid: GridSpec,
 
 def write_scan_csv(report: ScanReport, path, header_lines=()) -> None:
     """Serialize a scan as ``x1,x2,x3,LV`` rows at 17 significant digits."""
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("x1,x2,x3,LV\n")
-        for pt, val in zip(report.points, report.values):
-            fh.write(",".join(f"{v:.17g}" for v in (*pt, val)) + "\n")
+    write_csv(path, ["x1", "x2", "x3", "LV"],
+              np.column_stack([report.points, report.values]).tolist(),
+              header_lines)
 
 
 @dataclass(eq=False)
@@ -194,39 +192,24 @@ def sclf_condition_check(f: Optional[Callable], g: Callable, b: Callable,
 
         (1/2) B^T (g^T Hess V g) B + (1/2) grad V . (d(gB)/dx)(gB) < -L_f V.
 
-    ``f`` may be None for a driftless plant.  The sigma Jacobian is taken by
+    ``f`` may be None for a driftless plant.  The margin is the generator of
+    V along the Ito form of dx = f dt + (gB) o dw, whose d(gB)/dx is taken by
     central differences so arbitrary (g, B) callables can be audited.
     """
     pts = grid.points()
-    grad = np.asarray(field.gradient(pts), float)
-    gmat = np.asarray(g(pts), float)
-    lg = np.einsum('...i,...ik->...k', grad, gmat)
+    lg = generator(field, None, None, pts, control_matrix=g).lg_v
     mask = np.linalg.norm(lg, axis=-1) < lg_tol
     if not mask.any():
         return SclfReport(0, 0, np.empty(0), np.empty((0, 3)), True)
     sub = pts[mask]
-    grad_s = grad[mask]
-    gmat_s = gmat[mask]
-    bvals = b(sub)
-    bvec = np.stack(bvals, axis=-1) if isinstance(bvals, tuple) else np.asarray(bvals, float)
-    hess = np.asarray(field.hessian(sub), float)
-    quad = 0.5 * np.einsum('...k,...ik,...ij,...jl,...l->...',
-                           bvec, gmat_s, hess, gmat_s, bvec)
 
     def sig(y):
-        gm = np.asarray(g(y), float)
         bv = b(y)
         bv = np.stack(bv, axis=-1) if isinstance(bv, tuple) else np.asarray(bv, float)
-        return np.einsum('...ik,...k->...i', gm, bv)
+        return np.einsum('...ik,...k->...i', np.asarray(g(y), float), bv)
 
-    s = sig(sub)
-    js = np.einsum('...ij,...j->...i', jacobian_fd(sig, sub), s)
-    correction = 0.5 * np.einsum('...i,...i->...', grad_s, js)
-    if f is None:
-        lf = np.zeros(len(sub))
-    else:
-        lf = np.einsum('...i,...i->...', grad_s, np.asarray(f(sub), float))
-    margins = quad + correction + lf
+    ito = stratonovich_to_ito(SdeSystem(3, f or np.zeros_like, sig, STRATONOVICH))
+    margins = generator(field, ito.drift, ito.diffusion, sub).value()
     holds = margins < 0.0
     return SclfReport(int(mask.sum()), int(holds.sum()), margins, sub, False)
 
@@ -273,6 +256,8 @@ class StabilityReport:
                            <= 2.0 * self.bucket_stderr[ok]))
 
 
+# Diverging paths overflow on their way out; n_diverged reports them.
+@np.errstate(over="ignore", invalid="ignore")
 def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
                  eps: float, conv_threshold: float, m_level: float, seed: int,
                  n_buckets: int = 50, record_every: int = 0) -> StabilityReport:
@@ -292,11 +277,7 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
         raise ValueError("n_buckets must be positive")
     x0 = np.asarray(x0, dtype=float)
     n_steps = int(np.floor(horizon / dt + 1e-9))
-    seeds = path_seeds(seed, n_paths)
-    dw = np.empty((n_paths, n_steps))
-    for i in range(n_paths):
-        dw[i] = np.random.default_rng(int(seeds[i])).standard_normal(n_steps)
-    dw *= np.sqrt(dt)
+    dw = wiener_increments(dt, path_seeds(seed, n_paths), n_steps)
 
     x = np.tile(x0, (n_paths, 1))
     alive = np.ones(n_paths, dtype=bool)
@@ -321,12 +302,14 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
         terms = cl.terms(x)
         x_new = x + terms.drift * dt + terms.sigma * dw[:, k, None]
         norm_new = np.linalg.norm(x_new, axis=1)
-        bad = ~np.isfinite(x_new).all(axis=1) | (norm_new > DIVERGENCE_BOUND)
+        v2_new = v2_eval(x_new)
+        # A NaN state fails the norm test; a finite state can still overflow v2.
+        bad = ~((norm_new <= DIVERGENCE_BOUND) & np.isfinite(v2_new))
         newly_dead = alive & bad
         if newly_dead.any():
             # Park dead paths at the equilibrium; stats mask them out below.
             x_new[newly_dead] = 0.0
-        v2_new = v2_eval(x_new)
+            v2_new[newly_dead] = 0.0
         ok = alive & ~bad
         if ok.any():
             z = (v2_new[ok] - v2[ok]) / dt
@@ -360,8 +343,12 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
     var = np.maximum(bsumsq[multi] / bcount[multi] - mean[multi] ** 2, 0.0)
     se[multi] = np.sqrt(var / bcount[multi])
 
-    quantiles = tuple(float(q) for q in
-                      np.quantile(v2_final, [0.05, 0.5, 0.95]))
+    levels = [0.05, 0.5, 0.95]
+    quantiles = np.quantile(v2_final, levels)
+    # Interpolating towards a diverged (inf) path can give NaN; the exact
+    # value there is the upper neighbour.
+    quantiles = np.where(np.isnan(quantiles),
+                         np.quantile(v2_final, levels, method="higher"), quantiles)
     report = StabilityReport(
         n_paths=n_paths,
         n_steps=n_steps,
@@ -376,7 +363,7 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
         p_sup_exceed=float((sup_norm > eps).sum() / n_paths),
         sup_v2_exceedance=float(n_exceed / n_paths),
         wilson_ci_halfwidth=wilson_halfwidth(n_exceed, n_paths),
-        v2_terminal_quantiles=quantiles,
+        v2_terminal_quantiles=tuple(quantiles.tolist()),
         terminal_norm_median=float(np.median(terminal_norm)),
         n_diverged=n_diverged,
         bucket_edges=np.linspace(0.0, n_steps * dt, n_buckets + 1),
@@ -466,9 +453,8 @@ def lfv2_formula_check(p: SystemParams, d: DiffusionDesign,
     xf = flat[:, 0] ** 2 + flat[:, 1] ** 2
     flat = flat[xf > 1e-3]
     xf = xf[xf > 1e-3]
-    grad = v2_gradient(flat)
-    g = brockett.g_matrix(p, flat)
-    lg = np.einsum('...i,...ik->...k', grad, g)
+    lg = generator(v2_field(), None, None, flat,
+                   control_matrix=lambda y: brockett.g_matrix(p, y)).lg_v
     g_direct = np.einsum('...k,...k->...', lg, lg)
     g_closed = p.b1 ** 2 * flat[:, 0] ** 2 + p.b2 ** 2 * flat[:, 1] ** 2
     max_g = float(np.abs(g_direct - g_closed).max()) if len(flat) else 0.0
@@ -533,10 +519,9 @@ def wong_zakai_experiment(x0: float, horizon: float, meshes, n_real: int,
             raise ValueError(f"mesh {m} must divide the fine mesh {n_fine}")
     dt_fine = horizon / n_fine
 
-    zero = lambda x: np.zeros_like(x)
     ident = lambda x: np.asarray(x, float)
-    pathwise_sys = SdeSystem(1, zero, ident, STRATONOVICH)
-    ito_sys = SdeSystem(1, zero, ident, ITO)
+    pathwise_sys = SdeSystem(1, np.zeros_like, ident, STRATONOVICH)
+    ito_sys = SdeSystem(1, np.zeros_like, ident, ITO)
 
     seeds = path_seeds(seed, n_real)
     sq_err = np.empty((len(meshes), n_real))
@@ -612,7 +597,5 @@ def strong_order_estimate(integrate: Callable, sys: SdeSystem,
 def write_summary(path, items, header_lines=()) -> None:
     """Write a flat ``key = value`` summary file with a comment header."""
     with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        for key, value in items:
-            fh.write(f"{key} = {value}\n")
+        write_header(fh, header_lines)
+        fh.writelines(f"{key} = {value}\n" for key, value in items)

@@ -1,5 +1,7 @@
 """Plant matrices, the noise-gain design, and the assembled closed loop."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,20 @@ def test_eigs_sym2():
         eigs_sym2(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         eigs_sym2(np.zeros((3, 3)))
+
+
+def test_eigs_sym2_small_eigenvalue_is_accurate():
+    # H is about [[5.96e8, 1.12e8], [1.12e8, 2.12e7]] here, so mid - rad
+    # cancels; the reference is the exact det(H) over the large eigenvalue.
+    h = h_matrix(PARITY_PLANTS[3], np.array([2.96, -2.93, -2.91]))
+    lo, hi = eigs_sym2(h)
+    h11, h12, h22 = (float(v) for v in (h[0, 0], h[0, 1], h[1, 1]))
+    det = Fraction(h11) * Fraction(h22) - Fraction(h12) ** 2
+    ref = float(det / Fraction(float(hi)))
+    assert abs(lo) < 1e-4 * abs(hi)
+    assert abs(lo - ref) <= 1e-13 * abs(ref)
+    # H = 0 has the double eigenvalue 0, not 0 / 0
+    assert eigs_sym2(np.zeros((2, 2))) == (0.0, 0.0)
 
 
 def test_diffusion_b_examples():

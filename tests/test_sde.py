@@ -7,7 +7,7 @@ from stostab import (ITO, STRATONOVICH, IntegrationDiverged, SdeSystem,
                      Trajectory, WienerPath, euler_maruyama, heun_stratonovich,
                      ode_drive, piecewise_linear_lift, sample_wiener,
                      stratonovich_to_ito, trajectory_to_csv)
-from stostab.sde import jacobian_fd
+from stostab.sde import jacobian_fd, wiener_increments
 from stostab.verify import path_seeds
 
 ZERO = lambda x: np.zeros_like(x)
@@ -40,6 +40,17 @@ def test_wiener_path_validation():
         WienerPath(0.0, 1.0, np.array([0.0]), 0)
     with pytest.raises(ValueError):
         WienerPath(0.0, -1.0, np.array([0.0, 1.0]), 0)
+
+
+def test_wiener_increments_rows_are_per_seed_paths():
+    # row i is path i's own stream: a larger batch leaves earlier rows alone,
+    # and sample_wiener's path is the running sum of the same row
+    seeds = path_seeds(8, 5)
+    dw = wiener_increments(0.01, seeds, 100)
+    assert dw.shape == (5, 100)
+    assert np.array_equal(wiener_increments(0.01, seeds[:3], 100), dw[:3])
+    path = sample_wiener(0.01, 1.0, int(seeds[4]))
+    assert np.array_equal(path.values[1:], np.cumsum(dw[4]))
 
 
 def test_increment_sample_variance():

@@ -1,5 +1,7 @@
 """Scans, ensembles, interval arithmetic, and the convergence experiments."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,9 @@ from stostab import (DiffusionDesign, GridSpec, SdeSystem, SystemParams,
                      heun_stratonovich, lfv2_formula_check, mc_stability,
                      ode_drive, piecewise_linear_lift, sample_wiener,
                      scan_generator, sclf_condition_check, small_control_scan,
-                     strong_order_estimate, v1_field, v2_field, wilson_interval,
-                     wong_zakai_experiment, write_scan_csv, write_summary)
+                     strong_order_estimate, v1_field, v2_field, v2_gradient,
+                     wilson_interval, wong_zakai_experiment, write_scan_csv,
+                     write_summary)
 from stostab.sde import ITO, STRATONOVICH
 from stostab.verify import path_seeds, wilson_halfwidth
 
@@ -176,6 +179,21 @@ def test_sclf_check_vacuous_grid():
     assert not rep.holds
 
 
+def test_sclf_check_with_drift():
+    # a drift adds exactly L_f V = grad V . f to the margin at each point
+    g_fn = lambda y: g_matrix(P44, y)
+    b_fn = lambda y: diffusion_b(D4, P44, y)
+    f_fn = lambda y: np.stack([y[..., 1], -y[..., 0], -0.5 * y[..., 2]], axis=-1)
+    grid = GridSpec.cube(-2, 2, 11, exclude_radius=1e-3)
+    bare = sclf_condition_check(None, g_fn, b_fn, v2_field(), grid)
+    rep = sclf_condition_check(f_fn, g_fn, b_fn, v2_field(), grid)
+    assert rep.n_tested == bare.n_tested == 10
+    assert np.array_equal(rep.points, bare.points)
+    lf = np.einsum('...i,...i->...', v2_gradient(rep.points), f_fn(rep.points))
+    assert np.all(lf != 0.0)
+    assert np.all(np.abs(rep.margins - bare.margins - lf) <= 1e-10 * np.abs(lf))
+
+
 def test_mc_zero_dynamics_freezes():
     # with zero gains and x0 on the axis there is no vector field at all:
     # every path stays put and nothing converges
@@ -249,6 +267,22 @@ def test_mc_steps_match_plain_em_on_nondegenerate_plant():
         x = x + drift * dt + diffusion * dw[:, k, None]
     err = np.abs(rep.terminal_states - x).max() / np.abs(x).max()
     assert err < 1e-9
+
+
+def test_mc_overflow_counts_as_divergence():
+    # From this off-axis start some paths leave the float range within a few
+    # steps; they must be counted, not leak overflow warnings or NaN stats.
+    cl = closed_loop(SystemParams(1.0, 1.0, 1.0, 4.0), DiffusionDesign(0.1, 0.1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = mc_stability(cl, (0.4, -0.3, 0.8), dt=1e-3, horizon=0.2,
+                           n_paths=20, eps=5.0, conv_threshold=0.1,
+                           m_level=20.0, seed=1)
+    assert rep.n_diverged > 0
+    multi = rep.bucket_counts > 1
+    assert np.all(np.isfinite(rep.bucket_mean_drift[multi]))
+    assert np.all(np.isfinite(rep.bucket_stderr[multi]))
+    assert rep.v2_terminal_quantiles[2] == np.inf
 
 
 def test_mc_validation():
