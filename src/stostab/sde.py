@@ -7,6 +7,16 @@ axis: they accept arrays of shape ``(dim,)`` or ``(N, dim)`` and return the
 same shape.  Every integrator is driven by an explicit, pre-sampled
 :class:`WienerPath`, so a simulation is a pure function of the system, the
 initial state, and the path seed.
+
+Paths come singly or in batches.  ``sample_wiener`` given one seed returns
+samples of shape ``(n+1,)``; given a sequence of N seeds it returns one
+``(N, n+1)`` array whose row i is bit for bit the single-seed path of seed
+i.  Sampling, coarsening and lifting act on the last axis.  The integrators
+step a batch as one array: with a batched path, x0 of shape ``(dim,)`` (used
+for every row) or ``(N, dim)`` gives states of shape ``(n+1, N, dim)``, and
+row i equals the single-path run on seed i.  A batch raises
+:class:`IntegrationDiverged` at the first step where any of its rows leaves
+the finite range.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ class IntegrationDiverged(RuntimeError):
     """State left the finite range ``|x| <= DIVERGENCE_BOUND``.
 
     Carries the failure time in ``time`` and the last finite state in
-    ``state``.
+    ``state`` (for a batch, the states of all its rows at that step).
     """
 
     def __init__(self, time: float, state=None):
@@ -37,7 +47,8 @@ class IntegrationDiverged(RuntimeError):
 
 
 def _finite(x: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(x)) and np.linalg.norm(x) <= DIVERGENCE_BOUND)
+    """Every row has |x| <= DIVERGENCE_BOUND; NaN compares False, so it fails."""
+    return bool(((x * x).sum(-1) <= DIVERGENCE_BOUND ** 2).all())
 
 
 def fd_step(coord: np.ndarray) -> np.ndarray:
@@ -83,35 +94,37 @@ class SdeSystem:
 
 @dataclass(frozen=True, eq=False)
 class WienerPath:
-    """Equispaced samples of a scalar Wiener path, ``values[0] == 0``.
+    """Equispaced samples of a scalar Wiener path, ``values[..., 0] == 0``.
 
-    ``values[k]`` approximates w(t0 + k dt).  The path remembers the seed it
-    was drawn from so derived artifacts can be reproduced.
+    ``values[..., k]`` approximates w(t0 + k dt); a batch of N paths on one
+    mesh has ``values`` of shape ``(N, n+1)``.  The path remembers the seed
+    it was drawn from (a tuple of seeds for a batch) so derived artifacts
+    can be reproduced.
     """
 
     t0: float
     dt: float
     values: np.ndarray
-    seed: int
+    seed: int | tuple
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if len(self.values) < 2:
+        if self.values.shape[-1] < 2:
             raise ValueError("a path needs at least two samples")
-        if self.values[0] != 0.0:
+        if np.any(self.values[..., 0] != 0.0):
             raise ValueError("paths start at w = 0")
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self.values))
+        return self.t0 + self.dt * np.arange(self.values.shape[-1])
 
     @property
     def horizon(self) -> float:
-        return self.dt * (len(self.values) - 1)
+        return self.dt * (self.values.shape[-1] - 1)
 
     def increments(self) -> np.ndarray:
-        return np.diff(self.values)
+        return np.diff(self.values, axis=-1)
 
     def coarsen(self, factor: int) -> "WienerPath":
         """Keep every ``factor``-th sample.
@@ -122,48 +135,69 @@ class WienerPath:
         """
         if factor < 1 or int(factor) != factor:
             raise ValueError(f"factor must be a positive integer, got {factor}")
-        if (len(self.values) - 1) % factor != 0:
+        if (self.values.shape[-1] - 1) % factor != 0:
             raise ValueError("factor must divide the number of increments")
         return WienerPath(self.t0, self.dt * factor,
-                          self.values[::factor].copy(), self.seed)
+                          self.values[..., ::factor].copy(), self.seed)
 
 
-def wiener_increments(dt: float, seeds, n_steps: int) -> np.ndarray:
+def wiener_increments(dt: float, seeds, n_steps: int,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
     """Row i: n_steps i.i.d. N(0, dt) draws from ``default_rng(seeds[i])``.
 
-    The same seed reproduces the same row bit for bit on one platform.
+    The same seed reproduces the same row bit for bit on one platform.  The
+    draws fill ``out`` (shape ``(len(seeds), n_steps)``, rows contiguous)
+    when it is given, which is also returned.
     """
-    dw = np.empty((len(seeds), n_steps))
-    for row, seed in zip(dw, seeds):
+    if out is None:
+        out = np.empty((len(seeds), n_steps))
+    elif out.shape != (len(seeds), n_steps):
+        raise ValueError(f"out must have shape ({len(seeds)}, {n_steps}), got {out.shape}")
+    for row, seed in zip(out, seeds):
         np.random.default_rng(int(seed)).standard_normal(out=row)
-    dw *= np.sqrt(dt)
-    return dw
+    out *= np.sqrt(dt)
+    return out
 
 
-def sample_wiener(dt: float, horizon: float, seed: int, t0: float = 0.0) -> WienerPath:
+def sample_wiener(dt: float, horizon: float, seed, t0: float = 0.0) -> WienerPath:
     """Sample a Wiener path on floor(horizon/dt) + 1 equispaced points.
 
-    The increments are those of :func:`wiener_increments` for ``seed``.
+    The increments are those of :func:`wiener_increments` for ``seed``.  A
+    sequence of seeds gives a batch: ``values`` of shape ``(N, n+1)`` whose
+    row i is the path of ``seed[i]``, drawn and summed in place in that one
+    array.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if horizon < dt:
         raise ValueError(f"horizon must be at least dt, got {horizon} < {dt}")
+    single = np.ndim(seed) == 0
+    seeds = [int(seed)] if single else [int(s) for s in seed]
+    if not seeds:
+        raise ValueError("need at least one seed")
     n = int(np.floor(horizon / dt + 1e-9))
-    w = np.zeros(n + 1)
-    np.cumsum(wiener_increments(dt, [seed], n)[0], out=w[1:])
-    return WienerPath(t0, dt, w, int(seed))
+    w = np.zeros((len(seeds), n + 1))
+    dw = wiener_increments(dt, seeds, n, out=w[:, 1:])
+    np.cumsum(dw, axis=-1, out=dw)
+    if single:
+        return WienerPath(t0, dt, w[0], seeds[0])
+    return WienerPath(t0, dt, w, tuple(seeds))
 
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseLinearNoise:
-    """Continuous piecewise-linear interpolant through noise knots."""
+    """Continuous piecewise-linear interpolant through noise knots.
+
+    ``knot_values`` has shape ``(K,)``, or ``(N, K)`` for a batch of N
+    interpolants on the same knot times.  Calling it evaluates an unbatched
+    interpolant only.
+    """
 
     knot_times: np.ndarray
     knot_values: np.ndarray
 
     def __post_init__(self):
-        if len(self.knot_times) != len(self.knot_values):
+        if len(self.knot_times) != self.knot_values.shape[-1]:
             raise ValueError("knot arrays must have equal length")
         if len(self.knot_times) < 2:
             raise ValueError("need at least two knots")
@@ -172,7 +206,7 @@ class PiecewiseLinearNoise:
 
     @property
     def slopes(self) -> np.ndarray:
-        return np.diff(self.knot_values) / np.diff(self.knot_times)
+        return np.diff(self.knot_values, axis=-1) / np.diff(self.knot_times)
 
     def __call__(self, t):
         return np.interp(t, self.knot_times, self.knot_values)
@@ -187,10 +221,11 @@ def piecewise_linear_lift(path: WienerPath, coarsening: int) -> PiecewiseLinearN
     """
     if coarsening < 1 or int(coarsening) != coarsening:
         raise ValueError(f"coarsening must be a positive integer, got {coarsening}")
-    idx = np.arange(0, len(path.values), coarsening)
-    if idx[-1] != len(path.values) - 1:
-        idx = np.append(idx, len(path.values) - 1)
-    return PiecewiseLinearNoise(path.times[idx], path.values[idx].copy())
+    n_samples = path.values.shape[-1]
+    idx = np.arange(0, n_samples, coarsening)
+    if idx[-1] != n_samples - 1:
+        idx = np.append(idx, n_samples - 1)
+    return PiecewiseLinearNoise(path.times[idx], path.values[..., idx])
 
 
 def stratonovich_to_ito(sys: SdeSystem) -> SdeSystem:
@@ -214,7 +249,10 @@ def stratonovich_to_ito(sys: SdeSystem) -> SdeSystem:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time grid, states, and (optionally) the control recorded along a run."""
+    """Time grid, states, and (optionally) the control recorded along a run.
+
+    ``states`` has shape ``(n+1, dim)``, or ``(n+1, N, dim)`` for a batch.
+    """
 
     times: np.ndarray
     states: np.ndarray
@@ -233,21 +271,36 @@ class Trajectory:
         return self.states[-1]
 
 
-def _step_path(sys: SdeSystem, x0, path: WienerPath, step: Callable) -> Trajectory:
-    """States x_{k+1} = step(x_k, dw_k) over the increments of ``path``."""
+def _initial_state(sys: SdeSystem, x0, batch: tuple) -> np.ndarray:
+    """x0 as a float array of shape ``batch + (dim,)``; (dim,) fills a batch."""
     x = np.array(x0, dtype=float)
-    if x.shape != (sys.dim,):
-        raise ValueError(f"x0 must have shape ({sys.dim},)")
-    dw = path.increments()
+    if x.shape == (sys.dim,) and batch:
+        return np.tile(x, batch + (1,))
+    if x.shape != batch + (sys.dim,):
+        shapes = f"({sys.dim},)" + (f" or {batch + (sys.dim,)}" if batch else "")
+        raise ValueError(f"x0 must have shape {shapes}")
+    return x
+
+
+def _step_path(sys: SdeSystem, x0, path: WienerPath, step: Callable) -> Trajectory:
+    """States x_{k+1} = step(x_k, dw_k) over the increments of ``path``.
+
+    ``dw_k`` has shape ``(1,)``, or ``(N, 1)`` for a batch, so it scales the
+    state rows; it is read from the samples as w_{k+1} - w_k, which is what
+    ``np.diff`` computes.
+    """
+    w = path.values
+    x = _initial_state(sys, x0, w.shape[:-1])
     times = path.times
-    states = np.empty((len(dw) + 1, sys.dim))
+    w = np.moveaxis(w, -1, 0)[..., None]
+    states = np.empty((len(times),) + x.shape)
     states[0] = x
-    for k in range(len(dw)):
-        x = step(x, dw[k])
+    for k in range(len(times) - 1):
+        x = step(x, w[k + 1] - w[k])
         if not _finite(x):
             raise IntegrationDiverged(times[k + 1], states[k].copy())
         states[k + 1] = x
-    return Trajectory(times.copy(), states)
+    return Trajectory(times, states)
 
 
 def euler_maruyama(sys: SdeSystem, x0, path: WienerPath) -> Trajectory:
@@ -290,17 +343,18 @@ def ode_drive(sys: SdeSystem, x0, noise: PiecewiseLinearNoise,
     The noise slope is constant on each knot interval, so integration steps
     are aligned to knot boundaries; each interval is covered by ``substeps``
     equal classical RK4 steps.  The system is interpreted pathwise, without
-    reference to a stochastic convention.
+    reference to a stochastic convention.  A batched ``noise`` steps one
+    state row per interpolant.
     """
     if substeps < 1 or int(substeps) != substeps:
         raise ValueError(f"substeps must be a positive integer, got {substeps}")
-    x = np.array(x0, dtype=float)
-    if x.shape != (sys.dim,):
-        raise ValueError(f"x0 must have shape ({sys.dim},)")
+    x = _initial_state(sys, x0, noise.knot_values.shape[:-1])
     kt = noise.knot_times
-    slopes = noise.slopes
+    slopes = np.moveaxis(noise.slopes, -1, 0)[..., None]
     times = [kt[0]]
-    states = [x.copy()]
+    states = np.empty((len(slopes) * substeps + 1,) + x.shape)
+    states[0] = x
+    n = 0
     for i in range(len(slopes)):
         s = slopes[i]
         h = (kt[i + 1] - kt[i]) / substeps
@@ -316,10 +370,11 @@ def ode_drive(sys: SdeSystem, x0, noise: PiecewiseLinearNoise,
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t = kt[i] + (j + 1) * h if j + 1 < substeps else kt[i + 1]
             if not _finite(x):
-                raise IntegrationDiverged(t, states[-1].copy())
+                raise IntegrationDiverged(t, states[n].copy())
             times.append(t)
-            states.append(x.copy())
-    return Trajectory(np.asarray(times), np.asarray(states))
+            n += 1
+            states[n] = x
+    return Trajectory(np.asarray(times), states)
 
 
 def write_header(fh, header_lines) -> None:

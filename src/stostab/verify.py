@@ -25,6 +25,18 @@ from .sde import (DIVERGENCE_BOUND, ITO, STRATONOVICH, SdeSystem,
                   write_csv, write_header)
 
 
+# Path samples held at once by the per-path experiments (512 KB of float64):
+# blocks of 16 paths at 4096 steps.
+_BLOCK_SAMPLES = 1 << 16
+
+
+def _path_blocks(n_paths: int, n_steps: int):
+    """Consecutive slices of at most _BLOCK_SAMPLES // n_steps paths each."""
+    rows = max(1, _BLOCK_SAMPLES // n_steps)
+    for lo in range(0, n_paths, rows):
+        yield slice(lo, min(lo + rows, n_paths))
+
+
 def path_seeds(master_seed: int, n: int) -> np.ndarray:
     """First ``n`` words of the master seed sequence, one per path.
 
@@ -250,10 +262,14 @@ class StabilityReport:
 
     @property
     def drift_nonpositive_2se(self) -> bool:
-        """True when every bucket's mean v2 drift is <= 0 within 2 stderr."""
+        """True when every bucket's mean v2 drift is <= 0 within 2 stderr.
+
+        Only buckets with more than one sample have a stderr; with none of
+        them there is no evidence either way, and the answer is False.
+        """
         ok = self.bucket_counts > 1
-        return bool(np.all(self.bucket_mean_drift[ok]
-                           <= 2.0 * self.bucket_stderr[ok]))
+        return bool(ok.any() and np.all(self.bucket_mean_drift[ok]
+                                         <= 2.0 * self.bucket_stderr[ok]))
 
 
 # Diverging paths overflow on their way out; n_diverged reports them.
@@ -504,7 +520,8 @@ def wong_zakai_experiment(x0: float, horizon: float, meshes, n_real: int,
     For each realization the same fine path is lifted at every mesh, the ODE
     is integrated with RK4 steps aligned to the knots, and the terminal value
     is compared with x0 exp(w(T)).  An uncorrected Ito Euler-Maruyama run on
-    the fine mesh provides the contrast statistic.
+    the fine mesh provides the contrast statistic.  Realizations are stepped
+    in blocks of batched paths; each one's result is that of its own path.
     """
     meshes = tuple(int(m) for m in meshes)
     if len(meshes) < 2 or any(m < 2 for m in meshes):
@@ -525,19 +542,18 @@ def wong_zakai_experiment(x0: float, horizon: float, meshes, n_real: int,
 
     seeds = path_seeds(seed, n_real)
     sq_err = np.empty((len(meshes), n_real))
-    log_ratio = np.empty(n_real)
-    for i in range(n_real):
-        path = sample_wiener(dt_fine, horizon, int(seeds[i]))
-        oracle = x0 * np.exp(path.values[-1])
+    log_ratio = np.zeros(n_real)
+    for blk in _path_blocks(n_real, n_fine):
+        path = sample_wiener(dt_fine, horizon, seeds[blk])
+        oracle = x0 * np.exp(path.values[:, -1])
         for j, m in enumerate(meshes):
             lift = piecewise_linear_lift(path, n_fine // m)
             traj = ode_drive(pathwise_sys, [x0], lift)
-            sq_err[j, i] = (traj.terminal[0] - oracle) ** 2
+            sq_err[j, blk] = (traj.terminal[:, 0] - oracle) ** 2
         em = euler_maruyama(ito_sys, [x0], path)
-        if x0 == 0.0:
-            log_ratio[i] = 0.0
-        else:
-            log_ratio[i] = np.log(em.terminal[0] / oracle)
+        if x0 != 0.0:
+            log_ratio[blk] = np.log(em.terminal[:, 0] / oracle)
+        del path, lift, traj, em
     return WongZakaiReport(
         meshes=meshes,
         mse=sq_err.mean(axis=1),
@@ -556,11 +572,13 @@ def strong_order_estimate(integrate: Callable, sys: SdeSystem,
                           dts, n_paths: int, seed: int) -> float:
     """Log-log slope of RMS terminal error against step size.
 
-    ``integrate(sys, x0, path) -> Trajectory`` is the scheme under test;
-    ``exact_terminal(x0, horizon, w_T) -> state`` is its closed-form oracle.
-    At least four geometrically spaced step sizes are required, and every
-    level re-uses the same underlying fine path by summing increments, so
-    errors across levels are positively correlated and the slope is stable.
+    ``integrate(sys, x0, path) -> Trajectory`` is the scheme under test,
+    called with x0 of shape (dim,) and a batch of paths, so its terminal
+    state has shape (N, dim); ``exact_terminal(x0, horizon, w_T) -> state``
+    is its closed-form oracle, called with w_T of shape (N, 1).  At least
+    four geometrically spaced step sizes are required, and every level
+    re-uses the same underlying fine path by summing increments, so errors
+    across levels are positively correlated and the slope is stable.
     """
     dts = sorted((float(v) for v in dts), reverse=True)
     if len(dts) < 4:
@@ -581,12 +599,15 @@ def strong_order_estimate(integrate: Callable, sys: SdeSystem,
     x0 = np.asarray(x0, dtype=float)
     seeds = path_seeds(seed, n_paths)
     errs = np.empty((len(dts), n_paths))
-    for i in range(n_paths):
-        fine = sample_wiener(dt_min, horizon, int(seeds[i]))
-        ref = np.asarray(exact_terminal(x0, fine.horizon, fine.values[-1]), float)
+    for blk in _path_blocks(n_paths, n_fine):
+        fine = sample_wiener(dt_min, horizon, seeds[blk])
+        ref = np.asarray(exact_terminal(x0, fine.horizon, fine.values[:, -1:]), float)
         for j, fac in enumerate(factors):
-            traj = integrate(sys, x0, fine.coarsen(fac))
-            errs[j, i] = np.linalg.norm(traj.terminal - ref)
+            # factor 1 is the fine path itself; coarsen(1) would copy it
+            traj = integrate(sys, x0, fine if fac == 1 else fine.coarsen(fac))
+            errs[j, blk] = np.linalg.norm(traj.terminal - ref, axis=-1)
+            del traj
+        del fine, ref
     rms = np.sqrt((errs ** 2).mean(axis=1))
     if np.any(rms == 0.0):
         raise ValueError("zero RMS error; slope is undefined")

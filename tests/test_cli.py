@@ -212,6 +212,22 @@ def test_wong_zakai_divergence_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == "error: integration diverged at t=0.0625\n"
 
 
+def test_all_diverged_run_makes_no_drift_claim(tmp_path, capsys):
+    # every path diverges in its first step, so no drift bucket holds a
+    # sample and the drift verdict has nothing to rest on
+    out = tmp_path / "diverged"
+    code = run_cli(["simulate", "--x0", "1.5,-1,2", "--n-paths", "10",
+                    "--horizon", "0.01", "--out", str(out)])
+    assert code == 3
+    assert "error: every path diverged" in capsys.readouterr().err
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "n_diverged = 10" in summary
+    assert "drift_nonpositive_2se = false" in summary
+    counts = np.loadtxt(out / "v2_drift_buckets.csv", delimiter=",",
+                        skiprows=6)[:, 4]
+    assert np.all(counts == 0)
+
+
 def test_module_entry_point(tmp_path):
     r = subprocess.run([sys.executable, "-m", "stostab.cli", "controllability",
                         "--n-points", "20", "--out", str(tmp_path / "m")],

@@ -14,6 +14,23 @@ ZERO = lambda x: np.zeros_like(x)
 IDENT = lambda x: np.asarray(x, float)
 
 
+def _field3(x):
+    # a nonlinear 3-d drift built from products only, so the single-path
+    # and batched runs evaluate the same IEEE operations
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    return np.stack([-x1 + x2 * x3, -x2 - x1 * x3, 0.5 * x1 * x2 - x3], axis=-1)
+
+
+def _noise3(x):
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    return np.stack([x2, -x1, 1.0 + 0.1 * x3 * x3], axis=-1)
+
+
+SEEDS = path_seeds(21, 5)
+X0_3 = np.array([[0.3, -0.2, 0.9], [1.0, 0.5, -0.4], [0.0, 0.0, 1.0],
+                 [-0.7, 0.2, 0.1], [0.4, 0.4, 0.4]])
+
+
 def test_sample_wiener_basic():
     path = sample_wiener(0.01, 1.0, seed=42)
     assert path.values[0] == 0.0
@@ -53,12 +70,101 @@ def test_wiener_increments_rows_are_per_seed_paths():
     assert np.array_equal(path.values[1:], np.cumsum(dw[4]))
 
 
+def test_wiener_increments_fill_out():
+    seeds = path_seeds(8, 3)
+    buf = np.zeros((3, 51))
+    dw = wiener_increments(0.01, seeds, 50, out=buf[:, 1:])
+    assert dw.base is buf
+    assert np.array_equal(buf[:, 1:], wiener_increments(0.01, seeds, 50))
+    assert np.all(buf[:, 0] == 0.0)
+    with pytest.raises(ValueError):
+        wiener_increments(0.01, seeds, 50, out=np.empty((3, 49)))
+
+
+def test_batched_paths_equal_single_seed_paths():
+    batch = sample_wiener(1.0 / 64, 1.0, SEEDS)
+    assert batch.values.shape == (5, 65)
+    assert batch.seed == tuple(int(s) for s in SEEDS)
+    assert np.array_equal(batch.times, sample_wiener(1.0 / 64, 1.0, 1).times)
+    coarse = batch.coarsen(4)
+    lift = piecewise_linear_lift(batch, 3)
+    for i, seed in enumerate(SEEDS):
+        single = sample_wiener(1.0 / 64, 1.0, int(seed))
+        assert np.array_equal(batch.values[i], single.values)
+        assert np.array_equal(batch.increments()[i], single.increments())
+        assert np.array_equal(coarse.values[i], single.coarsen(4).values)
+        one = piecewise_linear_lift(single, 3)
+        assert np.array_equal(lift.knot_times, one.knot_times)
+        assert np.array_equal(lift.knot_values[i], one.knot_values)
+        assert np.array_equal(lift.slopes[i], one.slopes)
+    with pytest.raises(ValueError):
+        sample_wiener(0.01, 1.0, [])
+
+
+def _scalar_system(convention):
+    return SdeSystem(1, ZERO, IDENT, convention)
+
+
+@pytest.mark.parametrize("run, convention", [
+    (euler_maruyama, ITO),
+    (heun_stratonovich, STRATONOVICH),
+    (lambda sys, x0, path: ode_drive(sys, x0, piecewise_linear_lift(path, 2), 2),
+     STRATONOVICH),
+])
+def test_batched_integrators_equal_single_path_runs(run, convention):
+    batch = sample_wiener(1.0 / 32, 1.0, SEEDS)
+    scalar = _scalar_system(convention)
+    system3 = SdeSystem(3, _field3, _noise3, convention)
+    # x0 of shape (dim,) is shared by every row; (N, dim) gives one per row
+    for sys, x0 in ((scalar, [1.5]), (system3, X0_3)):
+        traj = run(sys, x0, batch)
+        assert traj.states.shape == (len(traj.times), 5, sys.dim)
+        for i, seed in enumerate(SEEDS):
+            row_x0 = x0 if np.ndim(x0) == 1 else x0[i]
+            one = run(sys, row_x0, sample_wiener(1.0 / 32, 1.0, int(seed)))
+            assert np.array_equal(traj.times, one.times)
+            assert np.array_equal(traj.states[:, i], one.states)
+
+
+def test_batched_x0_must_match_the_batch():
+    batch = sample_wiener(0.25, 1.0, SEEDS)
+    sys = _scalar_system(ITO)
+    with pytest.raises(ValueError):
+        euler_maruyama(sys, np.ones((4, 1)), batch)
+    with pytest.raises(ValueError):
+        euler_maruyama(sys, np.ones((5, 1)), sample_wiener(0.25, 1.0, 1))
+    with pytest.raises(ValueError):
+        ode_drive(sys, np.ones((5, 2)), piecewise_linear_lift(batch, 1))
+
+
+def test_one_diverging_row_stops_the_batch_at_its_time():
+    # only the row started at 4 explodes under x' = x^3; the batch must
+    # fail where that row's own run fails, with every row's last state
+    cubic = SdeSystem(1, lambda x: x * x * x, ZERO, ITO)
+    x0 = np.array([[0.1], [0.2], [4.0]])
+    batch = sample_wiener(0.5, 10.0, SEEDS[:3])
+    runs = (euler_maruyama,
+            lambda sys, x, path: ode_drive(sys, x, piecewise_linear_lift(path, 1)))
+    for run in runs:
+        with pytest.raises(IntegrationDiverged) as single:
+            run(cubic, x0[2], sample_wiener(0.5, 10.0, int(SEEDS[2])))
+        with pytest.raises(IntegrationDiverged) as batched:
+            run(cubic, x0, batch)
+        assert str(batched.value) == str(single.value)
+        assert str(batched.value).startswith("integration diverged at t=")
+        assert batched.value.time == single.value.time
+        assert batched.value.state.shape == (3, 1)
+        assert np.array_equal(batched.value.state[2], single.value.state)
+        # the calm rows alone integrate to the end
+        assert np.all(np.isfinite(run(cubic, x0[:2], sample_wiener(
+            0.5, 10.0, SEEDS[:2])).terminal))
+
+
 def test_increment_sample_variance():
     # dt = 0.01, so the pooled sample variance over 1e4 paths must sit
     # tightly around 0.01.
     seeds = path_seeds(99, 10000)
-    incs = np.stack([sample_wiener(0.01, 1.0, int(s)).increments()
-                     for s in seeds])
+    incs = sample_wiener(0.01, 1.0, seeds).increments()
     sv = incs.var(ddof=1)
     assert 0.0097 <= sv <= 0.0103
 
@@ -183,13 +289,12 @@ def test_heun_matches_converted_euler_in_the_limit():
     ito = stratonovich_to_ito(strat)
     rms = []
     for k in (6, 8, 10):
-        dt = 2.0 ** -k
+        path = sample_wiener(2.0 ** -k, 1.0, range(1000, 1040))
+        a = heun_stratonovich(strat, [1.0], path).terminal[:, 0]
+        b = euler_maruyama(ito, [1.0], path).terminal[:, 0]
         acc = 0.0
-        for s in range(40):
-            path = sample_wiener(dt, 1.0, 1000 + s)
-            a = heun_stratonovich(strat, [1.0], path).terminal[0]
-            b = euler_maruyama(ito, [1.0], path).terminal[0]
-            acc += (a - b) ** 2
+        for d in a - b:     # a running total in seed order
+            acc += d ** 2
         rms.append(np.sqrt(acc / 40))
     assert rms[0] > rms[1] > rms[2]
 

@@ -13,10 +13,12 @@ from stostab import (DiffusionDesign, GridSpec, SdeSystem, SystemParams,
                      strong_order_estimate, v1_field, v2_field, v2_gradient,
                      wilson_interval, wong_zakai_experiment, write_scan_csv,
                      write_summary)
+from stostab import verify
 from stostab.sde import ITO, STRATONOVICH
 from stostab.verify import path_seeds, wilson_halfwidth
 
 from loop_oracle import oracle_loop
+from path_loop_oracle import strong_order_slope, wong_zakai_stats
 
 P44 = SystemParams(1.0, 1.0, 4.0, 4.0)
 D4 = DiffusionDesign(1e-4, 1e-4)
@@ -404,6 +406,28 @@ def test_strong_order_heun_is_first_order():
         heun_stratonovich, sys, lambda x0, T, wT: x0 * np.exp(wT),
         [1.0], 1.0, [2.0 ** -k for k in range(6, 13)], n_paths=200, seed=7)
     assert 0.8 <= slope <= 1.2
+
+
+def test_blocked_experiments_equal_the_per_path_loops(monkeypatch):
+    # 16 paths per block on a 64-step fine mesh: 40 paths and 50
+    # realizations span three and four blocks, the last one partial
+    monkeypatch.setattr(verify, "_BLOCK_SAMPLES", 16 * 64)
+    zero = lambda x: np.zeros_like(x)
+    ident = lambda x: np.asarray(x, float)
+    dts = [2.0 ** -k for k in range(3, 7)]
+    em = (euler_maruyama, SdeSystem(1, zero, ident, ITO),
+          lambda x0, T, wT: x0 * np.exp(wT - 0.5 * T))
+    heun = (heun_stratonovich, SdeSystem(1, zero, ident, STRATONOVICH),
+            lambda x0, T, wT: x0 * np.exp(wT))
+    for integrate, sys, exact in (em, heun):
+        args = (integrate, sys, exact, [1.0], 1.0, dts, 40, 7)
+        assert strong_order_estimate(*args) == strong_order_slope(*args)
+    for x0 in (1.0, 0.5):
+        rep = wong_zakai_experiment(x0, 1.0, (4, 16), n_real=50, seed=11)
+        mse, mean, std = wong_zakai_stats(x0, 1.0, (4, 16), 50, 11)
+        assert np.array_equal(rep.mse, mse)
+        assert rep.ito_mean_log_ratio == mean
+        assert rep.ito_std_log_ratio == std
 
 
 def test_strong_order_validation():
