@@ -7,11 +7,11 @@ design (:mod:`stostab.brockett`), numerical verification routines
 """
 
 from .brockett import (CONTINUITY_RADII, ClosedLoop, DesignReport,
-                       DiffusionDesign, LoopTerms, SystemParams,
+                       DiffusionDesign, LoopColumns, LoopTerms, SystemParams,
                        check_design_conditions, closed_loop,
                        controllability_rank, diffusion_b, eigs_sym2, g_matrix,
-                       h_matrix, loop_terms, prefeedback_v, randomized_drift,
-                       sigma, sigma_jacobian, sontag_terms)
+                       h_matrix, loop_columns, loop_terms, prefeedback_v,
+                       randomized_drift, sigma, sigma_jacobian, sontag_terms)
 from .lyapunov import (GeneratorBreakdown, ScalarField, fd_gradient,
                        fd_hessian, field_from_value, generator, sontag_control,
                        v1_eval, v1_field, v1_gradient, v1_hessian, v2_eval,
@@ -39,10 +39,10 @@ __all__ = [
     "v1_gradient", "v1_hessian", "v2_eval", "v2_field", "v2_gradient",
     "v2_hessian",
     "CONTINUITY_RADII", "ClosedLoop", "DesignReport", "DiffusionDesign",
-    "LoopTerms", "SystemParams", "check_design_conditions", "closed_loop",
-    "controllability_rank", "diffusion_b", "eigs_sym2", "g_matrix", "h_matrix",
-    "loop_terms", "prefeedback_v", "randomized_drift", "sigma",
-    "sigma_jacobian", "sontag_terms",
+    "LoopColumns", "LoopTerms", "SystemParams", "check_design_conditions",
+    "closed_loop", "controllability_rank", "diffusion_b", "eigs_sym2",
+    "g_matrix", "h_matrix", "loop_columns", "loop_terms", "prefeedback_v",
+    "randomized_drift", "sigma", "sigma_jacobian", "sontag_terms",
     "FormulaCheckReport", "GridSpec", "ScanReport", "SclfReport",
     "SmallControlReport", "StabilityReport", "WongZakaiReport",
     "lfv2_formula_check", "mc_stability", "scan_generator",

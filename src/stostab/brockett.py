@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .lyapunov import _v2_derivatives, sontag_control
+from .lyapunov import _columns, _sontag_factor, _v2_columns
 # Not called here, but kept bound in this module: tools that trace the loop's
 # layers look these names up on it.
 from .lyapunov import v2_gradient, v2_hessian  # noqa: F401
@@ -97,9 +97,9 @@ def controllability_rank(p: SystemParams, x) -> int:
     return int(np.linalg.matrix_rank(m, tol=tol))
 
 
-def _g_row3(p: SystemParams, x) -> tuple:
+def _g_row3(p: SystemParams, x1, x2) -> tuple:
     """Third row (b3 x2, -b4 x1) of g; the first two rows are diag(b1, b2)."""
-    return p.b3 * x[..., 1], -p.b4 * x[..., 0]
+    return p.b3 * x2, -p.b4 * x1
 
 
 def _h_entries(p: SystemParams, c, e, hess) -> tuple:
@@ -111,8 +111,10 @@ def _h_entries(p: SystemParams, c, e, hess) -> tuple:
     """
     h11, h12, h13, h22, h23, h33 = hess
     b1, b2 = p.b1, p.b2
-    return (b1 * h11 * b1 + 2.0 * (b1 * h13 * c) + c * h33 * c,
-            b1 * h12 * b2 + b1 * h13 * e + c * h23 * b2 + c * h33 * e,
+    b1_h13 = b1 * h13
+    c_h33 = c * h33
+    return (b1 * h11 * b1 + 2.0 * (b1_h13 * c) + c_h33 * c,
+            b1 * h12 * b2 + b1_h13 * e + c * h23 * b2 + c_h33 * e,
             b2 * h22 * b2 + 2.0 * (b2 * h23 * e) + e * h33 * e)
 
 
@@ -120,16 +122,26 @@ def _eigs(h11, h12, h22) -> tuple:
     """Eigenvalues of [[h11, h12], [h12, h22]], ascending; the smaller in
     magnitude is det(H) over the larger, since mid -/+ rad would cancel."""
     mid = 0.5 * (h11 + h22)
-    rad = np.sqrt((0.5 * (h11 - h22)) ** 2 + h12 * h12)
+    h12_sq = h12 * h12
+    rad = np.sqrt((0.5 * (h11 - h22)) ** 2 + h12_sq)
     big = mid + np.copysign(rad, mid)
-    small = (h11 * h22 - h12 * h12) / np.where(big == 0.0, 1.0, big)
+    small = (h11 * h22 - h12_sq) / np.where(big == 0.0, 1.0, big)
     return np.minimum(small, big), np.maximum(small, big)
 
 
-def _gains(d: DiffusionDesign, lam1, lam2, x) -> tuple:
+def _eig_columns(p: SystemParams, x1, x2, x3) -> tuple:
+    """v2 columns, the third row (c, e) of g and the eigenvalues of H."""
+    v = _v2_columns(x1, x2, x3)
+    c, e = _g_row3(p, x1, x2)
+    return (v, c, e) + _eigs(*_h_entries(p, c, e, v.hess))
+
+
+def _gains(d: DiffusionDesign, lam1, lam2, x1, x2, x3) -> tuple:
     """B1 = k1 lam1^2 |x|^2 and B2 = k2 lam2^2 |x|^2 x3."""
-    r2 = np.einsum('...i,...i->...', x, x)
-    return d.k1 * lam1 ** 2 * r2, d.k2 * lam2 ** 2 * r2 * x[..., 2]
+    # |x|^2 added as (x1^2 + x3^2) + x2^2, the order in which einsum sums a
+    # row of three, so the gains keep the bits of the einsum formulation.
+    r2 = x1 * x1 + x3 * x3 + x2 * x2
+    return d.k1 * lam1 ** 2 * r2, d.k2 * lam2 ** 2 * r2 * x3
 
 
 def _sigma_entries(p: SystemParams, c, e, b1v, b2v) -> tuple:
@@ -139,9 +151,9 @@ def _sigma_entries(p: SystemParams, c, e, b1v, b2v) -> tuple:
 
 def h_matrix(p: SystemParams, x) -> np.ndarray:
     """Symmetric 2x2 form H(x) = g^T Hess(v2) g, batched."""
-    x = np.asarray(x, dtype=float)
-    _, hess = _v2_derivatives(x)
-    h11, h12, h22 = _h_entries(p, *_g_row3(p, x), hess)
+    x1, x2, x3 = _columns(x)
+    h11, h12, h22 = _h_entries(p, *_g_row3(p, x1, x2),
+                               _v2_columns(x1, x2, x3).hess)
     return np.stack([np.stack([h11, h12], axis=-1),
                      np.stack([h12, h22], axis=-1)], axis=-2)
 
@@ -159,28 +171,28 @@ def eigs_sym2(h) -> tuple:
 
 def diffusion_b(d: DiffusionDesign, p: SystemParams, x) -> tuple:
     """Noise gains (B1, B2) of the eigenvalue-scaled design."""
-    x = np.asarray(x, dtype=float)
-    _, hess = _v2_derivatives(x)
-    lam1, lam2 = _eigs(*_h_entries(p, *_g_row3(p, x), hess))
-    return _gains(d, lam1, lam2, x)
+    x1, x2, x3 = _columns(x)
+    *_, lam1, lam2 = _eig_columns(p, x1, x2, x3)
+    return _gains(d, lam1, lam2, x1, x2, x3)
 
 
 def sigma(p: SystemParams, d: DiffusionDesign, x) -> np.ndarray:
     """Single-channel diffusion sigma = g B."""
-    x = np.asarray(x, dtype=float)
-    return np.stack(_sigma_entries(p, *_g_row3(p, x), *diffusion_b(d, p, x)),
+    x1, x2, x3 = _columns(x)
+    _, c, e, lam1, lam2 = _eig_columns(p, x1, x2, x3)
+    return np.stack(_sigma_entries(p, c, e, *_gains(d, lam1, lam2, x1, x2, x3)),
                     axis=-1)
 
 
 def _pieces(p: SystemParams, d: DiffusionDesign, x):
     """One-pass evaluation of (g, B1, B2, sigma, grad B1, grad B2)."""
     x = np.asarray(x, dtype=float)
+    x1, x2, x3 = _columns(x)
     g = g_matrix(p, x)
-    lam1, lam2 = eigs_sym2(h_matrix(p, x))
-    b1v, b2v = _gains(d, lam1, lam2, x)
-    s = np.stack(_sigma_entries(p, *_g_row3(p, x), b1v, b2v), axis=-1)
+    _, c, e, lam1, lam2 = _eig_columns(p, x1, x2, x3)
+    b1v, b2v = _gains(d, lam1, lam2, x1, x2, x3)
+    s = np.stack(_sigma_entries(p, c, e, b1v, b2v), axis=-1)
     r2 = np.einsum('...i,...i->...', x, x)
-    x3 = x[..., 2]
 
     # Product rule on B: analytic in |x|^2 and x3, central differences in the
     # eigenvalues (no tractable closed form away from the x1 = x2 = 0 plane).
@@ -239,6 +251,51 @@ def randomized_drift(p: SystemParams, d: DiffusionDesign, x) -> np.ndarray:
     return out
 
 
+class LoopColumns(NamedTuple):
+    """Closed-loop quantities at a batch of states, as coordinate columns,
+    from :func:`loop_columns`."""
+
+    v2: np.ndarray          # the candidate v2
+    norm_sq: np.ndarray     # |x|^2, summed as (x1^2 + x2^2) + x3^2
+    b1: np.ndarray          # noise gain B1
+    b2: np.ndarray          # noise gain B2
+    sigma: tuple            # diffusion g B, columns (s1, s2, s3)
+    f_term: np.ndarray      # F of the universal formula
+    g_term: np.ndarray      # G = ||L_g v2||^2
+    lg: tuple               # L_g v2, columns (lg1, lg2)
+    control: tuple          # Sontag control u, columns (u1, u2)
+    drift: tuple            # randomized drift + g u, columns (f1, f2, f3)
+
+
+def loop_columns(p: SystemParams, d: DiffusionDesign, x1, x2, x3) -> LoopColumns:
+    """Evaluate the whole closed loop in one pass at the states with
+    coordinate columns x1, x2, x3 (arrays of one shape).
+
+    v2 and its derivatives, H, its eigenvalues, B, sigma, F, G, L_g v2, the
+    Sontag control and the Ito drift are each computed once, with the zeros
+    of g skipped.  The drift keeps the grouped form of
+    :func:`randomized_drift` in its third component.
+    """
+    v, c, e, lam1, lam2 = _eig_columns(p, x1, x2, x3)
+    d1, d2, d3 = v.grad
+    h11, h12, h13, h22, h23, h33 = v.hess
+    b1v, b2v = _gains(d, lam1, lam2, x1, x2, x3)
+    s1, s2, s3 = _sigma_entries(p, c, e, b1v, b2v)
+    f3 = _drift_third(p, b1v, b2v)
+    quad = (s1 * (h11 * s1 + 2.0 * (h12 * s2 + h13 * s3))
+            + s2 * (h22 * s2 + 2.0 * h23 * s3) + h33 * s3 * s3)
+    f_term = d3 * f3 + 0.5 * quad
+    lg1 = p.b1 * d1 + c * d3
+    lg2 = p.b2 * d2 + e * d3
+    g_term = lg1 * lg1 + lg2 * lg2
+    minus_factor = -_sontag_factor(f_term, g_term)
+    u1 = minus_factor * lg1
+    u2 = minus_factor * lg2
+    return LoopColumns(v.value, v.norm_sq, b1v, b2v, (s1, s2, s3), f_term,
+                       g_term, (lg1, lg2), (u1, u2),
+                       (p.b1 * u1, p.b2 * u2, c * u1 + e * u2 + f3))
+
+
 class LoopTerms(NamedTuple):
     """Closed-loop quantities at a batch of states, from :func:`loop_terms`."""
 
@@ -253,34 +310,12 @@ class LoopTerms(NamedTuple):
 
 
 def loop_terms(p: SystemParams, d: DiffusionDesign, x) -> LoopTerms:
-    """Evaluate the whole closed loop at x in one pass.
-
-    The v2 derivatives, H, its eigenvalues, B, sigma, F, G, L_g v2, the
-    Sontag control and the Ito drift are each computed once, with the zeros
-    of g skipped.  The drift keeps the grouped form of
-    :func:`randomized_drift` in its third component.
-    """
-    x = np.asarray(x, dtype=float)
-    (d1, d2, d3), hess = _v2_derivatives(x)
-    h11, h12, h13, h22, h23, h33 = hess
-    c, e = _g_row3(p, x)
-    lam1, lam2 = _eigs(*_h_entries(p, c, e, hess))
-    b1v, b2v = _gains(d, lam1, lam2, x)
-    s1, s2, s3 = _sigma_entries(p, c, e, b1v, b2v)
-    f3 = _drift_third(p, b1v, b2v)
-    quad = (s1 * (h11 * s1 + 2.0 * (h12 * s2 + h13 * s3))
-            + s2 * (h22 * s2 + 2.0 * h23 * s3) + h33 * s3 * s3)
-    f_term = d3 * f3 + 0.5 * quad
-    lg1 = p.b1 * d1 + c * d3
-    lg2 = p.b2 * d2 + e * d3
-    g_term = lg1 * lg1 + lg2 * lg2
-    lg = np.stack([lg1, lg2], axis=-1)
-    u = sontag_control(f_term, g_term, lg)
-    u1 = u[..., 0]
-    u2 = u[..., 1]
-    drift = np.stack([p.b1 * u1, p.b2 * u2, c * u1 + e * u2 + f3], axis=-1)
-    return LoopTerms(b1v, b2v, np.stack([s1, s2, s3], axis=-1), f_term, g_term,
-                     lg, u, drift)
+    """:func:`loop_columns` at a batch of states x of shape (..., 3), with
+    the vector quantities stacked on the last axis."""
+    t = loop_columns(p, d, *_columns(x))
+    return LoopTerms(t.b1, t.b2, np.stack(t.sigma, axis=-1), t.f_term,
+                     t.g_term, np.stack(t.lg, axis=-1),
+                     np.stack(t.control, axis=-1), np.stack(t.drift, axis=-1))
 
 
 def sontag_terms(p: SystemParams, d: DiffusionDesign, x) -> tuple:
@@ -297,14 +332,19 @@ def sontag_terms(p: SystemParams, d: DiffusionDesign, x) -> tuple:
 class ClosedLoop:
     """Assembled Ito loop: drift = randomized drift + g u_s, diffusion = sigma.
 
-    ``terms(x)`` evaluates drift, diffusion and control together in one
-    pass; the ``sde`` callables and ``control`` are views of the same kernel.
+    ``columns(x1, x2, x3)`` evaluates v2, drift, diffusion and control
+    together in one pass on coordinate columns; ``terms(x)``, the ``sde``
+    callables and ``control`` are views of the same kernel.
     """
 
     params: SystemParams
     design: DiffusionDesign
     sde: SdeSystem
     control: Callable
+
+    def columns(self, x1, x2, x3) -> LoopColumns:
+        """The one-pass kernel :func:`loop_columns` of this loop."""
+        return loop_columns(self.params, self.design, x1, x2, x3)
 
     def terms(self, x) -> LoopTerms:
         """The one-pass kernel :func:`loop_terms` of this loop."""
@@ -323,13 +363,13 @@ def closed_loop(p: SystemParams, d: DiffusionDesign) -> ClosedLoop:
         raise ValueError("brockett6 violated: B(0) != 0 for this design")
 
     def drift(x):
-        return loop_terms(p, d, x).drift
+        return np.stack(loop_columns(p, d, *_columns(x)).drift, axis=-1)
 
     def diffusion(x):
         return sigma(p, d, x)
 
     def control(x):
-        return loop_terms(p, d, x).control
+        return np.stack(loop_columns(p, d, *_columns(x)).control, axis=-1)
 
     if np.any(drift(zero) != 0.0) or np.any(diffusion(zero) != 0.0):
         raise ValueError("closed loop does not preserve the origin exactly")

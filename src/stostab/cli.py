@@ -251,8 +251,8 @@ def cmd_simulate(cfg: dict, out: str, hdr: list) -> int:
                        cfg["n_paths"], cfg["eps"], cfg["conv_threshold"],
                        cfg["m_level"], cfg["seed"], record_every=cfg["thin"])
     for i in range(rep.record_states.shape[0]):
-        states = rep.record_states[i]
-        traj = Trajectory(rep.record_times, states, cl.control(states))
+        traj = Trajectory(rep.record_times, rep.record_states[i],
+                          rep.record_controls[i])
         trajectory_to_csv(traj, os.path.join(out, f"path_{i:04d}.csv"), hdr)
     edges = rep.bucket_edges.tolist()
     write_csv(os.path.join(out, "v2_drift_buckets.csv"),

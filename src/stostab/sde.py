@@ -33,6 +33,12 @@ STRATONOVICH = "stratonovich"
 DIVERGENCE_BOUND = 1e12
 
 
+# The largest double whose rounded square root is <= DIVERGENCE_BOUND, so
+# |x|^2 <= NORM_SQ_BOUND is exactly the test |x| <= DIVERGENCE_BOUND on a
+# correctly rounded norm; DIVERGENCE_BOUND ** 2 alone is one double short.
+NORM_SQ_BOUND = float(np.nextafter(DIVERGENCE_BOUND ** 2, np.inf))
+
+
 class IntegrationDiverged(RuntimeError):
     """State left the finite range ``|x| <= DIVERGENCE_BOUND``.
 
@@ -48,7 +54,7 @@ class IntegrationDiverged(RuntimeError):
 
 def _finite(x: np.ndarray) -> bool:
     """Every row has |x| <= DIVERGENCE_BOUND; NaN compares False, so it fails."""
-    return bool(((x * x).sum(-1) <= DIVERGENCE_BOUND ** 2).all())
+    return bool(((x * x).sum(-1) <= NORM_SQ_BOUND).all())
 
 
 def fd_step(coord: np.ndarray) -> np.ndarray:
@@ -189,8 +195,9 @@ class PiecewiseLinearNoise:
     """Continuous piecewise-linear interpolant through noise knots.
 
     ``knot_values`` has shape ``(K,)``, or ``(N, K)`` for a batch of N
-    interpolants on the same knot times.  Calling it evaluates an unbatched
-    interpolant only.
+    interpolants on the same knot times.  Calling it at times ``t`` returns
+    shape ``knot_values.shape[:-1] + np.shape(t)``: each interpolant is
+    evaluated on its own.
     """
 
     knot_times: np.ndarray
@@ -209,7 +216,11 @@ class PiecewiseLinearNoise:
         return np.diff(self.knot_values, axis=-1) / np.diff(self.knot_times)
 
     def __call__(self, t):
-        return np.interp(t, self.knot_times, self.knot_values)
+        if self.knot_values.ndim == 1:
+            return np.interp(t, self.knot_times, self.knot_values)
+        rows = self.knot_values.reshape(-1, self.knot_values.shape[-1])
+        values = [np.interp(t, self.knot_times, row) for row in rows]
+        return np.reshape(values, self.knot_values.shape[:-1] + np.shape(t))
 
 
 def piecewise_linear_lift(path: WienerPath, coarsening: int) -> PiecewiseLinearNoise:
@@ -386,13 +397,14 @@ def write_header(fh, header_lines) -> None:
 def write_csv(path, columns, rows, header_lines=()) -> None:
     """Write the header, the column names, then rows of numbers at ``.17g``.
 
+    Each row fills one prebuilt ``%.17g,...`` format, one field per column.
     Rows of Python numbers (``.tolist()``) format faster than numpy scalars.
     """
+    fmt = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         write_header(fh, header_lines)
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(fmt % tuple(row) for row in rows)
 
 
 def trajectory_to_csv(traj: Trajectory, path, header_lines=()) -> None:

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import brockett
 from .brockett import ClosedLoop, DiffusionDesign, SystemParams
-from .lyapunov import ScalarField, generator, v2_eval, v2_field, v2_gradient
-from .sde import (DIVERGENCE_BOUND, ITO, STRATONOVICH, SdeSystem,
+from .lyapunov import ScalarField, generator, v2_field, v2_gradient
+from .sde import (ITO, NORM_SQ_BOUND, STRATONOVICH, SdeSystem,
                   euler_maruyama, ode_drive, piecewise_linear_lift,
                   sample_wiener, stratonovich_to_ito, wiener_increments,
                   write_csv, write_header)
@@ -259,6 +259,7 @@ class StabilityReport:
     terminal_states: np.ndarray
     record_times: Optional[np.ndarray] = None
     record_states: Optional[np.ndarray] = None
+    record_controls: Optional[np.ndarray] = None
 
     @property
     def drift_nonpositive_2se(self) -> bool:
@@ -279,11 +280,14 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
                  n_buckets: int = 50, record_every: int = 0) -> StabilityReport:
     """Euler-Maruyama ensemble of the closed loop with common bookkeeping.
 
-    All paths step together as one batched state array, and each step
-    evaluates the loop once through ``cl.terms``; path i consumes
-    increments from its own seed-word stream, so results are reproducible
-    and unchanged under ensemble enlargement.  ``record_every`` > 0 stores
-    every k-th state for all paths (plus the final one) for export.
+    All paths step together as coordinate columns, and each step evaluates
+    the loop once, through ``cl.columns``, at the new state: that one pass
+    gives the divergence test its v2 and |x|^2, the next step its drift and
+    diffusion, and the recording its control.  Path i consumes increments
+    from its own seed-word stream, so results are reproducible and
+    unchanged under ensemble enlargement.  ``record_every`` > 0 stores every
+    k-th state and its control for all paths (plus the final one) for
+    export.
     """
     if dt <= 0 or horizon < dt:
         raise ValueError("need dt > 0 and horizon >= dt")
@@ -295,12 +299,14 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
     n_steps = int(np.floor(horizon / dt + 1e-9))
     dw = wiener_increments(dt, path_seeds(seed, n_paths), n_steps)
 
-    x = np.tile(x0, (n_paths, 1))
+    x1, x2, x3 = (np.full(n_paths, c) for c in x0)
+    t = cl.columns(x1, x2, x3)
     alive = np.ones(n_paths, dtype=bool)
-    v2 = v2_eval(x)
+    all_alive = True
+    v2 = t.v2
     v2_start = float(v2[0])
     sup_v2 = v2.copy()
-    sup_norm = np.linalg.norm(x, axis=1)
+    sup_norm_sq = t.norm_sq.copy()
 
     bucket_of = (np.arange(n_steps) * n_buckets) // n_steps
     bsum = np.zeros(n_buckets)
@@ -308,44 +314,62 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
     bcount = np.zeros(n_buckets, dtype=np.int64)
 
     recording = record_every > 0
-    rec_times = []
-    rec_states = []
     if recording:
-        rec_times.append(0.0)
-        rec_states.append(x.copy())
+        n_rec = 1 + n_steps // record_every + (n_steps % record_every > 0)
+        rec_times = [0.0]
+        rec_states = np.empty((n_paths, n_rec, 3))
+        rec_controls = np.empty((n_paths, n_rec, 2))
+
+        def record(j):
+            rec_states[:, j] = np.column_stack((x1, x2, x3))
+            rec_controls[:, j] = np.column_stack(t.control)
+
+        record(0)
 
     for k in range(n_steps):
-        terms = cl.terms(x)
-        x_new = x + terms.drift * dt + terms.sigma * dw[:, k, None]
-        norm_new = np.linalg.norm(x_new, axis=1)
-        v2_new = v2_eval(x_new)
+        w = dw[:, k]
+        (f1, f2, f3), (s1, s2, s3) = t.drift, t.sigma
+        x1 = x1 + f1 * dt + s1 * w
+        x2 = x2 + f2 * dt + s2 * w
+        x3 = x3 + f3 * dt + s3 * w
+        t = cl.columns(x1, x2, x3)
         # A NaN state fails the norm test; a finite state can still overflow v2.
-        bad = ~((norm_new <= DIVERGENCE_BOUND) & np.isfinite(v2_new))
-        newly_dead = alive & bad
-        if newly_dead.any():
-            # Park dead paths at the equilibrium; stats mask them out below.
-            x_new[newly_dead] = 0.0
-            v2_new[newly_dead] = 0.0
-        ok = alive & ~bad
-        if ok.any():
-            z = (v2_new[ok] - v2[ok]) / dt
+        fine = (t.norm_sq <= NORM_SQ_BOUND) & np.isfinite(t.v2)
+        if all_alive and fine.all():
+            z = (t.v2 - v2) / dt
+            np.maximum(sup_v2, t.v2, out=sup_v2)
+            np.maximum(sup_norm_sq, t.norm_sq, out=sup_norm_sq)
+        else:
+            ok = alive & fine
+            z = (t.v2[ok] - v2[ok]) / dt
+            newly_dead = alive & ~fine
+            alive = ok
+            if newly_dead.any():
+                # Park dead paths at the equilibrium and evaluate the loop
+                # there for the next step; the stats mask them out.
+                all_alive = False
+                for col in (x1, x2, x3):
+                    col[newly_dead] = 0.0
+                t = cl.columns(x1, x2, x3)
+            np.maximum(sup_v2, np.where(alive, t.v2, -np.inf), out=sup_v2)
+            np.maximum(sup_norm_sq, np.where(alive, t.norm_sq, -np.inf),
+                       out=sup_norm_sq)
+        if len(z):
             b = bucket_of[k]
             bsum[b] += z.sum()
             bsumsq[b] += (z * z).sum()
             bcount[b] += len(z)
-        alive &= ~bad
-        np.maximum(sup_v2, np.where(alive, v2_new, -np.inf), out=sup_v2)
-        np.maximum(sup_norm, np.where(alive, norm_new, -np.inf), out=sup_norm)
-        x = x_new
-        v2 = v2_new
+        v2 = t.v2
         if recording and ((k + 1) % record_every == 0 or k + 1 == n_steps):
             rec_times.append((k + 1) * dt)
-            rec_states.append(x.copy())
+            record(len(rec_times) - 1)
 
+    x = np.stack([x1, x2, x3], axis=-1)
     died = ~alive
     n_diverged = int(died.sum())
     sup_v2 = np.where(died, np.inf, sup_v2)
-    sup_norm = np.where(died, np.inf, sup_norm)
+    # sqrt is monotone, so the sup of the norms is the root of this sup.
+    sup_norm = np.where(died, np.inf, np.sqrt(sup_norm_sq))
     v2_final = np.where(died, np.inf, v2)
     terminal_norm = np.where(died, np.inf, np.linalg.norm(x, axis=1))
 
@@ -388,7 +412,8 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
         bucket_counts=bcount,
         terminal_states=x,
         record_times=np.asarray(rec_times) if recording else None,
-        record_states=np.stack(rec_states, axis=1) if recording else None,
+        record_states=rec_states if recording else None,
+        record_controls=rec_controls if recording else None,
     )
     return report
 

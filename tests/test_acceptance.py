@@ -19,6 +19,9 @@ from stostab.sde import ITO, jacobian_fd
 
 P44 = SystemParams(1.0, 1.0, 4.0, 4.0)
 CHAINED = SystemParams(1.0, 1.0, 1.0, 0.0)
+# b1 b4 - b2 b3 = 3: the Ito drift keeps its third component, which
+# vanishes on P44.
+P1114 = SystemParams(1.0, 1.0, 1.0, 4.0)
 D4 = DiffusionDesign(1e-4, 1e-4)
 
 
@@ -80,9 +83,14 @@ def test_criterion_2_derivative_oracles():
 def test_criterion_3_generator_negative_on_grid(loop44, big_scan):
     sl = scan_generator(loop44,
                         GridSpec.slice_x2(-2, 2, 41, exclude_radius=1e-3))
-    ok = big_scan.clean and np.all(sl.values < 0.0)
+    loop1114 = closed_loop(P1114, D4)
+    scans1114 = [scan_generator(loop1114, grid(-2, 2, 21, exclude_radius=1e-3))
+                 for grid in (GridSpec.cube, GridSpec.slice_x2)]
+    n1114 = sum(len(s.violations) for s in scans1114)
+    ok = big_scan.clean and np.all(sl.values < 0.0) and n1114 == 0
     report(3, f"41^3 scan has {len(big_scan.violations)} violations, "
-              f"slice max {sl.values.max():.2e}", ok)
+              f"slice max {sl.values.max():.2e}; plant (1, 1, 1, 4): "
+              f"{n1114} violations on the 21^3 scan and slice", ok)
 
 
 def test_criterion_4_zero_noise_violations_on_axis():
@@ -157,9 +165,10 @@ def test_criterion_10_design_gate(tmp_path):
     sab_dir = tmp_path / "sab"
     rc_sab = cli.main(["check-design", "--sabotage-b1", "--out", str(sab_dir)])
     text = (sab_dir / "design_report.txt").read_text()
-    ok = rc_ok == 0 and rc_sab == 4 and "brockett6 = FAIL" in text
+    rc_1114 = cli.main(["check-design", "--b3", "1", "--out", str(tmp_path / "b3")])
+    ok = rc_ok == 0 and rc_sab == 4 and "brockett6 = FAIL" in text and rc_1114 == 0
     report(10, f"design gate exits {rc_ok} clean / {rc_sab} sabotaged, "
-               f"names brockett6", ok)
+               f"names brockett6; exits {rc_1114} on plant (1, 1, 1, 4)", ok)
 
 
 def test_criterion_11_controllability():

@@ -1,5 +1,6 @@
 """Exit codes, config resolution, output files, and reproducibility."""
 
+import os
 import subprocess
 import sys
 
@@ -229,8 +230,15 @@ def test_all_diverged_run_makes_no_drift_claim(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # The child must import the same stostab as this process, which need not
+    # be installed: put its source directory first on the child's path.
+    import stostab
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stostab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     r = subprocess.run([sys.executable, "-m", "stostab.cli", "controllability",
                         "--n-points", "20", "--out", str(tmp_path / "m")],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=env)
     assert r.returncode == 0
     assert (tmp_path / "m" / "summary.txt").exists()

@@ -7,6 +7,7 @@ from stostab import (GeneratorBreakdown, field_from_value, fd_gradient,
                      fd_hessian, generator, sontag_control, v1_eval, v1_field,
                      v1_gradient, v1_hessian, v2_eval, v2_field, v2_gradient,
                      v2_hessian)
+from stostab.lyapunov import _v2_columns
 from stostab.sde import jacobian_fd
 
 
@@ -24,6 +25,20 @@ def test_v2_pinned_values():
     assert v2_eval(np.array([np.sqrt(2.0), 0.0, 0.0])) == pytest.approx(1.0, abs=1e-14)
     # X = 0, x3 = 1: 2 - 0 + 0 = 2
     assert v2_eval(np.array([0.0, 0.0, 1.0])) == 2.0
+
+
+def test_v2_columns_value_and_norm_are_the_evaluators_bits():
+    # the one-pass core's v2 and |x|^2 stand in for v2_eval and the row
+    # norm in the Monte Carlo loop, so they must agree bit for bit, also on
+    # rows below X_GUARD, on the axis and at the origin
+    rng = np.random.default_rng(8)
+    pts = np.concatenate([rng.uniform(-3, 3, (300, 3)),
+                          rng.standard_normal((50, 3)) * 1e-152,
+                          [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1e-160, 0.0, -2.0]]])
+    for rows in (pts, pts[:300]):
+        t = _v2_columns(rows[:, 0], rows[:, 1], rows[:, 2])
+        assert np.array_equal(t.value, v2_eval(rows))
+        assert np.array_equal(np.sqrt(t.norm_sq), np.linalg.norm(rows, axis=1))
 
 
 def test_v2_gradient_at_origin_and_on_axis():

@@ -7,7 +7,8 @@ from stostab import (ITO, STRATONOVICH, IntegrationDiverged, SdeSystem,
                      Trajectory, WienerPath, euler_maruyama, heun_stratonovich,
                      ode_drive, piecewise_linear_lift, sample_wiener,
                      stratonovich_to_ito, trajectory_to_csv)
-from stostab.sde import jacobian_fd, wiener_increments
+from stostab.sde import (DIVERGENCE_BOUND, NORM_SQ_BOUND, jacobian_fd,
+                         wiener_increments, write_csv)
 from stostab.verify import path_seeds
 
 ZERO = lambda x: np.zeros_like(x)
@@ -97,6 +98,12 @@ def test_batched_paths_equal_single_seed_paths():
         assert np.array_equal(lift.knot_times, one.knot_times)
         assert np.array_equal(lift.knot_values[i], one.knot_values)
         assert np.array_equal(lift.slopes[i], one.slopes)
+        # a batched lift evaluates each row on its own
+        for t in (0.3, np.array([0.0, 0.3, 0.51, 1.0]), np.full((2, 2), 0.7)):
+            assert lift(t).shape == (5,) + np.shape(t)
+            assert np.array_equal(lift(t)[i], np.interp(t, lift.knot_times,
+                                                        lift.knot_values[i]))
+            assert np.array_equal(lift(t)[i], one(t))
     with pytest.raises(ValueError):
         sample_wiener(0.01, 1.0, [])
 
@@ -268,6 +275,15 @@ def test_euler_maruyama_divergence():
     assert np.isfinite(ei.value.state).all()
 
 
+def test_divergence_bound_on_the_squared_norm_is_exact():
+    # |x|^2 <= NORM_SQ_BOUND must accept exactly the squared norms whose
+    # rounded root is <= DIVERGENCE_BOUND; DIVERGENCE_BOUND ** 2 alone
+    # rejects one double too many
+    assert np.sqrt(NORM_SQ_BOUND) <= DIVERGENCE_BOUND
+    assert np.sqrt(np.nextafter(NORM_SQ_BOUND, np.inf)) > DIVERGENCE_BOUND
+    assert NORM_SQ_BOUND > DIVERGENCE_BOUND ** 2
+
+
 def test_heun_zero_fields_is_constant():
     sys = SdeSystem(1, ZERO, ZERO, STRATONOVICH)
     path = sample_wiener(0.1, 1.0, seed=3)
@@ -370,3 +386,13 @@ def test_trajectory_csv_with_controls(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,x1,x2,u1"
     assert lines[2] == "1,3,4,0.25"
+
+
+def test_write_csv_formats_every_number_at_17_digits(tmp_path):
+    rows = [[0.1, 2, -0.0, 1e-300], [float("nan"), float("inf"), -float("inf"),
+                                      2 ** 60], [1.0 / 3.0, -7, 1e22, 5e-324]]
+    out = tmp_path / "n.csv"
+    write_csv(out, ["a", "b", "c", "d"], rows, ["note"])
+    want = ["# note", "a,b,c,d"] + [",".join(f"{v:.17g}" for v in row)
+                                    for row in rows]
+    assert out.read_text() == "\n".join(want) + "\n"

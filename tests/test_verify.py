@@ -1,5 +1,6 @@
 """Scans, ensembles, interval arithmetic, and the convergence experiments."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from stostab import (DiffusionDesign, GridSpec, SdeSystem, SystemParams,
                      closed_loop, diffusion_b, euler_maruyama, g_matrix,
-                     heun_stratonovich, lfv2_formula_check, mc_stability,
+                     StabilityReport, heun_stratonovich, lfv2_formula_check,
+                     mc_stability,
                      ode_drive, piecewise_linear_lift, sample_wiener,
                      scan_generator, sclf_condition_check, small_control_scan,
                      strong_order_estimate, v1_field, v2_field, v2_gradient,
@@ -18,6 +20,7 @@ from stostab.sde import ITO, STRATONOVICH
 from stostab.verify import path_seeds, wilson_halfwidth
 
 from loop_oracle import oracle_loop
+from mc_oracle import oracle_mc_stability
 from path_loop_oracle import strong_order_slope, wong_zakai_stats
 
 P44 = SystemParams(1.0, 1.0, 4.0, 4.0)
@@ -269,6 +272,37 @@ def test_mc_steps_match_plain_em_on_nondegenerate_plant():
         x = x + drift * dt + diffusion * dw[:, k, None]
     err = np.abs(rep.terminal_states - x).max() / np.abs(x).max()
     assert err < 1e-9
+
+
+# plant, gains, x0, horizon, n_paths, seed, record_every, paths that diverge
+MC_CASES = [
+    ((1, 1, 4, 4), (1e-4, 1e-4), (0.0, 0.0, 1.0), 0.2, 200, 1, 0, 0),
+    ((1, 1, 4, 4), (1e-4, 1e-4), (0.0, 0.0, 1.0), 0.03, 2000, 2, 0, 0),
+    ((1, 1, 1, 4), (1e-2, 1e-2), (0.4, -0.3, 0.8), 0.2, 20, 1, 7, 0),
+    ((1, 1, 1, 4), (0.1, 0.1), (0.4, -0.3, 0.8), 0.2, 20, 1, 7, 5),
+    ((1, 1, 4, 4), (1e-4, 1e-4), (1.5, -1.0, 2.0), 0.05, 10, 3, 5, 10),
+    ((2, -1, 3, 0.5), (1e-4, 1e-4), (1.0, 1.0, 2.0), 0.3, 50, 4, 3, 9),
+]
+
+
+@pytest.mark.parametrize("case", MC_CASES)
+def test_mc_equals_the_reference_loop(case):
+    # the one-pass loop, evaluated at the new state and with its shortcut
+    # while every path lives, must give the reference loop's report bit for
+    # bit, recordings included, also where some or all paths diverge
+    plant, gains, x0, horizon, n_paths, seed, every, n_diverged = case
+    cl = closed_loop(SystemParams(*plant), DiffusionDesign(*gains))
+    args = (cl, x0, 1e-3, horizon, n_paths, 5.0, 0.1, 20.0, seed)
+    got = mc_stability(*args, record_every=every)
+    want = oracle_mc_stability(*args, record_every=every)
+    assert got.n_diverged == n_diverged
+    for field in dataclasses.fields(StabilityReport):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert (a is None) == (b is None), field.name
+        assert a is None or np.array_equal(a, b, equal_nan=True), field.name
+    if every:
+        for states, controls in zip(got.record_states, got.record_controls):
+            assert np.array_equal(controls, cl.control(states))
 
 
 def test_mc_overflow_counts_as_divergence():
