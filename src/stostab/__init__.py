@@ -7,15 +7,13 @@ design (:mod:`stostab.brockett`), numerical verification routines
 """
 
 from .brockett import (CONTINUITY_RADII, ClosedLoop, DesignReport,
-                       DiffusionDesign, LoopColumns, LoopTerms, SystemParams,
+                       DiffusionDesign, LoopColumns, SystemParams,
                        check_design_conditions, closed_loop,
                        controllability_rank, diffusion_b, eigs_sym2, g_matrix,
-                       h_matrix, loop_columns, loop_terms, prefeedback_v,
-                       randomized_drift, sigma, sigma_jacobian, sontag_terms)
-from .lyapunov import (GeneratorBreakdown, ScalarField, fd_gradient,
-                       fd_hessian, field_from_value, generator, sontag_control,
-                       v1_eval, v1_field, v1_gradient, v1_hessian, v2_eval,
-                       v2_field, v2_gradient, v2_hessian)
+                       h_matrix, loop_columns, randomized_drift, sigma)
+from .lyapunov import (GeneratorBreakdown, ScalarField, generator,
+                       sontag_control, v1_eval, v1_field, v1_gradient,
+                       v1_hessian, v2_eval, v2_field, v2_gradient, v2_hessian)
 from .sde import (ITO, STRATONOVICH, IntegrationDiverged, PiecewiseLinearNoise,
                   SdeSystem, Trajectory, WienerPath, euler_maruyama,
                   heun_stratonovich, ode_drive, piecewise_linear_lift,
@@ -34,15 +32,13 @@ __all__ = [
     "SdeSystem", "Trajectory", "WienerPath", "euler_maruyama",
     "heun_stratonovich", "ode_drive", "piecewise_linear_lift", "sample_wiener",
     "stratonovich_to_ito", "trajectory_to_csv",
-    "GeneratorBreakdown", "ScalarField", "fd_gradient", "fd_hessian",
-    "field_from_value", "generator", "sontag_control", "v1_eval", "v1_field",
-    "v1_gradient", "v1_hessian", "v2_eval", "v2_field", "v2_gradient",
-    "v2_hessian",
+    "GeneratorBreakdown", "ScalarField", "generator", "sontag_control",
+    "v1_eval", "v1_field", "v1_gradient", "v1_hessian", "v2_eval", "v2_field",
+    "v2_gradient", "v2_hessian",
     "CONTINUITY_RADII", "ClosedLoop", "DesignReport", "DiffusionDesign",
-    "LoopColumns", "LoopTerms", "SystemParams", "check_design_conditions",
-    "closed_loop", "controllability_rank", "diffusion_b", "eigs_sym2",
-    "g_matrix", "h_matrix", "loop_columns", "loop_terms", "prefeedback_v",
-    "randomized_drift", "sigma", "sigma_jacobian", "sontag_terms",
+    "LoopColumns", "SystemParams", "check_design_conditions", "closed_loop",
+    "controllability_rank", "diffusion_b", "eigs_sym2", "g_matrix", "h_matrix",
+    "loop_columns", "randomized_drift", "sigma",
     "FormulaCheckReport", "GridSpec", "ScanReport", "SclfReport",
     "SmallControlReport", "StabilityReport", "WongZakaiReport",
     "lfv2_formula_check", "mc_stability", "scan_generator",

@@ -29,9 +29,7 @@ from .lyapunov import _columns, _sontag_factor, _v2_columns
 # Not called here, but kept bound in this module: tools that trace the loop's
 # layers look these names up on it.
 from .lyapunov import v2_gradient, v2_hessian  # noqa: F401
-from .sde import ITO, SdeSystem, jacobian_fd
-
-_E3 = np.array([0.0, 0.0, 1.0])
+from .sde import ITO, SdeSystem
 
 
 @dataclass(frozen=True)
@@ -184,52 +182,6 @@ def sigma(p: SystemParams, d: DiffusionDesign, x) -> np.ndarray:
                     axis=-1)
 
 
-def _pieces(p: SystemParams, d: DiffusionDesign, x):
-    """One-pass evaluation of (g, B1, B2, sigma, grad B1, grad B2)."""
-    x = np.asarray(x, dtype=float)
-    x1, x2, x3 = _columns(x)
-    g = g_matrix(p, x)
-    _, c, e, lam1, lam2 = _eig_columns(p, x1, x2, x3)
-    b1v, b2v = _gains(d, lam1, lam2, x1, x2, x3)
-    s = np.stack(_sigma_entries(p, c, e, b1v, b2v), axis=-1)
-    r2 = np.einsum('...i,...i->...', x, x)
-
-    # Product rule on B: analytic in |x|^2 and x3, central differences in the
-    # eigenvalues (no tractable closed form away from the x1 = x2 = 0 plane).
-    dl = jacobian_fd(lambda y: np.stack(eigs_sym2(h_matrix(p, y)), axis=-1), x)
-    dl1, dl2 = dl[..., 0, :], dl[..., 1, :]
-    grad_b1 = d.k1 * (2.0 * lam1[..., None] * dl1 * r2[..., None]
-                      + (lam1 ** 2)[..., None] * 2.0 * x)
-    grad_b2 = d.k2 * (2.0 * lam2[..., None] * dl2 * (r2 * x3)[..., None]
-                      + (lam2 ** 2)[..., None]
-                      * (2.0 * x * x3[..., None] + r2[..., None] * _E3))
-    return g, b1v, b2v, s, grad_b1, grad_b2
-
-
-def sigma_jacobian(p: SystemParams, d: DiffusionDesign, x) -> np.ndarray:
-    """d sigma/dx assembled by the product rule over g and B."""
-    g, b1v, b2v, _, grad_b1, grad_b2 = _pieces(p, d, x)
-    jb = np.stack([grad_b1, grad_b2], axis=-2)
-    jac = np.einsum('...ik,...kj->...ij', g, jb)
-    # x-dependence of g itself: sigma_3 = b3 x2 B1 - b4 x1 B2.
-    jac[..., 2, 0] -= p.b4 * b2v
-    jac[..., 2, 1] += p.b3 * b1v
-    return jac
-
-
-def prefeedback_v(p: SystemParams, d: DiffusionDesign, x) -> np.ndarray:
-    """Pre-feedback v_i = -(1/(2 b_i)) (d sigma_i/dx) . sigma for i = 1, 2.
-
-    Since sigma_i = b_i B_i, the b_i cancels and v_i = -(grad B_i . sigma)/2.
-    Plugging u = v + u_c into the plant makes the Ito drift's first two
-    components vanish identically, whatever the residual control u_c.
-    """
-    _, _, _, s, grad_b1, grad_b2 = _pieces(p, d, x)
-    q1 = np.einsum('...j,...j->...', grad_b1, s)
-    q2 = np.einsum('...j,...j->...', grad_b2, s)
-    return np.stack([-0.5 * q1, -0.5 * q2], axis=-1)
-
-
 def _drift_third(p: SystemParams, b1v, b2v):
     return 0.5 * (p.b2 * p.b3 - p.b1 * p.b4) * b1v * b2v
 
@@ -296,45 +248,13 @@ def loop_columns(p: SystemParams, d: DiffusionDesign, x1, x2, x3) -> LoopColumns
                        (p.b1 * u1, p.b2 * u2, c * u1 + e * u2 + f3))
 
 
-class LoopTerms(NamedTuple):
-    """Closed-loop quantities at a batch of states, from :func:`loop_terms`."""
-
-    b1: np.ndarray          # noise gain B1
-    b2: np.ndarray          # noise gain B2
-    sigma: np.ndarray       # diffusion g B, shape (..., 3)
-    f_term: np.ndarray      # F of the universal formula
-    g_term: np.ndarray      # G = ||L_g v2||^2
-    lg: np.ndarray          # L_g v2, shape (..., 2)
-    control: np.ndarray     # Sontag control u, shape (..., 2)
-    drift: np.ndarray       # randomized drift + g u, shape (..., 3)
-
-
-def loop_terms(p: SystemParams, d: DiffusionDesign, x) -> LoopTerms:
-    """:func:`loop_columns` at a batch of states x of shape (..., 3), with
-    the vector quantities stacked on the last axis."""
-    t = loop_columns(p, d, *_columns(x))
-    return LoopTerms(t.b1, t.b2, np.stack(t.sigma, axis=-1), t.f_term,
-                     t.g_term, np.stack(t.lg, axis=-1),
-                     np.stack(t.control, axis=-1), np.stack(t.drift, axis=-1))
-
-
-def sontag_terms(p: SystemParams, d: DiffusionDesign, x) -> tuple:
-    """(F, G, L_g v2) feeding the universal formula.
-
-    F is the generator of v2 along the uncontrolled randomized loop (drift
-    part plus noise trace); G = ||L_g v2||^2.
-    """
-    t = loop_terms(p, d, x)
-    return t.f_term, t.g_term, t.lg
-
-
 @dataclass(frozen=True, eq=False)
 class ClosedLoop:
     """Assembled Ito loop: drift = randomized drift + g u_s, diffusion = sigma.
 
     ``columns(x1, x2, x3)`` evaluates v2, drift, diffusion and control
-    together in one pass on coordinate columns; ``terms(x)``, the ``sde``
-    callables and ``control`` are views of the same kernel.
+    together in one pass on coordinate columns; the ``sde`` callables and
+    ``control`` are views of the same kernel.
     """
 
     params: SystemParams
@@ -345,10 +265,6 @@ class ClosedLoop:
     def columns(self, x1, x2, x3) -> LoopColumns:
         """The one-pass kernel :func:`loop_columns` of this loop."""
         return loop_columns(self.params, self.design, x1, x2, x3)
-
-    def terms(self, x) -> LoopTerms:
-        """The one-pass kernel :func:`loop_terms` of this loop."""
-        return loop_terms(self.params, self.design, x)
 
 
 def closed_loop(p: SystemParams, d: DiffusionDesign) -> ClosedLoop:

@@ -151,66 +151,13 @@ def v2_hessian(x):
     return np.stack([row1, row2, row3], axis=-2)
 
 
-def fd_gradient(value: Callable, x) -> np.ndarray:
-    """Central differences of a scalar map, step max(1e-5, 1e-5 |x_i|)."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    comps = []
-    for j in range(n):
-        h = np.maximum(1e-5, 1e-5 * np.abs(x[..., j]))
-        xp = x.copy()
-        xp[..., j] += h
-        xm = x.copy()
-        xm[..., j] -= h
-        comps.append((np.asarray(value(xp), float) - np.asarray(value(xm), float))
-                     / (2.0 * h))
-    return np.stack(comps, axis=-1)
-
-
-def fd_hessian(value: Callable, x) -> np.ndarray:
-    """Central second differences of a scalar map (same step policy).
-
-    Diagonal entries use the three-point stencil, off-diagonal entries the
-    four-point cross stencil; the result is symmetric by construction.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    v0 = np.asarray(value(x), float)
-    hs = [np.maximum(1e-5, 1e-5 * np.abs(x[..., j])) for j in range(n)]
-
-    def shifted(i, si, j=None, sj=0.0):
-        y = x.copy()
-        y[..., i] += si * hs[i]
-        if j is not None:
-            y[..., j] += sj * hs[j]
-        return np.asarray(value(y), float)
-
-    entries = [[None] * n for _ in range(n)]
-    for i in range(n):
-        entries[i][i] = (shifted(i, 1.0) - 2.0 * v0 + shifted(i, -1.0)) / hs[i] ** 2
-        for j in range(i + 1, n):
-            mixed = (shifted(i, 1.0, j, 1.0) - shifted(i, 1.0, j, -1.0)
-                     - shifted(i, -1.0, j, 1.0) + shifted(i, -1.0, j, -1.0)) \
-                    / (4.0 * hs[i] * hs[j])
-            entries[i][j] = mixed
-            entries[j][i] = mixed
-    rows = [np.stack(entries[i], axis=-1) for i in range(n)]
-    return np.stack(rows, axis=-2)
-
-
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar field with value/gradient/hessian evaluators.
-
-    The flags record whether each derivative evaluator is closed-form or a
-    finite-difference fallback.
-    """
+    """Scalar field with value/gradient/hessian evaluators."""
 
     value: Callable
     gradient: Callable
     hessian: Callable
-    analytic_gradient: bool = True
-    analytic_hessian: bool = True
 
 
 def v1_field() -> ScalarField:
@@ -219,14 +166,6 @@ def v1_field() -> ScalarField:
 
 def v2_field() -> ScalarField:
     return ScalarField(v2_eval, v2_gradient, v2_hessian)
-
-
-def field_from_value(value: Callable) -> ScalarField:
-    """Wrap a bare scalar map with finite-difference derivatives."""
-    return ScalarField(value,
-                       lambda x: fd_gradient(value, x),
-                       lambda x: fd_hessian(value, x),
-                       analytic_gradient=False, analytic_hessian=False)
 
 
 @dataclass(frozen=True, eq=False)

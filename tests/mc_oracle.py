@@ -1,11 +1,12 @@
 """Reference Monte Carlo loop for the one-pass ensemble.
 
 This is ``mc_stability`` as it stepped before the loop was evaluated once per
-step on coordinate columns: each step evaluates ``cl.terms`` at the current
-state, then ``v2_eval`` and the row norms at the new one, and does the
-masked bookkeeping on every step.  The recorded controls are
-``cl.control`` of each path's recorded states.  The one-pass loop in
-``stostab.verify`` must reproduce every field of its report bit for bit.
+step on coordinate columns: each step evaluates the loop kernel at the
+current state and stacks its drift and sigma, then ``v2_eval`` and the row
+norms at the new one, and does the masked bookkeeping on every step.  The
+recorded controls are ``cl.control`` of each path's recorded states.  The
+one-pass loop in ``stostab.verify`` must reproduce every field of its report
+bit for bit.
 """
 
 import numpy as np
@@ -43,8 +44,10 @@ def oracle_mc_stability(cl, x0, dt, horizon, n_paths, eps, conv_threshold,
         rec_states.append(x.copy())
 
     for k in range(n_steps):
-        terms = cl.terms(x)
-        x_new = x + terms.drift * dt + terms.sigma * dw[:, k, None]
+        cols = cl.columns(x[:, 0], x[:, 1], x[:, 2])
+        drift = np.stack(cols.drift, axis=-1)
+        sig = np.stack(cols.sigma, axis=-1)
+        x_new = x + drift * dt + sig * dw[:, k, None]
         norm_new = np.linalg.norm(x_new, axis=1)
         v2_new = v2_eval(x_new)
         # A NaN state fails the norm test; a finite state can still overflow v2.

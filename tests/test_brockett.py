@@ -1,5 +1,6 @@
 """Plant matrices, the noise-gain design, and the assembled closed loop."""
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,11 @@ import pytest
 from stostab import (CONTINUITY_RADII, ClosedLoop, DiffusionDesign,
                      SystemParams, check_design_conditions, closed_loop,
                      controllability_rank, diffusion_b, eigs_sym2, g_matrix,
-                     generator, h_matrix, loop_terms, prefeedback_v,
-                     randomized_drift, sigma, sigma_jacobian, sontag_terms,
-                     v2_field, v2_hessian)
+                     generator, h_matrix, loop_columns, randomized_drift,
+                     sigma, v2_field, v2_hessian)
 from stostab.sde import jacobian_fd
 
+import exact_oracle
 from loop_oracle import oracle_loop
 
 P44 = SystemParams(1.0, 1.0, 4.0, 4.0)
@@ -20,6 +21,21 @@ CHAINED = SystemParams(1.0, 1.0, 1.0, 0.0)
 D4 = DiffusionDesign(1e-4, 1e-4)
 PARITY_PLANTS = (P44, CHAINED, SystemParams(1.0, 1.0, 1.0, 4.0),
                  SystemParams(2.0, -1.0, 3.0, 0.5))
+PARITY_DESIGNS = (D4, DiffusionDesign(1.0, 0.5))
+
+
+@functools.cache
+def exact_design(p, d):
+    """100 states off the x1 = x2 = 0 axis and the exact oracle there."""
+    pts = np.random.default_rng(15).uniform(-3, 3, (120, 3))
+    pts = pts[pts[:, 0] ** 2 + pts[:, 1] ** 2 > 1e-3][:100]
+    return pts, exact_oracle.design(p, d, pts)
+
+
+def columns_stacked(p, d, x):
+    """The kernel's (f_term, g_term, lg (..., 2)) at states x (..., 3)."""
+    t = loop_columns(p, d, x[..., 0], x[..., 1], x[..., 2])
+    return t.f_term, t.g_term, np.stack(t.lg, axis=-1)
 
 
 def test_params_validation():
@@ -112,31 +128,49 @@ def test_diffusion_b_examples():
 
 
 def test_prefeedback_vanishes_where_it_should():
-    assert np.all(prefeedback_v(P44, D4, np.zeros(3)) == 0.0)
+    # the pre-feedback and the drift it leaves vanish at the origin and
+    # wherever the gains are zero
+    assert np.all(randomized_drift(P44, D4, np.zeros(3)) == 0.0)
     dz = DiffusionDesign(0.0, 0.0)
     pts = np.random.default_rng(5).uniform(-2, 2, (20, 3))
-    assert np.all(prefeedback_v(P44, dz, pts) == 0.0)
+    assert np.all(randomized_drift(P44, dz, pts) == 0.0)
+    ex = exact_oracle.design(P44, dz, pts)
+    assert np.all(ex["v"] == 0.0) and np.all(ex["drift"] == 0.0)
 
 
 def test_prefeedback_matches_finite_differences():
-    # v is defined by -(grad B_i . sigma) / (2 b_i); rebuild it from an
-    # FD Jacobian of sigma and compare
-    pts = np.random.default_rng(6).uniform(-2, 2, (200, 3))
+    # v is defined by -(d sigma_i/dx . sigma) / (2 b_i); rebuild it from an
+    # FD Jacobian of the package's sigma and compare with the exact v
+    pts, ex = exact_design(CHAINED, D4)
     sig = lambda y: sigma(CHAINED, D4, y)
     js = np.einsum('...ij,...j->...i', jacobian_fd(sig, pts), sig(pts))
-    want = np.stack([-0.5 * js[..., 0] / CHAINED.b1,
-                     -0.5 * js[..., 1] / CHAINED.b2], axis=-1)
-    got = prefeedback_v(CHAINED, D4, pts)
-    err = np.abs(got - want) / (1.0 + np.abs(want))
+    got = np.stack([-0.5 * js[..., 0] / CHAINED.b1,
+                    -0.5 * js[..., 1] / CHAINED.b2], axis=-1)
+    err = np.abs(got - ex["v"]) / (1.0 + np.abs(ex["v"]))
     assert err.max() < 1e-5
 
 
+@pytest.mark.parametrize("p", PARITY_PLANTS)
+@pytest.mark.parametrize("d", PARITY_DESIGNS)
+def test_sigma_and_gains_match_exact_oracle(p, d):
+    # the einsum oracle takes eigs_sym2 and v2_hessian from the package;
+    # this one shares no formula with it
+    pts, ex = exact_design(p, d)
+    gains = np.stack(diffusion_b(d, p, pts), axis=-1)
+    for got, want in ((sigma(p, d, pts), ex["sigma"]), (gains, ex["b"])):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=0))
+
+
 def test_sigma_jacobian_matches_finite_differences():
-    pts = np.random.default_rng(7).uniform(-2, 2, (200, 3))
-    ana = sigma_jacobian(CHAINED, D4, pts)
-    num = jacobian_fd(lambda y: sigma(CHAINED, D4, y), pts)
-    rel = np.abs(ana - num) / (1.0 + np.abs(num))
-    assert rel.max() < 1e-6
+    # each entry d sigma_i/dx_j within 1e-6 of its largest magnitude over
+    # the states, and within 1e-6 (1 + |d sigma_i/dx_j|) at each state
+    for p in PARITY_PLANTS:
+        for d in PARITY_DESIGNS:
+            pts, ex = exact_design(p, d)
+            want = ex["dsigma"]
+            err = np.abs(jacobian_fd(lambda y: sigma(p, d, y), pts) - want)
+            assert np.all(err <= 1e-6 * np.abs(want).max(axis=0))
+            assert np.all(err <= 1e-6 * (1.0 + np.abs(want)))
 
 
 def test_randomized_drift_cancellation():
@@ -192,7 +226,7 @@ def test_closed_loop_generator_negative():
     br = generator(v2_field(), cl.sde.drift, cl.sde.diffusion, pts)
     lv = br.value()
     assert np.all(lv < 0.0)
-    f, g, _ = sontag_terms(P44, D4, pts)
+    f, g, _ = columns_stacked(P44, D4, pts)
     assert np.allclose(lv, -np.hypot(f, g), rtol=1e-6, atol=1e-25)
     # on the axis only the noise quadratic acts and it is negative too
     axis = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, -1.5]])
@@ -201,7 +235,7 @@ def test_closed_loop_generator_negative():
 
 
 @pytest.mark.parametrize("p", PARITY_PLANTS)
-@pytest.mark.parametrize("d", (D4, DiffusionDesign(1.0, 0.5)))
+@pytest.mark.parametrize("d", PARITY_DESIGNS)
 def test_closed_loop_matches_einsum_oracle(p, d):
     # Rounding differs from the oracle, and entries that cancel far from the
     # origin can differ by up to 1e-5 relative, so each output column is
@@ -233,19 +267,16 @@ def test_closed_loop_matches_einsum_oracle(p, d):
 
 
 def test_loop_terms_views_agree():
+    # every view of the one-pass kernel gives the kernel's bits
     pts = np.random.default_rng(14).uniform(-2, 2, (100, 3))
     p = PARITY_PLANTS[3]
     cl = closed_loop(p, D4)
-    t = loop_terms(p, D4, pts)
-    assert np.array_equal(cl.terms(pts).drift, t.drift)
-    assert np.array_equal(cl.sde.drift(pts), t.drift)
-    assert np.array_equal(cl.control(pts), t.control)
-    assert np.array_equal(sigma(p, D4, pts), t.sigma)
+    t = cl.columns(pts[:, 0], pts[:, 1], pts[:, 2])
+    assert np.array_equal(cl.sde.drift(pts), np.stack(t.drift, axis=-1))
+    assert np.array_equal(cl.control(pts), np.stack(t.control, axis=-1))
+    assert np.array_equal(sigma(p, D4, pts), np.stack(t.sigma, axis=-1))
     b1v, b2v = diffusion_b(D4, p, pts)
     assert np.array_equal(b1v, t.b1) and np.array_equal(b2v, t.b2)
-    f, g, lg = sontag_terms(p, D4, pts)
-    assert np.array_equal(f, t.f_term) and np.array_equal(g, t.g_term)
-    assert np.array_equal(lg, t.lg)
     # explicit H entries against the 3-operand einsum
     gm = g_matrix(p, pts)
     want = np.einsum('...ji,...jk,...kl->...il', gm, v2_hessian(pts), gm)
@@ -254,7 +285,8 @@ def test_loop_terms_views_agree():
 
 
 def test_sontag_terms_consistency():
-    f, g, lg = sontag_terms(P44, D4, np.array([0.5, -0.25, 1.0]))
+    # the kernel's F, G = ||L_g v2||^2 and L_g v2 feed the universal formula
+    f, g, lg = columns_stacked(P44, D4, np.array([0.5, -0.25, 1.0]))
     assert g == pytest.approx(lg @ lg, rel=1e-12)
     assert g > 0.0
 

@@ -229,16 +229,30 @@ def test_all_diverged_run_makes_no_drift_claim(tmp_path, capsys):
     assert np.all(counts == 0)
 
 
-def test_module_entry_point(tmp_path):
-    # The child must import the same stostab as this process, which need not
+def child_env():
+    # A child must import the same stostab as this process, which need not
     # be installed: put its source directory first on the child's path.
     import stostab
     src = os.path.dirname(os.path.dirname(os.path.abspath(stostab.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_module_entry_point(tmp_path):
     r = subprocess.run([sys.executable, "-m", "stostab.cli", "controllability",
                         "--n-points", "20", "--out", str(tmp_path / "m")],
-                       capture_output=True, text=True, env=env)
+                       capture_output=True, text=True, env=child_env())
     assert r.returncode == 0
     assert (tmp_path / "m" / "summary.txt").exists()
+
+
+def test_import_leaves_out_the_test_oracle_libraries():
+    # sympy and mpmath serve only the exact oracle under tests/; importing
+    # them with the package would add to every run's start-up time
+    r = subprocess.run([sys.executable, "-c",
+                        "import stostab, sys; "
+                        "assert not {'sympy', 'mpmath'} & set(sys.modules)"],
+                       capture_output=True, text=True, env=child_env())
+    assert r.returncode == 0, r.stderr

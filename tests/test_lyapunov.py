@@ -3,12 +3,24 @@
 import numpy as np
 import pytest
 
-from stostab import (GeneratorBreakdown, field_from_value, fd_gradient,
-                     fd_hessian, generator, sontag_control, v1_eval, v1_field,
-                     v1_gradient, v1_hessian, v2_eval, v2_field, v2_gradient,
-                     v2_hessian)
+from stostab import (GeneratorBreakdown, ScalarField, generator,
+                     sontag_control, v1_eval, v1_gradient, v1_hessian, v2_eval,
+                     v2_field, v2_gradient, v2_hessian)
 from stostab.lyapunov import _v2_columns
 from stostab.sde import jacobian_fd
+
+from exact_oracle import v2_derivatives
+
+
+def fd_value_gradient(x):
+    """Central differences of v2's values, by the package's Jacobian."""
+    return jacobian_fd(lambda y: v2_eval(y)[..., None], x)[..., 0, :]
+
+
+def derivative_cloud():
+    """1000 states off the axis, where v2 is smooth."""
+    pts = np.random.default_rng(12345).uniform(-3, 3, (4000, 3))
+    return pts[pts[:, 0] ** 2 + pts[:, 1] ** 2 > 1e-3][:1000]
 
 
 def test_v1_values_and_derivatives():
@@ -51,18 +63,21 @@ def test_v2_gradient_at_origin_and_on_axis():
 def test_v2_gradient_matches_finite_differences():
     x = np.array([0.3, -0.7, 1.2])
     ana = v2_gradient(x)
-    num = fd_gradient(v2_eval, x)
+    exact = v2_derivatives(x)[0][0]
+    assert np.linalg.norm(ana - exact) < 1e-12 * np.linalg.norm(exact)
+    num = fd_value_gradient(x)
     assert np.linalg.norm(ana - num) < 1e-6 * np.linalg.norm(num)
 
 
 def test_v2_gradient_fd_cloud():
-    rng = np.random.default_rng(12345)
-    pts = rng.uniform(-3, 3, (4000, 3))
-    pts = pts[pts[:, 0] ** 2 + pts[:, 1] ** 2 > 1e-3][:1000]
+    pts = derivative_cloud()
     ana = v2_gradient(pts)
-    num = fd_gradient(v2_eval, pts)
-    rel = np.linalg.norm(ana - num, axis=-1) / np.linalg.norm(num, axis=-1)
-    assert rel.max() < 1e-6
+    exact = v2_derivatives(pts)[0]
+    rel = np.linalg.norm(ana - exact, axis=-1) / np.linalg.norm(exact, axis=-1)
+    assert rel.max() < 1e-12
+    num = fd_value_gradient(pts)
+    rel_fd = np.linalg.norm(ana - num, axis=-1) / np.linalg.norm(num, axis=-1)
+    assert rel_fd.max() < 1e-6
 
 
 def test_v2_hessian_on_axis_closed_form():
@@ -73,16 +88,14 @@ def test_v2_hessian_on_axis_closed_form():
 
 
 def test_v2_hessian_symmetric_and_matches_fd():
-    rng = np.random.default_rng(12345)
-    pts = rng.uniform(-3, 3, (4000, 3))
-    pts = pts[pts[:, 0] ** 2 + pts[:, 1] ** 2 > 1e-3][:1000]
+    pts = derivative_cloud()
     hess = v2_hessian(pts)
     assert np.allclose(hess, np.swapaxes(hess, -1, -2), atol=0.0)
-    # against second differences of the values
-    num_v = fd_hessian(v2_eval, pts)
-    rel_v = np.linalg.norm((hess - num_v).reshape(len(pts), -1), axis=-1) \
-        / np.linalg.norm(num_v.reshape(len(pts), -1), axis=-1)
-    assert rel_v.max() < 1e-5
+    # against the exact Hessian
+    exact = v2_derivatives(pts)[1]
+    rel_v = np.linalg.norm((hess - exact).reshape(len(pts), -1), axis=-1) \
+        / np.linalg.norm(exact.reshape(len(pts), -1), axis=-1)
+    assert rel_v.max() < 1e-12
     # against first differences of the analytic gradient (much tighter)
     num_g = jacobian_fd(v2_gradient, pts)
     rel_g = np.linalg.norm((hess - num_g).reshape(len(pts), -1), axis=-1) \
@@ -119,17 +132,6 @@ def test_v2_planar_rotation_invariance():
     assert np.abs(v2_eval(rot) - v2_eval(q)).max() < 1e-12
 
 
-def test_fd_gradient_polynomial_oracles():
-    const = lambda y: np.full(y.shape[:-1], 3.0)
-    assert np.abs(fd_gradient(const, np.array([1.0, 2.0, 3.0]))).max() < 1e-9
-    prod = lambda y: y[..., 0] * y[..., 1]
-    g = fd_gradient(prod, np.array([1.0, 1.0, 0.0]))
-    assert np.allclose(g, [1.0, 1.0, 0.0], atol=1e-8)
-    h = fd_hessian(prod, np.array([1.0, 1.0, 0.0]))
-    assert h[0, 1] == pytest.approx(1.0, abs=1e-6)
-    assert h[1, 0] == pytest.approx(1.0, abs=1e-6)
-
-
 def test_generator_zero_fields():
     br = generator(v2_field(), None, None, np.array([0.3, 0.1, -1.0]))
     assert br.lf_v == 0.0
@@ -150,9 +152,10 @@ def test_generator_trace_on_axis():
 
 def test_generator_one_dimensional_example():
     # V = x^2, sigma = x, at x = 2: (1/2) * 2 * 4 = 4
-    field = field_from_value(lambda y: y[..., 0] ** 2)
+    field = ScalarField(lambda y: y[..., 0] ** 2, lambda y: 2.0 * y,
+                        lambda y: np.full(y.shape + (1,), 2.0))
     br = generator(field, None, lambda x: np.asarray(x, float), np.array([2.0]))
-    assert br.trace_term == pytest.approx(4.0, rel=1e-5)
+    assert br.trace_term == 4.0
 
 
 def test_generator_with_control_matrix():
@@ -199,14 +202,3 @@ def test_sontag_negativity():
         closed = f_term + lg @ u
         assert closed == pytest.approx(-np.hypot(f_term, g_term), rel=1e-9)
         assert closed <= -g_term / np.sqrt(2.0) + 1e-12
-
-
-def test_field_flags():
-    assert v2_field().analytic_gradient
-    assert v2_field().analytic_hessian
-    assert v1_field().analytic_gradient
-    f = field_from_value(lambda y: y[..., 0] ** 2)
-    assert not f.analytic_gradient
-    assert not f.analytic_hessian
-    x = np.array([1.5])
-    assert f.gradient(x)[0] == pytest.approx(3.0, abs=1e-7)
