@@ -11,16 +11,19 @@ initial state, and the path seed.
 Paths come singly or in batches.  ``sample_wiener`` given one seed returns
 samples of shape ``(n+1,)``; given a sequence of N seeds it returns one
 ``(N, n+1)`` array whose row i is bit for bit the single-seed path of seed
-i.  Sampling, coarsening and lifting act on the last axis.  The integrators
-step a batch as one array: with a batched path, x0 of shape ``(dim,)`` (used
-for every row) or ``(N, dim)`` gives states of shape ``(n+1, N, dim)``, and
-row i equals the single-path run on seed i.  A batch raises
+i.  Seeds are integers in [0, 2**64), and a seed's increments are those of
+``numpy.random.default_rng(seed)``, bit for bit.  Sampling, coarsening and
+lifting act on the last axis.  The integrators step a batch as one array:
+with a batched path, x0 of shape ``(dim,)`` (used for every row) or
+``(N, dim)`` gives states of shape ``(n+1, N, dim)``, and row i equals the
+single-path run on seed i.  A batch raises
 :class:`IntegrationDiverged` at the first step where any of its rows leaves
 the finite range.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -147,20 +150,109 @@ class WienerPath:
                           self.values[..., ::factor].copy(), self.seed)
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe, numpy/random/bit_generator.pyx)
+# on a pool of four uint32 words.  The hash constants it steps through do not
+# depend on the data, so each call's (xor, multiplier) pair is listed once.
+def _hash_constants(init: int, mult: int, n: int) -> list:
+    pairs = []
+    for _ in range(n):
+        nxt = init * mult & 0xFFFFFFFF
+        pairs.append((np.uint32(init), np.uint32(nxt)))
+        init = nxt
+    return pairs
+
+
+_POOL_CONSTANTS = _hash_constants(0x43B0D7E5, 0x931E8875, 4 + 12)   # fill, cross-mix
+_STATE_CONSTANTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)        # 8 output words
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashmix(value: np.ndarray, pair: tuple) -> np.ndarray:
+    value = (value ^ pair[0]) * pair[1]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> 16)
+
+
+def seed_states(seeds: np.ndarray) -> np.ndarray:
+    """Row i: ``SeedSequence(seeds[i]).generate_state(4, np.uint64)``, all rows at once.
+
+    ``seeds`` is a 1-d uint64 array.  Each seed enters the pool as the words
+    (lo32, hi32, 0, 0).  numpy turns a seed below 2**32 into one word, but
+    it hashes each missing pool word as 0, so such seeds need no branch.
+    """
+    zero = np.zeros(len(seeds), np.uint32)
+    pool = [seeds.astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero]
+    consts = iter(_POOL_CONSTANTS)
+    pool = [_hashmix(word, next(consts)) for word in pool]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
+    state = np.empty((len(seeds), 8), np.uint32)
+    for k, pair in enumerate(_STATE_CONSTANTS):
+        state[:, k] = _hashmix(pool[k % 4], pair)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _seed_array(seeds) -> np.ndarray:
+    """``seeds`` as a 1-d uint64 array; a bool, float, negative or >= 2**64 seed is an error."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
+        negative = seeds[seeds < 0]
+        if negative.size:
+            raise ValueError(f"seed {negative[0]!r} is not an integer in [0, 2**64)")
+        return seeds.astype(np.uint64, copy=False)
+    for s in seeds:
+        if (isinstance(s, (bool, np.bool_)) or not isinstance(s, (int, np.integer))
+                or not 0 <= int(s) < 2**64):
+            raise ValueError(f"seed {s!r} is not an integer in [0, 2**64)")
+    return np.array(seeds, dtype=np.uint64)
+
+
+@functools.cache
+def _stream_from_state():
+    """``state -> Generator`` on a PCG64 whose seed-sequence words are ``state``.
+
+    numpy.random is imported here, on the first draw: ``import numpy`` does
+    not load it, and loading it would add to every start-up.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        # PCG64 asks its seed sequence for generate_state(4, np.uint64), once
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return lambda state: Generator(PCG64(StateWords(state)))
+
+
 def wiener_increments(dt: float, seeds, n_steps: int,
                       out: Optional[np.ndarray] = None) -> np.ndarray:
     """Row i: n_steps i.i.d. N(0, dt) draws from ``default_rng(seeds[i])``.
 
-    The same seed reproduces the same row bit for bit on one platform.  The
-    draws fill ``out`` (shape ``(len(seeds), n_steps)``, rows contiguous)
-    when it is given, which is also returned.
+    Every seed is hashed into its PCG64 state in one vectorized pass
+    (:func:`seed_states`) instead of one ``SeedSequence`` per path; each
+    row is bit for bit ``default_rng(seeds[i]).standard_normal(n_steps)``
+    times sqrt(dt).  Seeds are integers in [0, 2**64); a bool, float,
+    negative or larger seed raises ValueError.  The draws fill ``out``
+    (shape ``(len(seeds), n_steps)``, rows contiguous) when it is given,
+    which is also returned.
     """
+    seeds = _seed_array(seeds)
     if out is None:
         out = np.empty((len(seeds), n_steps))
     elif out.shape != (len(seeds), n_steps):
         raise ValueError(f"out must have shape ({len(seeds)}, {n_steps}), got {out.shape}")
-    for row, seed in zip(out, seeds):
-        np.random.default_rng(int(seed)).standard_normal(out=row)
+    stream = _stream_from_state()
+    for row, state in zip(out, seed_states(seeds)):
+        stream(state).standard_normal(out=row)
     out *= np.sqrt(dt)
     return out
 
@@ -178,16 +270,16 @@ def sample_wiener(dt: float, horizon: float, seed, t0: float = 0.0) -> WienerPat
     if horizon < dt:
         raise ValueError(f"horizon must be at least dt, got {horizon} < {dt}")
     single = np.ndim(seed) == 0
-    seeds = [int(seed)] if single else [int(s) for s in seed]
-    if not seeds:
+    seeds = _seed_array([seed] if single else seed)
+    if not len(seeds):
         raise ValueError("need at least one seed")
     n = int(np.floor(horizon / dt + 1e-9))
     w = np.zeros((len(seeds), n + 1))
     dw = wiener_increments(dt, seeds, n, out=w[:, 1:])
     np.cumsum(dw, axis=-1, out=dw)
     if single:
-        return WienerPath(t0, dt, w[0], seeds[0])
-    return WienerPath(t0, dt, w, tuple(seeds))
+        return WienerPath(t0, dt, w[0], int(seeds[0]))
+    return WienerPath(t0, dt, w, tuple(seeds.tolist()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,8 @@ This is ``mc_stability`` as it stepped before the loop was evaluated once per
 step on coordinate columns: each step evaluates the loop kernel at the
 current state and stacks its drift and sigma, then ``v2_eval`` and the row
 norms at the new one, and does the masked bookkeeping on every step.  The
-recorded controls are ``cl.control`` of each path's recorded states.  The
+recorded controls are ``cl.control`` of each path's recorded states, and
+each path's noise comes from ``default_rng`` on its seed word.  The
 one-pass loop in ``stostab.verify`` must reproduce every field of its report
 bit for bit.
 """
@@ -12,7 +13,7 @@ bit for bit.
 import numpy as np
 
 from stostab import v2_eval
-from stostab.sde import DIVERGENCE_BOUND, wiener_increments
+from stostab.sde import DIVERGENCE_BOUND
 from stostab.verify import StabilityReport, path_seeds, wilson_halfwidth
 
 
@@ -22,7 +23,10 @@ def oracle_mc_stability(cl, x0, dt, horizon, n_paths, eps, conv_threshold,
     """``mc_stability``'s report, from the reference loop."""
     x0 = np.asarray(x0, dtype=float)
     n_steps = int(np.floor(horizon / dt + 1e-9))
-    dw = wiener_increments(dt, path_seeds(seed, n_paths), n_steps)
+    # numpy's own per-path generators, not the package's vectorized seeding,
+    # so matching this loop also checks that seeding bit for bit
+    dw = np.stack([np.random.default_rng(int(s)).standard_normal(n_steps)
+                   for s in path_seeds(seed, n_paths)]) * np.sqrt(dt)
 
     x = np.tile(x0, (n_paths, 1))
     alive = np.ones(n_paths, dtype=bool)

@@ -249,10 +249,15 @@ def test_module_entry_point(tmp_path):
 
 
 def test_import_leaves_out_the_test_oracle_libraries():
-    # sympy and mpmath serve only the exact oracle under tests/; importing
-    # them with the package would add to every run's start-up time
+    # sympy and mpmath serve only the exact oracle under tests/, and
+    # numpy.random is loaded on the first Wiener draw; importing any of them
+    # with the package, or when building a loop, would add to every run's
+    # start-up time
     r = subprocess.run([sys.executable, "-c",
                         "import stostab, sys; "
-                        "assert not {'sympy', 'mpmath'} & set(sys.modules)"],
+                        "stostab.closed_loop(stostab.SystemParams(1.0, 1.0, 4.0, 4.0), "
+                        "stostab.DiffusionDesign(1e-4, 1e-4)); "
+                        "loaded = {'sympy', 'mpmath', 'numpy.random'} & set(sys.modules); "
+                        "assert not loaded, loaded"],
                        capture_output=True, text=True, env=child_env())
     assert r.returncode == 0, r.stderr

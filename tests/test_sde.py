@@ -1,14 +1,18 @@
 """Wiener sampling, lifts, convention conversion, and the three integrators."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stostab import (ITO, STRATONOVICH, IntegrationDiverged, SdeSystem,
                      Trajectory, WienerPath, euler_maruyama, heun_stratonovich,
                      ode_drive, piecewise_linear_lift, sample_wiener,
                      stratonovich_to_ito, trajectory_to_csv)
 from stostab.sde import (DIVERGENCE_BOUND, NORM_SQ_BOUND, jacobian_fd,
-                         wiener_increments, write_csv)
+                         seed_states, wiener_increments, write_csv)
 from stostab.verify import path_seeds
 
 ZERO = lambda x: np.zeros_like(x)
@@ -80,6 +84,65 @@ def test_wiener_increments_fill_out():
     assert np.all(buf[:, 0] == 0.0)
     with pytest.raises(ValueError):
         wiener_increments(0.01, seeds, 50, out=np.empty((3, 49)))
+
+
+# seeds at the word boundaries of numpy's seed hash: one 32-bit word, two,
+# the top bit, and the largest accepted seed
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+
+
+def _numpy_state(seed):
+    return np.random.SeedSequence(int(seed)).generate_state(4, np.uint64)
+
+
+def test_seed_states_match_numpy_seed_sequence():
+    seeds = np.concatenate([np.array(EDGE_SEEDS, np.uint64), path_seeds(2026, 2000)])
+    states = seed_states(seeds)
+    assert states.shape == (len(seeds), 4) and states.dtype == np.uint64
+    for seed, state in zip(seeds, states):
+        assert np.array_equal(state, _numpy_state(seed)), int(seed)
+
+
+def test_wiener_increments_rows_equal_default_rng():
+    # Python ints, numpy uint64 scalars and a uint64 array give the same rows,
+    # and each row is numpy's own generator on that seed
+    words = path_seeds(2026, 2000)
+    seeds = EDGE_SEEDS + [np.uint64(s) for s in EDGE_SEEDS] + list(words)
+    dw = wiener_increments(0.01, seeds, 16)
+    assert np.array_equal(wiener_increments(0.01, words, 16), dw[-len(words):])
+    for seed, row in zip(seeds, dw):
+        want = np.random.default_rng(int(seed)).standard_normal(16) * np.sqrt(0.01)
+        assert np.array_equal(row, want), int(seed)
+    assert np.array_equal(sample_wiener(0.01, 0.16, np.uint64(2**64 - 1)).values[1:],
+                          np.cumsum(dw[len(EDGE_SEEDS) - 1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+def test_seeding_equals_numpy_for_any_seed(seed):
+    assert np.array_equal(seed_states(np.array([seed], np.uint64))[0], _numpy_state(seed))
+    assert np.array_equal(wiener_increments(1.0, [seed], 8)[0],
+                          np.random.default_rng(seed).standard_normal(8))
+
+
+@pytest.mark.parametrize("bad", [1.7, 2.0, np.float64(1.0), True, np.bool_(False),
+                                 -1, np.int64(-3), 2**64, 2**70])
+def test_bad_seeds_raise_naming_the_seed(bad):
+    # an integral float or a bool must not pass as the integer it equals
+    named = re.escape(f"seed {bad!r} ")
+    with pytest.raises(ValueError, match=named):
+        sample_wiener(0.1, 1.0, bad)
+    with pytest.raises(ValueError, match=named):
+        sample_wiener(0.1, 1.0, [3, bad])
+    with pytest.raises(ValueError, match=named):
+        wiener_increments(0.1, (3, bad), 4)
+
+
+@pytest.mark.parametrize("bad", [np.array([0.5, 1.0]), np.array([True]),
+                                 np.array([4, -2], np.int64), np.array([3, 2**64], object)])
+def test_bad_seed_arrays_raise(bad):
+    with pytest.raises(ValueError, match="is not an integer in \\[0, 2\\*\\*64\\)"):
+        wiener_increments(0.1, bad, 4)
 
 
 def test_batched_paths_equal_single_seed_paths():
