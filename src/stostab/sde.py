@@ -18,7 +18,10 @@ with a batched path, x0 of shape ``(dim,)`` (used for every row) or
 ``(N, dim)`` gives states of shape ``(n+1, N, dim)``, and row i equals the
 single-path run on seed i.  A batch raises
 :class:`IntegrationDiverged` at the first step where any of its rows leaves
-the finite range.
+the finite range.  Each step screens the whole batch with one dot product:
+a total |x|^2 of at most half the squared bound clears every row, and only
+a larger total, inf or NaN runs the per-row test, so the verdict is always
+the per-row one.
 """
 
 from __future__ import annotations
@@ -56,7 +59,15 @@ class IntegrationDiverged(RuntimeError):
 
 
 def _finite(x: np.ndarray) -> bool:
-    """Every row has |x| <= DIVERGENCE_BOUND; NaN compares False, so it fails."""
+    """Every row has |x| <= DIVERGENCE_BOUND; NaN compares False, so it fails.
+
+    The batch's total |x|^2 bounds every row's, so one ``vdot`` at most half
+    the bound settles the common case; the factor 2 covers any rounding of
+    the total.  A larger total, inf or NaN takes the exact per-row test, so
+    the answer is always that of the per-row test.
+    """
+    if np.vdot(x, x) <= 0.5 * NORM_SQ_BOUND:
+        return True
     return bool(((x * x).sum(-1) <= NORM_SQ_BOUND).all())
 
 
@@ -152,29 +163,39 @@ class WienerPath:
 
 # numpy's SeedSequence hash (O'Neill's seed_seq_fe, numpy/random/bit_generator.pyx)
 # on a pool of four uint32 words.  The hash constants it steps through do not
-# depend on the data, so each call's (xor, multiplier) pair is listed once.
-def _hash_constants(init: int, mult: int, n: int) -> list:
-    pairs = []
+# depend on the data, so each call's xor word and multiplier are listed once,
+# as (n, 1) columns that broadcast over the seeds.  Call k multiplies by the
+# word call k + 1 xors with.
+def _hash_constants(init: int, mult: int, n: int) -> tuple:
+    words = [init]
     for _ in range(n):
-        nxt = init * mult & 0xFFFFFFFF
-        pairs.append((np.uint32(init), np.uint32(nxt)))
-        init = nxt
-    return pairs
+        words.append(words[-1] * mult & 0xFFFFFFFF)
+    words = np.array(words, np.uint32)[:, None]
+    return words[:-1], words[1:]
 
 
-_POOL_CONSTANTS = _hash_constants(0x43B0D7E5, 0x931E8875, 4 + 12)   # fill, cross-mix
-_STATE_CONSTANTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)        # 8 output words
+_POOL_XOR, _POOL_MULT = _hash_constants(0x43B0D7E5, 0x931E8875, 4 + 12)   # fill, cross-mix
+_STATE_XOR, _STATE_MULT = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)      # 8 output words
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# Cross-mix pass ``src``: the other three pool rows, in hashing order.
+_CROSS_DST = [[dst for dst in range(4) if dst != src] for src in range(4)]
 
 
-def _hashmix(value: np.ndarray, pair: tuple) -> np.ndarray:
-    value = (value ^ pair[0]) * pair[1]
-    return value ^ (value >> 16)
+# Each builds one new array and updates it in place, so a call holds at most
+# one temporary beside it: with 10 000 seeds, fresh arrays per operation cost
+# more time and memory than the hashing itself.
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = value ^ xor
+    value *= mult
+    value ^= value >> 16
+    return value
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = _MIX_L * x - _MIX_R * y
-    return r ^ (r >> 16)
+    r = _MIX_L * x
+    r -= _MIX_R * y
+    r ^= r >> 16
+    return r
 
 
 def seed_states(seeds: np.ndarray) -> np.ndarray:
@@ -183,18 +204,22 @@ def seed_states(seeds: np.ndarray) -> np.ndarray:
     ``seeds`` is a 1-d uint64 array.  Each seed enters the pool as the words
     (lo32, hi32, 0, 0).  numpy turns a seed below 2**32 into one word, but
     it hashes each missing pool word as 0, so such seeds need no branch.
+    The pool is one (4, n) array.  Source row ``src`` does not change during
+    its own cross-mix pass, so the pass hashes it three times and mixes the
+    other three rows in one (3, n) step each.  The output is written one
+    column at a time: an (8, n) block and its transpose cost more than they
+    save once n reaches the thousands.
     """
-    zero = np.zeros(len(seeds), np.uint32)
-    pool = [seeds.astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero]
-    consts = iter(_POOL_CONSTANTS)
-    pool = [_hashmix(word, next(consts)) for word in pool]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
+    pool = np.zeros((4, len(seeds)), np.uint32)
+    pool[0] = seeds             # assignment keeps the low 32 bits
+    pool[1] = seeds >> 32
+    pool = _hashmix(pool, _POOL_XOR[:4], _POOL_MULT[:4])
+    for src, dst in enumerate(_CROSS_DST):
+        k = slice(4 + 3 * src, 7 + 3 * src)
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _POOL_XOR[k], _POOL_MULT[k]))
     state = np.empty((len(seeds), 8), np.uint32)
-    for k, pair in enumerate(_STATE_CONSTANTS):
-        state[:, k] = _hashmix(pool[k % 4], pair)
+    for k in range(8):
+        state[:, k] = _hashmix(pool[k % 4], _STATE_XOR[k], _STATE_MULT[k])
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
@@ -454,23 +479,24 @@ def ode_drive(sys: SdeSystem, x0, noise: PiecewiseLinearNoise,
     x = _initial_state(sys, x0, noise.knot_values.shape[:-1])
     kt = noise.knot_times
     slopes = np.moveaxis(noise.slopes, -1, 0)[..., None]
+    widths = (np.diff(kt) / substeps).tolist()
     times = [kt[0]]
     states = np.empty((len(slopes) * substeps + 1,) + x.shape)
     states[0] = x
     n = 0
-    for i in range(len(slopes)):
+    for i, h in enumerate(widths):
         s = slopes[i]
-        h = (kt[i + 1] - kt[i]) / substeps
+        half, sixth = 0.5 * h, h / 6.0
 
         def rhs(y):
             return np.asarray(sys.drift(y), float) + np.asarray(sys.diffusion(y), float) * s
 
         for j in range(substeps):
             k1 = rhs(x)
-            k2 = rhs(x + 0.5 * h * k1)
-            k3 = rhs(x + 0.5 * h * k2)
+            k2 = rhs(x + half * k1)
+            k3 = rhs(x + half * k2)
             k4 = rhs(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t = kt[i] + (j + 1) * h if j + 1 < substeps else kt[i + 1]
             if not _finite(x):
                 raise IntegrationDiverged(t, states[n].copy())

@@ -296,6 +296,8 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
     if n_buckets < 1:
         raise ValueError("n_buckets must be positive")
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (3,):
+        raise ValueError(f"x0 must have shape (3,), got {x0.shape}")
     n_steps = int(np.floor(horizon / dt + 1e-9))
     dw = wiener_increments(dt, path_seeds(seed, n_paths), n_steps)
 
@@ -561,9 +563,11 @@ def wong_zakai_experiment(x0: float, horizon: float, meshes, n_real: int,
             raise ValueError(f"mesh {m} must divide the fine mesh {n_fine}")
     dt_fine = horizon / n_fine
 
+    # np.zeros_like is a Python-level wrapper; np.zeros is one C call
+    zero = lambda x: np.zeros(np.shape(x))
     ident = lambda x: np.asarray(x, float)
-    pathwise_sys = SdeSystem(1, np.zeros_like, ident, STRATONOVICH)
-    ito_sys = SdeSystem(1, np.zeros_like, ident, ITO)
+    pathwise_sys = SdeSystem(1, zero, ident, STRATONOVICH)
+    ito_sys = SdeSystem(1, zero, ident, ITO)
 
     seeds = path_seeds(seed, n_real)
     sq_err = np.empty((len(meshes), n_real))
@@ -605,6 +609,8 @@ def strong_order_estimate(integrate: Callable, sys: SdeSystem,
     re-uses the same underlying fine path by summing increments, so errors
     across levels are positively correlated and the slope is stable.
     """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be positive, got {n_paths}")
     dts = sorted((float(v) for v in dts), reverse=True)
     if len(dts) < 4:
         raise ValueError("need at least four step sizes")

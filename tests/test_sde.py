@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from stostab import (ITO, STRATONOVICH, IntegrationDiverged, SdeSystem,
-                     Trajectory, WienerPath, euler_maruyama, heun_stratonovich,
-                     ode_drive, piecewise_linear_lift, sample_wiener,
-                     stratonovich_to_ito, trajectory_to_csv)
-from stostab.sde import (DIVERGENCE_BOUND, NORM_SQ_BOUND, jacobian_fd,
+from stostab import (ITO, STRATONOVICH, IntegrationDiverged,
+                     PiecewiseLinearNoise, SdeSystem, Trajectory, WienerPath,
+                     euler_maruyama, heun_stratonovich, ode_drive,
+                     piecewise_linear_lift, sample_wiener, stratonovich_to_ito,
+                     trajectory_to_csv)
+from stostab.sde import (DIVERGENCE_BOUND, NORM_SQ_BOUND, _finite, jacobian_fd,
                          seed_states, wiener_increments, write_csv)
 from stostab.verify import path_seeds
+
+import step_oracle
 
 ZERO = lambda x: np.zeros_like(x)
 IDENT = lambda x: np.asarray(x, float)
@@ -347,6 +351,31 @@ def test_divergence_bound_on_the_squared_norm_is_exact():
     assert NORM_SQ_BOUND > DIVERGENCE_BOUND ** 2
 
 
+# Entries whose squares straddle NORM_SQ_BOUND (DIVERGENCE_BOUND squares to
+# just below it, its upper neighbour to just above), values that fill a row's
+# last bits near the bound, tiny and subnormal values, inf and NaN.
+_SCREEN_VALUES = [0.0, 5e-324, 1e-300, 1e-150, 1.0, 1e4, 1.2e4, 0.6e12, 0.8e12,
+                  float(np.nextafter(DIVERGENCE_BOUND, 0.0)), DIVERGENCE_BOUND,
+                  float(np.nextafter(DIVERGENCE_BOUND, np.inf)), np.inf, np.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
+              elements=st.sampled_from(_SCREEN_VALUES + [-v for v in _SCREEN_VALUES])))
+def test_screen_agrees_with_the_per_row_test(x):
+    assert _finite(x) == step_oracle._finite(x)
+
+
+def test_screen_falls_back_to_the_per_row_test():
+    # the batch total is past half the bound, so the screen cannot decide,
+    # yet every row is inside it: the exact branch must accept the batch
+    x = np.array([[0.8e12, 0.0, 0.0], [0.0, 0.8e12, 0.0], [DIVERGENCE_BOUND, 0.0, 0.0]])
+    assert np.vdot(x, x) > 0.5 * NORM_SQ_BOUND
+    assert _finite(x) is True
+    x[2, 0] = np.nextafter(DIVERGENCE_BOUND, np.inf)
+    assert _finite(x) is False
+
+
 def test_heun_zero_fields_is_constant():
     sys = SdeSystem(1, ZERO, ZERO, STRATONOVICH)
     path = sample_wiener(0.1, 1.0, seed=3)
@@ -393,6 +422,66 @@ def test_ode_drive_exponential_of_the_noise():
     traj = ode_drive(sys, [1.0], piecewise_linear_lift(path, 1))
     oracle = np.exp(path.values[-1])
     assert traj.terminal[0] == pytest.approx(oracle, rel=1e-6)
+
+
+def test_ode_drive_substeps_follow_the_rk4_amplification():
+    # x' = s x on a piecewise-constant slope: every RK4 substep of width h
+    # multiplies x by 1 + z + z^2/2 + z^3/6 + z^4/24 with z = s h
+    kt = np.array([0.0, 0.111, 0.464, 0.703, 0.858, 1.056])
+    noise = PiecewiseLinearNoise(kt, np.array([0.0, 0.4, -0.3, 0.5, 0.45, 1.2]))
+    sys = SdeSystem(1, ZERO, IDENT, STRATONOVICH)
+    m = 3
+    traj = ode_drive(sys, [0.7], noise, substeps=m)
+    assert traj.states.shape == (len(kt) * m - m + 1, 1)
+    # knots are hit exactly, not as the sum of m substeps
+    assert np.array_equal(traj.times[::m], kt)
+    h = np.diff(kt) / m
+    assert np.any(kt[:-1] + m * h != kt[1:])
+    grid = np.append(kt[:-1, None] + np.arange(m) * h[:, None], kt[-1])
+    assert np.allclose(traj.times, grid, rtol=0, atol=1e-15)
+    z = np.repeat(noise.slopes * h, m)
+    gain = 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
+    assert np.allclose(traj.states[1:, 0] / traj.states[:-1, 0], gain, rtol=1e-14, atol=0)
+    assert traj.states[0, 0] == 0.7
+
+
+def _cubic3(x):
+    # grows like x3^3 along the third axis, so a large x3 start diverges
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    return np.stack([-x1 + x2 * x3, -x2 - x1 * x3, x3 * x3 * x3], axis=-1)
+
+
+def _lifted(drive, substeps):
+    return lambda sys, x0, path: drive(sys, x0, piecewise_linear_lift(path, 2), substeps)
+
+
+@pytest.mark.parametrize("run, reference, convention", [
+    (euler_maruyama, step_oracle.euler_maruyama, ITO),
+    (heun_stratonovich, step_oracle.heun_stratonovich, STRATONOVICH),
+    (_lifted(ode_drive, 1), _lifted(step_oracle.ode_drive, 1), STRATONOVICH),
+    (_lifted(ode_drive, 3), _lifted(step_oracle.ode_drive, 3), STRATONOVICH),
+], ids=["em", "heun", "rk4-1", "rk4-3"])
+def test_steppers_equal_the_reference_steppers(run, reference, convention):
+    # the divergence screen and the hoisted RK4 constants change no bit:
+    # times, states, and where a row diverges the exception's time and state
+    scalar = SdeSystem(1, lambda x: x * x * x, IDENT, convention)
+    # a step that is not a power of 2, where h / 6 and h * (1 / 6) can differ
+    calm = sample_wiener(0.03, 0.96, SEEDS)
+    for sys, x0 in ((scalar, [[0.1], [0.2], [0.3], [-0.2], [0.15]]),
+                    (SdeSystem(3, _field3, _noise3, convention), X0_3)):
+        got, want = run(sys, x0, calm), reference(sys, x0, calm)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.states, want.states)
+    wild = sample_wiener(0.25, 2.0, SEEDS[:3])
+    x0_3 = np.array([[0.1, 0.0, 0.2], [0.0, 0.1, 4.0], [0.2, 0.1, 0.0]])
+    for sys, x0 in ((scalar, [[0.1], [0.2], [4.0]]),
+                    (SdeSystem(3, _cubic3, _noise3, convention), x0_3)):
+        with pytest.raises(IntegrationDiverged) as got:
+            run(sys, x0, wild)
+        with pytest.raises(IntegrationDiverged) as want:
+            reference(sys, x0, wild)
+        assert got.value.time == want.value.time
+        assert np.array_equal(got.value.state, want.value.state)
 
 
 def test_ode_drive_validation():

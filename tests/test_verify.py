@@ -334,6 +334,14 @@ def test_mc_validation():
                      eps=5.0, conv_threshold=0.1, m_level=20.0, seed=1)
 
 
+@pytest.mark.parametrize("x0", [(0.0, 1.0), (0.0, 0.0, 1.0, 2.0), [[0.0, 0.0, 1.0]], 1.0])
+def test_mc_rejects_x0_of_the_wrong_shape(x0):
+    cl = closed_loop(P44, D4)
+    with pytest.raises(ValueError, match=r"x0 must have shape \(3,\), got \("):
+        mc_stability(cl, x0, dt=0.1, horizon=1.0, n_paths=2,
+                     eps=5.0, conv_threshold=0.1, m_level=20.0, seed=1)
+
+
 def test_small_control_scan_decays():
     cl = closed_loop(P44, D4)
     rep = small_control_scan(cl, (1e-1, 1e-2, 1e-3, 1e-4), n_dirs=100, seed=1)
@@ -482,6 +490,12 @@ def test_strong_order_validation():
         strong_order_estimate(euler_maruyama, const_sys,
                               lambda x0, T, wT: x0, [1.0], 1.0,
                               [2.0 ** -k for k in range(2, 6)], 5, 1)
+    # no paths means no RMS error at all, not a nan slope
+    dts = [2.0 ** -k for k in range(2, 6)]
+    for n_paths in (0, -3):
+        with pytest.raises(ValueError, match=f"n_paths must be positive, got {n_paths}"):
+            strong_order_estimate(euler_maruyama, sys, lambda x0, T, wT: x0,
+                                  [1.0], 1.0, dts, n_paths, 1)
 
 
 def test_write_summary(tmp_path):
