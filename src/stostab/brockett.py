@@ -95,11 +95,6 @@ def controllability_rank(p: SystemParams, x) -> int:
     return int(np.linalg.matrix_rank(m, tol=tol))
 
 
-def _g_row3(p: SystemParams, x1, x2) -> tuple:
-    """Third row (b3 x2, -b4 x1) of g; the first two rows are diag(b1, b2)."""
-    return p.b3 * x2, -p.b4 * x1
-
-
 def _h_entries(p: SystemParams, c, e, hess) -> tuple:
     """Entries (H11, H12, H22) of H = g^T Hess(v2) g, written out.
 
@@ -127,30 +122,10 @@ def _eigs(h11, h12, h22) -> tuple:
     return np.minimum(small, big), np.maximum(small, big)
 
 
-def _eig_columns(p: SystemParams, x1, x2, x3) -> tuple:
-    """v2 columns, the third row (c, e) of g and the eigenvalues of H."""
-    v = _v2_columns(x1, x2, x3)
-    c, e = _g_row3(p, x1, x2)
-    return (v, c, e) + _eigs(*_h_entries(p, c, e, v.hess))
-
-
-def _gains(d: DiffusionDesign, lam1, lam2, x1, x2, x3) -> tuple:
-    """B1 = k1 lam1^2 |x|^2 and B2 = k2 lam2^2 |x|^2 x3."""
-    # |x|^2 added as (x1^2 + x3^2) + x2^2, the order in which einsum sums a
-    # row of three, so the gains keep the bits of the einsum formulation.
-    r2 = x1 * x1 + x3 * x3 + x2 * x2
-    return d.k1 * lam1 ** 2 * r2, d.k2 * lam2 ** 2 * r2 * x3
-
-
-def _sigma_entries(p: SystemParams, c, e, b1v, b2v) -> tuple:
-    """Components of sigma = g B, with (c, e) the third row of g."""
-    return p.b1 * b1v, p.b2 * b2v, c * b1v + e * b2v
-
-
 def h_matrix(p: SystemParams, x) -> np.ndarray:
     """Symmetric 2x2 form H(x) = g^T Hess(v2) g, batched."""
     x1, x2, x3 = _columns(x)
-    h11, h12, h22 = _h_entries(p, *_g_row3(p, x1, x2),
+    h11, h12, h22 = _h_entries(p, p.b3 * x2, -p.b4 * x1,
                                _v2_columns(x1, x2, x3).hess)
     return np.stack([np.stack([h11, h12], axis=-1),
                      np.stack([h12, h22], axis=-1)], axis=-2)
@@ -169,17 +144,13 @@ def eigs_sym2(h) -> tuple:
 
 def diffusion_b(d: DiffusionDesign, p: SystemParams, x) -> tuple:
     """Noise gains (B1, B2) of the eigenvalue-scaled design."""
-    x1, x2, x3 = _columns(x)
-    *_, lam1, lam2 = _eig_columns(p, x1, x2, x3)
-    return _gains(d, lam1, lam2, x1, x2, x3)
+    t = loop_columns(p, d, *_columns(x))
+    return t.b1, t.b2
 
 
 def sigma(p: SystemParams, d: DiffusionDesign, x) -> np.ndarray:
     """Single-channel diffusion sigma = g B."""
-    x1, x2, x3 = _columns(x)
-    _, c, e, lam1, lam2 = _eig_columns(p, x1, x2, x3)
-    return np.stack(_sigma_entries(p, c, e, *_gains(d, lam1, lam2, x1, x2, x3)),
-                    axis=-1)
+    return np.stack(loop_columns(p, d, *_columns(x)).sigma, axis=-1)
 
 
 def _drift_third(p: SystemParams, b1v, b2v):
@@ -228,11 +199,18 @@ def loop_columns(p: SystemParams, d: DiffusionDesign, x1, x2, x3) -> LoopColumns
     of g skipped.  The drift keeps the grouped form of
     :func:`randomized_drift` in its third component.
     """
-    v, c, e, lam1, lam2 = _eig_columns(p, x1, x2, x3)
+    v = _v2_columns(x1, x2, x3)
     d1, d2, d3 = v.grad
     h11, h12, h13, h22, h23, h33 = v.hess
-    b1v, b2v = _gains(d, lam1, lam2, x1, x2, x3)
-    s1, s2, s3 = _sigma_entries(p, c, e, b1v, b2v)
+    # (c, e) is the third row of g; the first two rows are diag(b1, b2).
+    c, e = p.b3 * x2, -p.b4 * x1
+    lam1, lam2 = _eigs(*_h_entries(p, c, e, v.hess))
+    # |x|^2 added as (x1^2 + x3^2) + x2^2, the order in which einsum sums a
+    # row of three, so the gains keep the bits of the einsum formulation.
+    r2 = x1 * x1 + x3 * x3 + x2 * x2
+    b1v = d.k1 * lam1 ** 2 * r2
+    b2v = d.k2 * lam2 ** 2 * r2 * x3
+    s1, s2, s3 = p.b1 * b1v, p.b2 * b2v, c * b1v + e * b2v
     f3 = _drift_third(p, b1v, b2v)
     quad = (s1 * (h11 * s1 + 2.0 * (h12 * s2 + h13 * s3))
             + s2 * (h22 * s2 + 2.0 * h23 * s3) + h33 * s3 * s3)
@@ -273,10 +251,11 @@ def closed_loop(p: SystemParams, d: DiffusionDesign) -> ClosedLoop:
     Raises ValueError naming the violated condition when the gain map does
     not vanish at the origin or the equilibrium is not preserved exactly.
     """
-    zero = np.zeros(3)
-    b10, b20 = diffusion_b(d, p, zero)
-    if b10 != 0.0 or b20 != 0.0:
+    t = loop_columns(p, d, *_columns(np.zeros(3)))
+    if t.b1 != 0.0 or t.b2 != 0.0:
         raise ValueError("brockett6 violated: B(0) != 0 for this design")
+    if any(col != 0.0 for col in t.drift + t.sigma):
+        raise ValueError("closed loop does not preserve the origin exactly")
 
     def drift(x):
         return np.stack(loop_columns(p, d, *_columns(x)).drift, axis=-1)
@@ -287,8 +266,6 @@ def closed_loop(p: SystemParams, d: DiffusionDesign) -> ClosedLoop:
     def control(x):
         return np.stack(loop_columns(p, d, *_columns(x)).control, axis=-1)
 
-    if np.any(drift(zero) != 0.0) or np.any(diffusion(zero) != 0.0):
-        raise ValueError("closed loop does not preserve the origin exactly")
     return ClosedLoop(p, d, SdeSystem(3, drift, diffusion, ITO), control)
 
 

@@ -292,10 +292,15 @@ def cmd_scan_lv(cfg: dict, out: str, hdr: list) -> int:
     p, d = _system(cfg)
     cl = closed_loop(p, d)
     lo, hi = -cfg["grid_extent"], cfg["grid_extent"]
-    full = scan_generator(cl, GridSpec.cube(lo, hi, cfg["grid_count"],
-                                            cfg["exclude_radius"]))
-    sl = scan_generator(cl, GridSpec.slice_x2(lo, hi, cfg["grid_count"],
-                                              cfg["exclude_radius"]))
+    args = (lo, hi, cfg["grid_count"], cfg["exclude_radius"])
+    scans = []
+    for name, grid in (("cube grid", GridSpec.cube(*args)),
+                       ("x2 = 0 slice", GridSpec.slice_x2(*args))):
+        try:
+            scans.append(scan_generator(cl, grid))
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+    full, sl = scans
     write_scan_csv(full, os.path.join(out, "scan_full.csv"), hdr)
     write_scan_csv(sl, os.path.join(out, "scan_slice.csv"), hdr)
     write_summary(os.path.join(out, "summary.txt"), [
@@ -362,8 +367,12 @@ def cmd_check_design(cfg: dict, out: str, hdr: list) -> int:
 
 
 def cmd_wong_zakai(cfg: dict, out: str, hdr: list) -> int:
-    rep = wong_zakai_experiment(cfg["x0"], cfg["horizon"], cfg["meshes"],
-                                cfg["n_real"], cfg["seed"])
+    try:
+        rep = wong_zakai_experiment(cfg["x0"], cfg["horizon"], cfg["meshes"],
+                                    cfg["n_real"], cfg["seed"])
+    except ValueError as exc:
+        # the experiment checks its arguments before it computes anything
+        raise ConfigError(str(exc)) from None
     write_csv(os.path.join(out, "wz_mse.csv"), ["mesh", "mse"],
               zip(rep.meshes, rep.mse.tolist()), hdr)
     write_summary(os.path.join(out, "summary.txt"), [

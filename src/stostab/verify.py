@@ -18,7 +18,7 @@ import numpy as np
 
 from . import brockett
 from .brockett import ClosedLoop, DiffusionDesign, SystemParams
-from .lyapunov import ScalarField, generator, v2_field, v2_gradient
+from .lyapunov import ScalarField, generator, v2_gradient
 from .sde import (ITO, NORM_SQ_BOUND, STRATONOVICH, SdeSystem,
                   euler_maruyama, ode_drive, piecewise_linear_lift,
                   sample_wiener, stratonovich_to_ito, wiener_increments,
@@ -140,20 +140,22 @@ class ScanReport:
         return len(self.violations) == 0
 
 
-def scan_generator(cl: ClosedLoop, grid: GridSpec,
-                   field: Optional[ScalarField] = None) -> ScanReport:
+def scan_generator(cl: ClosedLoop, grid: GridSpec) -> ScanReport:
     """Evaluate the closed-loop generator of v2 on every grid point.
 
-    The grid must exclude a ball of radius at least 1e-3 around the origin,
-    where the generator degenerates to zero by construction.
+    One kernel pass gives LV = F + L_g v2 . u.  The grid must exclude a ball
+    of radius at least 1e-3 around the origin, where the generator
+    degenerates to zero by construction, and keep at least one point.
     """
     if grid.exclude_radius < 1e-3:
         raise ValueError("grid must exclude a ball of radius >= 1e-3 around the origin")
-    if field is None:
-        field = v2_field()
     pts = grid.points()
-    br = generator(field, cl.sde.drift, cl.sde.diffusion, pts)
-    lv = br.value()
+    if len(pts) == 0:
+        raise ValueError("empty grid: every point lies inside the exclusion "
+                         f"ball of radius {grid.exclude_radius:g}")
+    t = cl.columns(pts[:, 0], pts[:, 1], pts[:, 2])
+    (lg1, lg2), (u1, u2) = t.lg, t.control
+    lv = t.f_term + (lg1 * u1 + lg2 * u2)
     bad = lv >= 0.0
     on_axis = (pts[:, 0] == 0.0) & (pts[:, 1] == 0.0)
     k = int(np.argmin(lv))
@@ -337,13 +339,10 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
         t = cl.columns(x1, x2, x3)
         # A NaN state fails the norm test; a finite state can still overflow v2.
         fine = (t.norm_sq <= NORM_SQ_BOUND) & np.isfinite(t.v2)
-        if all_alive and fine.all():
-            z = (t.v2 - v2) / dt
-            np.maximum(sup_v2, t.v2, out=sup_v2)
-            np.maximum(sup_norm_sq, t.norm_sq, out=sup_norm_sq)
-        else:
+        z = (t.v2 - v2) / dt
+        if not (all_alive and fine.all()):
             ok = alive & fine
-            z = (t.v2[ok] - v2[ok]) / dt
+            z = z[ok]
             newly_dead = alive & ~fine
             alive = ok
             if newly_dead.any():
@@ -353,9 +352,9 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
                 for col in (x1, x2, x3):
                     col[newly_dead] = 0.0
                 t = cl.columns(x1, x2, x3)
-            np.maximum(sup_v2, np.where(alive, t.v2, -np.inf), out=sup_v2)
-            np.maximum(sup_norm_sq, np.where(alive, t.norm_sq, -np.inf),
-                       out=sup_norm_sq)
+        # A parked path sits at v2 = |x|^2 = 0, and its sups become inf below.
+        np.maximum(sup_v2, t.v2, out=sup_v2)
+        np.maximum(sup_norm_sq, t.norm_sq, out=sup_norm_sq)
         if len(z):
             b = bucket_of[k]
             bsum[b] += z.sum()
@@ -456,7 +455,7 @@ def small_control_scan(cl: ClosedLoop, radii, n_dirs: int, seed: int) -> SmallCo
 
 @dataclass(eq=False)
 class FormulaCheckReport:
-    """Agreement between closed-form displays and the generator route."""
+    """Agreement between closed-form displays and the closed-loop kernel."""
 
     n_points: int
     max_abs_drift_term: float
@@ -467,7 +466,7 @@ class FormulaCheckReport:
 
 def lfv2_formula_check(p: SystemParams, d: DiffusionDesign,
                        grid: GridSpec) -> FormulaCheckReport:
-    """Cross-check three hand-derived expressions against direct evaluation.
+    """Cross-check three hand-derived expressions against the kernel.
 
     (a) The drift term grad v2 . (0, 0, -(1/2)(b1 b4 - b2 b3) B1 B2) against
     its expanded closed form; (b) on the x3 = 0 slice, ||L_g v2||^2 against
@@ -480,7 +479,8 @@ def lfv2_formula_check(p: SystemParams, d: DiffusionDesign,
     pts = pts[big_x > 1e-3]
     big_x = big_x[big_x > 1e-3]
     x3 = pts[:, 2]
-    b1v, b2v = brockett.diffusion_b(d, p, pts)
+    t = brockett.loop_columns(p, d, pts[:, 0], pts[:, 1], x3)
+    b1v, b2v = t.b1, t.b2
     coef = p.b2 * p.b3 - p.b1 * p.b4
     f3 = 0.5 * coef * b1v * b2v
     direct = v2_gradient(pts)[:, 2] * f3
@@ -489,23 +489,17 @@ def lfv2_formula_check(p: SystemParams, d: DiffusionDesign,
         + big_x ** (1.0 + 0.5 * x3 ** 2) * np.log(2.0 / big_x))
     max_drift = float(np.abs(direct - closed).max()) if len(pts) else 0.0
 
-    a1 = grid.axis_values(0)
-    a2 = grid.axis_values(1)
-    m1, m2 = np.meshgrid(a1, a2, indexing="ij")
-    flat = np.stack([m1.ravel(), m2.ravel(), np.zeros(m1.size)], axis=-1)
+    flat = GridSpec(grid.axis1, grid.axis2, (0.0, 0.0, 1)).points()
     xf = flat[:, 0] ** 2 + flat[:, 1] ** 2
     flat = flat[xf > 1e-3]
     xf = xf[xf > 1e-3]
-    lg = generator(v2_field(), None, None, flat,
-                   control_matrix=lambda y: brockett.g_matrix(p, y)).lg_v
-    g_direct = np.einsum('...k,...k->...', lg, lg)
+    tf = brockett.loop_columns(p, d, flat[:, 0], flat[:, 1], flat[:, 2])
     g_closed = p.b1 ** 2 * flat[:, 0] ** 2 + p.b2 ** 2 * flat[:, 1] ** 2
-    max_g = float(np.abs(g_direct - g_closed).max()) if len(flat) else 0.0
+    max_g = float(np.abs(tf.g_term - g_closed).max()) if len(flat) else 0.0
 
-    b1f, b2f = brockett.diffusion_b(d, p, flat)
-    bvec = np.stack([b1f, b2f], axis=-1)
-    h = brockett.h_matrix(p, flat)
-    bhb_direct = np.einsum('...k,...kl,...l->...', bvec, h, bvec)
+    # On x3 = 0 the drift term of F vanishes, so 2F = sigma^T Hess sigma = B^T H B.
+    b1f, b2f = tf.b1, tf.b2
+    bhb_direct = 2.0 * tf.f_term
     cross = (p.b4 * b2f * flat[:, 0] - p.b3 * b1f * flat[:, 1]) ** 2
     bhb_closed = p.b1 ** 2 * b1f ** 2 + p.b2 ** 2 * b2f ** 2 \
         - xf * cross * np.log(2.0 / xf) - (xf - 4.0) * cross

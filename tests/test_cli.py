@@ -111,6 +111,20 @@ def test_scan_lv_exit_codes(tmp_path):
     assert "violations" in text
 
 
+@pytest.mark.parametrize("args, name", [
+    # both points of the 2-point cube lie inside the exclusion ball
+    (["--grid-count", "2", "--grid-extent", "0.0005"], "cube grid"),
+    # the cube keeps its corners, but the slice's farthest point is at 2.83
+    (["--grid-count", "5", "--exclude-radius", "3"], "x2 = 0 slice"),
+])
+def test_scan_lv_empty_grid_is_a_config_error(tmp_path, capsys, args, name):
+    out = tmp_path / "s"
+    assert run_cli(["scan-lv", *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}: empty grid")
+    assert list(out.iterdir()) == []
+
+
 def test_scan_lv_csv_shape(tmp_path):
     out = tmp_path / "s"
     assert run_cli(["scan-lv", "--grid-count", "5", "--out", str(out)]) == 0
@@ -202,6 +216,14 @@ def test_wong_zakai_validation(tmp_path):
                     "--out", str(tmp_path)]) == 2
     assert run_cli(["wong-zakai", "--meshes", "16,8",
                     "--out", str(tmp_path)]) == 2
+
+
+def test_wong_zakai_mesh_must_divide_the_fine_mesh(tmp_path, capsys):
+    # the fine mesh is 4 * 16 = 64, which 3 does not divide
+    out = tmp_path / "wz"
+    assert run_cli(["wong-zakai", "--meshes", "3,16", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: mesh 3 must divide the fine mesh 64\n"
+    assert list(out.iterdir()) == []
 
 
 def test_wong_zakai_divergence_exits_3(tmp_path, capsys):

@@ -15,10 +15,11 @@ from stostab import (DiffusionDesign, GridSpec, SdeSystem, SystemParams,
                      strong_order_estimate, v1_field, v2_field, v2_gradient,
                      wilson_interval, wong_zakai_experiment, write_scan_csv,
                      write_summary)
-from stostab import verify
+from stostab import loop_columns, verify
 from stostab.sde import ITO, STRATONOVICH
 from stostab.verify import path_seeds, wilson_halfwidth
 
+import exact_oracle
 from loop_oracle import oracle_loop
 from mc_oracle import oracle_mc_stability
 from path_loop_oracle import strong_order_slope, wong_zakai_stats
@@ -98,6 +99,51 @@ def test_scan_requires_exclusion():
     cl = closed_loop(P44, D4)
     with pytest.raises(ValueError):
         scan_generator(cl, GridSpec.cube(-2, 2, 5))
+
+
+def test_scan_rejects_an_empty_grid():
+    # both points of the 2-point cube lie inside the exclusion ball
+    cl = closed_loop(P44, D4)
+    with pytest.raises(ValueError, match="empty grid"):
+        scan_generator(cl, GridSpec.cube(-5e-4, 5e-4, 2, exclude_radius=1e-3))
+
+
+ORACLE_PLANTS = (P44, SystemParams(1.0, 1.0, 1.0, 0.0),
+                 SystemParams(1.0, 1.0, 1.0, 4.0),
+                 SystemParams(2.0, -1.0, 3.0, 0.5))
+
+
+@pytest.mark.parametrize("p", ORACLE_PLANTS)
+@pytest.mark.parametrize("k", (0.0, 1e-4, 1e-2))
+def test_scan_values_match_the_exact_oracle(p, k):
+    # Off the x1 = x2 = 0 axis G > 0, and the Sontag law makes the generator
+    # LV = F + L_g v2 . u equal to -hypot(F, G).  F and G are assembled here
+    # from the exact oracle's v2 derivatives, drift and sigma.
+    d = DiffusionDesign(k, k)
+    cl = closed_loop(p, d)
+    rep = scan_generator(cl, GridSpec((-1.9, 1.7, 5), (-1.3, 1.1, 5),
+                                      (-2.0, 2.0, 6), exclude_radius=1e-3))
+    pts = rep.points
+    assert len(pts) == 150 and np.all(pts[:, 0] ** 2 + pts[:, 1] ** 2 > 0.0)
+    exact = exact_oracle.design(p, d, pts)
+    grad, hess = exact_oracle.v2_derivatives(pts)
+    s = exact["sigma"]
+    f = (np.einsum("ni,ni->n", grad, exact["drift"])
+         + 0.5 * np.einsum("ni,nij,nj->n", s, hess, s))
+    lg = np.einsum("ni,nik->nk", grad, g_matrix(p, pts))
+    want = -np.hypot(f, np.einsum("nk,nk->n", lg, lg))
+    assert np.all(np.abs(rep.values - want) <= 1e-12 * np.abs(want))
+
+    # On the axis L_g v2 = 0 and u = 0, so LV is the kernel's F, bit for
+    # bit, and F is exactly 0 without noise.
+    axis = scan_generator(cl, GridSpec((0.0, 0.0, 1), (0.0, 0.0, 1),
+                                       (-2.0, 2.0, 9), exclude_radius=1e-3))
+    x3 = axis.points[:, 2]
+    assert len(x3) == 8
+    f_axis = loop_columns(p, d, np.zeros_like(x3), np.zeros_like(x3), x3).f_term
+    assert np.array_equal(axis.values, f_axis)
+    if k == 0.0:
+        assert np.all(axis.values == 0.0)
 
 
 def test_scan_zero_noise_violations_sit_on_the_axis():
