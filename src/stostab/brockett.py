@@ -269,8 +269,10 @@ def closed_loop(p: SystemParams, d: DiffusionDesign) -> ClosedLoop:
     return ClosedLoop(p, d, SdeSystem(3, drift, diffusion, ITO), control)
 
 
-# Radii of the shrinking-circle sequences in the design report.
+# Radii of the shrinking-circle sequences in the design report and of the
+# small-control scan, and the number of points on each circle.
 CONTINUITY_RADII = (1e-1, 1e-2, 1e-3, 1e-4)
+N_ANGLES = 16
 
 
 @dataclass(eq=False)
@@ -302,21 +304,18 @@ def _nonincreasing(seq) -> bool:
 
 
 def check_design_conditions(p: SystemParams, d: DiffusionDesign, grid,
-                            b_fn: Optional[Callable] = None,
-                            n_angles: int = 16) -> DesignReport:
+                            b_fn: Optional[Callable] = None) -> DesignReport:
     """Check the gain-map conditions on a cloud of states.
 
-    ``grid`` is either an object with a ``points()`` method (a grid
-    specification) or a plain (N, 3) array; the points feed the sign
-    condition, and their third coordinates provide the axis samples for the
+    ``grid`` is an (N, 3) array of states; they feed the sign condition,
+    and their third coordinates provide the axis samples for the
     nonvanishing check.  ``b_fn`` (default: the eigenvalue-scaled design)
     maps states to (B1, B2) so stub designs can be audited with the same
     report.
     """
     if b_fn is None:
         b_fn = lambda pts: diffusion_b(d, p, pts)
-    pts = np.asarray(grid.points() if hasattr(grid, "points") else grid,
-                     dtype=float)
+    pts = np.asarray(grid, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("grid_points must have shape (N, 3)")
     conditions = {}
@@ -346,12 +345,12 @@ def check_design_conditions(p: SystemParams, d: DiffusionDesign, grid,
         details["brockett8"] = (f"min |B1| = {np.abs(b1m).min():.3g}, "
                                 f"min |B2| = {np.abs(b2m).min():.3g} on the axis")
 
-    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    angles = 2.0 * np.pi * np.arange(N_ANGLES) / N_ANGLES
     c1_seq = []
     c2_seq = []
     for r in CONTINUITY_RADII:
         ring = np.stack([r * np.cos(angles), r * np.sin(angles),
-                         np.full(n_angles, r)], axis=-1)
+                         np.full(N_ANGLES, r)], axis=-1)
         b1r, b2r = b_fn(ring)
         c1_seq.append(float(np.abs(b1r * b2r * ring[:, 2]).max()))
         flat = ring.copy()

@@ -26,9 +26,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .brockett import (CONTINUITY_RADII, DiffusionDesign, SystemParams,
-                       check_design_conditions, closed_loop,
-                       controllability_rank, diffusion_b)
+from .brockett import (DiffusionDesign, SystemParams, check_design_conditions,
+                       closed_loop, controllability_rank, diffusion_b)
 from .lyapunov import v2_eval
 from .sde import IntegrationDiverged, Trajectory, trajectory_to_csv, write_csv
 from .verify import (GridSpec, mc_stability, scan_generator,
@@ -193,7 +192,12 @@ def _validate(command: str, cfg: dict) -> None:
         _require(cfg["conv_threshold"] > 0, "conv_threshold must be positive")
         _require(cfg["thin"] >= 1, "thin must be a positive integer")
         if cfg["m_level"] is None:
-            cfg["m_level"] = 10.0 * float(v2_eval(np.asarray(cfg["x0"])))
+            with np.errstate(over="ignore", invalid="ignore"):
+                v2_start = float(v2_eval(np.asarray(cfg["x0"])))
+            _require(np.isfinite(v2_start),
+                     f"v2(x0) is not finite at x0 = {cfg['x0']}, so the "
+                     "default m_level = 10 v2(x0) is undefined")
+            cfg["m_level"] = 10.0 * v2_start
         _require(cfg["m_level"] > 0, "m_level must be positive")
     elif command in ("scan-lv", "check-design"):
         _require(cfg["grid_count"] >= 2, "grid_count must be at least 2")
@@ -203,14 +207,6 @@ def _validate(command: str, cfg: dict) -> None:
                      "exclude_radius must be at least 1e-3")
         else:
             _require(cfg["n_dirs"] >= 1, "n_dirs must be positive")
-    elif command == "wong-zakai":
-        _require(cfg["horizon"] > 0, "horizon must be positive")
-        _require(cfg["n_real"] >= 50, "n_real must be at least 50")
-        meshes = cfg["meshes"]
-        _require(len(meshes) >= 2 and all(m >= 2 for m in meshes),
-                 "need at least two meshes of size >= 2")
-        _require(all(b > a for a, b in zip(meshes, meshes[1:])),
-                 "meshes must be strictly increasing")
     elif command == "controllability":
         _require(cfg["n_points"] >= 1, "n_points must be positive")
         _require(cfg["extent"] > 0, "extent must be positive")
@@ -334,7 +330,7 @@ def cmd_check_design(cfg: dict, out: str, hdr: list) -> int:
         # Negative control: constant B1 cannot vanish at the origin.
         b_fn = lambda pts: (np.ones_like(np.asarray(pts, float)[..., 0]),
                             diffusion_b(d, p, pts)[1])
-    rep = check_design_conditions(p, d, grid, b_fn=b_fn)
+    rep = check_design_conditions(p, d, grid.points(), b_fn=b_fn)
     items = []
     for name in ("brockett6", "brockett7", "brockett8",
                  "continuous1", "continuous2"):
@@ -344,8 +340,7 @@ def cmd_check_design(cfg: dict, out: str, hdr: list) -> int:
     items.append(("c2_sequence", _fmt(rep.c2_sequence)))
     sc_ok = None
     if rep.passed:
-        sc = small_control_scan(closed_loop(p, d), CONTINUITY_RADII,
-                                cfg["n_dirs"], cfg["seed"])
+        sc = small_control_scan(closed_loop(p, d), cfg["n_dirs"], cfg["seed"])
         sc_ok = sc.non_increasing and sc.max_control[-1] < 1e-4
         items.append(("small_control_radii", _fmt(sc.radii)))
         items.append(("small_control_max", _fmt(tuple(sc.max_control))))

@@ -181,15 +181,9 @@ class GeneratorBreakdown:
     trace_term: np.ndarray
     lg_v: Optional[np.ndarray] = None
 
-    def value(self, u=None):
-        """Generator value for control u (default u = 0)."""
-        total = self.lf_v + self.trace_term
-        if u is not None:
-            if self.lg_v is None:
-                raise ValueError("no control row was computed for this breakdown")
-            total = total + np.einsum('...k,...k->...', self.lg_v,
-                                      np.asarray(u, float))
-        return total
+    def value(self):
+        """Generator value with no control, lf_v + trace_term."""
+        return self.lf_v + self.trace_term
 
 
 def generator(field: ScalarField, drift, diffusion, x,

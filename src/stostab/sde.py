@@ -116,13 +116,12 @@ class SdeSystem:
 class WienerPath:
     """Equispaced samples of a scalar Wiener path, ``values[..., 0] == 0``.
 
-    ``values[..., k]`` approximates w(t0 + k dt); a batch of N paths on one
+    ``values[..., k]`` approximates w(k dt); a batch of N paths on one
     mesh has ``values`` of shape ``(N, n+1)``.  The path remembers the seed
     it was drawn from (a tuple of seeds for a batch) so derived artifacts
     can be reproduced.
     """
 
-    t0: float
     dt: float
     values: np.ndarray
     seed: int | tuple
@@ -137,7 +136,7 @@ class WienerPath:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.values.shape[-1])
+        return self.dt * np.arange(self.values.shape[-1])
 
     @property
     def horizon(self) -> float:
@@ -157,7 +156,7 @@ class WienerPath:
             raise ValueError(f"factor must be a positive integer, got {factor}")
         if (self.values.shape[-1] - 1) % factor != 0:
             raise ValueError("factor must divide the number of increments")
-        return WienerPath(self.t0, self.dt * factor,
+        return WienerPath(self.dt * factor,
                           self.values[..., ::factor].copy(), self.seed)
 
 
@@ -282,7 +281,7 @@ def wiener_increments(dt: float, seeds, n_steps: int,
     return out
 
 
-def sample_wiener(dt: float, horizon: float, seed, t0: float = 0.0) -> WienerPath:
+def sample_wiener(dt: float, horizon: float, seed) -> WienerPath:
     """Sample a Wiener path on floor(horizon/dt) + 1 equispaced points.
 
     The increments are those of :func:`wiener_increments` for ``seed``.  A
@@ -303,8 +302,8 @@ def sample_wiener(dt: float, horizon: float, seed, t0: float = 0.0) -> WienerPat
     dw = wiener_increments(dt, seeds, n, out=w[:, 1:])
     np.cumsum(dw, axis=-1, out=dw)
     if single:
-        return WienerPath(t0, dt, w[0], int(seeds[0]))
-    return WienerPath(t0, dt, w, tuple(seeds.tolist()))
+        return WienerPath(dt, w[0], int(seeds[0]))
+    return WienerPath(dt, w, tuple(seeds.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,21 +409,17 @@ def _initial_state(sys: SdeSystem, x0, batch: tuple) -> np.ndarray:
     return x
 
 
-def _step_path(sys: SdeSystem, x0, path: WienerPath, step: Callable) -> Trajectory:
-    """States x_{k+1} = step(x_k, dw_k) over the increments of ``path``.
+def _step_path(x: np.ndarray, times: np.ndarray, step: Callable) -> Trajectory:
+    """States x_{k+1} = step(x_k, k) on the mesh ``times``, from x_0 = ``x``.
 
-    ``dw_k`` has shape ``(1,)``, or ``(N, 1)`` for a batch, so it scales the
-    state rows; it is read from the samples as w_{k+1} - w_k, which is what
-    ``np.diff`` computes.
+    The stepping loop of every integrator: a step that leaves the finite
+    range raises :class:`IntegrationDiverged` at ``times[k + 1]`` with the
+    states of step k.
     """
-    w = path.values
-    x = _initial_state(sys, x0, w.shape[:-1])
-    times = path.times
-    w = np.moveaxis(w, -1, 0)[..., None]
     states = np.empty((len(times),) + x.shape)
     states[0] = x
     for k in range(len(times) - 1):
-        x = step(x, w[k + 1] - w[k])
+        x = step(x, k)
         if not _finite(x):
             raise IntegrationDiverged(times[k + 1], states[k].copy())
         states[k + 1] = x
@@ -435,13 +430,18 @@ def euler_maruyama(sys: SdeSystem, x0, path: WienerPath) -> Trajectory:
     """Ito stepping x_{k+1} = x_k + f(x_k) dt + sigma(x_k) dw_k on the path mesh.
 
     Raises :class:`IntegrationDiverged` when the state leaves the finite
-    range; the exception carries the failure time.
+    range; the exception carries the failure time.  Here and in
+    :func:`heun_stratonovich`, dw_k is read from the samples as
+    w_{k+1} - w_k, which is what ``np.diff`` computes; of shape ``(1,)``,
+    or ``(N, 1)`` for a batch, it scales the state rows.
     """
     if sys.convention != ITO:
         raise ValueError("euler_maruyama expects an Ito-form system")
     f, s, dt = sys.drift, sys.diffusion, path.dt
-    return _step_path(sys, x0, path, lambda x, dw: x + np.asarray(f(x), float) * dt
-                      + np.asarray(s(x), float) * dw)
+    x = _initial_state(sys, x0, path.values.shape[:-1])
+    w = np.moveaxis(path.values, -1, 0)[..., None]
+    return _step_path(x, path.times, lambda x, k: x + np.asarray(f(x), float) * dt
+                      + np.asarray(s(x), float) * (w[k + 1] - w[k]))
 
 
 def heun_stratonovich(sys: SdeSystem, x0, path: WienerPath) -> Trajectory:
@@ -453,57 +453,44 @@ def heun_stratonovich(sys: SdeSystem, x0, path: WienerPath) -> Trajectory:
     if sys.convention != STRATONOVICH:
         raise ValueError("heun_stratonovich expects a Stratonovich system")
     f, s, dt = sys.drift, sys.diffusion, path.dt
+    x = _initial_state(sys, x0, path.values.shape[:-1])
+    w = np.moveaxis(path.values, -1, 0)[..., None]
 
-    def step(x, dw):
+    def step(x, k):
+        dw = w[k + 1] - w[k]
         fx = np.asarray(f(x), float)
         sx = np.asarray(s(x), float)
         y = x + fx * dt + sx * dw
         return x + 0.5 * (fx + np.asarray(f(y), float)) * dt \
                  + 0.5 * (sx + np.asarray(s(y), float)) * dw
 
-    return _step_path(sys, x0, path, step)
+    return _step_path(x, path.times, step)
 
 
-def ode_drive(sys: SdeSystem, x0, noise: PiecewiseLinearNoise,
-              substeps: int = 1) -> Trajectory:
+def ode_drive(sys: SdeSystem, x0, noise: PiecewiseLinearNoise) -> Trajectory:
     """Integrate the pathwise ODE dx/dt = f(x) + sigma(x) dw/dt with RK4.
 
-    The noise slope is constant on each knot interval, so integration steps
-    are aligned to knot boundaries; each interval is covered by ``substeps``
-    equal classical RK4 steps.  The system is interpreted pathwise, without
-    reference to a stochastic convention.  A batched ``noise`` steps one
-    state row per interpolant.
+    The noise slope is constant on each knot interval, so each interval is
+    one classical RK4 step and the states sit at the knot times.  The
+    system is interpreted pathwise, without reference to a stochastic
+    convention.  A batched ``noise`` steps one state row per interpolant.
     """
-    if substeps < 1 or int(substeps) != substeps:
-        raise ValueError(f"substeps must be a positive integer, got {substeps}")
+    f, g = sys.drift, sys.diffusion
     x = _initial_state(sys, x0, noise.knot_values.shape[:-1])
-    kt = noise.knot_times
     slopes = np.moveaxis(noise.slopes, -1, 0)[..., None]
-    widths = (np.diff(kt) / substeps).tolist()
-    times = [kt[0]]
-    states = np.empty((len(slopes) * substeps + 1,) + x.shape)
-    states[0] = x
-    n = 0
-    for i, h in enumerate(widths):
-        s = slopes[i]
-        half, sixth = 0.5 * h, h / 6.0
+    widths = np.diff(noise.knot_times).tolist()
 
-        def rhs(y):
-            return np.asarray(sys.drift(y), float) + np.asarray(sys.diffusion(y), float) * s
+    def step(x, k):
+        h, s = widths[k], slopes[k]
+        half = 0.5 * h
+        rhs = lambda y: np.asarray(f(y), float) + np.asarray(g(y), float) * s
+        k1 = rhs(x)
+        k2 = rhs(x + half * k1)
+        k3 = rhs(x + half * k2)
+        k4 = rhs(x + h * k3)
+        return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-        for j in range(substeps):
-            k1 = rhs(x)
-            k2 = rhs(x + half * k1)
-            k3 = rhs(x + half * k2)
-            k4 = rhs(x + h * k3)
-            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t = kt[i] + (j + 1) * h if j + 1 < substeps else kt[i + 1]
-            if not _finite(x):
-                raise IntegrationDiverged(t, states[n].copy())
-            times.append(t)
-            n += 1
-            states[n] = x
-    return Trajectory(np.asarray(times), states)
+    return _step_path(x, noise.knot_times, step)
 
 
 def write_header(fh, header_lines) -> None:

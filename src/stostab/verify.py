@@ -46,8 +46,13 @@ def path_seeds(master_seed: int, n: int) -> np.ndarray:
     return np.random.SeedSequence(master_seed).generate_state(n, dtype=np.uint64)
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple:
-    """Wilson score interval for a binomial proportion (default 95%)."""
+# Standard normal quantile of the two-sided 95% level of every interval.
+WILSON_Z = 1.959963984540054
+
+
+def wilson_interval(successes: int, n: int) -> tuple:
+    """95% Wilson score interval for a binomial proportion."""
+    z = WILSON_Z
     if n <= 0:
         raise ValueError("n must be positive")
     if not 0 <= successes <= n:
@@ -59,8 +64,8 @@ def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tup
     return center - half, center + half
 
 
-def wilson_halfwidth(successes: int, n: int, z: float = 1.959963984540054) -> float:
-    lo, hi = wilson_interval(successes, n, z)
+def wilson_halfwidth(successes: int, n: int) -> float:
+    lo, hi = wilson_interval(successes, n)
     return 0.5 * (hi - lo)
 
 
@@ -120,7 +125,7 @@ class GridSpec:
 class ScanReport:
     """Generator values over a grid, with sign violations singled out.
 
-    ``violations`` collects the points where the generator is >= 0; the
+    ``violations`` collects the points where the generator is not < 0; the
     on-axis fields summarize the x1 = x2 = 0 subset, where the drift term
     vanishes and only the noise trace is at work.
     """
@@ -140,10 +145,14 @@ class ScanReport:
         return len(self.violations) == 0
 
 
+# A grid point too large for float arithmetic overflows to a NaN LV, which
+# counts as a violation.
+@np.errstate(over="ignore", invalid="ignore")
 def scan_generator(cl: ClosedLoop, grid: GridSpec) -> ScanReport:
     """Evaluate the closed-loop generator of v2 on every grid point.
 
-    One kernel pass gives LV = F + L_g v2 . u.  The grid must exclude a ball
+    One kernel pass gives LV = F + L_g v2 . u; every value that is not
+    negative, NaN included, is a violation.  The grid must exclude a ball
     of radius at least 1e-3 around the origin, where the generator
     degenerates to zero by construction, and keep at least one point.
     """
@@ -156,7 +165,7 @@ def scan_generator(cl: ClosedLoop, grid: GridSpec) -> ScanReport:
     t = cl.columns(pts[:, 0], pts[:, 1], pts[:, 2])
     (lg1, lg2), (u1, u2) = t.lg, t.control
     lv = t.f_term + (lg1 * u1 + lg2 * u2)
-    bad = lv >= 0.0
+    bad = ~(lv < 0.0)
     on_axis = (pts[:, 0] == 0.0) & (pts[:, 1] == 0.0)
     k = int(np.argmin(lv))
     return ScanReport(
@@ -200,9 +209,8 @@ class SclfReport:
 
 
 def sclf_condition_check(f: Optional[Callable], g: Callable, b: Callable,
-                         field: ScalarField, grid: GridSpec,
-                         lg_tol: float = 1e-6) -> SclfReport:
-    """On points where ||grad V . g|| < lg_tol, test the noise condition
+                         field: ScalarField, grid: GridSpec) -> SclfReport:
+    """On points where ||grad V . g|| < 1e-6, test the noise condition
 
         (1/2) B^T (g^T Hess V g) B + (1/2) grad V . (d(gB)/dx)(gB) < -L_f V.
 
@@ -212,7 +220,7 @@ def sclf_condition_check(f: Optional[Callable], g: Callable, b: Callable,
     """
     pts = grid.points()
     lg = generator(field, None, None, pts, control_matrix=g).lg_v
-    mask = np.linalg.norm(lg, axis=-1) < lg_tol
+    mask = np.linalg.norm(lg, axis=-1) < 1e-6
     if not mask.any():
         return SclfReport(0, 0, np.empty(0), np.empty((0, 3)), True)
     sub = pts[mask]
@@ -275,11 +283,15 @@ class StabilityReport:
                                          <= 2.0 * self.bucket_stderr[ok]))
 
 
+# Equal-width time buckets of the v2 drift statistics.
+N_BUCKETS = 50
+
+
 # Diverging paths overflow on their way out; n_diverged reports them.
 @np.errstate(over="ignore", invalid="ignore")
 def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
                  eps: float, conv_threshold: float, m_level: float, seed: int,
-                 n_buckets: int = 50, record_every: int = 0) -> StabilityReport:
+                 record_every: int = 0) -> StabilityReport:
     """Euler-Maruyama ensemble of the closed loop with common bookkeeping.
 
     All paths step together as coordinate columns, and each step evaluates
@@ -295,8 +307,6 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
         raise ValueError("need dt > 0 and horizon >= dt")
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
-    if n_buckets < 1:
-        raise ValueError("n_buckets must be positive")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (3,):
         raise ValueError(f"x0 must have shape (3,), got {x0.shape}")
@@ -312,10 +322,10 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
     sup_v2 = v2.copy()
     sup_norm_sq = t.norm_sq.copy()
 
-    bucket_of = (np.arange(n_steps) * n_buckets) // n_steps
-    bsum = np.zeros(n_buckets)
-    bsumsq = np.zeros(n_buckets)
-    bcount = np.zeros(n_buckets, dtype=np.int64)
+    bucket_of = (np.arange(n_steps) * N_BUCKETS) // n_steps
+    bsum = np.zeros(N_BUCKETS)
+    bsumsq = np.zeros(N_BUCKETS)
+    bcount = np.zeros(N_BUCKETS, dtype=np.int64)
 
     recording = record_every > 0
     if recording:
@@ -376,8 +386,8 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
 
     converged = alive & (terminal_norm < conv_threshold)
     n_exceed = int((sup_v2 >= m_level).sum())
-    mean = np.full(n_buckets, np.nan)
-    se = np.full(n_buckets, np.nan)
+    mean = np.full(N_BUCKETS, np.nan)
+    se = np.full(N_BUCKETS, np.nan)
     nz = bcount > 0
     mean[nz] = bsum[nz] / bcount[nz]
     multi = bcount > 1
@@ -407,7 +417,7 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
         v2_terminal_quantiles=tuple(quantiles.tolist()),
         terminal_norm_median=float(np.median(terminal_norm)),
         n_diverged=n_diverged,
-        bucket_edges=np.linspace(0.0, n_steps * dt, n_buckets + 1),
+        bucket_edges=np.linspace(0.0, n_steps * dt, N_BUCKETS + 1),
         bucket_mean_drift=mean,
         bucket_stderr=se,
         bucket_counts=bcount,
@@ -433,15 +443,13 @@ class SmallControlReport:
         return bool(np.all(np.diff(self.max_control) <= 0.0))
 
 
-def small_control_scan(cl: ClosedLoop, radii, n_dirs: int, seed: int) -> SmallControlReport:
-    """Evaluate max ||u_s|| on spheres of decreasing radius.
+def small_control_scan(cl: ClosedLoop, n_dirs: int, seed: int) -> SmallControlReport:
+    """Evaluate max ||u_s|| on spheres of the radii ``brockett.CONTINUITY_RADII``.
 
     The same unit directions are reused at every radius, so the decay of the
     sequence reflects the control law rather than sampling noise.
     """
-    radii = tuple(float(r) for r in radii)
-    if any(r <= 0 for r in radii) or any(a >= b for a, b in zip(radii[1:], radii)):
-        raise ValueError("radii must be positive and strictly decreasing")
+    radii = brockett.CONTINUITY_RADII
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((n_dirs, 3))
     norms = np.linalg.norm(dirs, axis=1)
@@ -544,6 +552,11 @@ def wong_zakai_experiment(x0: float, horizon: float, meshes, n_real: int,
     the fine mesh provides the contrast statistic.  Realizations are stepped
     in blocks of batched paths; each one's result is that of its own path.
     """
+    # from x0 = 0 every path stays at 0, and a zero MSE would pass vacuously
+    if not (x0 != 0.0 and np.isfinite(x0)):
+        raise ValueError(f"x0 must be nonzero and finite, got {x0}")
+    if not (horizon > 0.0 and np.isfinite(horizon)):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     meshes = tuple(int(m) for m in meshes)
     if len(meshes) < 2 or any(m < 2 for m in meshes):
         raise ValueError("need at least two meshes of size >= 2")
@@ -565,7 +578,7 @@ def wong_zakai_experiment(x0: float, horizon: float, meshes, n_real: int,
 
     seeds = path_seeds(seed, n_real)
     sq_err = np.empty((len(meshes), n_real))
-    log_ratio = np.zeros(n_real)
+    log_ratio = np.empty(n_real)
     for blk in _path_blocks(n_real, n_fine):
         path = sample_wiener(dt_fine, horizon, seeds[blk])
         oracle = x0 * np.exp(path.values[:, -1])
@@ -574,8 +587,7 @@ def wong_zakai_experiment(x0: float, horizon: float, meshes, n_real: int,
             traj = ode_drive(pathwise_sys, [x0], lift)
             sq_err[j, blk] = (traj.terminal[:, 0] - oracle) ** 2
         em = euler_maruyama(ito_sys, [x0], path)
-        if x0 != 0.0:
-            log_ratio[blk] = np.log(em.terminal[:, 0] / oracle)
+        log_ratio[blk] = np.log(em.terminal[:, 0] / oracle)
         del path, lift, traj, em
     return WongZakaiReport(
         meshes=meshes,

@@ -328,7 +328,7 @@ def test_check_design_flags_constant_gain():
 
 def test_check_design_accepts_grid_object():
     from stostab import GridSpec
-    rep = check_design_conditions(P44, D4, GridSpec.cube(-2, 2, 5))
+    rep = check_design_conditions(P44, D4, GridSpec.cube(-2, 2, 5).points())
     assert rep.passed
     with pytest.raises(ValueError):
         check_design_conditions(P44, D4, np.zeros((4, 2)))

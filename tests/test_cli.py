@@ -1,6 +1,7 @@
 """Exit codes, config resolution, output files, and reproducibility."""
 
 import os
+import shutil
 import subprocess
 import sys
 
@@ -53,11 +54,18 @@ def test_singular_parameters_rejected(tmp_path):
     assert run_cli(["controllability", "--b3", "-4", "--out", str(tmp_path)]) == 2
 
 
-def test_malformed_values_rejected(tmp_path):
+def test_malformed_values_rejected(tmp_path, capsys):
     assert run_cli(["simulate", "--dt", "abc", "--out", str(tmp_path)]) == 2
     assert run_cli(["simulate", "--dt", "0", "--out", str(tmp_path)]) == 2
     assert run_cli(["simulate", "--x0", "1,2", "--out", str(tmp_path)]) == 2
     assert run_cli(["simulate", "--n-paths", "0", "--out", str(tmp_path)]) == 2
+    # v2(x0) overflows, so the default m_level = 10 v2(x0) has no value; the
+    # error names x0, and no overflow warning escapes
+    capsys.readouterr()
+    assert run_cli(["simulate", "--x0", "1e200,0,0",
+                    "--out", str(tmp_path / "big")]) == 2
+    assert capsys.readouterr().err.startswith("error: v2(x0) is not finite at x0 = ")
+    assert not (tmp_path / "big").exists()
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -109,6 +117,13 @@ def test_scan_lv_exit_codes(tmp_path):
                     "--out", str(tmp_path / "bad")]) == 4
     text = (tmp_path / "bad" / "summary.txt").read_text()
     assert "violations" in text
+    # |x|^2 overflows at 1e300, so LV is NaN at every point: not a pass
+    assert run_cli(["scan-lv", "--grid-count", "2", "--grid-extent", "1e300",
+                    "--out", str(tmp_path / "nan")]) == 4
+    summary = (tmp_path / "nan" / "summary.txt").read_text().splitlines()
+    assert "full_violations = 8" in summary
+    assert "slice_violations = 4" in summary
+    assert "full_min_lv = nan" in summary
 
 
 @pytest.mark.parametrize("args, name", [
@@ -171,16 +186,26 @@ def test_simulate_artifacts(tmp_path):
         assert key in summary
 
 
-def test_simulate_reruns_identically(tmp_path):
+@pytest.mark.parametrize("args", [
+    ["simulate", "--n-paths", "2", "--horizon", "0.02", "--dt", "1e-3",
+     "--thin", "5", "--seed", "7"],
+    ["scan-lv", "--grid-count", "5"],
+    ["check-design", "--grid-count", "5", "--n-dirs", "50"],
+    ["wong-zakai", "--meshes", "4,16", "--n-real", "50"],
+    ["controllability", "--n-points", "20"],
+], ids=lambda args: args[0])
+def test_reruns_are_identical(tmp_path, args):
+    # every file a run writes is byte-identical on a rerun with the same
+    # config, apart from the timestamp line
     out = tmp_path / "same"
-    args = ["simulate", "--n-paths", "1", "--horizon", "0.02", "--dt", "1e-3",
-            "--thin", "5", "--seed", "7", "--out", str(out)]
-    assert run_cli(args) == 0
-    first = (out / "path_0000.csv").read_text().splitlines()
-    assert run_cli(args) == 0
-    second = (out / "path_0000.csv").read_text().splitlines()
-    strip = lambda ls: [l for l in ls if not l.startswith("# timestamp")]
-    assert strip(first) == strip(second)
+    runs = []
+    for _ in range(2):
+        shutil.rmtree(out, ignore_errors=True)
+        assert run_cli(args + ["--out", str(out)]) == 0
+        runs.append({f.name: [l for l in f.read_text().splitlines()
+                              if not l.startswith("# timestamp: ")]
+                     for f in sorted(out.iterdir())})
+    assert runs[0] and runs[0] == runs[1]
 
 
 def test_simulate_seed_changes_paths(tmp_path):
@@ -211,11 +236,21 @@ def test_wong_zakai_artifacts(tmp_path):
     assert "mse_non_increasing = true" in summary
 
 
-def test_wong_zakai_validation(tmp_path):
+def test_wong_zakai_validation(tmp_path, capsys):
     assert run_cli(["wong-zakai", "--n-real", "10",
                     "--out", str(tmp_path)]) == 2
     assert run_cli(["wong-zakai", "--meshes", "16,8",
                     "--out", str(tmp_path)]) == 2
+    for args, name in (
+            # every path stays at 0, so a zero MSE would pass vacuously
+            (["--x0", "0", "--n-real", "50", "--meshes", "2,4"], "x0"),
+            (["--x0", "nan", "--n-real", "50", "--meshes", "2,4"], "x0"),
+            (["--horizon", "-1"], "horizon")):
+        out = tmp_path / name / args[1]
+        capsys.readouterr()
+        assert run_cli(["wong-zakai", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} must be")
+        assert list(out.iterdir()) == []
 
 
 def test_wong_zakai_mesh_must_divide_the_fine_mesh(tmp_path, capsys):

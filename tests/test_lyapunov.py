@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from stostab import (GeneratorBreakdown, ScalarField, generator,
-                     sontag_control, v1_eval, v1_gradient, v1_hessian, v2_eval,
-                     v2_field, v2_gradient, v2_hessian)
+from stostab import (ScalarField, generator, sontag_control, v1_eval,
+                     v1_gradient, v1_hessian, v2_eval, v2_field, v2_gradient,
+                     v2_hessian)
 from stostab.lyapunov import _v2_columns
 from stostab.sde import jacobian_fd
 
@@ -164,15 +164,6 @@ def test_generator_with_control_matrix():
     br = generator(v2_field(), None, None, x, control_matrix=g)
     assert br.lg_v is not None
     assert np.allclose(br.lg_v, v2_gradient(x)[:2])
-    u = np.array([2.0, 1.0])
-    assert br.value(u) == pytest.approx(br.lg_v @ u)
-
-
-def test_generator_breakdown_requires_control_row():
-    br = GeneratorBreakdown(np.float64(1.0), np.float64(2.0))
-    assert br.value() == 3.0
-    with pytest.raises(ValueError):
-        br.value(u=np.array([1.0]))
 
 
 def test_sontag_zero_gain_branch():

@@ -61,11 +61,11 @@ def test_sample_wiener_validation():
 
 def test_wiener_path_validation():
     with pytest.raises(ValueError):
-        WienerPath(0.0, 1.0, np.array([0.5, 1.0]), 0)  # must start at 0
+        WienerPath(1.0, np.array([0.5, 1.0]), 0)  # must start at 0
     with pytest.raises(ValueError):
-        WienerPath(0.0, 1.0, np.array([0.0]), 0)
+        WienerPath(1.0, np.array([0.0]), 0)
     with pytest.raises(ValueError):
-        WienerPath(0.0, -1.0, np.array([0.0, 1.0]), 0)
+        WienerPath(-1.0, np.array([0.0, 1.0]), 0)
 
 
 def test_wiener_increments_rows_are_per_seed_paths():
@@ -182,7 +182,7 @@ def _scalar_system(convention):
 @pytest.mark.parametrize("run, convention", [
     (euler_maruyama, ITO),
     (heun_stratonovich, STRATONOVICH),
-    (lambda sys, x0, path: ode_drive(sys, x0, piecewise_linear_lift(path, 2), 2),
+    (lambda sys, x0, path: ode_drive(sys, x0, piecewise_linear_lift(path, 2)),
      STRATONOVICH),
 ])
 def test_batched_integrators_equal_single_path_runs(run, convention):
@@ -321,7 +321,7 @@ def test_euler_maruyama_zero_fields_is_constant():
 
 def test_euler_maruyama_single_step():
     sys = SdeSystem(3, lambda x: np.array([1.0, 0.0, 0.0]), ZERO, ITO)
-    path = WienerPath(0.0, 0.5, np.array([0.0, 0.7]), 0)
+    path = WienerPath(0.5, np.array([0.0, 0.7]), 0)
     traj = euler_maruyama(sys, [0.0, 0.0, 0.0], path)
     assert np.allclose(traj.terminal, [0.5, 0.0, 0.0])
 
@@ -386,7 +386,7 @@ def test_heun_zero_fields_is_constant():
 def test_heun_single_step_closed_form():
     # predictor x + x dw, corrector x + (x + predictor) dw / 2
     sys = SdeSystem(1, ZERO, IDENT, STRATONOVICH)
-    path = WienerPath(0.0, 1.0, np.array([0.0, 0.3]), 0)
+    path = WienerPath(1.0, np.array([0.0, 0.3]), 0)
     traj = heun_stratonovich(sys, [2.0], path)
     assert traj.terminal[0] == pytest.approx(2.0 * (1.0 + 0.3 + 0.5 * 0.09))
 
@@ -425,21 +425,17 @@ def test_ode_drive_exponential_of_the_noise():
 
 
 def test_ode_drive_substeps_follow_the_rk4_amplification():
-    # x' = s x on a piecewise-constant slope: every RK4 substep of width h
-    # multiplies x by 1 + z + z^2/2 + z^3/6 + z^4/24 with z = s h
+    # x' = s x on a piecewise-constant slope: the one RK4 step across an
+    # uneven knot interval of width h multiplies x by
+    # 1 + z + z^2/2 + z^3/6 + z^4/24 with z = s h
     kt = np.array([0.0, 0.111, 0.464, 0.703, 0.858, 1.056])
     noise = PiecewiseLinearNoise(kt, np.array([0.0, 0.4, -0.3, 0.5, 0.45, 1.2]))
     sys = SdeSystem(1, ZERO, IDENT, STRATONOVICH)
-    m = 3
-    traj = ode_drive(sys, [0.7], noise, substeps=m)
-    assert traj.states.shape == (len(kt) * m - m + 1, 1)
-    # knots are hit exactly, not as the sum of m substeps
-    assert np.array_equal(traj.times[::m], kt)
-    h = np.diff(kt) / m
-    assert np.any(kt[:-1] + m * h != kt[1:])
-    grid = np.append(kt[:-1, None] + np.arange(m) * h[:, None], kt[-1])
-    assert np.allclose(traj.times, grid, rtol=0, atol=1e-15)
-    z = np.repeat(noise.slopes * h, m)
+    traj = ode_drive(sys, [0.7], noise)
+    assert traj.states.shape == (len(kt), 1)
+    # the states sit at the knots, exactly
+    assert np.array_equal(traj.times, kt)
+    z = noise.slopes * np.diff(kt)
     gain = 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
     assert np.allclose(traj.states[1:, 0] / traj.states[:-1, 0], gain, rtol=1e-14, atol=0)
     assert traj.states[0, 0] == 0.7
@@ -451,27 +447,32 @@ def _cubic3(x):
     return np.stack([-x1 + x2 * x3, -x2 - x1 * x3, x3 * x3 * x3], axis=-1)
 
 
-def _lifted(drive, substeps):
-    return lambda sys, x0, path: drive(sys, x0, piecewise_linear_lift(path, 2), substeps)
+def _lifted(drive):
+    return lambda sys, x0, path: drive(sys, x0, piecewise_linear_lift(path, 2))
 
 
 @pytest.mark.parametrize("run, reference, convention", [
     (euler_maruyama, step_oracle.euler_maruyama, ITO),
     (heun_stratonovich, step_oracle.heun_stratonovich, STRATONOVICH),
-    (_lifted(ode_drive, 1), _lifted(step_oracle.ode_drive, 1), STRATONOVICH),
-    (_lifted(ode_drive, 3), _lifted(step_oracle.ode_drive, 3), STRATONOVICH),
-], ids=["em", "heun", "rk4-1", "rk4-3"])
+    (_lifted(ode_drive), _lifted(step_oracle.ode_drive), STRATONOVICH),
+], ids=["em", "heun", "rk4-1"])
 def test_steppers_equal_the_reference_steppers(run, reference, convention):
-    # the divergence screen and the hoisted RK4 constants change no bit:
-    # times, states, and where a row diverges the exception's time and state
+    # the shared stepping loop, the divergence screen and the hoisted RK4
+    # constants change no bit: times, states, and where a row diverges the
+    # exception's time and state
     scalar = SdeSystem(1, lambda x: x * x * x, IDENT, convention)
     # a step that is not a power of 2, where h / 6 and h * (1 / 6) can differ
     calm = sample_wiener(0.03, 0.96, SEEDS)
-    for sys, x0 in ((scalar, [[0.1], [0.2], [0.3], [-0.2], [0.15]]),
-                    (SdeSystem(3, _field3, _noise3, convention), X0_3)):
-        got, want = run(sys, x0, calm), reference(sys, x0, calm)
-        assert np.array_equal(got.times, want.times)
-        assert np.array_equal(got.states, want.states)
+    # 33 increments: the lift's last knot interval is half as wide as the others
+    ragged = sample_wiener(0.03, 0.99, SEEDS)
+    widths = np.diff(piecewise_linear_lift(ragged, 2).knot_times)
+    assert widths[-1] < 0.6 * widths[0]
+    for path in (calm, ragged):
+        for sys, x0 in ((scalar, [[0.1], [0.2], [0.3], [-0.2], [0.15]]),
+                        (SdeSystem(3, _field3, _noise3, convention), X0_3)):
+            got, want = run(sys, x0, path), reference(sys, x0, path)
+            assert np.array_equal(got.times, want.times)
+            assert np.array_equal(got.states, want.states)
     wild = sample_wiener(0.25, 2.0, SEEDS[:3])
     x0_3 = np.array([[0.1, 0.0, 0.2], [0.0, 0.1, 4.0], [0.2, 0.1, 0.0]])
     for sys, x0 in ((scalar, [[0.1], [0.2], [4.0]]),
@@ -488,8 +489,6 @@ def test_ode_drive_validation():
     sys = SdeSystem(1, ZERO, IDENT, STRATONOVICH)
     path = sample_wiener(0.25, 1.0, seed=1)
     lift = piecewise_linear_lift(path, 1)
-    with pytest.raises(ValueError):
-        ode_drive(sys, [1.0], lift, substeps=0)
     with pytest.raises(ValueError):
         ode_drive(sys, [1.0, 2.0], lift)
 
