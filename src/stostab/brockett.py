@@ -303,6 +303,13 @@ def _nonincreasing(seq) -> bool:
     return bool(np.all(np.diff(seq) <= 0.0))
 
 
+def _not_finite(n_bad: int) -> str:
+    return f", not finite at {n_bad} points" if n_bad else ""
+
+
+# A state too large for float arithmetic gives a NaN or infinite gain, which
+# fails its condition.
+@np.errstate(over="ignore", invalid="ignore")
 def check_design_conditions(p: SystemParams, d: DiffusionDesign, grid,
                             b_fn: Optional[Callable] = None) -> DesignReport:
     """Check the gain-map conditions on a cloud of states.
@@ -311,7 +318,8 @@ def check_design_conditions(p: SystemParams, d: DiffusionDesign, grid,
     and their third coordinates provide the axis samples for the
     nonvanishing check.  ``b_fn`` (default: the eigenvalue-scaled design)
     maps states to (B1, B2) so stub designs can be audited with the same
-    report.
+    report.  A sign expression or axis gain that is not finite fails its
+    condition, and the detail counts the points where it was not.
     """
     if b_fn is None:
         b_fn = lambda pts: diffusion_b(d, p, pts)
@@ -328,8 +336,10 @@ def check_design_conditions(p: SystemParams, d: DiffusionDesign, grid,
     b1v, b2v = b_fn(pts)
     sign_expr = b1v * b2v * (p.b1 * p.b4 - p.b2 * p.b3) * pts[:, 2]
     worst = float(sign_expr.min()) if len(sign_expr) else 0.0
-    conditions["brockett7"] = worst >= -1e-12
-    details["brockett7"] = f"min (b1 b4 - b2 b3) B1 B2 x3 = {worst:.6g} over {len(pts)} points"
+    n_bad = np.count_nonzero(~np.isfinite(sign_expr))
+    conditions["brockett7"] = worst >= -1e-12 and n_bad == 0
+    details["brockett7"] = (f"min (b1 b4 - b2 b3) B1 B2 x3 = {worst:.6g} over {len(pts)} points"
+                            + _not_finite(n_bad))
 
     axis_vals = np.unique(pts[:, 2])
     axis_vals = axis_vals[np.abs(axis_vals) > 1e-3]
@@ -340,10 +350,13 @@ def check_design_conditions(p: SystemParams, d: DiffusionDesign, grid,
         m_pts = np.zeros((len(axis_vals), 3))
         m_pts[:, 2] = axis_vals
         b1m, b2m = b_fn(m_pts)
+        n_bad = np.count_nonzero(~(np.isfinite(b1m) & np.isfinite(b2m)))
         conditions["brockett8"] = bool(np.all(np.abs(b1m) > 0.0)
-                                       and np.all(np.abs(b2m) > 0.0))
+                                       and np.all(np.abs(b2m) > 0.0)
+                                       and n_bad == 0)
         details["brockett8"] = (f"min |B1| = {np.abs(b1m).min():.3g}, "
-                                f"min |B2| = {np.abs(b2m).min():.3g} on the axis")
+                                f"min |B2| = {np.abs(b2m).min():.3g} on the axis"
+                                + _not_finite(n_bad))
 
     angles = 2.0 * np.pi * np.arange(N_ANGLES) / N_ANGLES
     c1_seq = []

@@ -315,7 +315,7 @@ def cmd_scan_lv(cfg: dict, out: str, hdr: list) -> int:
     print(f"scan-lv: {len(full.points)} grid points, min LV = {full.min_value:.6g}")
     if n_bad:
         print(f"scan-lv: {n_bad} sign violations "
-              f"(first at {tuple((full.violations if len(full.violations) else sl.violations)[0])})")
+              f"(first at {tuple((full.violations if len(full.violations) else sl.violations)[0].tolist())})")
         return 4
     print("scan-lv: generator negative at every scanned point")
     return 0

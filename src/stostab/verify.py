@@ -25,16 +25,30 @@ from .sde import (ITO, NORM_SQ_BOUND, STRATONOVICH, SdeSystem,
                   write_csv, write_header)
 
 
-# Path samples held at once by the per-path experiments (512 KB of float64):
-# blocks of 16 paths at 4096 steps.
-_BLOCK_SAMPLES = 1 << 16
+# Samples one block of a per-path experiment holds at once (2 MiB of
+# float64): its fine path plus the scalar state history of the one
+# integrator run that steps it, 2 * rows * (n_steps + 1) in all.  At 4096
+# steps a block holds up to 31 paths.
+_BLOCK_SAMPLES = 1 << 18
 
 
 def _path_blocks(n_paths: int, n_steps: int):
-    """Consecutive slices of at most _BLOCK_SAMPLES // n_steps paths each."""
-    rows = max(1, _BLOCK_SAMPLES // n_steps)
-    for lo in range(0, n_paths, rows):
-        yield slice(lo, min(lo + rows, n_paths))
+    """Consecutive slices covering range(n_paths) in the fewest blocks.
+
+    Each block holds at most _BLOCK_SAMPLES // (2 * (n_steps + 1)) paths (at
+    least one), and block sizes differ by at most one, larger blocks first,
+    so no short tail block pays for a whole pass of the integrator.
+    """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be positive, got {n_paths}")
+    cap = max(1, _BLOCK_SAMPLES // (2 * (n_steps + 1)))
+    n_blocks = -(-n_paths // cap)
+    size, extra = divmod(n_paths, n_blocks)
+    lo = 0
+    for b in range(n_blocks):
+        hi = lo + size + (b < extra)
+        yield slice(lo, hi)
+        lo = hi
 
 
 def path_seeds(master_seed: int, n: int) -> np.ndarray:
@@ -586,9 +600,12 @@ def wong_zakai_experiment(x0: float, horizon: float, meshes, n_real: int,
             lift = piecewise_linear_lift(path, n_fine // m)
             traj = ode_drive(pathwise_sys, [x0], lift)
             sq_err[j, blk] = (traj.terminal[:, 0] - oracle) ** 2
+            # the EM run below must not sit beside the finest lift: the block
+            # budget counts the path and one integrator history only
+            del lift, traj
         em = euler_maruyama(ito_sys, [x0], path)
         log_ratio[blk] = np.log(em.terminal[:, 0] / oracle)
-        del path, lift, traj, em
+        del path, em
     return WongZakaiReport(
         meshes=meshes,
         mse=sq_err.mean(axis=1),

@@ -109,7 +109,7 @@ def test_every_output_carries_the_header(tmp_path):
         assert "# config:" in hdr
 
 
-def test_scan_lv_exit_codes(tmp_path):
+def test_scan_lv_exit_codes(tmp_path, capsys):
     assert run_cli(["scan-lv", "--grid-count", "5",
                     "--out", str(tmp_path / "ok")]) == 0
     # without noise the axis violates the sign condition
@@ -124,6 +124,8 @@ def test_scan_lv_exit_codes(tmp_path):
     assert "full_violations = 8" in summary
     assert "slice_violations = 4" in summary
     assert "full_min_lv = nan" in summary
+    # the first violation prints as plain floats, not numpy scalar reprs
+    assert "(first at (-1e+300, -1e+300, -1e+300))" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("args, name", [
@@ -164,6 +166,23 @@ def test_check_design_pass_and_sabotage(tmp_path):
     report = (sab / "design_report.txt").read_text()
     assert "brockett6 = FAIL" in report
     assert "overall = FAIL" in report
+
+
+def test_check_design_fails_a_grid_the_kernel_cannot_evaluate(tmp_path, capsys):
+    # |x|^2 overflows at 1e300: the gains are NaN there, which fails both
+    # conditions with a count of the points, and no RuntimeWarning leaks
+    out = tmp_path / "big"
+    assert run_cli(["check-design", "--grid-extent", "1e300", "--grid-count", "3",
+                    "--n-dirs", "10", "--out", str(out)]) == 4
+    assert capsys.readouterr().out == "check-design: FAIL (brockett7, brockett8)\n"
+    report = (out / "design_report.txt").read_text().splitlines()
+    assert "brockett7 = FAIL" in report
+    assert ("brockett7_detail = min (b1 b4 - b2 b3) B1 B2 x3 = nan over 27 points, "
+            "not finite at 26 points") in report
+    assert "brockett8 = FAIL" in report
+    assert ("brockett8_detail = min |B1| = nan, min |B2| = nan on the axis, "
+            "not finite at 2 points") in report
+    assert "small_control = SKIPPED (design conditions failed)" in report
 
 
 def test_simulate_artifacts(tmp_path):
