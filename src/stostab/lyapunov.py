@@ -23,8 +23,13 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 # Below this value of X = x1^2 + x2^2 the log-carrying terms are replaced by
-# their X -> 0 limits.
-X_GUARD = 1e-300
+# their X -> 0 limits.  It sits 20 decades above G_ZERO, so the G = 0 branch
+# of the control law is reached only on rows this patch already treats as on
+# the axis, where F < 0.  Off the patch, G = ||L_g v2||^2 is of order X (G/X
+# >= 2.6e-11 on log-radial sweeps of four plants).  Were the two guards
+# equal, rows with X just above them and x3 <= 0.044 would have G < G_ZERO
+# while F > 0, and the u = 0 branch would leave LV = F > 0 there.
+X_GUARD = 1e-280
 
 # |G| below this is treated as the exact G = 0 branch of the control law.
 G_ZERO = 1e-300
@@ -129,9 +134,10 @@ def v2_gradient(x):
     """Closed-form gradient of :func:`v2_eval`.
 
     The planar components are x_i (-(1+x3^2) + (2+x3^2) (X/2)^(x3^2/2)); the
-    axial one is x3 (4 - X + 2 (X/2)^(1+x3^2/2) log(X/2)).  At X = 0 the
-    power-log terms take their limit 0; the 0^0 corner (X = 0, x3 = 0) is
-    defined as 1.  Both extensions leave the gradient continuous.
+    axial one is x3 (4 - X + 2 (X/2)^(1+x3^2/2) log(X/2)).  Below
+    X = ``X_GUARD`` (1e-280) the power-log terms take their X -> 0 limit 0;
+    the 0^0 corner (X = 0, x3 = 0) is defined as 1.  Both extensions leave
+    the gradient continuous.
     """
     return np.stack(_v2_columns(*_columns(x)).grad, axis=-1)
 
@@ -139,8 +145,9 @@ def v2_gradient(x):
 def v2_hessian(x):
     """Closed-form Hessian of :func:`v2_eval`.
 
-    On X = 0 the evaluator returns diag(-(1+x3^2), -(1+x3^2), 4), the limit
-    of the Hessian within that plane.  v2 is not C^2 across the origin (the
+    On X = 0, and on every row with X below ``X_GUARD`` (1e-280), the
+    evaluator returns diag(-(1+x3^2), -(1+x3^2), 4), the limit of the
+    Hessian within that plane.  v2 is not C^2 across the origin (the
     transverse second derivative there is +1), so this is a choice: the
     within-plane continuation is the one the noise design relies on.
     """

@@ -22,6 +22,12 @@ the finite range.  Each step screens the whole batch with one dot product:
 a total |x|^2 of at most half the squared bound clears every row, and only
 a larger total, inf or NaN runs the per-row test, so the verdict is always
 the per-row one.
+
+Each scheme is a step rule ``(x_k, k) -> x_{k+1}``.  The public
+integrators run it through ``_step_path``, which records every state; a
+caller that needs only x_n (the Wong-Zakai experiment) runs the same rule
+through ``_final_state``, which keeps no history and gives the same bits and
+the same divergence exception.
 """
 
 from __future__ import annotations
@@ -344,14 +350,16 @@ def piecewise_linear_lift(path: WienerPath, coarsening: int) -> PiecewiseLinearN
 
     Knots sit at every ``coarsening``-th sample; the last sample is always a
     knot, so the lift agrees with the path at the final time even when
-    ``coarsening`` does not divide the sample count.
+    ``coarsening`` does not divide the sample count.  When it does divide,
+    the knot values are a strided view of ``path.values``, not a copy.
     """
     if coarsening < 1 or int(coarsening) != coarsening:
         raise ValueError(f"coarsening must be a positive integer, got {coarsening}")
     n_samples = path.values.shape[-1]
-    idx = np.arange(0, n_samples, coarsening)
-    if idx[-1] != n_samples - 1:
-        idx = np.append(idx, n_samples - 1)
+    if (n_samples - 1) % coarsening == 0:
+        return PiecewiseLinearNoise(path.times[::coarsening],
+                                    path.values[..., ::coarsening])
+    idx = np.append(np.arange(0, n_samples, coarsening), n_samples - 1)
     return PiecewiseLinearNoise(path.times[idx], path.values[..., idx])
 
 
@@ -426,6 +434,28 @@ def _step_path(x: np.ndarray, times: np.ndarray, step: Callable) -> Trajectory:
     return Trajectory(times, states)
 
 
+def _final_state(x: np.ndarray, times: np.ndarray, step: Callable) -> np.ndarray:
+    """``_step_path(x, times, step).states[-1]``, with no states buffer.
+
+    The same recursion and divergence screen, and the same
+    :class:`IntegrationDiverged`; only the last state is kept.
+    """
+    for k in range(len(times) - 1):
+        x_next = step(x, k)
+        if not _finite(x_next):
+            raise IntegrationDiverged(times[k + 1], x.copy())
+        x = x_next
+    return x
+
+
+def _em_step(sys: SdeSystem, path: WienerPath) -> Callable:
+    """The Euler-Maruyama step ``(x_k, k) -> x_{k+1}`` on the mesh of ``path``."""
+    f, s, dt = sys.drift, sys.diffusion, path.dt
+    w = np.moveaxis(path.values, -1, 0)[..., None]
+    return lambda x, k: (x + np.asarray(f(x), float) * dt
+                         + np.asarray(s(x), float) * (w[k + 1] - w[k]))
+
+
 def euler_maruyama(sys: SdeSystem, x0, path: WienerPath) -> Trajectory:
     """Ito stepping x_{k+1} = x_k + f(x_k) dt + sigma(x_k) dw_k on the path mesh.
 
@@ -437,11 +467,8 @@ def euler_maruyama(sys: SdeSystem, x0, path: WienerPath) -> Trajectory:
     """
     if sys.convention != ITO:
         raise ValueError("euler_maruyama expects an Ito-form system")
-    f, s, dt = sys.drift, sys.diffusion, path.dt
     x = _initial_state(sys, x0, path.values.shape[:-1])
-    w = np.moveaxis(path.values, -1, 0)[..., None]
-    return _step_path(x, path.times, lambda x, k: x + np.asarray(f(x), float) * dt
-                      + np.asarray(s(x), float) * (w[k + 1] - w[k]))
+    return _step_path(x, path.times, _em_step(sys, path))
 
 
 def heun_stratonovich(sys: SdeSystem, x0, path: WienerPath) -> Trajectory:
@@ -467,21 +494,20 @@ def heun_stratonovich(sys: SdeSystem, x0, path: WienerPath) -> Trajectory:
     return _step_path(x, path.times, step)
 
 
-def ode_drive(sys: SdeSystem, x0, noise: PiecewiseLinearNoise) -> Trajectory:
-    """Integrate the pathwise ODE dx/dt = f(x) + sigma(x) dw/dt with RK4.
+def _rk4_step(sys: SdeSystem, noise: PiecewiseLinearNoise) -> Callable:
+    """The classical RK4 step ``(x_k, k) -> x_{k+1}`` across knot interval k.
 
-    The noise slope is constant on each knot interval, so each interval is
-    one classical RK4 step and the states sit at the knot times.  The
-    system is interpreted pathwise, without reference to a stochastic
-    convention.  A batched ``noise`` steps one state row per interpolant.
+    The slope (v_{k+1} - v_k) / h_k is read from the knot values at each
+    step, the same IEEE operations as :attr:`PiecewiseLinearNoise.slopes`,
+    so no array of slopes is built.
     """
     f, g = sys.drift, sys.diffusion
-    x = _initial_state(sys, x0, noise.knot_values.shape[:-1])
-    slopes = np.moveaxis(noise.slopes, -1, 0)[..., None]
+    v = np.moveaxis(noise.knot_values, -1, 0)[..., None]
     widths = np.diff(noise.knot_times).tolist()
 
     def step(x, k):
-        h, s = widths[k], slopes[k]
+        h = widths[k]
+        s = (v[k + 1] - v[k]) / h
         half = 0.5 * h
         rhs = lambda y: np.asarray(f(y), float) + np.asarray(g(y), float) * s
         k1 = rhs(x)
@@ -490,7 +516,19 @@ def ode_drive(sys: SdeSystem, x0, noise: PiecewiseLinearNoise) -> Trajectory:
         k4 = rhs(x + h * k3)
         return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    return _step_path(x, noise.knot_times, step)
+    return step
+
+
+def ode_drive(sys: SdeSystem, x0, noise: PiecewiseLinearNoise) -> Trajectory:
+    """Integrate the pathwise ODE dx/dt = f(x) + sigma(x) dw/dt with RK4.
+
+    The noise slope is constant on each knot interval, so each interval is
+    one classical RK4 step and the states sit at the knot times.  The
+    system is interpreted pathwise, without reference to a stochastic
+    convention.  A batched ``noise`` steps one state row per interpolant.
+    """
+    x = _initial_state(sys, x0, noise.knot_values.shape[:-1])
+    return _step_path(x, noise.knot_times, _rk4_step(sys, noise))
 
 
 def write_header(fh, header_lines) -> None:

@@ -19,29 +19,32 @@ import numpy as np
 from . import brockett
 from .brockett import ClosedLoop, DiffusionDesign, SystemParams
 from .lyapunov import ScalarField, generator, v2_gradient
-from .sde import (ITO, NORM_SQ_BOUND, STRATONOVICH, SdeSystem,
-                  euler_maruyama, ode_drive, piecewise_linear_lift,
-                  sample_wiener, stratonovich_to_ito, wiener_increments,
-                  write_csv, write_header)
+from .sde import (ITO, NORM_SQ_BOUND, STRATONOVICH, SdeSystem, _em_step,
+                  _final_state, _initial_state, _rk4_step,
+                  piecewise_linear_lift, sample_wiener, stratonovich_to_ito,
+                  wiener_increments, write_csv, write_header)
 
 
 # Samples one block of a per-path experiment holds at once (2 MiB of
-# float64): its fine path plus the scalar state history of the one
-# integrator run that steps it, 2 * rows * (n_steps + 1) in all.  At 4096
-# steps a block holds up to 31 paths.
+# float64).  A strong-order row holds its fine path plus the scalar state
+# history of the one integrator run that steps it, 2 * (n_steps + 1)
+# samples; a Wong-Zakai row holds its fine path alone, n_steps + 1, since
+# its lifts are views of the path and its runs keep only the final state.
+# At 4096 steps a block holds up to 31 and 63 rows.
 _BLOCK_SAMPLES = 1 << 18
 
 
-def _path_blocks(n_paths: int, n_steps: int):
+def _path_blocks(n_paths: int, row_samples: int):
     """Consecutive slices covering range(n_paths) in the fewest blocks.
 
-    Each block holds at most _BLOCK_SAMPLES // (2 * (n_steps + 1)) paths (at
-    least one), and block sizes differ by at most one, larger blocks first,
-    so no short tail block pays for a whole pass of the integrator.
+    ``row_samples`` is what one path holds while its block runs.  Each block
+    holds at most _BLOCK_SAMPLES // row_samples paths (at least one), and
+    block sizes differ by at most one, larger blocks first, so no short tail
+    block pays for a whole pass of the integrator.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
-    cap = max(1, _BLOCK_SAMPLES // (2 * (n_steps + 1)))
+    cap = max(1, _BLOCK_SAMPLES // row_samples)
     n_blocks = -(-n_paths // cap)
     size, extra = divmod(n_paths, n_blocks)
     lo = 0
@@ -564,7 +567,9 @@ def wong_zakai_experiment(x0: float, horizon: float, meshes, n_real: int,
     is integrated with RK4 steps aligned to the knots, and the terminal value
     is compared with x0 exp(w(T)).  An uncorrected Ito Euler-Maruyama run on
     the fine mesh provides the contrast statistic.  Realizations are stepped
-    in blocks of batched paths; each one's result is that of its own path.
+    in blocks of batched paths, each run only to its final state; each
+    one's result is that of its own path, bit for bit that of
+    :func:`ode_drive` and :func:`euler_maruyama`.
     """
     # from x0 = 0 every path stays at 0, and a zero MSE would pass vacuously
     if not (x0 != 0.0 and np.isfinite(x0)):
@@ -593,19 +598,20 @@ def wong_zakai_experiment(x0: float, horizon: float, meshes, n_real: int,
     seeds = path_seeds(seed, n_real)
     sq_err = np.empty((len(meshes), n_real))
     log_ratio = np.empty(n_real)
-    for blk in _path_blocks(n_real, n_fine):
+    # every run keeps only its final state, and every mesh divides n_fine,
+    # so each lift is a view: a block holds its fine path and nothing more
+    for blk in _path_blocks(n_real, n_fine + 1):
         path = sample_wiener(dt_fine, horizon, seeds[blk])
         oracle = x0 * np.exp(path.values[:, -1])
+        x = _initial_state(ito_sys, [x0], path.values.shape[:-1])
         for j, m in enumerate(meshes):
             lift = piecewise_linear_lift(path, n_fine // m)
-            traj = ode_drive(pathwise_sys, [x0], lift)
-            sq_err[j, blk] = (traj.terminal[:, 0] - oracle) ** 2
-            # the EM run below must not sit beside the finest lift: the block
-            # budget counts the path and one integrator history only
-            del lift, traj
-        em = euler_maruyama(ito_sys, [x0], path)
-        log_ratio[blk] = np.log(em.terminal[:, 0] / oracle)
-        del path, em
+            x_n = _final_state(x, lift.knot_times, _rk4_step(pathwise_sys, lift))
+            sq_err[j, blk] = (x_n[:, 0] - oracle) ** 2
+        x_n = _final_state(x, path.times, _em_step(ito_sys, path))
+        log_ratio[blk] = np.log(x_n[:, 0] / oracle)
+        # the next block's path must not be drawn beside this one
+        del path, lift
     return WongZakaiReport(
         meshes=meshes,
         mse=sq_err.mean(axis=1),
@@ -653,7 +659,8 @@ def strong_order_estimate(integrate: Callable, sys: SdeSystem,
     x0 = np.asarray(x0, dtype=float)
     seeds = path_seeds(seed, n_paths)
     errs = np.empty((len(dts), n_paths))
-    for blk in _path_blocks(n_paths, n_fine):
+    # a row holds its fine path and the state history of one integrator run
+    for blk in _path_blocks(n_paths, 2 * (n_fine + 1)):
         fine = sample_wiener(dt_min, horizon, seeds[blk])
         ref = np.asarray(exact_terminal(x0, fine.horizon, fine.values[:, -1:]), float)
         for j, fac in enumerate(factors):

@@ -234,6 +234,23 @@ def test_closed_loop_generator_negative():
     assert np.all(br_axis.value() < 0.0)
 
 
+@pytest.mark.parametrize("k", [1.0, 1e-4])
+def test_generator_negative_on_log_radial_rays_near_the_axis(k):
+    # |x12| from 1e-160 to 1e-130 spans the X patch and the G = 0 branch of
+    # the control law; a row off the patch with G below G_ZERO and F > 0
+    # would take the u = 0 branch and give LV = F > 0
+    r = np.logspace(-160, -130, 3001)
+    d = DiffusionDesign(k, k)
+    for x3 in (0.01, 0.03, 0.044, 0.1, 0.5, 1.0):
+        for angle in (0.0, 0.7, np.pi / 2):
+            t = loop_columns(P44, d, r * np.cos(angle), r * np.sin(angle),
+                             np.full_like(r, x3))
+            (lg1, lg2), (u1, u2) = t.lg, t.control
+            lv = t.f_term + (lg1 * u1 + lg2 * u2)
+            bad = ~(lv < 0.0)
+            assert not bad.any(), (x3, angle, r[bad][:3], lv[bad][:3])
+
+
 @pytest.mark.parametrize("p", PARITY_PLANTS)
 @pytest.mark.parametrize("d", PARITY_DESIGNS)
 def test_closed_loop_matches_einsum_oracle(p, d):

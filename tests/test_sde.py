@@ -13,8 +13,9 @@ from stostab import (ITO, STRATONOVICH, IntegrationDiverged,
                      euler_maruyama, heun_stratonovich, ode_drive,
                      piecewise_linear_lift, sample_wiener, stratonovich_to_ito,
                      trajectory_to_csv)
-from stostab.sde import (DIVERGENCE_BOUND, NORM_SQ_BOUND, _finite, jacobian_fd,
-                         seed_states, wiener_increments, write_csv)
+from stostab.sde import (DIVERGENCE_BOUND, NORM_SQ_BOUND, _em_step, _final_state,
+                         _finite, _initial_state, _rk4_step, _step_path,
+                         jacobian_fd, seed_states, wiener_increments, write_csv)
 from stostab.verify import path_seeds
 
 import step_oracle
@@ -481,6 +482,68 @@ def test_steppers_equal_the_reference_steppers(run, reference, convention):
             run(sys, x0, wild)
         with pytest.raises(IntegrationDiverged) as want:
             reference(sys, x0, wild)
+        assert got.value.time == want.value.time
+        assert np.array_equal(got.value.state, want.value.state)
+
+
+def _fancy_lift(path, coarsening):
+    # the knots by index arrays, as the lift builds them when the coarsening
+    # does not divide the increments
+    n_samples = path.values.shape[-1]
+    idx = np.arange(0, n_samples, coarsening)
+    if idx[-1] != n_samples - 1:
+        idx = np.append(idx, n_samples - 1)
+    return path.times[idx], path.values[..., idx]
+
+
+# 4100 increments: coarsenings 1, 4 and 41 divide them, 3 and 64 do not
+LONG = sample_wiener(2.0 ** -12, 4100 * 2.0 ** -12, path_seeds(5, 16))
+COARSENINGS = (1, 3, 4, 41, 64)
+
+
+def test_lift_knots_are_a_view_when_the_coarsening_divides():
+    assert LONG.values.shape == (16, 4101)
+    for c in COARSENINGS:
+        lift = piecewise_linear_lift(LONG, c)
+        times, values = _fancy_lift(LONG, c)
+        assert np.array_equal(lift.knot_times, times)
+        assert np.array_equal(lift.knot_values, values)
+        assert np.shares_memory(lift.knot_values, LONG.values) == (4100 % c == 0)
+
+
+def test_final_state_is_the_last_recorded_state():
+    # only the final state is kept, with the bits of the full run and of
+    # the reference steppers
+    scalar = SdeSystem(1, ZERO, IDENT, STRATONOVICH)
+    system3 = SdeSystem(3, _field3, _noise3, STRATONOVICH)
+    x0_3 = np.tile(X0_3, (4, 1))[:16] * 0.1
+    for sys, x0 in ((scalar, [0.7]), (system3, x0_3)):
+        ito = SdeSystem(sys.dim, sys.drift, sys.diffusion, ITO)
+        x = _initial_state(sys, x0, (16,))
+        runs = [(LONG.times, _em_step(ito, LONG),
+                 step_oracle.euler_maruyama(ito, x0, LONG))]
+        for c in COARSENINGS:
+            lift = piecewise_linear_lift(LONG, c)
+            runs.append((lift.knot_times, _rk4_step(sys, lift),
+                         step_oracle.ode_drive(sys, x0, lift)))
+        for times, step, reference in runs:
+            last = _final_state(x, times, step)
+            assert last.shape == (16, sys.dim)
+            assert np.array_equal(last, _step_path(x, times, step).states[-1])
+            assert np.array_equal(last, reference.states[-1])
+
+
+def test_final_state_diverges_where_the_full_run_does():
+    cubic = SdeSystem(1, lambda x: x * x * x, IDENT, ITO)
+    wild = sample_wiener(0.25, 2.0, SEEDS[:3])
+    x = _initial_state(cubic, [[0.1], [0.2], [4.0]], (3,))
+    lift = piecewise_linear_lift(wild, 1)
+    for times, step in ((wild.times, _em_step(cubic, wild)),
+                        (lift.knot_times, _rk4_step(cubic, lift))):
+        with pytest.raises(IntegrationDiverged) as got:
+            _final_state(x, times, step)
+        with pytest.raises(IntegrationDiverged) as want:
+            _step_path(x, times, step)
         assert got.value.time == want.value.time
         assert np.array_equal(got.value.state, want.value.state)
 

@@ -494,17 +494,17 @@ def test_strong_order_heun_is_first_order():
     assert 0.8 <= slope <= 1.2
 
 
-def block_sizes(n_paths, n_steps):
-    return [blk.stop - blk.start for blk in verify._path_blocks(n_paths, n_steps)]
+def block_sizes(n_paths, row_samples):
+    return [blk.stop - blk.start for blk in verify._path_blocks(n_paths, row_samples)]
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 500), st.integers(1, 1 << 17),
+@given(st.integers(1, 500), st.integers(1, 1 << 18),
        st.one_of(st.just(verify._BLOCK_SAMPLES), st.integers(1, 1 << 22)))
-def test_path_blocks_split_evenly_under_the_budget(n_paths, n_steps, budget):
+def test_path_blocks_split_evenly_under_the_budget(n_paths, row_samples, budget):
     with mock.patch.object(verify, "_BLOCK_SAMPLES", budget):
-        blocks = list(verify._path_blocks(n_paths, n_steps))
-    cap = max(1, budget // (2 * (n_steps + 1)))
+        blocks = list(verify._path_blocks(n_paths, row_samples))
+    cap = max(1, budget // row_samples)
     assert all(blk.step is None for blk in blocks)
     # consecutive, in order, covering every path once
     assert [blk.start for blk in blocks] == [0] + [blk.stop for blk in blocks[:-1]]
@@ -516,38 +516,47 @@ def test_path_blocks_split_evenly_under_the_budget(n_paths, n_steps, budget):
 
 
 def test_path_blocks_at_the_experiment_sizes():
-    # 4096 fine steps hold 31 paths: the benchmark's 50 realizations, the
-    # 100 of criterion 5, the 200 paths of criterion 6 and 2 paths
-    assert block_sizes(50, 4096) == [25, 25]
-    assert block_sizes(100, 4096) == [25] * 4
-    assert block_sizes(200, 4096) == [29] * 4 + [28] * 3
-    assert block_sizes(2, 4096) == [2]
+    # at 4096 fine steps a strong-order row holds its path and one history
+    # (31 rows a block): the 200 paths of criterion 6 and 2 paths.  A
+    # Wong-Zakai row holds its path alone (63 rows a block): the
+    # benchmark's 50 realizations, the 100 of criterion 5, and 200
+    strong, wong_zakai = 2 * 4097, 4097
+    assert block_sizes(200, strong) == [29] * 4 + [28] * 3
+    assert block_sizes(2, strong) == [2]
+    assert block_sizes(50, wong_zakai) == [50]
+    assert block_sizes(100, wong_zakai) == [50, 50]
+    assert block_sizes(200, wong_zakai) == [50] * 4
     for n_paths in (0, -1):
         with pytest.raises(ValueError, match=f"n_paths must be positive, got {n_paths}"):
-            block_sizes(n_paths, 4096)
+            block_sizes(n_paths, wong_zakai)
 
 
 def test_wong_zakai_holds_one_block_budget():
-    # a block holds its fine path and one integrator history, 2 * 8 bytes
-    # per sample of the budget; one 50-row block would need about 3.2 MiB.
-    # A small run first, so one-time allocations of the first call (about
-    # 0.7 MiB) are not counted.
+    # a block holds its fine path, 8 bytes per sample of the budget: the
+    # lifts are views of it and every run keeps only its final state, so
+    # 50 rows of 4097 samples (1.6 MiB) run as one block, and 100 as two
+    # blocks that never sit side by side.  A copied lift beside the path,
+    # or an array of its slopes, would pass 2 MiB.  A small run first, so
+    # one-time allocations of the first call (about 0.7 MiB) are not
+    # counted.
     wong_zakai_experiment(1.0, 1.0, (2, 4), n_real=50, seed=3)
-    tracemalloc.start()
-    try:
-        wong_zakai_experiment(1.0, 1.0, (16, 64, 256, 1024), n_real=50, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * verify._BLOCK_SAMPLES
+    for n_real in (50, 100):
+        tracemalloc.start()
+        try:
+            wong_zakai_experiment(1.0, 1.0, (16, 64, 256, 1024), n_real=n_real, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * verify._BLOCK_SAMPLES
 
 
 def test_blocked_experiments_equal_the_per_path_loops(monkeypatch):
-    # 16 paths per block on a 64-step fine mesh: 40 paths and 50
-    # realizations span blocks of 14/13/13 and 13/13/12/12
-    monkeypatch.setattr(verify, "_BLOCK_SAMPLES", 2 * 65 * 16)
-    assert block_sizes(40, 64) == [14, 13, 13]
-    assert block_sizes(50, 64) == [13, 13, 12, 12]
+    # 13 rows of 65 samples per block on a 64-step fine mesh: the
+    # strong-order rows hold 130 samples, so 40 paths span blocks of
+    # 6/6/6/6/6/5/5, and 50 realizations span 13/13/12/12
+    monkeypatch.setattr(verify, "_BLOCK_SAMPLES", 65 * 13)
+    assert block_sizes(40, 2 * 65) == [6] * 5 + [5] * 2
+    assert block_sizes(50, 65) == [13, 13, 12, 12]
     zero = lambda x: np.zeros_like(x)
     ident = lambda x: np.asarray(x, float)
     dts = [2.0 ** -k for k in range(3, 7)]
