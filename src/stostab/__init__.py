@@ -11,17 +11,14 @@ from .brockett import (CONTINUITY_RADII, ClosedLoop, DesignReport,
                        check_design_conditions, closed_loop,
                        controllability_rank, diffusion_b, eigs_sym2, g_matrix,
                        h_matrix, loop_columns, randomized_drift, sigma)
-from .lyapunov import (GeneratorBreakdown, ScalarField, generator,
-                       sontag_control, v1_eval, v1_field, v1_gradient,
-                       v1_hessian, v2_eval, v2_field, v2_gradient, v2_hessian)
+from .lyapunov import sontag_control, v2_eval, v2_gradient, v2_hessian
 from .sde import (ITO, STRATONOVICH, IntegrationDiverged, PiecewiseLinearNoise,
                   SdeSystem, Trajectory, WienerPath, euler_maruyama,
                   heun_stratonovich, ode_drive, piecewise_linear_lift,
-                  sample_wiener, stratonovich_to_ito, trajectory_to_csv)
-from .verify import (FormulaCheckReport, GridSpec, ScanReport, SclfReport,
-                     SmallControlReport, StabilityReport, WongZakaiReport,
-                     lfv2_formula_check, mc_stability, scan_generator,
-                     sclf_condition_check, small_control_scan,
+                  sample_wiener, trajectory_to_csv)
+from .verify import (GridSpec, ScanReport, SclfReport, SmallControlReport,
+                     StabilityReport, WongZakaiReport, mc_stability,
+                     scan_generator, sclf_condition_check, small_control_scan,
                      strong_order_estimate, wilson_interval,
                      wong_zakai_experiment, write_scan_csv, write_summary)
 
@@ -31,17 +28,14 @@ __all__ = [
     "ITO", "STRATONOVICH", "IntegrationDiverged", "PiecewiseLinearNoise",
     "SdeSystem", "Trajectory", "WienerPath", "euler_maruyama",
     "heun_stratonovich", "ode_drive", "piecewise_linear_lift", "sample_wiener",
-    "stratonovich_to_ito", "trajectory_to_csv",
-    "GeneratorBreakdown", "ScalarField", "generator", "sontag_control",
-    "v1_eval", "v1_field", "v1_gradient", "v1_hessian", "v2_eval", "v2_field",
-    "v2_gradient", "v2_hessian",
+    "trajectory_to_csv",
+    "sontag_control", "v2_eval", "v2_gradient", "v2_hessian",
     "CONTINUITY_RADII", "ClosedLoop", "DesignReport", "DiffusionDesign",
     "LoopColumns", "SystemParams", "check_design_conditions", "closed_loop",
     "controllability_rank", "diffusion_b", "eigs_sym2", "g_matrix", "h_matrix",
     "loop_columns", "randomized_drift", "sigma",
-    "FormulaCheckReport", "GridSpec", "ScanReport", "SclfReport",
-    "SmallControlReport", "StabilityReport", "WongZakaiReport",
-    "lfv2_formula_check", "mc_stability", "scan_generator",
+    "GridSpec", "ScanReport", "SclfReport", "SmallControlReport",
+    "StabilityReport", "WongZakaiReport", "mc_stability", "scan_generator",
     "sclf_condition_check", "small_control_scan", "strong_order_estimate",
     "wilson_interval", "wong_zakai_experiment", "write_scan_csv",
     "write_summary",

@@ -34,7 +34,8 @@ from .sde import ITO, SdeSystem
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Plant gains b1..b4; the constructor enforces controllability."""
+    """Plant gains b1..b4; the constructor enforces finiteness and
+    controllability."""
 
     b1: float
     b2: float
@@ -42,6 +43,9 @@ class SystemParams:
     b4: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.b1 == 0.0:
             raise ValueError("b1 must be nonzero")
         if self.b2 == 0.0:
@@ -54,15 +58,17 @@ class SystemParams:
 class DiffusionDesign:
     """Gains k1, k2 of the noise design.
 
-    Negative gains are rejected.  Zero gains are tolerated so the no-noise
-    loop can be assembled as a negative control; a working design needs both
-    strictly positive.
+    Negative and non-finite gains are rejected.  Zero gains are tolerated so
+    the no-noise loop can be assembled as a negative control; a working
+    design needs both strictly positive.
     """
 
     k1: float
     k2: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.k1) and np.isfinite(self.k2)):
+            raise ValueError("design gains must be finite")
         if self.k1 < 0.0 or self.k2 < 0.0:
             raise ValueError("design gains must be nonnegative")
 

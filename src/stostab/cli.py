@@ -19,6 +19,7 @@ verification failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -112,21 +113,28 @@ FLAG_HELP = {
 }
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _convert(key: str, raw, kind: str):
     text = str(raw).strip()
     try:
         if kind == "int":
             return int(text)
         if kind == "float":
-            return float(text)
+            return _finite(text)
         if kind == "optfloat":
-            return None if text.lower() == "none" else float(text)
+            return None if text.lower() == "none" else _finite(text)
         if kind == "bool":
             if text.lower() in ("true", "false"):
                 return text.lower() == "true"
             raise ValueError("expected true or false")
         if kind == "floats3":
-            parts = tuple(float(v) for v in text.split(","))
+            parts = tuple(_finite(v) for v in text.split(","))
             if len(parts) != 3:
                 raise ValueError("expected three comma-separated numbers")
             return parts

@@ -1,24 +1,23 @@
-"""Lyapunov candidates, their exact derivatives, the diffusion generator,
-and the universal-formula feedback.
+"""The Lyapunov candidate v2, its exact derivatives, and the universal-formula
+feedback.
 
-Two candidates for the integrator state (x1, x2, x3), writing
-X = x1^2 + x2^2:
+For the integrator state (x1, x2, x3), writing X = x1^2 + x2^2, the obvious
+quadratic x1^2 + x2^2 + x3^2 has a control derivative that vanishes
+identically on the plane M = {x1 = x2 = 0}, which is what obstructs a
+continuous stabilizer.  The candidate used instead,
 
-* ``v1`` = x1^2 + x2^2 + x3^2, the obvious quadratic.  Its control
-  derivative vanishes identically on the plane M = {x1 = x2 = 0}, which is
-  what obstructs a continuous stabilizer.
-* ``v2`` = 2 x3^2 - (X/2)(1 + x3^2) + 2 (X/2)^(1 + x3^2/2), positive
-  definite and shaped so that its Hessian restricted to M is
-  diag(-(1+x3^2), -(1+x3^2), 4): concave down exactly where noise has to do
-  the work.
+    v2 = 2 x3^2 - (X/2)(1 + x3^2) + 2 (X/2)^(1 + x3^2/2),
+
+is positive definite and shaped so that its Hessian restricted to M is
+diag(-(1+x3^2), -(1+x3^2), 4): concave down exactly where noise has to do
+the work.
 
 All evaluators broadcast over leading batch axes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,21 +38,6 @@ def _columns(x) -> tuple:
     """The coordinate columns (x1, x2, x3) of a batch of states."""
     x = np.asarray(x, dtype=float)
     return x[..., 0], x[..., 1], x[..., 2]
-
-
-def v1_eval(x):
-    """The quadratic candidate x1^2 + x2^2 + x3^2."""
-    x = np.asarray(x, dtype=float)
-    return np.einsum('...i,...i->...', x, x)
-
-
-def v1_gradient(x):
-    return 2.0 * np.asarray(x, dtype=float)
-
-
-def v1_hessian(x):
-    x = np.asarray(x, dtype=float)
-    return np.broadcast_to(2.0 * np.eye(3), x.shape[:-1] + (3, 3)).copy()
 
 
 def v2_eval(x):
@@ -156,69 +140,6 @@ def v2_hessian(x):
     row2 = np.stack([h12, h22, h23], axis=-1)
     row3 = np.stack([h13, h23, h33], axis=-1)
     return np.stack([row1, row2, row3], axis=-2)
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """Scalar field with value/gradient/hessian evaluators."""
-
-    value: Callable
-    gradient: Callable
-    hessian: Callable
-
-
-def v1_field() -> ScalarField:
-    return ScalarField(v1_eval, v1_gradient, v1_hessian)
-
-
-def v2_field() -> ScalarField:
-    return ScalarField(v2_eval, v2_gradient, v2_hessian)
-
-
-@dataclass(frozen=True, eq=False)
-class GeneratorBreakdown:
-    """Parts of the diffusion generator of a field V along an SDE.
-
-    ``lf_v`` is grad V . f, ``trace_term`` is (1/2) sigma^T (Hess V) sigma,
-    and ``lg_v`` (present only when a control matrix was supplied) is the row
-    grad V . g awaiting a control.
-    """
-
-    lf_v: np.ndarray
-    trace_term: np.ndarray
-    lg_v: Optional[np.ndarray] = None
-
-    def value(self):
-        """Generator value with no control, lf_v + trace_term."""
-        return self.lf_v + self.trace_term
-
-
-def generator(field: ScalarField, drift, diffusion, x,
-              control_matrix=None) -> GeneratorBreakdown:
-    """Evaluate the generator of ``field`` at x, split into its parts.
-
-    ``drift`` and ``diffusion`` may be None, meaning identically zero.  The
-    trace term uses the Ito-form diffusion; callers must convert Stratonovich
-    systems first.
-    """
-    x = np.asarray(x, dtype=float)
-    grad = np.asarray(field.gradient(x), float)
-    zeros = np.zeros(x.shape[:-1])
-    if drift is None:
-        lf = zeros.copy()
-    else:
-        lf = np.einsum('...i,...i->...', grad, np.asarray(drift(x), float))
-    if diffusion is None:
-        trace = zeros.copy()
-    else:
-        s = np.asarray(diffusion(x), float)
-        hess = np.asarray(field.hessian(x), float)
-        trace = 0.5 * np.einsum('...i,...ij,...j->...', s, hess, s)
-    lg = None
-    if control_matrix is not None:
-        lg = np.einsum('...i,...ik->...k', grad,
-                       np.asarray(control_matrix(x), float))
-    return GeneratorBreakdown(lf, trace, lg)
 
 
 def _sontag_factor(f_term, g_term):

@@ -77,31 +77,6 @@ def _finite(x: np.ndarray) -> bool:
     return bool(((x * x).sum(-1) <= NORM_SQ_BOUND).all())
 
 
-def fd_step(coord: np.ndarray) -> np.ndarray:
-    """Central-difference step for Jacobians: max(1e-6, 1e-6 |coordinate|)."""
-    return np.maximum(1e-6, 1e-6 * np.abs(coord))
-
-
-def jacobian_fd(fn: Callable, x) -> np.ndarray:
-    """Central-difference Jacobian of a vector field, one column per coordinate.
-
-    ``fn`` must broadcast over batches; the result has shape ``(..., n, n)``
-    for input of shape ``(..., n)``.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    cols = []
-    for j in range(n):
-        h = fd_step(x[..., j])
-        xp = x.copy()
-        xp[..., j] += h
-        xm = x.copy()
-        xm[..., j] -= h
-        cols.append((np.asarray(fn(xp), float) - np.asarray(fn(xm), float))
-                    / (2.0 * h)[..., None])
-    return np.stack(cols, axis=-1)
-
-
 @dataclass(frozen=True)
 class SdeSystem:
     """Drift/diffusion pair with a declared convention."""
@@ -361,25 +336,6 @@ def piecewise_linear_lift(path: WienerPath, coarsening: int) -> PiecewiseLinearN
                                     path.values[..., ::coarsening])
     idx = np.append(np.arange(0, n_samples, coarsening), n_samples - 1)
     return PiecewiseLinearNoise(path.times[idx], path.values[..., idx])
-
-
-def stratonovich_to_ito(sys: SdeSystem) -> SdeSystem:
-    """Add the drift correction (1/2)(d sigma/dx) sigma; diffusion unchanged.
-
-    The input must be declared Stratonovich; converting an Ito system is an
-    error rather than a silent no-op.  d sigma/dx is taken by
-    :func:`jacobian_fd`.
-    """
-    if sys.convention != STRATONOVICH:
-        raise ValueError("stratonovich_to_ito expects a Stratonovich system")
-    drift, diffusion = sys.drift, sys.diffusion
-
-    def corrected(x):
-        s = np.asarray(diffusion(x), float)
-        corr = 0.5 * np.einsum('...ij,...j->...i', jacobian_fd(diffusion, x), s)
-        return np.asarray(drift(x), float) + corr
-
-    return SdeSystem(sys.dim, corrected, diffusion, ITO)
 
 
 @dataclass(frozen=True, eq=False)

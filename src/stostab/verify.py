@@ -18,11 +18,10 @@ import numpy as np
 
 from . import brockett
 from .brockett import ClosedLoop, DiffusionDesign, SystemParams
-from .lyapunov import ScalarField, generator, v2_gradient
 from .sde import (ITO, NORM_SQ_BOUND, STRATONOVICH, SdeSystem, _em_step,
                   _final_state, _initial_state, _rk4_step,
-                  piecewise_linear_lift, sample_wiener, stratonovich_to_ito,
-                  wiener_increments, write_csv, write_header)
+                  piecewise_linear_lift, sample_wiener, wiener_increments,
+                  write_csv, write_header)
 
 
 # Samples one block of a per-path experiment holds at once (2 MiB of
@@ -225,32 +224,22 @@ class SclfReport:
         return (not self.vacuous) and self.n_holds == self.n_tested
 
 
-def sclf_condition_check(f: Optional[Callable], g: Callable, b: Callable,
-                         field: ScalarField, grid: GridSpec) -> SclfReport:
-    """On points where ||grad V . g|| < 1e-6, test the noise condition
+def sclf_condition_check(p: SystemParams, d: DiffusionDesign,
+                         grid: GridSpec) -> SclfReport:
+    """On the grid points where ||L_g v2|| < 1e-6, test the noise condition
 
-        (1/2) B^T (g^T Hess V g) B + (1/2) grad V . (d(gB)/dx)(gB) < -L_f V.
+        (1/2) B^T (g^T Hess v2 g) B + (1/2) grad v2 . (d(gB)/dx)(gB) < -L_f v2.
 
-    ``f`` may be None for a driftless plant.  The margin is the generator of
-    V along the Ito form of dx = f dt + (gB) o dw, whose d(gB)/dx is taken by
-    central differences so arbitrary (g, B) callables can be audited.
+    The plant is driftless, so L_f v2 = 0.  Where L_g v2 = 0 the
+    pre-feedback g v adds nothing to the generator, so the left side is the
+    kernel's F, read from one :func:`brockett.loop_columns` pass.
     """
     pts = grid.points()
-    lg = generator(field, None, None, pts, control_matrix=g).lg_v
-    mask = np.linalg.norm(lg, axis=-1) < 1e-6
-    if not mask.any():
-        return SclfReport(0, 0, np.empty(0), np.empty((0, 3)), True)
-    sub = pts[mask]
-
-    def sig(y):
-        bv = b(y)
-        bv = np.stack(bv, axis=-1) if isinstance(bv, tuple) else np.asarray(bv, float)
-        return np.einsum('...ik,...k->...i', np.asarray(g(y), float), bv)
-
-    ito = stratonovich_to_ito(SdeSystem(3, f or np.zeros_like, sig, STRATONOVICH))
-    margins = generator(field, ito.drift, ito.diffusion, sub).value()
-    holds = margins < 0.0
-    return SclfReport(int(mask.sum()), int(holds.sum()), margins, sub, False)
+    t = brockett.loop_columns(p, d, pts[:, 0], pts[:, 1], pts[:, 2])
+    mask = np.hypot(*t.lg) < 1e-6
+    margins = t.f_term[mask]
+    return SclfReport(len(margins), int((margins < 0.0).sum()), margins,
+                      pts[mask], not mask.any())
 
 
 @dataclass(eq=False)
@@ -476,61 +465,6 @@ def small_control_scan(cl: ClosedLoop, n_dirs: int, seed: int) -> SmallControlRe
         u = cl.control(r * dirs)
         out.append(float(np.linalg.norm(u, axis=1).max()))
     return SmallControlReport(radii, np.asarray(out), n_dirs, seed)
-
-
-@dataclass(eq=False)
-class FormulaCheckReport:
-    """Agreement between closed-form displays and the closed-loop kernel."""
-
-    n_points: int
-    max_abs_drift_term: float
-    n_slice: int
-    max_abs_control_quadratic: float
-    max_abs_noise_quadratic: float
-
-
-def lfv2_formula_check(p: SystemParams, d: DiffusionDesign,
-                       grid: GridSpec) -> FormulaCheckReport:
-    """Cross-check three hand-derived expressions against the kernel.
-
-    (a) The drift term grad v2 . (0, 0, -(1/2)(b1 b4 - b2 b3) B1 B2) against
-    its expanded closed form; (b) on the x3 = 0 slice, ||L_g v2||^2 against
-    b1^2 x1^2 + b2^2 x2^2; (c) same slice, the noise quadratic B^T H B
-    against its expanded form.  All comparisons skip X <= 1e-3 where the
-    expansions lose meaning.
-    """
-    pts = grid.points()
-    big_x = pts[:, 0] ** 2 + pts[:, 1] ** 2
-    pts = pts[big_x > 1e-3]
-    big_x = big_x[big_x > 1e-3]
-    x3 = pts[:, 2]
-    t = brockett.loop_columns(p, d, pts[:, 0], pts[:, 1], x3)
-    b1v, b2v = t.b1, t.b2
-    coef = p.b2 * p.b3 - p.b1 * p.b4
-    f3 = 0.5 * coef * b1v * b2v
-    direct = v2_gradient(pts)[:, 2] * f3
-    closed = -(2.0 ** (-1.0 - 0.5 * x3 ** 2)) * b1v * b2v * coef * x3 * (
-        2.0 ** (0.5 * x3 ** 2) * (big_x - 4.0)
-        + big_x ** (1.0 + 0.5 * x3 ** 2) * np.log(2.0 / big_x))
-    max_drift = float(np.abs(direct - closed).max()) if len(pts) else 0.0
-
-    flat = GridSpec(grid.axis1, grid.axis2, (0.0, 0.0, 1)).points()
-    xf = flat[:, 0] ** 2 + flat[:, 1] ** 2
-    flat = flat[xf > 1e-3]
-    xf = xf[xf > 1e-3]
-    tf = brockett.loop_columns(p, d, flat[:, 0], flat[:, 1], flat[:, 2])
-    g_closed = p.b1 ** 2 * flat[:, 0] ** 2 + p.b2 ** 2 * flat[:, 1] ** 2
-    max_g = float(np.abs(tf.g_term - g_closed).max()) if len(flat) else 0.0
-
-    # On x3 = 0 the drift term of F vanishes, so 2F = sigma^T Hess sigma = B^T H B.
-    b1f, b2f = tf.b1, tf.b2
-    bhb_direct = 2.0 * tf.f_term
-    cross = (p.b4 * b2f * flat[:, 0] - p.b3 * b1f * flat[:, 1]) ** 2
-    bhb_closed = p.b1 ** 2 * b1f ** 2 + p.b2 ** 2 * b2f ** 2 \
-        - xf * cross * np.log(2.0 / xf) - (xf - 4.0) * cross
-    max_bhb = float(np.abs(bhb_direct - bhb_closed).max()) if len(flat) else 0.0
-
-    return FormulaCheckReport(len(pts), max_drift, len(flat), max_g, max_bhb)
 
 
 @dataclass(eq=False)

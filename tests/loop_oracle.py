@@ -1,8 +1,13 @@
-"""Reference evaluation of the closed loop for the kernel parity tests."""
+"""Reference evaluations for the kernel parity tests: the closed loop by
+full-matrix einsums, the generator of a scalar field along an SDE, and
+central-difference Jacobians."""
+
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from stostab import eigs_sym2, g_matrix, sontag_control, v2_gradient, v2_hessian
+from stostab import (eigs_sym2, g_matrix, sontag_control, v2_eval, v2_gradient,
+                     v2_hessian)
 
 
 def oracle_loop(p, d, x):
@@ -29,3 +34,71 @@ def oracle_loop(p, d, x):
     drift = np.einsum('...ik,...k->...i', g, u)
     drift[..., 2] += f3
     return drift, s, u
+
+
+class Field(NamedTuple):
+    """A scalar field V by its value, gradient and Hessian evaluators."""
+
+    value: Callable
+    gradient: Callable
+    hessian: Callable
+
+
+# The quadratic candidate |x|^2, and v2.
+V1 = Field(lambda x: np.einsum('...i,...i->...', x, x),
+           lambda x: 2.0 * np.asarray(x, float),
+           lambda x: np.broadcast_to(2.0 * np.eye(3), np.shape(x)[:-1] + (3, 3)))
+V2 = Field(v2_eval, v2_gradient, v2_hessian)
+
+
+class Generator(NamedTuple):
+    """Parts of the generator of V along an SDE: ``lf_v`` = grad V . f,
+    ``trace_term`` = (1/2) sigma^T (Hess V) sigma, and ``lg_v`` = grad V . g
+    when a control matrix was given."""
+
+    lf_v: np.ndarray
+    trace_term: np.ndarray
+    lg_v: Optional[np.ndarray] = None
+
+    def value(self):
+        """The generator with no control, lf_v + trace_term."""
+        return self.lf_v + self.trace_term
+
+
+def generator(field: Field, drift, diffusion, x, control_matrix=None) -> Generator:
+    """The generator of ``field`` at x by einsums, split into its parts.
+
+    ``drift`` and ``diffusion`` may be None, meaning identically zero; the
+    diffusion must be the Ito-form one.
+    """
+    x = np.asarray(x, dtype=float)
+    grad = np.asarray(field.gradient(x), float)
+    zeros = np.zeros(x.shape[:-1])
+    lf = zeros if drift is None else \
+        np.einsum('...i,...i->...', grad, np.asarray(drift(x), float))
+    trace = zeros
+    if diffusion is not None:
+        s = np.asarray(diffusion(x), float)
+        trace = 0.5 * np.einsum('...i,...ij,...j->...', s,
+                                np.asarray(field.hessian(x), float), s)
+    lg = None
+    if control_matrix is not None:
+        lg = np.einsum('...i,...ik->...k', grad,
+                       np.asarray(control_matrix(x), float))
+    return Generator(lf, trace, lg)
+
+
+def jacobian_fd(fn, x) -> np.ndarray:
+    """Central-difference Jacobian of a batched vector field, one column per
+    coordinate, with step max(1e-6, 1e-6 |x_j|); shape ``(..., n, n)``."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for j in range(x.shape[-1]):
+        h = np.maximum(1e-6, 1e-6 * np.abs(x[..., j]))
+        xp = x.copy()
+        xp[..., j] += h
+        xm = x.copy()
+        xm[..., j] -= h
+        cols.append((np.asarray(fn(xp), float) - np.asarray(fn(xm), float))
+                    / (2.0 * h)[..., None])
+    return np.stack(cols, axis=-1)

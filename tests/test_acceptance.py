@@ -14,9 +14,10 @@ from stostab import (DiffusionDesign, GridSpec, SdeSystem, SystemParams, cli,
                      mc_stability, randomized_drift, sample_wiener,
                      scan_generator, small_control_scan, strong_order_estimate,
                      v2_gradient, v2_hessian, wong_zakai_experiment)
-from stostab.sde import ITO, jacobian_fd
+from stostab.sde import ITO
 
 import exact_oracle
+from loop_oracle import jacobian_fd
 
 P44 = SystemParams(1.0, 1.0, 4.0, 4.0)
 CHAINED = SystemParams(1.0, 1.0, 1.0, 0.0)

@@ -9,12 +9,11 @@ import pytest
 from stostab import (CONTINUITY_RADII, ClosedLoop, DiffusionDesign,
                      SystemParams, check_design_conditions, closed_loop,
                      controllability_rank, diffusion_b, eigs_sym2, g_matrix,
-                     generator, h_matrix, loop_columns, randomized_drift,
-                     sigma, v2_field, v2_hessian)
-from stostab.sde import jacobian_fd
+                     h_matrix, loop_columns, randomized_drift, sigma,
+                     v2_hessian)
 
 import exact_oracle
-from loop_oracle import oracle_loop
+from loop_oracle import V2, generator, jacobian_fd, oracle_loop
 
 P44 = SystemParams(1.0, 1.0, 4.0, 4.0)
 CHAINED = SystemParams(1.0, 1.0, 1.0, 0.0)
@@ -47,12 +46,20 @@ def test_params_validation():
     with pytest.raises(ValueError):
         SystemParams(1.0, 1.0, -4.0, 4.0)
     SystemParams(1.0, 1.0, 1.0, 0.0)  # chained form is fine
+    # nan passes every comparison above, so finiteness is checked first
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="b3 must be finite"):
+            SystemParams(1.0, 1.0, bad, 4.0)
 
 
 def test_design_validation():
     with pytest.raises(ValueError):
         DiffusionDesign(-1e-4, 1e-4)
     DiffusionDesign(0.0, 0.0)  # zero gains allowed for negative controls
+    # nan < 0 is False, so the sign check alone would let it through
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DiffusionDesign(1e-4, bad)
 
 
 def test_g_matrix_examples():
@@ -223,14 +230,14 @@ def test_closed_loop_generator_negative():
     # off the axis the closed-loop generator is -sqrt(F^2+G^2) < 0
     pts = np.random.default_rng(11).uniform(-2, 2, (300, 3))
     pts = pts[np.linalg.norm(pts, axis=1) > 1e-2]
-    br = generator(v2_field(), cl.sde.drift, cl.sde.diffusion, pts)
+    br = generator(V2, cl.sde.drift, cl.sde.diffusion, pts)
     lv = br.value()
     assert np.all(lv < 0.0)
     f, g, _ = columns_stacked(P44, D4, pts)
     assert np.allclose(lv, -np.hypot(f, g), rtol=1e-6, atol=1e-25)
     # on the axis only the noise quadratic acts and it is negative too
     axis = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, -1.5]])
-    br_axis = generator(v2_field(), cl.sde.drift, cl.sde.diffusion, axis)
+    br_axis = generator(V2, cl.sde.drift, cl.sde.diffusion, axis)
     assert np.all(br_axis.value() < 0.0)
 
 

@@ -1,19 +1,18 @@
-"""The two candidate functions, their derivatives, and the generator algebra."""
+"""The two candidate functions, their derivatives, the reference generator,
+and the universal formula."""
 
 import numpy as np
 import pytest
 
-from stostab import (ScalarField, generator, sontag_control, v1_eval,
-                     v1_gradient, v1_hessian, v2_eval, v2_field, v2_gradient,
-                     v2_hessian)
+from stostab import sontag_control, v2_eval, v2_gradient, v2_hessian
 from stostab.lyapunov import _v2_columns
-from stostab.sde import jacobian_fd
 
 from exact_oracle import v2_derivatives
+from loop_oracle import V1, V2, Field, generator, jacobian_fd
 
 
 def fd_value_gradient(x):
-    """Central differences of v2's values, by the package's Jacobian."""
+    """Central differences of v2's values, by the reference Jacobian."""
     return jacobian_fd(lambda y: v2_eval(y)[..., None], x)[..., 0, :]
 
 
@@ -24,11 +23,11 @@ def derivative_cloud():
 
 
 def test_v1_values_and_derivatives():
-    assert v1_eval(np.zeros(3)) == 0.0
-    assert v1_eval(np.array([1.0, 2.0, 3.0])) == 14.0
+    assert V1.value(np.zeros(3)) == 0.0
+    assert V1.value(np.array([1.0, 2.0, 3.0])) == 14.0
     x = np.array([0.3, -0.7, 1.2])
-    assert np.allclose(v1_gradient(x), 2 * x)
-    assert np.allclose(v1_hessian(x), 2 * np.eye(3))
+    assert np.allclose(V1.gradient(x), 2 * x)
+    assert np.allclose(V1.hessian(x), 2 * np.eye(3))
 
 
 def test_v2_pinned_values():
@@ -133,7 +132,7 @@ def test_v2_planar_rotation_invariance():
 
 
 def test_generator_zero_fields():
-    br = generator(v2_field(), None, None, np.array([0.3, 0.1, -1.0]))
+    br = generator(V2, None, None, np.array([0.3, 0.1, -1.0]))
     assert br.lf_v == 0.0
     assert br.trace_term == 0.0
     assert br.lg_v is None
@@ -144,7 +143,7 @@ def test_generator_trace_on_axis():
     # Hessian at (0,0,1) is diag(-2,-2,4); noise (s1,s2,0) gives
     # (1/2)(-2 s1^2 - 2 s2^2)
     s1, s2 = 0.3, 0.4
-    br = generator(v2_field(), None,
+    br = generator(V2, None,
                    lambda x: np.array([s1, s2, 0.0]),
                    np.array([0.0, 0.0, 1.0]))
     assert br.trace_term == pytest.approx(-(s1 ** 2 + s2 ** 2), rel=1e-12)
@@ -152,8 +151,8 @@ def test_generator_trace_on_axis():
 
 def test_generator_one_dimensional_example():
     # V = x^2, sigma = x, at x = 2: (1/2) * 2 * 4 = 4
-    field = ScalarField(lambda y: y[..., 0] ** 2, lambda y: 2.0 * y,
-                        lambda y: np.full(y.shape + (1,), 2.0))
+    field = Field(lambda y: y[..., 0] ** 2, lambda y: 2.0 * y,
+                  lambda y: np.full(y.shape + (1,), 2.0))
     br = generator(field, None, lambda x: np.asarray(x, float), np.array([2.0]))
     assert br.trace_term == 4.0
 
@@ -161,7 +160,7 @@ def test_generator_one_dimensional_example():
 def test_generator_with_control_matrix():
     g = lambda x: np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     x = np.array([0.5, -0.5, 1.0])
-    br = generator(v2_field(), None, None, x, control_matrix=g)
+    br = generator(V2, None, None, x, control_matrix=g)
     assert br.lg_v is not None
     assert np.allclose(br.lg_v, v2_gradient(x)[:2])
 

@@ -1,4 +1,4 @@
-"""Wiener sampling, lifts, convention conversion, and the three integrators."""
+"""Wiener sampling, lifts, and the three integrators."""
 
 import re
 
@@ -11,14 +11,14 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from stostab import (ITO, STRATONOVICH, IntegrationDiverged,
                      PiecewiseLinearNoise, SdeSystem, Trajectory, WienerPath,
                      euler_maruyama, heun_stratonovich, ode_drive,
-                     piecewise_linear_lift, sample_wiener, stratonovich_to_ito,
-                     trajectory_to_csv)
+                     piecewise_linear_lift, sample_wiener, trajectory_to_csv)
 from stostab.sde import (DIVERGENCE_BOUND, NORM_SQ_BOUND, _em_step, _final_state,
                          _finite, _initial_state, _rk4_step, _step_path,
-                         jacobian_fd, seed_states, wiener_increments, write_csv)
+                         seed_states, wiener_increments, write_csv)
 from stostab.verify import path_seeds
 
 import step_oracle
+from loop_oracle import jacobian_fd
 
 ZERO = lambda x: np.zeros_like(x)
 IDENT = lambda x: np.asarray(x, float)
@@ -280,38 +280,6 @@ def test_piecewise_linear_lift_interpolates():
         piecewise_linear_lift(path, 0)
 
 
-def test_stratonovich_to_ito_constant_sigma():
-    # constant noise has zero correction
-    sys = SdeSystem(1, ZERO, lambda x: np.full_like(x, 2.0), STRATONOVICH)
-    conv = stratonovich_to_ito(sys)
-    assert conv.convention == ITO
-    x = np.array([1.5])
-    assert np.allclose(conv.drift(x), 0.0)
-
-
-def test_stratonovich_to_ito_linear_sigma():
-    # sigma = x gives correction x/2
-    sys = SdeSystem(1, ZERO, IDENT, STRATONOVICH)
-    conv = stratonovich_to_ito(sys)
-    for v in (0.5, -2.0, 3.0):
-        x = np.array([v])
-        assert conv.drift(x)[0] == pytest.approx(0.5 * v, rel=1e-8)
-
-
-def test_stratonovich_to_ito_quadratic_sigma():
-    # sigma = x^2 gives correction (1/2)(2x)(x^2) = x^3
-    sys = SdeSystem(1, ZERO, lambda x: np.asarray(x, float) ** 2, STRATONOVICH)
-    conv = stratonovich_to_ito(sys)
-    x = np.array([1.5])
-    assert conv.drift(x)[0] == pytest.approx(1.5 ** 3, rel=1e-6)
-
-
-def test_stratonovich_to_ito_rejects_ito_input():
-    sys = SdeSystem(1, ZERO, IDENT, ITO)
-    with pytest.raises(ValueError):
-        stratonovich_to_ito(sys)
-
-
 def test_euler_maruyama_zero_fields_is_constant():
     sys = SdeSystem(2, ZERO, ZERO, ITO)
     path = sample_wiener(0.1, 1.0, seed=3)
@@ -395,7 +363,8 @@ def test_heun_single_step_closed_form():
 def test_heun_matches_converted_euler_in_the_limit():
     """The two schemes solve the same SDE, so their gap shrinks with dt."""
     strat = SdeSystem(1, ZERO, IDENT, STRATONOVICH)
-    ito = stratonovich_to_ito(strat)
+    # the Ito form of dx = x o dw adds the drift (1/2)(d sigma/dx) sigma = x/2
+    ito = SdeSystem(1, lambda x: 0.5 * np.asarray(x, float), IDENT, ITO)
     rms = []
     for k in (6, 8, 10):
         path = sample_wiener(2.0 ** -k, 1.0, range(1000, 1040))

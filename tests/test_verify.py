@@ -11,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stostab import (DiffusionDesign, GridSpec, SdeSystem, SystemParams,
-                     closed_loop, diffusion_b, euler_maruyama, g_matrix,
-                     StabilityReport, heun_stratonovich, lfv2_formula_check,
-                     mc_stability,
-                     ode_drive, piecewise_linear_lift, sample_wiener,
-                     scan_generator, sclf_condition_check, small_control_scan,
-                     strong_order_estimate, v1_field, v2_field, v2_gradient,
+                     closed_loop, euler_maruyama, g_matrix, StabilityReport,
+                     heun_stratonovich, mc_stability, ode_drive,
+                     piecewise_linear_lift, randomized_drift, sample_wiener,
+                     scan_generator, sclf_condition_check, sigma,
+                     small_control_scan, strong_order_estimate, v2_gradient,
                      wilson_interval, wong_zakai_experiment, write_scan_csv,
                      write_summary)
 from stostab import loop_columns, verify
@@ -24,7 +23,7 @@ from stostab.sde import ITO, STRATONOVICH
 from stostab.verify import path_seeds, wilson_halfwidth
 
 import exact_oracle
-from loop_oracle import oracle_loop
+from loop_oracle import V1, generator, oracle_loop
 from mc_oracle import oracle_mc_stability
 from path_loop_oracle import strong_order_slope, wong_zakai_stats
 
@@ -199,10 +198,8 @@ def test_write_scan_csv(tmp_path):
 
 
 def test_sclf_check_reference_design():
-    g_fn = lambda y: g_matrix(P44, y)
-    b_fn = lambda y: diffusion_b(D4, P44, y)
     grid = GridSpec.cube(-2, 2, 11, exclude_radius=1e-3)
-    rep = sclf_condition_check(None, g_fn, b_fn, v2_field(), grid)
+    rep = sclf_condition_check(P44, D4, grid)
     # the control derivative only vanishes on the axis: 10 grid points
     assert rep.n_tested == 10
     assert rep.n_holds == 10
@@ -212,41 +209,55 @@ def test_sclf_check_reference_design():
 
 
 def test_sclf_check_rejects_sum_of_squares():
-    # the quadratic candidate fails: its noise condition cannot hold on
-    # the axis because L_g V1 vanishes there together with the quadratic's
-    # favorable curvature
-    g_fn = lambda y: g_matrix(P44, y)
-    b_fn = lambda y: diffusion_b(D4, P44, y)
-    grid = GridSpec.cube(-2, 2, 11, exclude_radius=1e-3)
-    rep = sclf_condition_check(None, g_fn, b_fn, v1_field(), grid)
-    assert rep.n_tested > 0
-    assert rep.n_holds == 0
-    assert not rep.holds
+    # the quadratic candidate V1 = |x|^2 fails: on the axis L_g V1 vanishes,
+    # and there its margin, the generator 2 x . f + |sigma|^2 along the Ito
+    # loop, is positive wherever the noise acts
+    pts = GridSpec.cube(-2, 2, 11, exclude_radius=1e-3).points()
+    axis = pts[(pts[:, 0] == 0.0) & (pts[:, 1] == 0.0)]
+    assert len(axis) == 10
+    drift = lambda y: randomized_drift(P44, D4, y)
+    sig = lambda y: sigma(P44, D4, y)
+    br = generator(V1, drift, sig, axis, control_matrix=lambda y: g_matrix(P44, y))
+    assert np.all(br.lg_v == 0.0)
+    margins = (2.0 * np.einsum("ni,ni->n", axis, drift(axis))
+               + np.einsum("ni,ni->n", sig(axis), sig(axis)))
+    assert np.all(margins > 0.0)
+    assert np.all(np.abs(br.value() - margins) <= 1e-12 * margins)
 
 
 def test_sclf_check_vacuous_grid():
-    g_fn = lambda y: g_matrix(P44, y)
-    b_fn = lambda y: diffusion_b(D4, P44, y)
     grid = GridSpec((1.0, 1.0, 1), (1.0, 1.0, 1), (0.0, 1.0, 3))
-    rep = sclf_condition_check(None, g_fn, b_fn, v2_field(), grid)
+    rep = sclf_condition_check(P44, D4, grid)
     assert rep.vacuous
     assert rep.n_tested == 0
     assert not rep.holds
 
 
-def test_sclf_check_with_drift():
-    # a drift adds exactly L_f V = grad V . f to the margin at each point
-    g_fn = lambda y: g_matrix(P44, y)
-    b_fn = lambda y: diffusion_b(D4, P44, y)
-    f_fn = lambda y: np.stack([y[..., 1], -y[..., 0], -0.5 * y[..., 2]], axis=-1)
-    grid = GridSpec.cube(-2, 2, 11, exclude_radius=1e-3)
-    bare = sclf_condition_check(None, g_fn, b_fn, v2_field(), grid)
-    rep = sclf_condition_check(f_fn, g_fn, b_fn, v2_field(), grid)
-    assert rep.n_tested == bare.n_tested == 10
-    assert np.array_equal(rep.points, bare.points)
-    lf = np.einsum('...i,...i->...', v2_gradient(rep.points), f_fn(rep.points))
-    assert np.all(lf != 0.0)
-    assert np.all(np.abs(rep.margins - bare.margins - lf) <= 1e-10 * np.abs(lf))
+@pytest.mark.parametrize("p", ORACLE_PLANTS)
+@pytest.mark.parametrize("k", (1e-4, 1.0))
+def test_sclf_margins_are_the_kernel_f(p, k):
+    # On the axis L_g v2 = 0, so the pre-feedback adds nothing to the
+    # generator and the paper's margin is the kernel's F, bit for bit.
+    d = DiffusionDesign(k, k)
+    grid = GridSpec.cube(-2, 2, 21, exclude_radius=1e-3)
+    rep = sclf_condition_check(p, d, grid)
+    pts = grid.points()
+    axis = pts[(pts[:, 0] == 0.0) & (pts[:, 1] == 0.0) & (pts[:, 2] != 0.0)]
+    assert len(axis) == 20 and rep.n_tested == 20 and not rep.vacuous
+    assert np.array_equal(rep.points, axis)
+    t = loop_columns(p, d, axis[:, 0], axis[:, 1], axis[:, 2])
+    assert np.array_equal(rep.margins, t.f_term)
+    assert rep.n_holds == np.count_nonzero(t.f_term < 0.0)
+    if p == SystemParams(1.0, 1.0, 1.0, 0.0):
+        # with k1 = k2, F = -(1/2) B1^2 (1 - x3^2)^2 on the axis: it
+        # vanishes at |x3| = 1, so the strict condition fails there
+        x3 = axis[:, 2]
+        want = -0.5 * t.b1 ** 2 * (1.0 - x3 ** 2) ** 2
+        off = np.abs(x3) != 1.0
+        assert np.all(np.abs(rep.margins[off] - want[off]) <= 1e-12 * np.abs(want[off]))
+        assert rep.n_holds == 18 and rep.holds is False
+        assert np.array_equal(rep.points[rep.margins >= 0.0],
+                              [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
 
 
 def test_mc_zero_dynamics_freezes():
@@ -401,24 +412,66 @@ def test_small_control_scan_decays():
     assert rep.radii == (1e-1, 1e-2, 1e-3, 1e-4)
 
 
+def formula_deviations(p, d, grid) -> tuple:
+    """Three hand-derived expressions against the kernel :func:`loop_columns`.
+
+    (a) The drift term grad v2 . (0, 0, (1/2)(b2 b3 - b1 b4) B1 B2) against
+    its expanded closed form; (b) on the x3 = 0 slice, ||L_g v2||^2 against
+    b1^2 x1^2 + b2^2 x2^2; (c) same slice, the noise quadratic B^T H B
+    against its expanded form.  All skip X <= 1e-3, where the expansions
+    lose meaning.  Returns the number of points, the largest drift-term
+    deviation, the number of slice points, and the largest deviations of
+    (b) and (c).
+    """
+    pts = grid.points()
+    big_x = pts[:, 0] ** 2 + pts[:, 1] ** 2
+    pts = pts[big_x > 1e-3]
+    big_x = big_x[big_x > 1e-3]
+    x3 = pts[:, 2]
+    t = loop_columns(p, d, pts[:, 0], pts[:, 1], x3)
+    coef = p.b2 * p.b3 - p.b1 * p.b4
+    direct = v2_gradient(pts)[:, 2] * (0.5 * coef * t.b1 * t.b2)
+    closed = -(2.0 ** (-1.0 - 0.5 * x3 ** 2)) * t.b1 * t.b2 * coef * x3 * (
+        2.0 ** (0.5 * x3 ** 2) * (big_x - 4.0)
+        + big_x ** (1.0 + 0.5 * x3 ** 2) * np.log(2.0 / big_x))
+    max_drift = float(np.abs(direct - closed).max()) if len(pts) else 0.0
+
+    flat = GridSpec(grid.axis1, grid.axis2, (0.0, 0.0, 1)).points()
+    xf = flat[:, 0] ** 2 + flat[:, 1] ** 2
+    flat = flat[xf > 1e-3]
+    xf = xf[xf > 1e-3]
+    tf = loop_columns(p, d, flat[:, 0], flat[:, 1], flat[:, 2])
+    g_closed = p.b1 ** 2 * flat[:, 0] ** 2 + p.b2 ** 2 * flat[:, 1] ** 2
+    max_g = float(np.abs(tf.g_term - g_closed).max()) if len(flat) else 0.0
+
+    # On x3 = 0 the drift term of F vanishes, so 2F = sigma^T Hess sigma = B^T H B.
+    cross = (p.b4 * tf.b2 * flat[:, 0] - p.b3 * tf.b1 * flat[:, 1]) ** 2
+    bhb_closed = p.b1 ** 2 * tf.b1 ** 2 + p.b2 ** 2 * tf.b2 ** 2 \
+        - xf * cross * np.log(2.0 / xf) - (xf - 4.0) * cross
+    max_bhb = float(np.abs(2.0 * tf.f_term - bhb_closed).max()) if len(flat) else 0.0
+    return len(pts), max_drift, len(flat), max_g, max_bhb
+
+
 def test_formula_check_reference_parameters():
-    rep = lfv2_formula_check(P44, D4, GridSpec.cube(-2, 2, 21))
+    n_points, max_drift, n_slice, max_g, max_bhb = formula_deviations(
+        P44, D4, GridSpec.cube(-2, 2, 21))
     # b2 b3 - b1 b4 = 0 kills the drift term identically
-    assert rep.max_abs_drift_term == 0.0
-    assert rep.max_abs_control_quadratic < 1e-12
-    assert rep.max_abs_noise_quadratic < 1e-12
-    assert rep.n_points > 0 and rep.n_slice > 0
+    assert max_drift == 0.0
+    assert max_g < 1e-12
+    assert max_bhb < 1e-12
+    assert n_points > 0 and n_slice > 0
 
 
 def test_formula_check_generic_parameters():
     chained = SystemParams(1.0, 1.0, 1.0, 0.0)
-    rep = lfv2_formula_check(chained, D4, GridSpec.cube(-2, 2, 21))
+    n_points, max_drift, n_slice, max_g, max_bhb = formula_deviations(
+        chained, D4, GridSpec.cube(-2, 2, 21))
     # 21^3 minus the 21 axis points; slice is 21^2 minus its axis point
-    assert rep.n_points == 21 ** 3 - 21
-    assert rep.n_slice == 21 ** 2 - 1
-    assert rep.max_abs_drift_term < 1e-8
-    assert rep.max_abs_control_quadratic == 0.0
-    assert rep.max_abs_noise_quadratic < 1e-15
+    assert n_points == 21 ** 3 - 21
+    assert n_slice == 21 ** 2 - 1
+    assert max_drift < 1e-8
+    assert max_g == 0.0
+    assert max_bhb < 1e-15
 
 
 def test_wong_zakai_small_experiment():
