@@ -30,7 +30,7 @@ from . import __version__
 from .brockett import (DiffusionDesign, SystemParams, check_design_conditions,
                        closed_loop, controllability_rank, diffusion_b)
 from .lyapunov import v2_eval
-from .sde import IntegrationDiverged, Trajectory, trajectory_to_csv, write_csv
+from .sde import IntegrationDiverged, write_csv, write_path_csvs
 from .verify import (GridSpec, mc_stability, scan_generator,
                      small_control_scan, wong_zakai_experiment, write_scan_csv,
                      write_summary)
@@ -254,10 +254,8 @@ def cmd_simulate(cfg: dict, out: str, hdr: list) -> int:
     rep = mc_stability(cl, cfg["x0"], cfg["dt"], cfg["horizon"],
                        cfg["n_paths"], cfg["eps"], cfg["conv_threshold"],
                        cfg["m_level"], cfg["seed"], record_every=cfg["thin"])
-    for i in range(rep.record_states.shape[0]):
-        traj = Trajectory(rep.record_times, rep.record_states[i],
-                          rep.record_controls[i])
-        trajectory_to_csv(traj, os.path.join(out, f"path_{i:04d}.csv"), hdr)
+    write_path_csvs([os.path.join(out, f"path_{i:04d}.csv") for i in range(rep.n_paths)],
+                    rep.record_times, rep.record_states, rep.record_controls, hdr)
     edges = rep.bucket_edges.tolist()
     write_csv(os.path.join(out, "v2_drift_buckets.csv"),
               ["bucket_start", "bucket_end", "mean_dv2_dt", "stderr", "count"],
@@ -381,7 +379,7 @@ def cmd_wong_zakai(cfg: dict, out: str, hdr: list) -> int:
     write_summary(os.path.join(out, "summary.txt"), [
         ("n_fine", rep.n_fine),
         ("n_real", rep.n_real),
-        ("mse_non_increasing", _fmt(rep.non_increasing)),
+        ("mse_non_increasing", "vacuous" if rep.vacuous else _fmt(rep.non_increasing)),
         ("ito_mean_log_ratio", _fmt(rep.ito_mean_log_ratio)),
         ("ito_std_log_ratio", _fmt(rep.ito_std_log_ratio)),
         ("uncorrected_drift_offset", _fmt(-0.5 * rep.horizon)),
@@ -390,6 +388,10 @@ def cmd_wong_zakai(cfg: dict, out: str, hdr: list) -> int:
           ", ".join(f"{m}:{v:.3g}" for m, v in zip(rep.meshes, rep.mse)))
     print(f"wong-zakai: uncorrected Ito mean log-ratio {rep.ito_mean_log_ratio:.4f} "
           f"(drift offset predicts {-0.5 * rep.horizon:.4f})")
+    if rep.vacuous:
+        print("wong-zakai: the refinement check is vacuous: every MSE is exactly 0",
+              file=sys.stderr)
+        return 4
     if not rep.non_increasing:
         print("wong-zakai: MSE sequence is not non-increasing", file=sys.stderr)
         return 4

@@ -487,10 +487,14 @@ def ode_drive(sys: SdeSystem, x0, noise: PiecewiseLinearNoise) -> Trajectory:
     return _step_path(x, noise.knot_times, _rk4_step(sys, noise))
 
 
+def header_text(header_lines) -> str:
+    """The header lines, each prefixed with ``# `` and ended by a newline."""
+    return "".join(f"# {line}\n" for line in header_lines)
+
+
 def write_header(fh, header_lines) -> None:
     """Write each header line prefixed with ``# ``."""
-    for line in header_lines:
-        fh.write(f"# {line}\n")
+    fh.write(header_text(header_lines))
 
 
 def write_csv(path, columns, rows, header_lines=()) -> None:
@@ -498,6 +502,8 @@ def write_csv(path, columns, rows, header_lines=()) -> None:
 
     Each row fills one prebuilt ``%.17g,...`` format, one field per column.
     Rows of Python numbers (``.tolist()``) format faster than numpy scalars.
+    Path CSVs, whose rows share a time column, go through
+    :func:`write_path_csvs` instead.
     """
     fmt = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
@@ -506,14 +512,43 @@ def write_csv(path, columns, rows, header_lines=()) -> None:
         fh.writelines(fmt % tuple(row) for row in rows)
 
 
+def write_path_csvs(paths, times, states, controls=None, header_lines=()) -> None:
+    """Write path i as ``t,x1,...,xn[,u1,...,um]`` rows to ``paths[i]``.
+
+    ``times`` has shape ``(n,)``, ``states`` ``(N, n, dim)`` and
+    ``controls`` ``(N, n, m)`` (or None) for the N paths.  Every file has
+    the same header, column names and time column, so these are formatted
+    once per call, into one template whose remaining ``%.17g`` fields are a
+    path's states and controls; each file is one ``%`` over its own values
+    and one write.  The bytes equal formatting every number, row by row,
+    with ``"%.17g" %``, as :func:`write_csv` does.
+    """
+    n_paths, n_rows, dim = np.shape(states)
+    n_controls = 0 if controls is None else np.shape(controls)[-1]
+    if (len(paths), len(times)) != (n_paths, n_rows) or (
+            controls is not None and np.shape(controls) != (n_paths, n_rows, n_controls)):
+        raise ValueError("need one file name per path, and one row per time")
+    cols = (["t"] + [f"x{i + 1}" for i in range(dim)]
+            + [f"u{i + 1}" for i in range(n_controls)])
+    # header lines are free text: escape them for the one % below
+    head = (header_text(header_lines) + ",".join(cols) + "\n").replace("%", "%%")
+    row = ",%.17g" * (dim + n_controls) + "\n"
+    template = head + "".join(["%.17g" % t + row
+                               for t in np.asarray(times, float).tolist()])
+    values = np.empty((n_rows, dim + n_controls))
+    for i, path in enumerate(paths):
+        values[:, :dim] = states[i]
+        if controls is not None:
+            values[:, dim:] = controls[i]
+        with open(path, "w") as fh:
+            fh.write(template % tuple(values.ravel().tolist()))
+
+
 def trajectory_to_csv(traj: Trajectory, path, header_lines=()) -> None:
     """Write ``t,x1,...,xn[,u1,...,um]`` rows at 17 significant digits.
 
     ``header_lines`` are emitted first, one per line, prefixed with ``# ``.
+    This is :func:`write_path_csvs` on a batch of one path.
     """
-    cols = ["t"] + [f"x{i + 1}" for i in range(traj.states.shape[1])]
-    data = [traj.times, traj.states]
-    if traj.controls is not None:
-        cols += [f"u{i + 1}" for i in range(traj.controls.shape[1])]
-        data.append(traj.controls)
-    write_csv(path, cols, np.column_stack(data).tolist(), header_lines)
+    controls = None if traj.controls is None else traj.controls[None]
+    write_path_csvs([path], traj.times, traj.states[None], controls, header_lines)

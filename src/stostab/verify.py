@@ -232,11 +232,13 @@ def sclf_condition_check(p: SystemParams, d: DiffusionDesign,
 
     The plant is driftless, so L_f v2 = 0.  Where L_g v2 = 0 the
     pre-feedback g v adds nothing to the generator, so the left side is the
-    kernel's F, read from one :func:`brockett.loop_columns` pass.
+    kernel's F, read from one :func:`brockett.loop_columns` pass.  The
+    origin is left out: it is the equilibrium, where F = 0 by construction
+    and the strict inequality cannot hold.
     """
     pts = grid.points()
     t = brockett.loop_columns(p, d, pts[:, 0], pts[:, 1], pts[:, 2])
-    mask = np.hypot(*t.lg) < 1e-6
+    mask = (np.hypot(*t.lg) < 1e-6) & pts.any(axis=1)
     margins = t.f_term[mask]
     return SclfReport(len(margins), int((margins < 0.0).sum()), margins,
                       pts[mask], not mask.any())
@@ -491,6 +493,14 @@ class WongZakaiReport:
     @property
     def non_increasing(self) -> bool:
         return bool(np.all(np.diff(self.mse) <= 0.0))
+
+    @property
+    def vacuous(self) -> bool:
+        """Every MSE is exactly 0, so refinement has nothing to reduce.
+
+        A horizon so short that x0 exp(w) rounds to x0 gives this.
+        """
+        return not self.mse.any()
 
 
 def wong_zakai_experiment(x0: float, horizon: float, meshes, n_real: int,

@@ -8,7 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from stostab import cli
+from stostab import Trajectory, cli, closed_loop
+from stostab.verify import mc_stability
+
+import csv_oracle
 
 
 def run_cli(args):
@@ -227,7 +230,8 @@ def test_simulate_artifacts(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ["simulate", "--n-paths", "2", "--horizon", "0.02", "--dt", "1e-3",
+    # thin 5 does not divide the 23 steps, so the last row is off the grid
+    ["simulate", "--n-paths", "2", "--horizon", "0.023", "--dt", "1e-3",
      "--thin", "5", "--seed", "7"],
     ["scan-lv", "--grid-count", "5"],
     ["check-design", "--grid-count", "5", "--n-dirs", "50"],
@@ -246,6 +250,36 @@ def test_reruns_are_identical(tmp_path, args):
                               if not l.startswith("# timestamp: ")]
                      for f in sorted(out.iterdir())})
     assert runs[0] and runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("args, rows", [
+    # 23 steps at thin 10 record steps 0, 10, 20 and the final 23
+    (["--n-paths", "3", "--horizon", "0.023", "--thin", "10"], 4),
+    (["--n-paths", "1", "--horizon", "0.01", "--thin", "1"], 11),
+], ids=("thin-off-grid", "one-path"))
+def test_simulate_path_files_match_the_row_writer(tmp_path, args, rows):
+    # every path file has the bytes of the reference row writer on the same
+    # report, and all share one header; the output path holds % and {},
+    # which the header carries into the file
+    out = tmp_path / "o%d_{}%%s"
+    argv = ["simulate", *args, "--seed", "4", "--out", str(out)]
+    assert run_cli(argv) == 0
+    cfg = cli.resolve_config("simulate", cli.build_parser().parse_args(argv))
+    p, d = cli._system(cfg)
+    rep = mc_stability(closed_loop(p, d), cfg["x0"], cfg["dt"], cfg["horizon"],
+                       cfg["n_paths"], cfg["eps"], cfg["conv_threshold"],
+                       cfg["m_level"], cfg["seed"], record_every=cfg["thin"])
+    files = sorted(out.glob("path_*.csv"))
+    assert [f.name for f in files] == [f"path_{i:04d}.csv" for i in range(cfg["n_paths"])]
+    hdr = read_header(files[0])
+    assert f"out={out}" in hdr[2]
+    assert len(rep.record_times) == rows and rep.record_times[-1] == cfg["horizon"]
+    for i, f in enumerate(files):
+        assert read_header(f) == hdr
+        ref = tmp_path / f"ref_{i}.csv"
+        traj = Trajectory(rep.record_times, rep.record_states[i], rep.record_controls[i])
+        csv_oracle.trajectory_to_csv(traj, ref, [line[2:] for line in hdr])
+        assert f.read_bytes() == ref.read_bytes()
 
 
 def test_simulate_seed_changes_paths(tmp_path):
@@ -290,6 +324,20 @@ def test_wong_zakai_validation(tmp_path, capsys):
         assert run_cli(["wong-zakai", *args, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {name} must be")
         assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("horizon", ["1e-300", "1e-40"])
+def test_wong_zakai_all_zero_mse_is_vacuous(tmp_path, capsys, horizon):
+    # over so short a horizon x0 exp(w) rounds to x0 on every path, so every
+    # MSE is exactly 0 and the refinement check has nothing to show
+    out = tmp_path / "wz"
+    assert run_cli(["wong-zakai", "--horizon", horizon, "--n-real", "50",
+                    "--meshes", "4,16", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == "wong-zakai: the refinement check is vacuous: every MSE is exactly 0\n"
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "mse_non_increasing = vacuous" in summary
+    assert "mse_non_increasing = true" not in summary
 
 
 def test_wong_zakai_mesh_must_divide_the_fine_mesh(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Wiener sampling, lifts, and the three integrators."""
 
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -14,9 +16,11 @@ from stostab import (ITO, STRATONOVICH, IntegrationDiverged,
                      piecewise_linear_lift, sample_wiener, trajectory_to_csv)
 from stostab.sde import (DIVERGENCE_BOUND, NORM_SQ_BOUND, _em_step, _final_state,
                          _finite, _initial_state, _rk4_step, _step_path,
-                         seed_states, wiener_increments, write_csv)
+                         seed_states, wiener_increments, write_csv,
+                         write_path_csvs)
 from stostab.verify import path_seeds
 
+import csv_oracle
 import step_oracle
 from loop_oracle import jacobian_fd
 
@@ -579,3 +583,72 @@ def test_write_csv_formats_every_number_at_17_digits(tmp_path):
     want = ["# note", "a,b,c,d"] + [",".join(f"{v:.17g}" for v in row)
                                     for row in rows]
     assert out.read_text() == "\n".join(want) + "\n"
+
+
+# values whose %.17g text is a corner case: signed zero, the smallest and
+# other subnormals, the extremes, the non-finite and integer-valued floats
+CSV_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072e-308,
+                     1e-300, 1e308, -1e308, float("inf"), -float("inf"),
+                     float("nan"), 0.1, 1.0 / 3.0]),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.integers(-2 ** 60, 2 ** 60).map(float),
+    st.floats())
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_write_path_csvs_matches_the_row_writer(data):
+    # a batch written from the one template has, file by file, the bytes of
+    # the reference row writer; the header lines hold %, %% and {} to check
+    # that the template escapes them
+    n_paths = data.draw(st.integers(1, 5), label="n_paths")
+    n_rows = data.draw(st.integers(1, 40), label="n_rows")
+    dim = data.draw(st.integers(1, 3), label="dim")
+    n_controls = data.draw(st.integers(0, 2), label="n_controls")
+    # times on no uniform grid: sorted distinct values, nan aside
+    times = np.array(sorted(data.draw(st.lists(
+        CSV_VALUES.filter(lambda v: v == v), min_size=n_rows, max_size=n_rows,
+        unique=True), label="times")))
+    states = data.draw(arrays(np.float64, (n_paths, n_rows, dim), elements=CSV_VALUES),
+                       label="states")
+    controls = None
+    if n_controls:
+        controls = data.draw(arrays(np.float64, (n_paths, n_rows, n_controls),
+                                    elements=CSV_VALUES), label="controls")
+    header = ["stostab", "config: out=/a%d_{}%%s/b%(x)s 100%"] + data.draw(
+        st.lists(st.text(st.characters(blacklist_categories=("Cs",),
+                                       blacklist_characters="\n\r"), max_size=12),
+                 max_size=2), label="header")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"new_{i}.csv") for i in range(n_paths)]
+        write_path_csvs(paths, times, states, controls, header)
+        for i, path in enumerate(paths):
+            traj = Trajectory(times, states[i], None if controls is None else controls[i])
+            ref = os.path.join(tmp, f"ref_{i}.csv")
+            csv_oracle.trajectory_to_csv(traj, ref, header)
+            with open(ref, "rb") as fh:
+                want = fh.read()
+            with open(path, "rb") as fh:
+                assert fh.read() == want
+            # the batch of one is the same writer
+            one = os.path.join(tmp, f"one_{i}.csv")
+            trajectory_to_csv(traj, one, header)
+            with open(one, "rb") as fh:
+                assert fh.read() == want
+
+
+def test_write_path_csvs_rejects_mismatched_shapes(tmp_path):
+    times = np.array([0.0, 1.0, 2.0])
+    states = np.zeros((2, 3, 3))
+    files = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    with pytest.raises(ValueError):
+        write_path_csvs(files[:1], times, states)
+    with pytest.raises(ValueError):
+        write_path_csvs(files, times[:2], states)
+    with pytest.raises(ValueError):
+        write_path_csvs(files, times, states, np.zeros((2, 1, 2)))
+    # one path's (n, m) controls where (N, n, m) is due
+    with pytest.raises(ValueError):
+        write_path_csvs(files[:1], times, states[:1], np.zeros((3, 3)))
+    assert not any(f.exists() for f in files)

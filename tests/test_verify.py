@@ -226,11 +226,28 @@ def test_sclf_check_rejects_sum_of_squares():
 
 
 def test_sclf_check_vacuous_grid():
-    grid = GridSpec((1.0, 1.0, 1), (1.0, 1.0, 1), (0.0, 1.0, 3))
+    # off the axis, and on the x3 = 0 plane where the axis meets it only at
+    # the origin, which is not tested
+    for grid in (GridSpec((1.0, 1.0, 1), (1.0, 1.0, 1), (0.0, 1.0, 3)),
+                 GridSpec((-1.0, 1.0, 3), (-1.0, 1.0, 3), (0.0, 0.0, 1))):
+        rep = sclf_condition_check(P44, D4, grid)
+        assert rep.vacuous
+        assert rep.n_tested == 0
+        assert not rep.holds
+
+
+def test_sclf_check_leaves_out_the_origin():
+    # the equilibrium has F = 0 by construction, so a grid that keeps it
+    # gives the verdict of the grid that excludes it
+    grid = GridSpec.cube(-2, 2, 21)
+    assert (grid.points() == 0.0).all(axis=1).sum() == 1
     rep = sclf_condition_check(P44, D4, grid)
-    assert rep.vacuous
-    assert rep.n_tested == 0
-    assert not rep.holds
+    assert (rep.n_tested, rep.n_holds, rep.holds) == (20, 20, True)
+    assert np.all(rep.points.any(axis=1))
+    chained = sclf_condition_check(SystemParams(1.0, 1.0, 1.0, 0.0), D4, grid)
+    assert (chained.n_tested, chained.n_holds, chained.holds) == (20, 18, False)
+    assert np.array_equal(chained.points[chained.margins >= 0.0],
+                          [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
 
 
 @pytest.mark.parametrize("p", ORACLE_PLANTS)
@@ -476,7 +493,7 @@ def test_formula_check_generic_parameters():
 
 def test_wong_zakai_small_experiment():
     rep = wong_zakai_experiment(1.0, 1.0, (4, 16), n_real=50, seed=11)
-    assert rep.non_increasing
+    assert rep.non_increasing and not rep.vacuous
     assert rep.mse[0] > rep.mse[1]
     assert rep.mse[1] < 1e-4
     assert rep.n_fine == 64
