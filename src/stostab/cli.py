@@ -19,6 +19,7 @@ verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -199,6 +200,7 @@ def _validate(command: str, cfg: dict) -> None:
         _require(cfg["eps"] > 0, "eps must be positive")
         _require(cfg["conv_threshold"] > 0, "conv_threshold must be positive")
         _require(cfg["thin"] >= 1, "thin must be a positive integer")
+        _require_memory(cfg)
         if cfg["m_level"] is None:
             with np.errstate(over="ignore", invalid="ignore"):
                 v2_start = float(v2_eval(np.asarray(cfg["x0"])))
@@ -218,6 +220,24 @@ def _validate(command: str, cfg: dict) -> None:
     elif command == "controllability":
         _require(cfg["n_points"] >= 1, "n_points must be positive")
         _require(cfg["extent"] > 0, "extent must be positive")
+
+
+def _require_memory(cfg: dict) -> None:
+    """Refuse a ``simulate`` run whose arrays cannot fit in physical memory.
+
+    ``mc_stability`` pre-draws 8 bytes of noise per path-step and records
+    five doubles per path per recorded row.  The sizes are floats: a count
+    beyond 2**64 cannot fit either way, so capping it there changes no
+    verdict and keeps every product finite or inf.
+    """
+    n_paths, thin = (float(min(cfg[key], 2 ** 64)) for key in ("n_paths", "thin"))
+    n_steps = float(np.floor(cfg["horizon"] / cfg["dt"] + 1e-9))
+    need = n_paths * (8.0 * n_steps + 40.0 * (1.0 + np.ceil(n_steps / thin)))
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    _require(need <= memory,
+             f"simulate with n_paths = {cfg['n_paths']}, n_steps = {n_steps:.0f} "
+             f"and thin = {cfg['thin']} needs {need / 2**30:.3g} GiB for its noise "
+             f"and recording, more than the {memory / 2**30:.3g} GiB of physical memory")
 
 
 def _fmt(value) -> str:
@@ -426,7 +446,9 @@ DISPATCH = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``stostab`` parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="stostab",
         description="Noise-assisted stabilization of the Brockett integrator: "

@@ -33,6 +33,7 @@ the same divergence exception.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -512,6 +513,11 @@ def write_csv(path, columns, rows, header_lines=()) -> None:
         fh.writelines(fmt % tuple(row) for row in rows)
 
 
+# Fewest formatted values that pay for one more writing process: formatting
+# takes about 1 us a value, so 2**15 values (some 30 ms) outweigh a fork.
+SHARE_MIN_VALUES = 2 ** 15
+
+
 def write_path_csvs(paths, times, states, controls=None, header_lines=()) -> None:
     """Write path i as ``t,x1,...,xn[,u1,...,um]`` rows to ``paths[i]``.
 
@@ -522,6 +528,13 @@ def write_path_csvs(paths, times, states, controls=None, header_lines=()) -> Non
     path's states and controls; each file is one ``%`` over its own values
     and one write.  The bytes equal formatting every number, row by row,
     with ``"%.17g" %``, as :func:`write_csv` does.
+
+    The files are written by up to one process per CPU the process may run
+    on, each taking one contiguous share of the paths: this process writes
+    the first share and ``os.fork`` children the others, one more share for
+    each ``SHARE_MIN_VALUES`` values written.  Every child is reaped before
+    this returns or raises; a child's failure raises ``OSError`` naming its
+    share's first file and the child's error.
     """
     n_paths, n_rows, dim = np.shape(states)
     n_controls = 0 if controls is None else np.shape(controls)[-1]
@@ -535,13 +548,76 @@ def write_path_csvs(paths, times, states, controls=None, header_lines=()) -> Non
     row = ",%.17g" * (dim + n_controls) + "\n"
     template = head + "".join(["%.17g" % t + row
                                for t in np.asarray(times, float).tolist()])
-    values = np.empty((n_rows, dim + n_controls))
-    for i, path in enumerate(paths):
-        values[:, :dim] = states[i]
-        if controls is not None:
-            values[:, dim:] = controls[i]
-        with open(path, "w") as fh:
-            fh.write(template % tuple(values.ravel().tolist()))
+
+    def write_share(lo, hi):
+        values = np.empty((n_rows, dim + n_controls))
+        for i in range(lo, hi):
+            values[:, :dim] = states[i]
+            if controls is not None:
+                values[:, dim:] = controls[i]
+            with open(paths[i], "w") as fh:
+                fh.write(template % tuple(values.ravel().tolist()))
+
+    n_shares = _n_shares(n_paths, n_paths * n_rows * (dim + n_controls))
+    bounds = [s * n_paths // n_shares for s in range(n_shares + 1)]
+    children, failures = [], []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append((paths[lo], *_fork(write_share, lo, hi)))
+        write_share(bounds[0], bounds[1])
+    finally:
+        for first, pid, read_fd in children:
+            message = _reap(pid, read_fd)
+            if message is not None:
+                failures.append(f"{first}: {message}")
+    if failures:
+        raise OSError(f"could not write the path files from {failures[0]}")
+
+
+def _n_shares(n_paths: int, n_values: int) -> int:
+    """Processes to write ``n_values`` formatted values over ``n_paths`` files."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_paths, 1 + n_values // SHARE_MIN_VALUES)
+
+
+def _fork(work: Callable, *args) -> tuple:
+    """Run ``work(*args)`` in a forked child; return its pid and a read end.
+
+    The child leaves with ``os._exit``, so it never flushes this process's
+    buffers or returns into the caller; if ``work`` raises, the child writes
+    ``str(exc)`` to the pipe first.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            work(*args)
+            status = 0
+        except BaseException as exc:  # the child must reach os._exit below
+            with open(write_fd, "wb") as fh:
+                fh.write(str(exc).encode(errors="replace"))
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _reap(pid: int, read_fd: int) -> Optional[str]:
+    """Wait for a child of :func:`_fork`: None if it succeeded, else why not."""
+    with open(read_fd, "rb") as fh:
+        message = fh.read().decode(errors="replace")
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 0:
+        return None
+    return message or f"the writing process exited with code {code}"
 
 
 def trajectory_to_csv(traj: Trajectory, path, header_lines=()) -> None:

@@ -34,6 +34,48 @@ def test_version_flag(capsys):
     assert "stostab" in out
 
 
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    # successive calls share one parser, and nothing one call parses leaks
+    # into the next: help, version, and a flag given once then left out
+    assert cli.build_parser() is cli.build_parser()
+    fresh = cli.build_parser.__wrapped__()
+    sub = fresh._subparsers._group_actions[0].choices
+    assert run_cli(["controllability", "--n-points", "3", "--out", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    for argv, want in ((["--version"], f"stostab {cli.__version__}\n"),
+                       (["simulate", "--help"], sub["simulate"].format_help()),
+                       (["scan-lv", "--help"], sub["scan-lv"].format_help()),
+                       (["--help"], fresh.format_help())):
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == want
+    assert run_cli(["controllability", "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    for name, n_points in (("a", 3), ("b", 100)):
+        header = read_header(tmp_path / name / "summary.txt")
+        assert f" n_points={n_points} " in header[2]
+    assert run_cli(["simulate", "--no-such-flag", "1"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--horizon", "1e6"],
+    ["--dt", "1e-320", "--horizon", "1e300"],
+    ["--n-paths", "1" + "0" * 400],
+], ids=("long-horizon", "step-count-overflows", "huge-n-paths"))
+def test_simulate_beyond_physical_memory_is_a_config_error(tmp_path, monkeypatch,
+                                                           capsys, args):
+    # refused before any allocation or output directory, naming the sizes
+    def no_run(*args, **kwargs):
+        raise AssertionError("mc_stability ran")
+    monkeypatch.setattr(cli, "mc_stability", no_run)
+    out = tmp_path / "sim"
+    assert run_cli(["simulate", *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    for name in ("n_paths = ", "n_steps = ", "thin = 100", "GiB", "physical memory"):
+        assert name in err
+    assert not out.exists()
+
+
 def test_unknown_flag_returns_argparse_code():
     assert run_cli(["simulate", "--no-such-flag", "1"]) == 2
 

@@ -14,6 +14,7 @@ from stostab import (ITO, STRATONOVICH, IntegrationDiverged,
                      PiecewiseLinearNoise, SdeSystem, Trajectory, WienerPath,
                      euler_maruyama, heun_stratonovich, ode_drive,
                      piecewise_linear_lift, sample_wiener, trajectory_to_csv)
+from stostab import sde
 from stostab.sde import (DIVERGENCE_BOUND, NORM_SQ_BOUND, _em_step, _final_state,
                          _finite, _initial_state, _rk4_step, _step_path,
                          seed_states, wiener_increments, write_csv,
@@ -636,6 +637,69 @@ def test_write_path_csvs_matches_the_row_writer(data):
             trajectory_to_csv(traj, one, header)
             with open(one, "rb") as fh:
                 assert fh.read() == want
+
+
+def _share_setup(monkeypatch, cpus):
+    # one share per path-sized write, on ``cpus`` CPUs; returns the fork calls
+    monkeypatch.setattr(sde, "SHARE_MIN_VALUES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _oracle_bytes(path, times, states, controls, header):
+    csv_oracle.trajectory_to_csv(Trajectory(times, states, controls), path, header)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+PATHS_3 = np.random.default_rng(5).normal(size=(3, 4, 3)) * [1.0, 1e-300, 1e300]
+HEADER_PCT = ["stostab", "config: out=/a%d_{}%%s/b%(x)s 100%"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_write_path_csvs_shares_match_the_row_writer(tmp_path, monkeypatch, cpus):
+    # one, two, and more CPUs than the 3 paths: each share is written by its
+    # own process, and every file has the bytes of the reference row writer
+    forks = _share_setup(monkeypatch, cpus)
+    times = np.array([0.0, 0.1, 0.25, 1.0 / 3.0])
+    controls = PATHS_3[..., :2] * 7.0
+    paths = [str(tmp_path / f"new_{i}.csv") for i in range(3)]
+    write_path_csvs(paths, times, PATHS_3, controls, HEADER_PCT)
+    assert len(forks) == min(cpus, 3) - 1
+    for i, path in enumerate(paths):
+        want = _oracle_bytes(tmp_path / f"ref_{i}.csv", times, PATHS_3[i],
+                             controls[i], HEADER_PCT)
+        with open(path, "rb") as fh:
+            assert fh.read() == want
+
+
+@pytest.mark.parametrize("missing", [0, 2], ids=("own-share", "child-share"))
+def test_write_path_csvs_share_failure_raises_in_the_parent(tmp_path, monkeypatch, missing):
+    # on two CPUs this process writes paths 0-1 and a child paths 2-3; a file
+    # in a missing directory fails its share, in this process either way,
+    # naming the file, and the other share is still written
+    forks = _share_setup(monkeypatch, 2)
+    paths = [str(tmp_path / f"p{i}.csv") for i in range(4)]
+    paths[missing] = str(tmp_path / "missing" / "p.csv")
+    states = np.concatenate([PATHS_3, PATHS_3[:1]])
+    with pytest.raises(OSError, match=re.escape(paths[missing])) as info:
+        write_path_csvs(paths, np.arange(4.0), states)
+    assert len(forks) == 1
+    assert "No such file or directory" in str(info.value)
+    other = 2 - missing
+    assert os.path.exists(paths[other]) and os.path.exists(paths[other + 1])
+
+
+def test_write_path_csvs_one_path_never_forks(tmp_path, monkeypatch):
+    # a single path is written in this process, however many CPUs are free
+    _share_setup(monkeypatch, 8)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork was called"))
+    times = np.arange(4.0)
+    write_path_csvs([tmp_path / "one.csv"], times, PATHS_3[:1], None, HEADER_PCT)
+    want = _oracle_bytes(tmp_path / "ref.csv", times, PATHS_3[0], None, HEADER_PCT)
+    assert (tmp_path / "one.csv").read_bytes() == want
 
 
 def test_write_path_csvs_rejects_mismatched_shapes(tmp_path):
