@@ -32,9 +32,9 @@ from .brockett import (DiffusionDesign, SystemParams, check_design_conditions,
                        closed_loop, controllability_rank, diffusion_b)
 from .lyapunov import v2_eval
 from .sde import IntegrationDiverged, write_csv, write_path_csvs
-from .verify import (GridSpec, mc_stability, scan_generator,
-                     small_control_scan, wong_zakai_experiment, write_scan_csv,
-                     write_summary)
+from .verify import (GridSpec, _ensemble_shares, mc_stability,
+                     scan_generator, small_control_scan, wong_zakai_experiment,
+                     write_scan_csv, write_summary)
 
 
 class ConfigError(ValueError):
@@ -225,14 +225,17 @@ def _validate(command: str, cfg: dict) -> None:
 def _require_memory(cfg: dict) -> None:
     """Refuse a ``simulate`` run whose arrays cannot fit in physical memory.
 
-    ``mc_stability`` pre-draws 8 bytes of noise per path-step and records
-    five doubles per path per recorded row.  The sizes are floats: a count
-    beyond 2**64 cannot fit either way, so capping it there changes no
-    verdict and keeps every product finite or inf.
+    ``mc_stability`` pre-draws 8 bytes of noise per path-step, keeps 8 more
+    per path-step of drift samples when it steps the paths in more than
+    one process, and records five doubles per path per recorded row.  The
+    sizes are floats: a count beyond 2**64 cannot fit either way, so
+    capping it there changes no verdict and keeps every product finite or
+    inf.
     """
     n_paths, thin = (float(min(cfg[key], 2 ** 64)) for key in ("n_paths", "thin"))
     n_steps = float(np.floor(cfg["horizon"] / cfg["dt"] + 1e-9))
-    need = n_paths * (8.0 * n_steps + 40.0 * (1.0 + np.ceil(n_steps / thin)))
+    per_step = 16.0 if _ensemble_shares(cfg["n_paths"]) > 1 else 8.0
+    need = n_paths * (per_step * n_steps + 40.0 * (1.0 + np.ceil(n_steps / thin)))
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     _require(need <= memory,
              f"simulate with n_paths = {cfg['n_paths']}, n_steps = {n_steps:.0f} "

@@ -513,8 +513,8 @@ def write_csv(path, columns, rows, header_lines=()) -> None:
         fh.writelines(fmt % tuple(row) for row in rows)
 
 
-# Fewest formatted values that pay for one more writing process: formatting
-# takes about 1 us a value, so 2**15 values (some 30 ms) outweigh a fork.
+# Fewest formatted values one writing process takes: formatting takes about
+# 1 us a value, so 2**15 values (some 30 ms) outweigh a fork.
 SHARE_MIN_VALUES = 2 ** 15
 
 
@@ -530,10 +530,10 @@ def write_path_csvs(paths, times, states, controls=None, header_lines=()) -> Non
     with ``"%.17g" %``, as :func:`write_csv` does.
 
     The files are written by up to one process per CPU the process may run
-    on, each taking one contiguous share of the paths: this process writes
-    the first share and ``os.fork`` children the others, one more share for
-    each ``SHARE_MIN_VALUES`` values written.  Every child is reaped before
-    this returns or raises; a child's failure raises ``OSError`` naming its
+    on, each taking one contiguous share of the paths and at least
+    ``SHARE_MIN_VALUES`` of the values: this process writes the first share
+    and ``os.fork`` children the others.  Every child is reaped before this
+    returns or raises; a child's failure raises ``OSError`` naming its
     share's first file and the child's error.
     """
     n_paths, n_rows, dim = np.shape(states)
@@ -558,27 +558,48 @@ def write_path_csvs(paths, times, states, controls=None, header_lines=()) -> Non
             with open(paths[i], "w") as fh:
                 fh.write(template % tuple(values.ravel().tolist()))
 
-    n_shares = _n_shares(n_paths, n_paths * n_rows * (dim + n_controls))
-    bounds = [s * n_paths // n_shares for s in range(n_shares + 1)]
-    children, failures = [], []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            children.append((paths[lo], *_fork(write_share, lo, hi)))
-        write_share(bounds[0], bounds[1])
-    finally:
-        for first, pid, read_fd in children:
-            message = _reap(pid, read_fd)
-            if message is not None:
-                failures.append(f"{first}: {message}")
-    if failures:
-        raise OSError(f"could not write the path files from {failures[0]}")
+    n_shares = _n_shares(n_paths, n_paths * n_rows * (dim + n_controls),
+                         SHARE_MIN_VALUES)
+    failed = _run_shares(write_share, n_paths, n_shares, n_local=1)
+    if failed is not None:
+        lo, message = failed
+        raise OSError(f"could not write the path files from {paths[lo]}: {message}")
 
 
-def _n_shares(n_paths: int, n_values: int) -> int:
-    """Processes to write ``n_values`` formatted values over ``n_paths`` files."""
+def _n_shares(n_items: int, n_units: int, min_units: int) -> int:
+    """Processes to share ``n_units`` of work over ``n_items`` items.
+
+    One per CPU the process may run on, but no more than the items, and
+    only so many that each share holds at least ``min_units`` of the work;
+    one on a platform without ``os.fork`` or ``os.sched_getaffinity``.
+    """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return min(len(os.sched_getaffinity(0)), n_paths, 1 + n_values // SHARE_MIN_VALUES)
+    return max(1, min(len(os.sched_getaffinity(0)), n_items, n_units // min_units))
+
+
+def _run_shares(work: Callable, n_items: int, n_shares: int,
+                n_local: int) -> Optional[tuple]:
+    """Run ``work(lo, hi)`` on ``n_shares`` contiguous shares of ``range(n_items)``.
+
+    The first ``n_local`` shares run in this process, after every other
+    share has been handed to its own :func:`_fork` child.  Every child is
+    reaped before this returns or raises, also when a share of this
+    process raises.  Returns None, or the first item and the child's
+    message of the first share whose child failed.
+    """
+    bounds = [s * n_items // n_shares for s in range(n_shares + 1)]
+    shares = list(zip(bounds[:-1], bounds[1:]))
+    children = []
+    try:
+        for lo, hi in shares[n_local:]:
+            children.append((lo, *_fork(work, lo, hi)))
+        for lo, hi in shares[:n_local]:
+            work(lo, hi)
+    finally:
+        failures = [(lo, message) for lo, pid, read_fd in children
+                    if (message := _reap(pid, read_fd)) is not None]
+    return failures[0] if failures else None
 
 
 def _fork(work: Callable, *args) -> tuple:
@@ -617,7 +638,7 @@ def _reap(pid: int, read_fd: int) -> Optional[str]:
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code == 0:
         return None
-    return message or f"the writing process exited with code {code}"
+    return message or f"the child process exited with code {code}"
 
 
 def trajectory_to_csv(traj: Trajectory, path, header_lines=()) -> None:

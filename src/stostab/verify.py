@@ -11,6 +11,7 @@ paths run or in what order.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,9 +20,9 @@ import numpy as np
 from . import brockett
 from .brockett import ClosedLoop, DiffusionDesign, SystemParams
 from .sde import (ITO, NORM_SQ_BOUND, STRATONOVICH, SdeSystem, _em_step,
-                  _final_state, _initial_state, _rk4_step,
-                  piecewise_linear_lift, sample_wiener, wiener_increments,
-                  write_csv, write_header)
+                  _final_state, _initial_state, _n_shares, _rk4_step,
+                  _run_shares, piecewise_linear_lift, sample_wiener,
+                  wiener_increments, write_csv, write_header)
 
 
 # Samples one block of a per-path experiment holds at once (2 MiB of
@@ -294,53 +295,85 @@ class StabilityReport:
 # Equal-width time buckets of the v2 drift statistics.
 N_BUCKETS = 50
 
+# Fewest paths one stepping process of mc_stability takes.  A kernel pass
+# over thousands of rows is arithmetic, which splits across processes; a
+# narrower one is numpy dispatch, which every process pays in full.  At 100
+# steps on a 2-CPU host, two shares ran 1.04-1.36x the one-process time at
+# 2 000 paths, 0.90-1.13x at 4 000 and 0.78-0.96x from 5 000 paths on.
+SHARE_MIN_PATHS = 2500
 
-# Diverging paths overflow on their way out; n_diverged reports them.
-@np.errstate(over="ignore", invalid="ignore")
-def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
-                 eps: float, conv_threshold: float, m_level: float, seed: int,
-                 record_every: int = 0) -> StabilityReport:
-    """Euler-Maruyama ensemble of the closed loop with common bookkeeping.
 
-    All paths step together as coordinate columns, and each step evaluates
-    the loop once, through ``cl.columns``, at the new state: that one pass
-    gives the divergence test its v2 and |x|^2, the next step its drift and
-    diffusion, and the recording its control.  Path i consumes increments
-    from its own seed-word stream, so results are reproducible and
-    unchanged under ensemble enlargement.  ``record_every`` > 0 stores every
-    k-th state and its control for all paths (plus the final one) for
-    export.
+def _ensemble_shares(n_paths: int) -> int:
+    """Processes that step an ensemble of ``n_paths`` paths."""
+    return _n_shares(n_paths, n_paths, SHARE_MIN_PATHS)
+
+
+def _shared_arrays(layout: dict) -> dict:
+    """``{name: (shape, dtype)}`` as zeroed arrays in one anonymous shared mapping.
+
+    A forked child writes into them what this process then reads.  Every
+    dtype is 8 bytes wide, so every array is aligned.
     """
-    if dt <= 0 or horizon < dt:
-        raise ValueError("need dt > 0 and horizon >= dt")
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (3,):
-        raise ValueError(f"x0 must have shape (3,), got {x0.shape}")
-    n_steps = int(np.floor(horizon / dt + 1e-9))
-    dw = wiener_increments(dt, path_seeds(seed, n_paths), n_steps)
+    sizes = {name: int(np.prod(shape)) for name, (shape, _) in layout.items()}
+    buf = mmap.mmap(-1, 8 * sum(sizes.values()))
+    arrays, offset = {}, 0
+    for name, (shape, dtype) in layout.items():
+        arrays[name] = np.frombuffer(buf, dtype, sizes[name], offset).reshape(shape)
+        offset += 8 * sizes[name]
+    return arrays
 
+
+class _DriftBuckets:
+    """Sums of the v2 drift samples z = (v2_new - v2) / dt per time bucket."""
+
+    def __init__(self, n_steps: int):
+        self.bucket_of = (np.arange(n_steps) * N_BUCKETS) // n_steps
+        self.sum = np.zeros(N_BUCKETS)
+        self.sumsq = np.zeros(N_BUCKETS)
+        self.count = np.zeros(N_BUCKETS, dtype=np.int64)
+
+    def add(self, k: int, z: np.ndarray, ok: Optional[np.ndarray]) -> None:
+        """Add step k's samples ``z``, of the paths in mask ``ok`` (None: all)."""
+        if ok is not None:
+            z = z[ok]
+        if len(z):
+            b = self.bucket_of[k]
+            self.sum[b] += z.sum()
+            self.sumsq[b] += (z * z).sum()
+            self.count[b] += len(z)
+
+
+def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
+                n_steps: int, record_every: int, out: dict,
+                drift: Callable) -> None:
+    """Step the paths of ``seeds`` from ``x0`` and write their results to ``out``.
+
+    ``out`` holds one row per path for each result: ``v2_start``,
+    ``terminal`` (the final state), ``v2`` (its v2), ``sup_v2``,
+    ``sup_norm_sq``, ``death`` (the step at which the path diverged, or
+    n_steps) and, when ``record_every`` > 0, ``rec_states`` and
+    ``rec_controls``.  After step k, ``drift(k, z, ok)`` gets every path's
+    v2 drift sample z and the mask of the paths alive after the step, or
+    None while every path lives.  Each kernel operation acts row by row, so
+    a path's results do not depend on the other paths stepped with it.
+    """
+    n_paths = len(seeds)
+    dw = wiener_increments(dt, seeds, n_steps)
     x1, x2, x3 = (np.full(n_paths, c) for c in x0)
     t = cl.columns(x1, x2, x3)
     alive = np.ones(n_paths, dtype=bool)
     all_alive = True
     v2 = t.v2
-    v2_start = float(v2[0])
-    sup_v2 = v2.copy()
-    sup_norm_sq = t.norm_sq.copy()
-
-    bucket_of = (np.arange(n_steps) * N_BUCKETS) // n_steps
-    bsum = np.zeros(N_BUCKETS)
-    bsumsq = np.zeros(N_BUCKETS)
-    bcount = np.zeros(N_BUCKETS, dtype=np.int64)
+    out["v2_start"][:] = v2
+    sup_v2, sup_norm_sq, death = out["sup_v2"], out["sup_norm_sq"], out["death"]
+    sup_v2[:] = v2
+    sup_norm_sq[:] = t.norm_sq
+    death[:] = n_steps
 
     recording = record_every > 0
     if recording:
-        n_rec = 1 + n_steps // record_every + (n_steps % record_every > 0)
-        rec_times = [0.0]
-        rec_states = np.empty((n_paths, n_rec, 3))
-        rec_controls = np.empty((n_paths, n_rec, 2))
+        rec_states, rec_controls = out["rec_states"], out["rec_controls"]
+        j = 0
 
         def record(j):
             rec_states[:, j] = np.column_stack((x1, x2, x3))
@@ -358,42 +391,122 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
         # A NaN state fails the norm test; a finite state can still overflow v2.
         fine = (t.norm_sq <= NORM_SQ_BOUND) & np.isfinite(t.v2)
         z = (t.v2 - v2) / dt
+        ok = None
         if not (all_alive and fine.all()):
             ok = alive & fine
-            z = z[ok]
             newly_dead = alive & ~fine
             alive = ok
             if newly_dead.any():
                 # Park dead paths at the equilibrium and evaluate the loop
                 # there for the next step; the stats mask them out.
                 all_alive = False
+                death[newly_dead] = k
                 for col in (x1, x2, x3):
                     col[newly_dead] = 0.0
                 t = cl.columns(x1, x2, x3)
-        # A parked path sits at v2 = |x|^2 = 0, and its sups become inf below.
+        # A parked path sits at v2 = |x|^2 = 0, and its sups become inf later.
         np.maximum(sup_v2, t.v2, out=sup_v2)
         np.maximum(sup_norm_sq, t.norm_sq, out=sup_norm_sq)
-        if len(z):
-            b = bucket_of[k]
-            bsum[b] += z.sum()
-            bsumsq[b] += (z * z).sum()
-            bcount[b] += len(z)
+        drift(k, z, ok)
         v2 = t.v2
         if recording and ((k + 1) % record_every == 0 or k + 1 == n_steps):
-            rec_times.append((k + 1) * dt)
-            record(len(rec_times) - 1)
+            j += 1
+            record(j)
 
-    x = np.stack([x1, x2, x3], axis=-1)
-    died = ~alive
+    out["terminal"][:] = np.column_stack((x1, x2, x3))
+    out["v2"][:] = v2
+
+
+# Diverging paths overflow on their way out; n_diverged reports them.
+@np.errstate(over="ignore", invalid="ignore")
+def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
+                 eps: float, conv_threshold: float, m_level: float, seed: int,
+                 record_every: int = 0) -> StabilityReport:
+    """Euler-Maruyama ensemble of the closed loop with common bookkeeping.
+
+    All paths step together as coordinate columns, and each step evaluates
+    the loop once, through ``cl.columns``, at the new state: that one pass
+    gives the divergence test its v2 and |x|^2, the next step its drift and
+    diffusion, and the recording its control.  Path i consumes increments
+    from its own seed-word stream, so results are reproducible and
+    unchanged under ensemble enlargement.  ``record_every`` > 0 stores every
+    k-th state and its control for all paths (plus the final one) for
+    export.
+
+    The paths are stepped in contiguous shares, one ``os.fork`` child per
+    CPU the process may run on, when each share holds at least
+    ``SHARE_MIN_PATHS`` paths; a smaller ensemble is stepped in this
+    process.  Each share draws its own paths' noise, and the children write
+    each step's v2 drift samples, 8 bytes per path-step on top of the
+    noise, for this process to add up in step order.  The report is the
+    same bit for bit for any number of shares.  A child's failure raises
+    ``RuntimeError`` naming its share's first path and the child's error.
+    """
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not (dt <= horizon and np.isfinite(horizon / dt)):
+        raise ValueError(f"horizon must be at least dt and span finitely many "
+                         f"steps, got {horizon!r}")
+    if n_paths < 1:
+        raise ValueError("n_paths must be positive")
+    if (isinstance(record_every, (bool, np.bool_))
+            or not isinstance(record_every, (int, np.integer)) or record_every < 0):
+        raise ValueError(f"record_every must be a nonnegative integer, got {record_every!r}")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (3,):
+        raise ValueError(f"x0 must have shape (3,), got {x0.shape}")
+    n_steps = int(np.floor(horizon / dt + 1e-9))
+    seeds = path_seeds(seed, n_paths)
+
+    layout = {"v2_start": (n_paths, float), "terminal": ((n_paths, 3), float),
+              "v2": (n_paths, float), "sup_v2": (n_paths, float),
+              "sup_norm_sq": (n_paths, float), "death": (n_paths, np.int64)}
+    recording = record_every > 0
+    if recording:
+        # step 0, every record_every-th step, and the last step
+        rec_steps = np.minimum(np.arange(0, n_steps + record_every, record_every), n_steps)
+        layout["rec_states"] = ((n_paths, len(rec_steps), 3), float)
+        layout["rec_controls"] = ((n_paths, len(rec_steps), 2), float)
+    res = _shared_arrays(layout)
+    buckets = _DriftBuckets(n_steps)
+    n_shares = _ensemble_shares(n_paths)
+    split = n_shares > 1
+    if split:
+        z_rows = _shared_arrays({"z": ((n_steps, n_paths), float)})["z"]
+
+    def step_share(lo, hi):
+        if split:
+            def drift(k, z, ok):
+                z_rows[k, lo:hi] = z
+        else:
+            drift = buckets.add
+        _step_paths(cl, x0, dt, seeds[lo:hi], n_steps, record_every,
+                    {name: a[lo:hi] for name, a in res.items()}, drift)
+
+    # split, this process only waits: stepping a share here too would hold
+    # that share's noise beside the drift samples
+    failed = _run_shares(step_share, n_paths, n_shares, n_local=int(not split))
+    if failed is not None:
+        raise RuntimeError("could not step the ensemble share from path %d: %s" % failed)
+    if split:
+        # the samples of step k, in path order, of the paths alive after it
+        first_death = res["death"].min()
+        for k, z in enumerate(z_rows):
+            buckets.add(k, z, res["death"] > k if k >= first_death else None)
+        del z_rows
+
+    x = res["terminal"]
+    died = res["death"] < n_steps
     n_diverged = int(died.sum())
-    sup_v2 = np.where(died, np.inf, sup_v2)
+    sup_v2 = np.where(died, np.inf, res["sup_v2"])
     # sqrt is monotone, so the sup of the norms is the root of this sup.
-    sup_norm = np.where(died, np.inf, np.sqrt(sup_norm_sq))
-    v2_final = np.where(died, np.inf, v2)
+    sup_norm = np.where(died, np.inf, np.sqrt(res["sup_norm_sq"]))
+    v2_final = np.where(died, np.inf, res["v2"])
     terminal_norm = np.where(died, np.inf, np.linalg.norm(x, axis=1))
 
-    converged = alive & (terminal_norm < conv_threshold)
+    converged = ~died & (terminal_norm < conv_threshold)
     n_exceed = int((sup_v2 >= m_level).sum())
+    bsum, bsumsq, bcount = buckets.sum, buckets.sumsq, buckets.count
     mean = np.full(N_BUCKETS, np.nan)
     se = np.full(N_BUCKETS, np.nan)
     nz = bcount > 0
@@ -414,7 +527,7 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
         dt=dt,
         horizon=horizon,
         seed=seed,
-        v2_start=v2_start,
+        v2_start=float(res["v2_start"][0]),
         m_level=m_level,
         eps=eps,
         conv_threshold=conv_threshold,
@@ -430,9 +543,9 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
         bucket_stderr=se,
         bucket_counts=bcount,
         terminal_states=x,
-        record_times=np.asarray(rec_times) if recording else None,
-        record_states=rec_states if recording else None,
-        record_controls=rec_controls if recording else None,
+        record_times=rec_steps * dt if recording else None,
+        record_states=res["rec_states"] if recording else None,
+        record_controls=res["rec_controls"] if recording else None,
     )
     return report
 

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from stostab import Trajectory, cli, closed_loop
+from stostab import Trajectory, cli, closed_loop, verify
 from stostab.verify import mc_stability
 
 import csv_oracle
@@ -74,6 +74,56 @@ def test_simulate_beyond_physical_memory_is_a_config_error(tmp_path, monkeypatch
     for name in ("n_paths = ", "n_steps = ", "thin = 100", "GiB", "physical memory"):
         assert name in err
     assert not out.exists()
+
+
+class _Ran(Exception):
+    pass
+
+
+@pytest.mark.parametrize("shares, need", [(1, 640), (2, 960)])
+def test_simulate_memory_refusal_counts_the_drift_samples(tmp_path, monkeypatch,
+                                                          capsys, shares, need):
+    # 4 paths of 10 steps at thin 100 record 2 rows: 4 (8 * 10 + 40 * 2)
+    # bytes in one process, and 8 bytes more per path-step when the paths
+    # are stepped in shares; the run starts at exactly that much memory
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(shares)))
+    monkeypatch.setattr(verify, "SHARE_MIN_PATHS", 1)
+
+    def ran(*args, **kwargs):
+        raise _Ran
+    monkeypatch.setattr(cli, "mc_stability", ran)
+    out = tmp_path / "sim"
+    argv = ["simulate", "--n-paths", "4", "--horizon", "0.01", "--out", str(out)]
+    for memory in (need - 1, need):
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1,
+                                            "SC_PHYS_PAGES": memory}.__getitem__)
+        if memory < need:
+            assert run_cli(argv) == 2
+            assert "physical memory" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            with pytest.raises(_Ran):
+                run_cli(argv)
+
+
+def test_simulate_in_shares_writes_the_same_files(tmp_path, monkeypatch):
+    # 7 paths stepped by 3 forked children write the bytes of the run
+    # stepped in this process, apart from the timestamp line
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    out, runs = tmp_path / "sim", []
+    for min_paths in (verify.SHARE_MIN_PATHS, 1):
+        monkeypatch.setattr(verify, "SHARE_MIN_PATHS", min_paths)
+        shutil.rmtree(out, ignore_errors=True)
+        assert run_cli(["simulate", "--n-paths", "7", "--horizon", "0.05",
+                        "--thin", "10", "--k1", "0.1", "--k2", "0.1",
+                        "--x0", "0.4,-0.3,0.8", "--out", str(out)]) == 0
+        runs.append({f.name: [l for l in f.read_bytes().splitlines()
+                              if not l.startswith(b"# timestamp: ")]
+                     for f in sorted(out.iterdir())})
+    assert len(forks) == 3
+    assert len(runs[0]) == 9 and runs[0] == runs[1]
 
 
 def test_unknown_flag_returns_argparse_code():

@@ -1,6 +1,8 @@
 """Scans, ensembles, interval arithmetic, and the convergence experiments."""
 
 import dataclasses
+import functools
+import os
 import tracemalloc
 import warnings
 from unittest import mock
@@ -363,24 +365,105 @@ MC_CASES = [
 ]
 
 
+@functools.cache
+def _mc_reference(case):
+    """The case's closed loop and the reference loop's report."""
+    plant, gains, x0, horizon, n_paths, seed, every, _ = case
+    cl = closed_loop(SystemParams(*plant), DiffusionDesign(*gains))
+    return cl, oracle_mc_stability(cl, x0, 1e-3, horizon, n_paths, 5.0, 0.1,
+                                   20.0, seed, record_every=every)
+
+
+def _assert_same_report(got, want):
+    for field in dataclasses.fields(StabilityReport):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert (a is None) == (b is None), field.name
+        assert a is None or np.array_equal(a, b, equal_nan=True), field.name
+
+
 @pytest.mark.parametrize("case", MC_CASES)
 def test_mc_equals_the_reference_loop(case):
     # the one-pass loop, evaluated at the new state and with its shortcut
     # while every path lives, must give the reference loop's report bit for
     # bit, recordings included, also where some or all paths diverge
     plant, gains, x0, horizon, n_paths, seed, every, n_diverged = case
-    cl = closed_loop(SystemParams(*plant), DiffusionDesign(*gains))
-    args = (cl, x0, 1e-3, horizon, n_paths, 5.0, 0.1, 20.0, seed)
-    got = mc_stability(*args, record_every=every)
-    want = oracle_mc_stability(*args, record_every=every)
+    cl, want = _mc_reference(case)
+    got = mc_stability(cl, x0, 1e-3, horizon, n_paths, 5.0, 0.1, 20.0, seed,
+                       record_every=every)
     assert got.n_diverged == n_diverged
-    for field in dataclasses.fields(StabilityReport):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        assert (a is None) == (b is None), field.name
-        assert a is None or np.array_equal(a, b, equal_nan=True), field.name
+    _assert_same_report(got, want)
     if every:
         for states, controls in zip(got.record_states, got.record_controls):
             assert np.array_equal(controls, cl.control(states))
+
+
+def _share_setup(monkeypatch, cpus):
+    # one share per path on ``cpus`` CPUs; returns the fork calls
+    monkeypatch.setattr(verify, "SHARE_MIN_PATHS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+@pytest.mark.parametrize("shares", [2, 3])
+@pytest.mark.parametrize("case", MC_CASES)
+def test_mc_shares_equal_the_reference_loop(monkeypatch, case, shares):
+    # each share is stepped by its own child and this process adds up the
+    # drift samples: the report is still the reference loop's bit for bit,
+    # also where paths of several shares die at different steps
+    plant, gains, x0, horizon, n_paths, seed, every, n_diverged = case
+    cl, want = _mc_reference(case)
+    forks = _share_setup(monkeypatch, shares)
+    got = mc_stability(cl, x0, 1e-3, horizon, n_paths, 5.0, 0.1, 20.0, seed,
+                       record_every=every)
+    assert len(forks) == shares
+    _assert_same_report(got, want)
+    # a diverged path is parked at the origin
+    dead = np.flatnonzero(~want.terminal_states.any(axis=1))
+    assert len(dead) == n_diverged
+    bounds = [s * n_paths // shares for s in range(1, shares)]
+    assert n_diverged == 0 or len(set(np.searchsorted(bounds, dead, side="right"))) >= 2
+
+
+@pytest.mark.parametrize("how, first, message", [
+    ("raise", 13, "no noise for this share"),
+    ("exit", 6, "the child process exited with code 7"),
+])
+def test_mc_share_failure_raises_in_the_parent(monkeypatch, how, first, message):
+    # 20 paths on 3 CPUs are shares 0-5, 6-12 and 13-19; the share from path
+    # ``first`` fails in its child, which the parent reaps with the others
+    # and names, with the child's error or its exit code
+    forks = _share_setup(monkeypatch, 3)
+    first_seed = path_seeds(1, 20)[first]
+    draw = verify.wiener_increments
+
+    def failing(dt, seeds, n_steps):
+        if seeds[0] == first_seed:
+            if how == "exit":
+                os._exit(7)
+            raise ValueError(message)
+        return draw(dt, seeds, n_steps)
+
+    monkeypatch.setattr(verify, "wiener_increments", failing)
+    with pytest.raises(RuntimeError, match=f"share from path {first}: {message}$"):
+        mc_stability(closed_loop(P44, D4), (0.0, 0.0, 1.0), dt=1e-3, horizon=0.01,
+                     n_paths=20, eps=5.0, conv_threshold=0.1, m_level=20.0, seed=1)
+    assert len(forks) == 3
+
+
+def test_mc_below_the_share_minimum_never_forks(monkeypatch):
+    # each share holds at least SHARE_MIN_PATHS paths, so one path short of
+    # two shares is stepped in this process, however many CPUs are free
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork was called"))
+    n_paths = 2 * verify.SHARE_MIN_PATHS - 1
+    assert verify._ensemble_shares(n_paths) == 1
+    assert verify._ensemble_shares(n_paths + 1) == 2
+    rep = mc_stability(closed_loop(P44, D4), (0.0, 0.0, 1.0), dt=1e-3,
+                       horizon=1e-3, n_paths=n_paths, eps=5.0, conv_threshold=0.1,
+                       m_level=20.0, seed=1)
+    assert rep.n_steps == 1 and rep.terminal_states.shape == (n_paths, 3)
 
 
 def test_mc_overflow_counts_as_divergence():
@@ -410,6 +493,24 @@ def test_mc_validation():
     with pytest.raises(ValueError):
         mc_stability(cl, (0, 0, 1), dt=0.1, horizon=1.0, n_paths=0,
                      eps=5.0, conv_threshold=0.1, m_level=20.0, seed=1)
+
+
+@pytest.mark.parametrize("bad, name", [
+    ({"dt": np.nan}, "dt"),
+    ({"horizon": np.nan}, "horizon"),
+    ({"horizon": np.inf}, "horizon"),
+    ({"record_every": -1}, "record_every"),
+    ({"record_every": 2.5}, "record_every"),
+], ids=("nan-dt", "nan-horizon", "inf-horizon", "negative-every", "fractional-every"))
+def test_mc_rejects_bad_steps_and_record_every(monkeypatch, bad, name):
+    # refused with the argument's name, before any noise is drawn or any
+    # process forked
+    monkeypatch.setattr(verify, "wiener_increments", lambda *a: pytest.fail("noise drawn"))
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork was called"))
+    kw = dict(dt=0.1, horizon=1.0, n_paths=2, eps=5.0, conv_threshold=0.1,
+              m_level=20.0, seed=1, record_every=0)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        mc_stability(closed_loop(P44, D4), (0.0, 0.0, 1.0), **{**kw, **bad})
 
 
 @pytest.mark.parametrize("x0", [(0.0, 1.0), (0.0, 0.0, 1.0, 2.0), [[0.0, 0.0, 1.0]], 1.0])
