@@ -560,7 +560,7 @@ def write_path_csvs(paths, times, states, controls=None, header_lines=()) -> Non
 
     n_shares = _n_shares(n_paths, n_paths * n_rows * (dim + n_controls),
                          SHARE_MIN_VALUES)
-    failed = _run_shares(write_share, n_paths, n_shares, n_local=1)
+    failed = _run_shares(write_share, n_paths, n_shares)
     if failed is not None:
         lo, message = failed
         raise OSError(f"could not write the path files from {paths[lo]}: {message}")
@@ -578,24 +578,22 @@ def _n_shares(n_items: int, n_units: int, min_units: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), n_items, n_units // min_units))
 
 
-def _run_shares(work: Callable, n_items: int, n_shares: int,
-                n_local: int) -> Optional[tuple]:
+def _run_shares(work: Callable, n_items: int, n_shares: int) -> Optional[tuple]:
     """Run ``work(lo, hi)`` on ``n_shares`` contiguous shares of ``range(n_items)``.
 
-    The first ``n_local`` shares run in this process, after every other
-    share has been handed to its own :func:`_fork` child.  Every child is
-    reaped before this returns or raises, also when a share of this
-    process raises.  Returns None, or the first item and the child's
-    message of the first share whose child failed.
+    Every share but the first is handed to its own :func:`_fork` child, and
+    then this process runs the first.  Every child is reaped before this
+    returns or raises, also when this process's share raises.  Returns
+    None, or the first item and the child's message of the first share
+    whose child failed.
     """
     bounds = [s * n_items // n_shares for s in range(n_shares + 1)]
     shares = list(zip(bounds[:-1], bounds[1:]))
     children = []
     try:
-        for lo, hi in shares[n_local:]:
+        for lo, hi in shares[1:]:
             children.append((lo, *_fork(work, lo, hi)))
-        for lo, hi in shares[:n_local]:
-            work(lo, hi)
+        work(*shares[0])
     finally:
         failures = [(lo, message) for lo, pid, read_fd in children
                     if (message := _reap(pid, read_fd)) is not None]

@@ -323,46 +323,56 @@ def _shared_arrays(layout: dict) -> dict:
     return arrays
 
 
-class _DriftBuckets:
-    """Sums of the v2 drift samples z = (v2_new - v2) / dt per time bucket."""
+def _drift_buckets(z: np.ndarray, death: np.ndarray) -> tuple:
+    """Mean, stderr and count of the v2 drift samples in each time bucket.
 
-    def __init__(self, n_steps: int):
-        self.bucket_of = (np.arange(n_steps) * N_BUCKETS) // n_steps
-        self.sum = np.zeros(N_BUCKETS)
-        self.sumsq = np.zeros(N_BUCKETS)
-        self.count = np.zeros(N_BUCKETS, dtype=np.int64)
-
-    def add(self, k: int, z: np.ndarray, ok: Optional[np.ndarray]) -> None:
-        """Add step k's samples ``z``, of the paths in mask ``ok`` (None: all)."""
-        if ok is not None:
-            z = z[ok]
-        if len(z):
-            b = self.bucket_of[k]
-            self.sum[b] += z.sum()
-            self.sumsq[b] += (z * z).sum()
-            self.count[b] += len(z)
+    Column k of ``z`` holds every path's sample z = (v2_new - v2) / dt of
+    step k; a path's samples count for the steps before the one at which
+    it died (``death``).  Each column is summed over its paths in path order, and
+    the columns are added in step order, so the statistics do not depend on
+    how the paths were shared out.
+    """
+    n_steps = z.shape[1]
+    bucket_of = (np.arange(n_steps) * N_BUCKETS) // n_steps
+    bsum, bsumsq = np.zeros(N_BUCKETS), np.zeros(N_BUCKETS)
+    count = np.zeros(N_BUCKETS, dtype=np.int64)
+    first_death = death.min()
+    for k in range(n_steps):
+        zk = z[:, k] if k < first_death else z[death > k, k]
+        if len(zk):
+            b = bucket_of[k]
+            bsum[b] += zk.sum()
+            bsumsq[b] += (zk * zk).sum()
+            count[b] += len(zk)
+    mean = np.full(N_BUCKETS, np.nan)
+    se = np.full(N_BUCKETS, np.nan)
+    nz = count > 0
+    mean[nz] = bsum[nz] / count[nz]
+    multi = count > 1
+    var = np.maximum(bsumsq[multi] / count[multi] - mean[multi] ** 2, 0.0)
+    se[multi] = np.sqrt(var / count[multi])
+    return mean, se, count
 
 
 def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
-                n_steps: int, record_every: int, out: dict,
-                drift: Callable) -> None:
+                n_steps: int, record_every: int, out: dict, dw: np.ndarray) -> None:
     """Step the paths of ``seeds`` from ``x0`` and write their results to ``out``.
 
     ``out`` holds one row per path for each result: ``v2_start``,
     ``terminal`` (the final state), ``v2`` (its v2), ``sup_v2``,
     ``sup_norm_sq``, ``death`` (the step at which the path diverged, or
     n_steps) and, when ``record_every`` > 0, ``rec_states`` and
-    ``rec_controls``.  After step k, ``drift(k, z, ok)`` gets every path's
-    v2 drift sample z and the mask of the paths alive after the step, or
-    None while every path lives.  Each kernel operation acts row by row, so
-    a path's results do not depend on the other paths stepped with it.
+    ``rec_controls``.  ``dw``, of shape ``(len(seeds), n_steps)``, receives
+    the paths' noise; once step k has used column k, the column is
+    overwritten with every path's v2 drift sample z = (v2_new - v2) / dt of
+    that step, for :func:`_drift_buckets`.  Each kernel operation acts row
+    by row, so a path's results do not depend on the other paths stepped
+    with it.
     """
     n_paths = len(seeds)
-    dw = wiener_increments(dt, seeds, n_steps)
+    wiener_increments(dt, seeds, n_steps, out=dw)
     x1, x2, x3 = (np.full(n_paths, c) for c in x0)
     t = cl.columns(x1, x2, x3)
-    alive = np.ones(n_paths, dtype=bool)
-    all_alive = True
     v2 = t.v2
     out["v2_start"][:] = v2
     sup_v2, sup_norm_sq, death = out["sup_v2"], out["sup_norm_sq"], out["death"]
@@ -388,18 +398,14 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
         x2 = x2 + f2 * dt + s2 * w
         x3 = x3 + f3 * dt + s3 * w
         t = cl.columns(x1, x2, x3)
+        dw[:, k] = (t.v2 - v2) / dt
         # A NaN state fails the norm test; a finite state can still overflow v2.
         fine = (t.norm_sq <= NORM_SQ_BOUND) & np.isfinite(t.v2)
-        z = (t.v2 - v2) / dt
-        ok = None
-        if not (all_alive and fine.all()):
-            ok = alive & fine
-            newly_dead = alive & ~fine
-            alive = ok
+        if not fine.all():
+            newly_dead = ~fine & (death == n_steps)
             if newly_dead.any():
                 # Park dead paths at the equilibrium and evaluate the loop
                 # there for the next step; the stats mask them out.
-                all_alive = False
                 death[newly_dead] = k
                 for col in (x1, x2, x3):
                     col[newly_dead] = 0.0
@@ -407,7 +413,6 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
         # A parked path sits at v2 = |x|^2 = 0, and its sups become inf later.
         np.maximum(sup_v2, t.v2, out=sup_v2)
         np.maximum(sup_norm_sq, t.norm_sq, out=sup_norm_sq)
-        drift(k, z, ok)
         v2 = t.v2
         if recording and ((k + 1) % record_every == 0 or k + 1 == n_steps):
             j += 1
@@ -415,6 +420,11 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
 
     out["terminal"][:] = np.column_stack((x1, x2, x3))
     out["v2"][:] = v2
+
+
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 # Diverging paths overflow on their way out; n_diverged reports them.
@@ -433,28 +443,39 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
     k-th state and its control for all paths (plus the final one) for
     export.
 
-    The paths are stepped in contiguous shares, one ``os.fork`` child per
-    CPU the process may run on, when each share holds at least
-    ``SHARE_MIN_PATHS`` paths; a smaller ensemble is stepped in this
-    process.  Each share draws its own paths' noise, and the children write
-    each step's v2 drift samples, 8 bytes per path-step on top of the
-    noise, for this process to add up in step order.  The report is the
-    same bit for bit for any number of shares.  A child's failure raises
-    ``RuntimeError`` naming its share's first path and the child's error.
+    The paths are stepped in contiguous shares, one per CPU the process may
+    run on, when each share holds at least ``SHARE_MIN_PATHS`` paths: this
+    process steps the first share and ``os.fork`` children the others; a
+    smaller ensemble is one share.  Each share draws its own paths' noise
+    into one shared buffer and overwrites each spent noise column with that
+    step's v2 drift samples, which this process then adds up in step order,
+    so the drift statistics need no memory beyond the noise.  The report is
+    the same bit for bit for any number of shares.  A child's failure
+    raises ``RuntimeError`` naming its share's first path and the child's
+    error.
+
+    A bad ``dt``, ``horizon``, ``n_paths``, ``record_every``, ``eps``,
+    ``conv_threshold``, ``m_level`` or ``x0`` raises ``ValueError`` naming
+    it before any noise is drawn.
     """
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not (dt <= horizon and np.isfinite(horizon / dt)):
         raise ValueError(f"horizon must be at least dt and span finitely many "
                          f"steps, got {horizon!r}")
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
-    if (isinstance(record_every, (bool, np.bool_))
-            or not isinstance(record_every, (int, np.integer)) or record_every < 0):
+    if not (_is_int(n_paths) and n_paths >= 1):
+        raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
+    if not (_is_int(record_every) and record_every >= 0):
         raise ValueError(f"record_every must be a nonnegative integer, got {record_every!r}")
+    for name, value in (("eps", eps), ("conv_threshold", conv_threshold),
+                        ("m_level", m_level)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (3,):
         raise ValueError(f"x0 must have shape (3,), got {x0.shape}")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {tuple(x0.tolist())}")
     n_steps = int(np.floor(horizon / dt + 1e-9))
     seeds = path_seeds(seed, n_paths)
 
@@ -468,32 +489,18 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
         layout["rec_states"] = ((n_paths, len(rec_steps), 3), float)
         layout["rec_controls"] = ((n_paths, len(rec_steps), 2), float)
     res = _shared_arrays(layout)
-    buckets = _DriftBuckets(n_steps)
-    n_shares = _ensemble_shares(n_paths)
-    split = n_shares > 1
-    if split:
-        z_rows = _shared_arrays({"z": ((n_steps, n_paths), float)})["z"]
+    # a mapping of its own, which the report's views of res do not keep alive
+    dw = _shared_arrays({"dw": ((n_paths, n_steps), float)})["dw"]
 
     def step_share(lo, hi):
-        if split:
-            def drift(k, z, ok):
-                z_rows[k, lo:hi] = z
-        else:
-            drift = buckets.add
         _step_paths(cl, x0, dt, seeds[lo:hi], n_steps, record_every,
-                    {name: a[lo:hi] for name, a in res.items()}, drift)
+                    {name: a[lo:hi] for name, a in res.items()}, dw[lo:hi])
 
-    # split, this process only waits: stepping a share here too would hold
-    # that share's noise beside the drift samples
-    failed = _run_shares(step_share, n_paths, n_shares, n_local=int(not split))
+    failed = _run_shares(step_share, n_paths, _ensemble_shares(n_paths))
     if failed is not None:
         raise RuntimeError("could not step the ensemble share from path %d: %s" % failed)
-    if split:
-        # the samples of step k, in path order, of the paths alive after it
-        first_death = res["death"].min()
-        for k, z in enumerate(z_rows):
-            buckets.add(k, z, res["death"] > k if k >= first_death else None)
-        del z_rows
+    mean, se, count = _drift_buckets(dw, res["death"])
+    del dw
 
     x = res["terminal"]
     died = res["death"] < n_steps
@@ -506,14 +513,6 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
 
     converged = ~died & (terminal_norm < conv_threshold)
     n_exceed = int((sup_v2 >= m_level).sum())
-    bsum, bsumsq, bcount = buckets.sum, buckets.sumsq, buckets.count
-    mean = np.full(N_BUCKETS, np.nan)
-    se = np.full(N_BUCKETS, np.nan)
-    nz = bcount > 0
-    mean[nz] = bsum[nz] / bcount[nz]
-    multi = bcount > 1
-    var = np.maximum(bsumsq[multi] / bcount[multi] - mean[multi] ** 2, 0.0)
-    se[multi] = np.sqrt(var / bcount[multi])
 
     levels = [0.05, 0.5, 0.95]
     quantiles = np.quantile(v2_final, levels)
@@ -541,7 +540,7 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
         bucket_edges=np.linspace(0.0, n_steps * dt, N_BUCKETS + 1),
         bucket_mean_drift=mean,
         bucket_stderr=se,
-        bucket_counts=bcount,
+        bucket_counts=count,
         terminal_states=x,
         record_times=rec_steps * dt if recording else None,
         record_states=res["rec_states"] if recording else None,

@@ -409,15 +409,16 @@ def _share_setup(monkeypatch, cpus):
 @pytest.mark.parametrize("shares", [2, 3])
 @pytest.mark.parametrize("case", MC_CASES)
 def test_mc_shares_equal_the_reference_loop(monkeypatch, case, shares):
-    # each share is stepped by its own child and this process adds up the
-    # drift samples: the report is still the reference loop's bit for bit,
-    # also where paths of several shares die at different steps
+    # this process steps the first share, a child each other one, and this
+    # process adds up the drift samples: the report is still the reference
+    # loop's bit for bit, also where paths of several shares die at
+    # different steps
     plant, gains, x0, horizon, n_paths, seed, every, n_diverged = case
     cl, want = _mc_reference(case)
     forks = _share_setup(monkeypatch, shares)
     got = mc_stability(cl, x0, 1e-3, horizon, n_paths, 5.0, 0.1, 20.0, seed,
                        record_every=every)
-    assert len(forks) == shares
+    assert len(forks) == shares - 1
     _assert_same_report(got, want)
     # a diverged path is parked at the origin
     dead = np.flatnonzero(~want.terminal_states.any(axis=1))
@@ -429,27 +430,34 @@ def test_mc_shares_equal_the_reference_loop(monkeypatch, case, shares):
 @pytest.mark.parametrize("how, first, message", [
     ("raise", 13, "no noise for this share"),
     ("exit", 6, "the child process exited with code 7"),
+    ("own", 0, "no noise for this share"),
 ])
 def test_mc_share_failure_raises_in_the_parent(monkeypatch, how, first, message):
-    # 20 paths on 3 CPUs are shares 0-5, 6-12 and 13-19; the share from path
-    # ``first`` fails in its child, which the parent reaps with the others
-    # and names, with the child's error or its exit code
+    # 20 paths on 3 CPUs are shares 0-5, stepped here, and 6-12 and 13-19,
+    # stepped in children.  A child's failure is reaped with the others and
+    # named, with the child's error or its exit code; a failure of this
+    # process's own share propagates as it is, once every child is reaped
+    # (the conftest guard sees any child left behind)
     forks = _share_setup(monkeypatch, 3)
     first_seed = path_seeds(1, 20)[first]
     draw = verify.wiener_increments
 
-    def failing(dt, seeds, n_steps):
+    def failing(dt, seeds, n_steps, out):
         if seeds[0] == first_seed:
             if how == "exit":
                 os._exit(7)
             raise ValueError(message)
-        return draw(dt, seeds, n_steps)
+        return draw(dt, seeds, n_steps, out=out)
 
     monkeypatch.setattr(verify, "wiener_increments", failing)
-    with pytest.raises(RuntimeError, match=f"share from path {first}: {message}$"):
+    if how == "own":
+        expected = pytest.raises(ValueError, match=f"^{message}$")
+    else:
+        expected = pytest.raises(RuntimeError, match=f"share from path {first}: {message}$")
+    with expected:
         mc_stability(closed_loop(P44, D4), (0.0, 0.0, 1.0), dt=1e-3, horizon=0.01,
                      n_paths=20, eps=5.0, conv_threshold=0.1, m_level=20.0, seed=1)
-    assert len(forks) == 3
+    assert len(forks) == 2
 
 
 def test_mc_below_the_share_minimum_never_forks(monkeypatch):
@@ -501,11 +509,22 @@ def test_mc_validation():
     ({"horizon": np.inf}, "horizon"),
     ({"record_every": -1}, "record_every"),
     ({"record_every": 2.5}, "record_every"),
-], ids=("nan-dt", "nan-horizon", "inf-horizon", "negative-every", "fractional-every"))
+    ({"n_paths": 2.5}, "n_paths"),
+    ({"n_paths": True}, "n_paths"),
+    ({"eps": np.nan}, "eps"),
+    ({"eps": 0.0}, "eps"),
+    ({"conv_threshold": np.inf}, "conv_threshold"),
+    ({"conv_threshold": -0.1}, "conv_threshold"),
+    ({"m_level": np.nan}, "m_level"),
+    ({"m_level": np.inf}, "m_level"),
+], ids=("nan-dt", "nan-horizon", "inf-horizon", "negative-every", "fractional-every",
+        "fractional-paths", "bool-paths", "nan-eps", "zero-eps", "inf-threshold",
+        "negative-threshold", "nan-level", "inf-level"))
 def test_mc_rejects_bad_steps_and_record_every(monkeypatch, bad, name):
     # refused with the argument's name, before any noise is drawn or any
     # process forked
-    monkeypatch.setattr(verify, "wiener_increments", lambda *a: pytest.fail("noise drawn"))
+    monkeypatch.setattr(verify, "wiener_increments",
+                        lambda *a, **kw: pytest.fail("noise drawn"))
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork was called"))
     kw = dict(dt=0.1, horizon=1.0, n_paths=2, eps=5.0, conv_threshold=0.1,
               m_level=20.0, seed=1, record_every=0)
@@ -513,10 +532,16 @@ def test_mc_rejects_bad_steps_and_record_every(monkeypatch, bad, name):
         mc_stability(closed_loop(P44, D4), (0.0, 0.0, 1.0), **{**kw, **bad})
 
 
-@pytest.mark.parametrize("x0", [(0.0, 1.0), (0.0, 0.0, 1.0, 2.0), [[0.0, 0.0, 1.0]], 1.0])
+@pytest.mark.parametrize("x0", [(0.0, 1.0), (0.0, 0.0, 1.0, 2.0), [[0.0, 0.0, 1.0]], 1.0,
+                                (np.nan, 0.0, 1.0), (np.inf, 0.0, 1.0)])
 def test_mc_rejects_x0_of_the_wrong_shape(x0):
+    # a start of the right shape must also be finite
     cl = closed_loop(P44, D4)
-    with pytest.raises(ValueError, match=r"x0 must have shape \(3,\), got \("):
+    if np.shape(x0) == (3,):
+        message = r"x0 must be finite, got \("
+    else:
+        message = r"x0 must have shape \(3,\), got \("
+    with pytest.raises(ValueError, match=message):
         mc_stability(cl, x0, dt=0.1, horizon=1.0, n_paths=2,
                      eps=5.0, conv_threshold=0.1, m_level=20.0, seed=1)
 
