@@ -32,7 +32,7 @@ from .brockett import (DiffusionDesign, SystemParams, check_design_conditions,
                        closed_loop, controllability_rank, diffusion_b)
 from .lyapunov import v2_eval
 from .sde import IntegrationDiverged, write_csv, write_path_csvs
-from .verify import (GridSpec, mc_stability, scan_generator, small_control_scan,
+from .verify import (GridSpec, _ensemble_plan, mc_stability, scan_generator, small_control_scan,
                      wong_zakai_experiment, write_scan_csv, write_summary)
 
 
@@ -143,7 +143,6 @@ def _convert(key: str, raw, kind: str):
         return text
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
-    raise ConfigError(f"unknown kind {kind!r} for {key!r}")
 
 
 def load_config_file(path: str) -> dict:
@@ -186,20 +185,9 @@ def _require(ok: bool, message: str) -> None:
 
 
 def _validate(command: str, cfg: dict) -> None:
-    try:
-        SystemParams(cfg["b1"], cfg["b2"], cfg["b3"], cfg["b4"])
-        DiffusionDesign(cfg["k1"], cfg["k2"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     _require(cfg["seed"] >= 0, "seed must be nonnegative")
     if command == "simulate":
-        _require(cfg["dt"] > 0, "dt must be positive")
-        _require(cfg["horizon"] >= cfg["dt"], "horizon must be at least dt")
-        _require(cfg["n_paths"] >= 1, "n_paths must be positive")
-        _require(cfg["eps"] > 0, "eps must be positive")
-        _require(cfg["conv_threshold"] > 0, "conv_threshold must be positive")
         _require(cfg["thin"] >= 1, "thin must be a positive integer")
-        _require_memory(cfg)
         if cfg["m_level"] is None:
             with np.errstate(over="ignore", invalid="ignore"):
                 v2_start = float(v2_eval(np.asarray(cfg["x0"])))
@@ -207,7 +195,6 @@ def _validate(command: str, cfg: dict) -> None:
                      f"v2(x0) is not finite at x0 = {cfg['x0']}, so the "
                      "default m_level = 10 v2(x0) is undefined")
             cfg["m_level"] = 10.0 * v2_start
-        _require(cfg["m_level"] > 0, "m_level must be positive")
     elif command in ("scan-lv", "check-design"):
         _require(cfg["grid_count"] >= 2, "grid_count must be at least 2")
         _require(cfg["grid_extent"] > 0, "grid_extent must be positive")
@@ -219,25 +206,15 @@ def _validate(command: str, cfg: dict) -> None:
     elif command == "controllability":
         _require(cfg["n_points"] >= 1, "n_points must be positive")
         _require(cfg["extent"] > 0, "extent must be positive")
-
-
-def _require_memory(cfg: dict) -> None:
-    """Refuse a ``simulate`` run whose arrays cannot fit in physical memory.
-
-    ``mc_stability`` pre-draws 8 bytes of noise per path-step, which later
-    hold the drift samples, and records five doubles per path per recorded
-    row, however many processes step the paths.  The sizes are floats: a
-    count beyond 2**64 cannot fit either way, so capping it there changes
-    no verdict and keeps every product finite or inf.
-    """
-    n_paths, thin = (float(min(cfg[key], 2 ** 64)) for key in ("n_paths", "thin"))
-    n_steps = float(np.floor(cfg["horizon"] / cfg["dt"] + 1e-9))
-    need = n_paths * (8.0 * n_steps + 40.0 * (1.0 + np.ceil(n_steps / thin)))
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    _require(need <= memory,
-             f"simulate with n_paths = {cfg['n_paths']}, n_steps = {n_steps:.0f} "
-             f"and thin = {cfg['thin']} needs {need / 2**30:.3g} GiB for its noise "
-             f"and recording, more than the {memory / 2**30:.3g} GiB of physical memory")
+    try:
+        SystemParams(cfg["b1"], cfg["b2"], cfg["b3"], cfg["b4"])
+        DiffusionDesign(cfg["k1"], cfg["k2"])
+        if command == "simulate":
+            _ensemble_plan(cfg["x0"], cfg["dt"], cfg["horizon"], cfg["n_paths"],
+                           cfg["eps"], cfg["conv_threshold"], cfg["m_level"],
+                           cfg["thin"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _fmt(value) -> str:

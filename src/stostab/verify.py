@@ -11,7 +11,9 @@ paths run or in what order.
 
 from __future__ import annotations
 
+import math
 import mmap
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -58,8 +60,11 @@ def path_seeds(master_seed: int, n: int) -> np.ndarray:
     """First ``n`` words of the master seed sequence, one per path.
 
     Word i does not depend on n, so enlarging an ensemble extends it without
-    re-randomizing existing paths.
+    re-randomizing existing paths.  A master seed that is not a nonnegative
+    integer (numpy reads None as fresh OS entropy) raises ``ValueError``.
     """
+    if not (_is_int(master_seed) and master_seed >= 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {master_seed!r}")
     return np.random.SeedSequence(master_seed).generate_state(n, dtype=np.uint64)
 
 
@@ -314,7 +319,7 @@ def _shared_arrays(layout: dict) -> dict:
     A forked child writes into them what this process then reads.  Every
     dtype is 8 bytes wide, so every array is aligned.
     """
-    sizes = {name: int(np.prod(shape)) for name, (shape, _) in layout.items()}
+    sizes = {name: math.prod(shape) for name, (shape, _) in layout.items()}
     buf = mmap.mmap(-1, 8 * sum(sizes.values()))
     arrays, offset = {}, 0
     for name, (shape, dtype) in layout.items():
@@ -355,19 +360,20 @@ def _drift_buckets(z: np.ndarray, death: np.ndarray) -> tuple:
 
 
 def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
-                n_steps: int, record_every: int, out: dict, dw: np.ndarray) -> None:
+                n_steps: int, rec_steps: Optional[np.ndarray], out: dict,
+                dw: np.ndarray) -> None:
     """Step the paths of ``seeds`` from ``x0`` and write their results to ``out``.
 
     ``out`` holds one row per path for each result: ``v2_start``,
     ``terminal`` (the final state), ``v2`` (its v2), ``sup_v2``,
     ``sup_norm_sq``, ``death`` (the step at which the path diverged, or
-    n_steps) and, when ``record_every`` > 0, ``rec_states`` and
-    ``rec_controls``.  ``dw``, of shape ``(len(seeds), n_steps)``, receives
-    the paths' noise; once step k has used column k, the column is
-    overwritten with every path's v2 drift sample z = (v2_new - v2) / dt of
-    that step, for :func:`_drift_buckets`.  Each kernel operation acts row
-    by row, so a path's results do not depend on the other paths stepped
-    with it.
+    n_steps) and, unless ``rec_steps`` is None, ``rec_states`` and
+    ``rec_controls`` at those steps, 0 first and n_steps last.  ``dw``, of
+    shape ``(len(seeds), n_steps)``, receives the paths' noise; once step k
+    has used column k, the column is overwritten with every path's v2 drift
+    sample z = (v2_new - v2) / dt of that step, for :func:`_drift_buckets`.
+    Each kernel operation acts row by row, so a path's results do not
+    depend on the other paths stepped with it.
     """
     n_paths = len(seeds)
     wiener_increments(dt, seeds, n_steps, out=dw)
@@ -380,16 +386,13 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
     sup_norm_sq[:] = t.norm_sq
     death[:] = n_steps
 
-    recording = record_every > 0
-    if recording:
-        rec_states, rec_controls = out["rec_states"], out["rec_controls"]
-        j = 0
-
+    if rec_steps is not None:
         def record(j):
-            rec_states[:, j] = np.column_stack((x1, x2, x3))
-            rec_controls[:, j] = np.column_stack(t.control)
+            out["rec_states"][:, j] = np.column_stack((x1, x2, x3))
+            out["rec_controls"][:, j] = np.column_stack(t.control)
 
         record(0)
+        j = 1
 
     for k in range(n_steps):
         w = dw[:, k]
@@ -414,9 +417,9 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
         np.maximum(sup_v2, t.v2, out=sup_v2)
         np.maximum(sup_norm_sq, t.norm_sq, out=sup_norm_sq)
         v2 = t.v2
-        if recording and ((k + 1) % record_every == 0 or k + 1 == n_steps):
-            j += 1
+        if rec_steps is not None and k + 1 == rec_steps[j]:
             record(j)
+            j += 1
 
     out["terminal"][:] = np.column_stack((x1, x2, x3))
     out["v2"][:] = v2
@@ -425,6 +428,52 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
 def _is_int(value) -> bool:
     """True for a Python or numpy integer that is not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _ensemble_plan(x0, dt: float, horizon: float, n_paths: int, eps: float,
+                   conv_threshold: float, m_level: float, record_every: int) -> tuple:
+    """Check a :func:`mc_stability` run and return ``x0`` as an array, the
+    step count, the recorded steps (None when ``record_every`` is 0) and the
+    results' ``{name: (shape, dtype)}`` layout.  A bad argument, or noise (8
+    bytes per path-step) and results beyond physical memory, raise ValueError.
+    """
+    for name, value in (("dt", dt), ("eps", eps), ("conv_threshold", conv_threshold),
+                        ("m_level", m_level)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if not (dt <= horizon and np.isfinite(horizon / dt)):
+        raise ValueError(f"horizon must be at least dt and span finitely many "
+                         f"steps, got {horizon!r}")
+    if not (_is_int(n_paths) and n_paths >= 1):
+        raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
+    if not (_is_int(record_every) and record_every >= 0):
+        raise ValueError(f"record_every must be a nonnegative integer, got {record_every!r}")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (3,):
+        raise ValueError(f"x0 must have shape (3,), got {x0.shape}")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {tuple(x0.tolist())}")
+    n_steps = int(np.floor(horizon / dt + 1e-9))
+    layout = {"v2_start": ((n_paths,), float), "terminal": ((n_paths, 3), float),
+              "v2": ((n_paths,), float), "sup_v2": ((n_paths,), float),
+              "sup_norm_sq": ((n_paths,), float), "death": ((n_paths,), np.int64)}
+    if record_every:
+        # step 0, every record_every-th step, and the last step
+        n_rec = -(-n_steps // record_every) + 1
+        layout["rec_states"] = ((n_paths, n_rec, 3), float)
+        layout["rec_controls"] = ((n_paths, n_rec, 2), float)
+    # exact integers, so no count overflows; every dtype is 8 bytes wide
+    need = 8 * (n_paths * n_steps + sum(math.prod(shape) for shape, _ in layout.values()))
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        from decimal import Decimal  # a count beyond float range, on refusal only
+        raise ValueError(f"n_paths = {n_paths}, n_steps = {n_steps} and record_every = "
+                         f"{record_every} need {Decimal(need) / 2**30:.3g} GiB for the noise and "
+                         f"results, more than the {memory / 2**30:.3g} GiB of physical memory")
+    # capping record_every at n_steps changes no step and keeps the product in int64
+    rec_steps = (np.minimum(np.arange(n_rec) * min(record_every, n_steps), n_steps)
+                 if record_every else None)
+    return x0, n_steps, rec_steps, layout
 
 
 # Diverging paths overflow on their way out; n_diverged reports them.
@@ -455,45 +504,19 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
     error.
 
     A bad ``dt``, ``horizon``, ``n_paths``, ``record_every``, ``eps``,
-    ``conv_threshold``, ``m_level`` or ``x0`` raises ``ValueError`` naming
-    it before any noise is drawn.
+    ``conv_threshold``, ``m_level``, ``x0`` or ``seed``, or a run whose noise
+    and results exceed physical memory, raises ``ValueError`` before anything
+    is mapped, drawn or forked.
     """
-    if not 0.0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if not (dt <= horizon and np.isfinite(horizon / dt)):
-        raise ValueError(f"horizon must be at least dt and span finitely many "
-                         f"steps, got {horizon!r}")
-    if not (_is_int(n_paths) and n_paths >= 1):
-        raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
-    if not (_is_int(record_every) and record_every >= 0):
-        raise ValueError(f"record_every must be a nonnegative integer, got {record_every!r}")
-    for name, value in (("eps", eps), ("conv_threshold", conv_threshold),
-                        ("m_level", m_level)):
-        if not 0.0 < value < np.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (3,):
-        raise ValueError(f"x0 must have shape (3,), got {x0.shape}")
-    if not np.isfinite(x0).all():
-        raise ValueError(f"x0 must be finite, got {tuple(x0.tolist())}")
-    n_steps = int(np.floor(horizon / dt + 1e-9))
+    x0, n_steps, rec_steps, layout = _ensemble_plan(
+        x0, dt, horizon, n_paths, eps, conv_threshold, m_level, record_every)
     seeds = path_seeds(seed, n_paths)
-
-    layout = {"v2_start": (n_paths, float), "terminal": ((n_paths, 3), float),
-              "v2": (n_paths, float), "sup_v2": (n_paths, float),
-              "sup_norm_sq": (n_paths, float), "death": (n_paths, np.int64)}
-    recording = record_every > 0
-    if recording:
-        # step 0, every record_every-th step, and the last step
-        rec_steps = np.minimum(np.arange(0, n_steps + record_every, record_every), n_steps)
-        layout["rec_states"] = ((n_paths, len(rec_steps), 3), float)
-        layout["rec_controls"] = ((n_paths, len(rec_steps), 2), float)
     res = _shared_arrays(layout)
     # a mapping of its own, which the report's views of res do not keep alive
     dw = _shared_arrays({"dw": ((n_paths, n_steps), float)})["dw"]
 
     def step_share(lo, hi):
-        _step_paths(cl, x0, dt, seeds[lo:hi], n_steps, record_every,
+        _step_paths(cl, x0, dt, seeds[lo:hi], n_steps, rec_steps,
                     {name: a[lo:hi] for name, a in res.items()}, dw[lo:hi])
 
     failed = _run_shares(step_share, n_paths, _ensemble_shares(n_paths))
@@ -520,7 +543,7 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
     # value there is the upper neighbour.
     quantiles = np.where(np.isnan(quantiles),
                          np.quantile(v2_final, levels, method="higher"), quantiles)
-    report = StabilityReport(
+    return StabilityReport(
         n_paths=n_paths,
         n_steps=n_steps,
         dt=dt,
@@ -542,11 +565,10 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
         bucket_stderr=se,
         bucket_counts=count,
         terminal_states=x,
-        record_times=rec_steps * dt if recording else None,
-        record_states=res["rec_states"] if recording else None,
-        record_controls=res["rec_controls"] if recording else None,
+        record_times=None if rec_steps is None else rec_steps * dt,
+        record_states=res.get("rec_states"),
+        record_controls=res.get("rec_controls"),
     )
-    return report
 
 
 @dataclass(eq=False)

@@ -47,23 +47,36 @@ def test_every_name_the_benchmark_reads_is_bound():
     assert callable(brockett.v2_hessian)
 
 
-def _dotted(node):
-    """``a.b.c`` for a chain of attributes on a name, else None."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
+# The type of each value the benchmark reads through constant subscripts
+# and computes with.  Resolving the keys alone would pass a schema entry
+# whose (kind, default) order was swapped, which hands the workload a kind
+# string for a number.
+SUBSCRIPT_READS = {
+    "stostab.cli.SUBCOMMAND_SCHEMA['simulate']['n_paths'][1]": int,
+}
+
+
+def _chain(node):
+    """``("a", ".b['c'][0]")`` for attributes and constant subscripts on a name, else None."""
+    suffix = ""
+    while True:
+        if isinstance(node, ast.Attribute):
+            suffix = f".{node.attr}{suffix}"
+        elif isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+            suffix = f"[{node.slice.value!r}]{suffix}"
+        else:
+            break
         node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    return ".".join([node.id] + parts[::-1])
+    return (node.id, suffix) if isinstance(node, ast.Name) else None
 
 
 def stostab_reads(path: str) -> set:
-    """Dotted ``stostab.*`` names that one file imports or reads.
+    """``stostab.*`` names, with constant subscripts, that one file imports or reads.
 
     Local names bound to the package or one of its parts, by an import or
     by an assignment such as ``verify, sde = stostab.verify, stostab.sde``,
-    are followed to the attributes read on them.
+    are followed to the attributes and items read on them.  Only the
+    longest read of a chain is kept: resolving it resolves its prefixes.
     """
     with open(path) as fh:
         tree = ast.parse(fh.read(), path)
@@ -82,16 +95,16 @@ def stostab_reads(path: str) -> set:
             if isinstance(node.targets[0], ast.Tuple) and isinstance(node.value, ast.Tuple):
                 pairs = list(zip(node.targets[0].elts, node.value.elts))
             for target, value in pairs:
-                chain = _dotted(value)
-                if (isinstance(target, ast.Name) and chain
-                        and chain.split(".")[0] == "stostab"):
-                    alias[target.id] = chain
+                chain = _chain(value)
+                if isinstance(target, ast.Name) and chain and chain[0] == "stostab":
+                    alias[target.id] = "".join(chain)
+    chains = {node: _chain(node) for node in ast.walk(tree)
+              if isinstance(node, (ast.Attribute, ast.Subscript))}
+    inner = {node.value for node, chain in chains.items() if chain}
     reads = set(alias.values())
-    for node in ast.walk(tree):
-        chain = _dotted(node) if isinstance(node, ast.Attribute) else None
-        if chain and chain.split(".")[0] in alias:
-            head, _, rest = chain.partition(".")
-            reads.add(f"{alias[head]}.{rest}")
+    for node, chain in chains.items():
+        if chain and chain[0] in alias and node not in inner:
+            reads.add(alias[chain[0]] + chain[1])
     return reads
 
 
@@ -106,8 +119,12 @@ def test_every_stostab_name_perfbench_reads_resolves():
     for name in ("stostab.SdeSystem", "stostab.ITO", "stostab.STRATONOVICH",
                  "stostab.verify.mc_stability", "stostab.cli.main"):
         assert name in reads, name
+    assert {name for name in reads if "[" in name} == set(SUBSCRIPT_READS)
     for name, where in sorted(reads.items()):
-        obj = stostab
-        for part in name.split(".")[1:]:
-            assert hasattr(obj, part), f"{where} reads {name}, which is not bound"
-            obj = getattr(obj, part)
+        try:
+            # every name is a chain of identifiers and constant keys
+            value = eval(name, {"stostab": stostab})
+        except (AttributeError, LookupError) as exc:
+            raise AssertionError(f"{where} reads {name}, which is not bound: {exc!r}")
+        if name in SUBSCRIPT_READS:
+            assert isinstance(value, SUBSCRIPT_READS[name]), f"{where} reads {name} = {value!r}"

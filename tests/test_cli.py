@@ -57,13 +57,18 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args", [
-    ["--horizon", "1e6"],
-    ["--dt", "1e-320", "--horizon", "1e300"],
-    ["--n-paths", "1" + "0" * 400],
+MEMORY_REFUSAL = ("n_paths = ", "n_steps = ", "record_every = 100", "GiB",
+                  "physical memory")
+
+
+@pytest.mark.parametrize("args, names", [
+    (["--horizon", "1e6"], MEMORY_REFUSAL),
+    # horizon / dt overflows, so the step count is not finite
+    (["--dt", "1e-320", "--horizon", "1e300"], ("span finitely many steps",)),
+    (["--n-paths", "1" + "0" * 400], MEMORY_REFUSAL),
 ], ids=("long-horizon", "step-count-overflows", "huge-n-paths"))
 def test_simulate_beyond_physical_memory_is_a_config_error(tmp_path, monkeypatch,
-                                                           capsys, args):
+                                                           capsys, args, names):
     # refused before any allocation or output directory, naming the sizes
     def no_run(*args, **kwargs):
         raise AssertionError("mc_stability ran")
@@ -71,7 +76,7 @@ def test_simulate_beyond_physical_memory_is_a_config_error(tmp_path, monkeypatch
     out = tmp_path / "sim"
     assert run_cli(["simulate", *args, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    for name in ("n_paths = ", "n_steps = ", "thin = 100", "GiB", "physical memory"):
+    for name in names:
         assert name in err
     assert not out.exists()
 
@@ -80,12 +85,13 @@ class _Ran(Exception):
     pass
 
 
-@pytest.mark.parametrize("shares, need", [(1, 640), (2, 640)])
+@pytest.mark.parametrize("shares, need", [(1, 896), (2, 896)])
 def test_simulate_memory_refusal_counts_the_drift_samples(tmp_path, monkeypatch,
                                                           capsys, shares, need):
-    # 4 paths of 10 steps at thin 100 record 2 rows: 4 (8 * 10 + 40 * 2)
-    # bytes for any number of shares, since the drift samples overwrite the
-    # spent noise; the run starts at exactly that much memory
+    # 4 paths of 10 steps at thin 100 record 2 rows and keep 8 results each:
+    # 4 (8 * 10 + 40 * 2 + 64) bytes for any number of shares, since the
+    # drift samples overwrite the spent noise; the run starts at exactly
+    # that much memory
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(shares)))
     monkeypatch.setattr(verify, "SHARE_MIN_PATHS", 1)
 
@@ -161,6 +167,11 @@ def test_malformed_values_rejected(tmp_path, capsys):
     assert run_cli(["simulate", "--x0", "1e200,0,0",
                     "--out", str(tmp_path / "big")]) == 2
     assert capsys.readouterr().err.startswith("error: v2(x0) is not finite at x0 = ")
+    assert not (tmp_path / "big").exists()
+    # v2(x0) is finite but the default 10 v2(x0) overflows: refused by name
+    assert run_cli(["simulate", "--x0", "1e154,0,0",
+                    "--out", str(tmp_path / "big")]) == 2
+    assert capsys.readouterr().err == "error: m_level must be positive and finite, got inf\n"
     assert not (tmp_path / "big").exists()
     # a non-finite number is malformed for every float key, from a flag or
     # a config file: the error names the key, no warning escapes, and
@@ -349,7 +360,9 @@ def test_reruns_are_identical(tmp_path, args):
     # 23 steps at thin 10 record steps 0, 10, 20 and the final 23
     (["--n-paths", "3", "--horizon", "0.023", "--thin", "10"], 4),
     (["--n-paths", "1", "--horizon", "0.01", "--thin", "1"], 11),
-], ids=("thin-off-grid", "one-path"))
+    # a step beyond int64 records step 0 and the final step
+    (["--n-paths", "2", "--horizon", "0.01", "--thin", str(2 ** 64)], 2),
+], ids=("thin-off-grid", "one-path", "thin-past-int64"))
 def test_simulate_path_files_match_the_row_writer(tmp_path, args, rows):
     # every path file has the bytes of the reference row writer on the same
     # report, and all share one header; the output path holds % and {},

@@ -517,9 +517,15 @@ def test_mc_validation():
     ({"conv_threshold": -0.1}, "conv_threshold"),
     ({"m_level": np.nan}, "m_level"),
     ({"m_level": np.inf}, "m_level"),
+    # numpy would draw a None seed from OS entropy and run a bool as 0 or 1
+    ({"seed": None}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.5}, "seed"),
 ], ids=("nan-dt", "nan-horizon", "inf-horizon", "negative-every", "fractional-every",
         "fractional-paths", "bool-paths", "nan-eps", "zero-eps", "inf-threshold",
-        "negative-threshold", "nan-level", "inf-level"))
+        "negative-threshold", "nan-level", "inf-level", "none-seed", "bool-seed",
+        "negative-seed", "fractional-seed"))
 def test_mc_rejects_bad_steps_and_record_every(monkeypatch, bad, name):
     # refused with the argument's name, before any noise is drawn or any
     # process forked
@@ -530,6 +536,32 @@ def test_mc_rejects_bad_steps_and_record_every(monkeypatch, bad, name):
               m_level=20.0, seed=1, record_every=0)
     with pytest.raises(ValueError, match=f"^{name} must"):
         mc_stability(closed_loop(P44, D4), (0.0, 0.0, 1.0), **{**kw, **bad})
+
+
+def test_mc_refuses_a_run_beyond_physical_memory(monkeypatch):
+    # 4 paths of 10 steps recorded every 3 steps keep 5 rows: 4 (8 * 10 +
+    # 40 * 5 + 64) bytes of noise, recording and results.  One byte less is
+    # refused before anything is mapped, drawn or forked; exactly that runs.
+    need = 4 * (8 * 10 + 40 * 5 + 64)
+    cl = closed_loop(P44, D4)
+    kw = dict(dt=1e-3, horizon=0.01, n_paths=4, eps=5.0, conv_threshold=0.1,
+              m_level=20.0, seed=1, record_every=3)
+    for memory in (need - 1, need):
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1,
+                                            "SC_PHYS_PAGES": memory}.__getitem__)
+        if memory < need:
+            with monkeypatch.context() as m:
+                m.setattr(verify.mmap, "mmap", lambda *a: pytest.fail("mmap.mmap ran"))
+                m.setattr(verify, "wiener_increments",
+                          lambda *a, **kw: pytest.fail("noise drawn"))
+                m.setattr(os, "fork", lambda: pytest.fail("os.fork was called"))
+                with pytest.raises(ValueError, match=r"^n_paths = 4, n_steps = 10 "
+                                   r"and record_every = 3 need .* GiB .* physical memory$"):
+                    mc_stability(cl, (0.0, 0.0, 1.0), **kw)
+        else:
+            rep = mc_stability(cl, (0.0, 0.0, 1.0), **kw)
+            assert rep.record_states.shape == (4, 5, 3)
+            assert np.array_equal(rep.record_times, np.array([0, 3, 6, 9, 10]) * 1e-3)
 
 
 @pytest.mark.parametrize("x0", [(0.0, 1.0), (0.0, 0.0, 1.0, 2.0), [[0.0, 0.0, 1.0]], 1.0,
