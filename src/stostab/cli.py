@@ -32,7 +32,8 @@ from .brockett import (DiffusionDesign, SystemParams, check_design_conditions,
                        closed_loop, controllability_rank, diffusion_b)
 from .lyapunov import v2_eval
 from .sde import IntegrationDiverged, write_csv, write_path_csvs
-from .verify import (GridSpec, _ensemble_plan, mc_stability, scan_generator, small_control_scan,
+from .verify import (GridSpec, _check_scan_grid, _ensemble_plan, _wong_zakai_plan,
+                     mc_stability, scan_generator, small_control_scan,
                      wong_zakai_experiment, write_scan_csv, write_summary)
 
 
@@ -213,8 +214,28 @@ def _validate(command: str, cfg: dict) -> None:
             _ensemble_plan(cfg["x0"], cfg["dt"], cfg["horizon"], cfg["n_paths"],
                            cfg["eps"], cfg["conv_threshold"], cfg["m_level"],
                            cfg["thin"])
+        elif command == "wong-zakai":
+            _wong_zakai_plan(cfg["x0"], cfg["horizon"], cfg["meshes"], cfg["n_real"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if command == "scan-lv":
+        _scan_grids(cfg)
+
+
+def _scan_grids(cfg: dict) -> list:
+    """scan-lv's cube and x2 = 0 slice grids; one the scan refuses is a
+    ConfigError naming it."""
+    args = (-cfg["grid_extent"], cfg["grid_extent"], cfg["grid_count"],
+            cfg["exclude_radius"])
+    grids = []
+    for name, grid in (("cube grid", GridSpec.cube(*args)),
+                       ("x2 = 0 slice", GridSpec.slice_x2(*args))):
+        try:
+            _check_scan_grid(grid)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+        grids.append(grid)
+    return grids
 
 
 def _fmt(value) -> str:
@@ -290,16 +311,7 @@ def cmd_simulate(cfg: dict, out: str, hdr: list) -> int:
 def cmd_scan_lv(cfg: dict, out: str, hdr: list) -> int:
     p, d = _system(cfg)
     cl = closed_loop(p, d)
-    lo, hi = -cfg["grid_extent"], cfg["grid_extent"]
-    args = (lo, hi, cfg["grid_count"], cfg["exclude_radius"])
-    scans = []
-    for name, grid in (("cube grid", GridSpec.cube(*args)),
-                       ("x2 = 0 slice", GridSpec.slice_x2(*args))):
-        try:
-            scans.append(scan_generator(cl, grid))
-        except ValueError as exc:
-            raise ConfigError(f"{name}: {exc}") from None
-    full, sl = scans
+    full, sl = (scan_generator(cl, grid) for grid in _scan_grids(cfg))
     write_scan_csv(full, os.path.join(out, "scan_full.csv"), hdr)
     write_scan_csv(sl, os.path.join(out, "scan_slice.csv"), hdr)
     write_summary(os.path.join(out, "summary.txt"), [
@@ -365,12 +377,8 @@ def cmd_check_design(cfg: dict, out: str, hdr: list) -> int:
 
 
 def cmd_wong_zakai(cfg: dict, out: str, hdr: list) -> int:
-    try:
-        rep = wong_zakai_experiment(cfg["x0"], cfg["horizon"], cfg["meshes"],
-                                    cfg["n_real"], cfg["seed"])
-    except ValueError as exc:
-        # the experiment checks its arguments before it computes anything
-        raise ConfigError(str(exc)) from None
+    rep = wong_zakai_experiment(cfg["x0"], cfg["horizon"], cfg["meshes"],
+                                cfg["n_real"], cfg["seed"])
     write_csv(os.path.join(out, "wz_mse.csv"), ["mesh", "mse"],
               zip(rep.meshes, rep.mse.tolist()), hdr)
     write_summary(os.path.join(out, "summary.txt"), [

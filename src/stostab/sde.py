@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import os
+import pickle
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -63,6 +64,10 @@ class IntegrationDiverged(RuntimeError):
         super().__init__(f"integration diverged at t={time:.6g}")
         self.time = float(time)
         self.state = state
+
+    def __reduce__(self):
+        # pickled by its arguments, so a forked child's exception keeps them
+        return type(self), (self.time, self.state)
 
 
 def _finite(x: np.ndarray) -> bool:
@@ -263,6 +268,12 @@ def wiener_increments(dt: float, seeds, n_steps: int,
     return out
 
 
+def _step_count(horizon: float, dt: float) -> int:
+    """Steps of size ``dt`` in ``horizon``: floor(horizon / dt), forgiving a
+    quotient that rounding leaves just below an integer (0.3 / 0.1 is 3)."""
+    return int(np.floor(horizon / dt + 1e-9))
+
+
 def sample_wiener(dt: float, horizon: float, seed) -> WienerPath:
     """Sample a Wiener path on floor(horizon/dt) + 1 equispaced points.
 
@@ -279,7 +290,7 @@ def sample_wiener(dt: float, horizon: float, seed) -> WienerPath:
     seeds = _seed_array([seed] if single else seed)
     if not len(seeds):
         raise ValueError("need at least one seed")
-    n = int(np.floor(horizon / dt + 1e-9))
+    n = _step_count(horizon, dt)
     w = np.zeros((len(seeds), n + 1))
     dw = wiener_increments(dt, seeds, n, out=w[:, 1:])
     np.cumsum(dw, axis=-1, out=dw)
@@ -560,10 +571,11 @@ def write_path_csvs(paths, times, states, controls=None, header_lines=()) -> Non
 
     n_shares = _n_shares(n_paths, n_paths * n_rows * (dim + n_controls),
                          SHARE_MIN_VALUES)
-    failed = _run_shares(write_share, n_paths, n_shares)
+    failed = _run_shares(write_share, np.ones(n_paths, np.int64), n_shares)
     if failed is not None:
-        lo, message = failed
-        raise OSError(f"could not write the path files from {paths[lo]}: {message}")
+        lo, exc = failed
+        raise OSError(f"could not write the path files from {paths[lo]}: "
+                      f"{_failure_text(exc)}")
 
 
 def _n_shares(n_items: int, n_units: int, min_units: int) -> int:
@@ -578,34 +590,62 @@ def _n_shares(n_items: int, n_units: int, min_units: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), n_items, n_units // min_units))
 
 
-def _run_shares(work: Callable, n_items: int, n_shares: int) -> Optional[tuple]:
-    """Run ``work(lo, hi)`` on ``n_shares`` contiguous shares of ``range(n_items)``.
+def _share_bounds(weights, n_shares: int) -> list:
+    """Contiguous shares ``[(lo, hi), ...]`` of the items, of near-equal weight.
 
+    ``weights`` are the items' nonnegative integer costs, in run order.  Share
+    s first ends at the last item boundary at or before s / n_shares of the
+    total weight; that is s * n // n_shares for n equal weights.  A boundary
+    then moves one item later when that lowers the heavier of the two shares
+    it separates, which equal weights never do, so no share outweighs the
+    heaviest item plus total / n_shares.  Empty shares are dropped, but no
+    items still make one share.
+    """
+    # prefix sums in one array: a list of Python ints per path would stay
+    # in the interpreter's arenas, on top of a wide ensemble's peak memory
+    cum = np.concatenate(([0], np.cumsum(weights, dtype=np.int64)))
+    bounds = [0, *(int(np.searchsorted(cum, s * int(cum[-1]) // n_shares, "right")) - 1
+                   for s in range(1, n_shares)), len(weights)]
+    for s in range(1, n_shares):
+        lo, b, hi = bounds[s - 1:s + 2]
+        if b < hi and max(cum[b + 1] - cum[lo], cum[hi] - cum[b + 1]) < max(
+                cum[b] - cum[lo], cum[hi] - cum[b]):
+            bounds[s] = b + 1
+    return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi] or [(0, 0)]
+
+
+def _run_shares(work: Callable, weights, n_shares: int) -> Optional[tuple]:
+    """Run ``work(lo, hi)`` on up to ``n_shares`` contiguous shares of the items.
+
+    The items are ``range(len(weights))``, split by :func:`_share_bounds`.
     Every share but the first is handed to its own :func:`_fork` child, and
     then this process runs the first.  Every child is reaped before this
-    returns or raises, also when this process's share raises.  Returns
-    None, or the first item and the child's message of the first share
-    whose child failed.
+    returns or raises, also when this process's share raises, which then
+    propagates as it is.  Returns None, or the first item of the first
+    share whose child failed and the exception the child raised (see
+    :func:`_reap`); a caller that re-raises it raises what running every
+    share in this process, in order, would have raised first.
     """
-    bounds = [s * n_items // n_shares for s in range(n_shares + 1)]
-    shares = list(zip(bounds[:-1], bounds[1:]))
+    shares = _share_bounds(weights, n_shares)
     children = []
     try:
         for lo, hi in shares[1:]:
             children.append((lo, *_fork(work, lo, hi)))
         work(*shares[0])
     finally:
-        failures = [(lo, message) for lo, pid, read_fd in children
-                    if (message := _reap(pid, read_fd)) is not None]
+        failures = [(lo, exc) for lo, pid, read_fd in children
+                    if (exc := _reap(pid, read_fd)) is not None]
     return failures[0] if failures else None
 
 
 def _fork(work: Callable, *args) -> tuple:
     """Run ``work(*args)`` in a forked child; return its pid and a read end.
 
-    The child leaves with ``os._exit``, so it never flushes this process's
-    buffers or returns into the caller; if ``work`` raises, the child writes
-    ``str(exc)`` to the pipe first.
+    The only place that forks.  The child leaves with ``os._exit``, so it
+    never flushes this process's buffers or returns into the caller; if
+    ``work`` raises, the child first writes the pickled exception to the
+    pipe, or a ``RuntimeError`` with its text when the exception does not
+    survive a pickle round trip.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -621,22 +661,39 @@ def _fork(work: Callable, *args) -> tuple:
             work(*args)
             status = 0
         except BaseException as exc:  # the child must reach os._exit below
+            try:
+                data = pickle.dumps(exc)
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps(RuntimeError(str(exc)))
             with open(write_fd, "wb") as fh:
-                fh.write(str(exc).encode(errors="replace"))
+                fh.write(data)
         finally:
             os._exit(status)
     os.close(write_fd)
     return pid, read_fd
 
 
-def _reap(pid: int, read_fd: int) -> Optional[str]:
-    """Wait for a child of :func:`_fork`: None if it succeeded, else why not."""
+def _reap(pid: int, read_fd: int) -> Optional[BaseException]:
+    """Wait for a child of :func:`_fork`: None if it succeeded, else its exception.
+
+    A child that exited without sending one gives a ``RuntimeError`` naming
+    its exit code.
+    """
     with open(read_fd, "rb") as fh:
-        message = fh.read().decode(errors="replace")
+        data = fh.read()
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code == 0:
         return None
-    return message or f"the child process exited with code {code}"
+    if data:
+        return pickle.loads(data)
+    return RuntimeError(f"the child process exited with code {code}")
+
+
+def _failure_text(exc: BaseException) -> str:
+    """A failed share's error as its caller reports it; an exception with no
+    text reads as the exit code 1 its child left with."""
+    return str(exc) or "the child process exited with code 1"
 
 
 def trajectory_to_csv(traj: Trajectory, path, header_lines=()) -> None:

@@ -22,9 +22,9 @@ import numpy as np
 from . import brockett
 from .brockett import ClosedLoop, DiffusionDesign, SystemParams
 from .sde import (ITO, NORM_SQ_BOUND, STRATONOVICH, SdeSystem, _em_step,
-                  _final_state, _initial_state, _n_shares, _rk4_step,
-                  _run_shares, piecewise_linear_lift, sample_wiener,
-                  wiener_increments, write_csv, write_header)
+                  _failure_text, _final_state, _initial_state, _n_shares,
+                  _rk4_step, _run_shares, _step_count, piecewise_linear_lift,
+                  sample_wiener, wiener_increments, write_csv, write_header)
 
 
 # Samples one block of a per-path experiment holds at once (2 MiB of
@@ -167,6 +167,25 @@ class ScanReport:
         return len(self.violations) == 0
 
 
+def _check_scan_grid(grid: GridSpec) -> None:
+    """Raise ValueError unless :func:`scan_generator` can scan ``grid``.
+
+    The grid must exclude a ball of radius at least 1e-3 around the origin
+    and keep a point outside it.  Its farthest point is the corner of the
+    largest coordinate magnitudes, and rounding keeps every norm monotone
+    in them, so that corner's norm, computed as :meth:`GridSpec.points`
+    does, settles it without building the grid.
+    """
+    if grid.exclude_radius < 1e-3:
+        raise ValueError("grid must exclude a ball of radius >= 1e-3 around the origin")
+    corner = [[max(abs(lo), abs(hi)) for lo, hi, _ in (grid.axis1, grid.axis2, grid.axis3)]]
+    # a corner too large for float arithmetic has an inf norm, outside every ball
+    with np.errstate(over="ignore"):
+        if np.linalg.norm(corner, axis=1)[0] < grid.exclude_radius:
+            raise ValueError("empty grid: every point lies inside the exclusion "
+                             f"ball of radius {grid.exclude_radius:g}")
+
+
 # A grid point too large for float arithmetic overflows to a NaN LV, which
 # counts as a violation.
 @np.errstate(over="ignore", invalid="ignore")
@@ -178,12 +197,8 @@ def scan_generator(cl: ClosedLoop, grid: GridSpec) -> ScanReport:
     of radius at least 1e-3 around the origin, where the generator
     degenerates to zero by construction, and keep at least one point.
     """
-    if grid.exclude_radius < 1e-3:
-        raise ValueError("grid must exclude a ball of radius >= 1e-3 around the origin")
+    _check_scan_grid(grid)
     pts = grid.points()
-    if len(pts) == 0:
-        raise ValueError("empty grid: every point lies inside the exclusion "
-                         f"ball of radius {grid.exclude_radius:g}")
     t = cl.columns(pts[:, 0], pts[:, 1], pts[:, 2])
     (lg1, lg2), (u1, u2) = t.lg, t.control
     lv = t.f_term + (lg1 * u1 + lg2 * u2)
@@ -306,6 +321,15 @@ N_BUCKETS = 50
 # steps on a 2-CPU host, two shares ran 1.04-1.36x the one-process time at
 # 2 000 paths, 0.90-1.13x at 4 000 and 0.78-0.96x from 5 000 paths on.
 SHARE_MIN_PATHS = 2500
+
+
+# Fewest drift evaluations (integrator steps times stages) one process of a
+# strong-order or Wong-Zakai block takes.  A step of a small block is about
+# 13 us of interpreter dispatch, a fork and reap some milliseconds: with 4
+# Euler-Maruyama levels of 2 paths on a 2-CPU host, two shares ran 1.42x the
+# one-process time at 480 evaluations, 1.09x at 960, 0.82x at 1 920 and
+# 0.65-0.79x from 3 840 on.  Test-sized runs stay in one process.
+SHARE_MIN_EVALUATIONS = 1024
 
 
 def _ensemble_shares(n_paths: int) -> int:
@@ -453,7 +477,7 @@ def _ensemble_plan(x0, dt: float, horizon: float, n_paths: int, eps: float,
         raise ValueError(f"x0 must have shape (3,), got {x0.shape}")
     if not np.isfinite(x0).all():
         raise ValueError(f"x0 must be finite, got {tuple(x0.tolist())}")
-    n_steps = int(np.floor(horizon / dt + 1e-9))
+    n_steps = _step_count(horizon, dt)
     layout = {"v2_start": ((n_paths,), float), "terminal": ((n_paths, 3), float),
               "v2": ((n_paths,), float), "sup_v2": ((n_paths,), float),
               "sup_norm_sq": ((n_paths,), float), "death": ((n_paths,), np.int64)}
@@ -519,9 +543,11 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
         _step_paths(cl, x0, dt, seeds[lo:hi], n_steps, rec_steps,
                     {name: a[lo:hi] for name, a in res.items()}, dw[lo:hi])
 
-    failed = _run_shares(step_share, n_paths, _ensemble_shares(n_paths))
+    failed = _run_shares(step_share, np.ones(n_paths, np.int64), _ensemble_shares(n_paths))
     if failed is not None:
-        raise RuntimeError("could not step the ensemble share from path %d: %s" % failed)
+        lo, exc = failed
+        raise RuntimeError(f"could not step the ensemble share from path {lo}: "
+                           f"{_failure_text(exc)}")
     mean, se, count = _drift_buckets(dw, res["death"])
     del dw
 
@@ -637,18 +663,9 @@ class WongZakaiReport:
         return not self.mse.any()
 
 
-def wong_zakai_experiment(x0: float, horizon: float, meshes, n_real: int,
-                          seed: int) -> WongZakaiReport:
-    """Drive dx = x dw pathwise through piecewise-linear lifts of one fine path.
-
-    For each realization the same fine path is lifted at every mesh, the ODE
-    is integrated with RK4 steps aligned to the knots, and the terminal value
-    is compared with x0 exp(w(T)).  An uncorrected Ito Euler-Maruyama run on
-    the fine mesh provides the contrast statistic.  Realizations are stepped
-    in blocks of batched paths, each run only to its final state; each
-    one's result is that of its own path, bit for bit that of
-    :func:`ode_drive` and :func:`euler_maruyama`.
-    """
+def _wong_zakai_plan(x0: float, horizon: float, meshes, n_real: int) -> tuple:
+    """Check a :func:`wong_zakai_experiment` run and return its meshes as a
+    tuple of ints and its fine mesh; a bad argument raises ValueError."""
     # from x0 = 0 every path stays at 0, and a zero MSE would pass vacuously
     if not (x0 != 0.0 and np.isfinite(x0)):
         raise ValueError(f"x0 must be nonzero and finite, got {x0}")
@@ -665,6 +682,31 @@ def wong_zakai_experiment(x0: float, horizon: float, meshes, n_real: int,
     for m in meshes:
         if n_fine % m != 0:
             raise ValueError(f"mesh {m} must divide the fine mesh {n_fine}")
+    return meshes, n_fine
+
+
+def wong_zakai_experiment(x0: float, horizon: float, meshes, n_real: int,
+                          seed: int) -> WongZakaiReport:
+    """Drive dx = x dw pathwise through piecewise-linear lifts of one fine path.
+
+    For each realization the same fine path is lifted at every mesh, the ODE
+    is integrated with RK4 steps aligned to the knots, and the terminal value
+    is compared with x0 exp(w(T)).  An uncorrected Ito Euler-Maruyama run on
+    the fine mesh provides the contrast statistic.  Realizations are stepped
+    in blocks of batched paths, each run only to its final state; each
+    one's result is that of its own path, bit for bit that of
+    :func:`ode_drive` and :func:`euler_maruyama`.
+
+    Within a block the runs (one per mesh, then the contrast) are split into
+    contiguous shares of near-equal drift evaluations, 4 a step for RK4 and
+    1 for Euler-Maruyama, one share per CPU the process may run on and at
+    least ``SHARE_MIN_EVALUATIONS`` each: this process draws the block's path
+    and runs the first share, ``os.fork`` children the others, and each
+    writes its rows of the results into one shared mapping.  The report is
+    the same bit for bit for any number of shares, and a failed run raises
+    the exception that running every share here would have raised first.
+    """
+    meshes, n_fine = _wong_zakai_plan(x0, horizon, meshes, n_real)
     dt_fine = horizon / n_fine
 
     # np.zeros_like is a Python-level wrapper; np.zeros is one C call
@@ -674,22 +716,33 @@ def wong_zakai_experiment(x0: float, horizon: float, meshes, n_real: int,
     ito_sys = SdeSystem(1, zero, ident, ITO)
 
     seeds = path_seeds(seed, n_real)
-    sq_err = np.empty((len(meshes), n_real))
-    log_ratio = np.empty(n_real)
+    res = _shared_arrays({"sq_err": ((len(meshes), n_real), float),
+                          "log_ratio": ((n_real,), float)})
+    sq_err, log_ratio = res["sq_err"], res["log_ratio"]
+    weights = [4 * m for m in meshes] + [n_fine]
+    n_shares = _n_shares(len(weights), sum(weights), SHARE_MIN_EVALUATIONS)
     # every run keeps only its final state, and every mesh divides n_fine,
     # so each lift is a view: a block holds its fine path and nothing more
     for blk in _path_blocks(n_real, n_fine + 1):
         path = sample_wiener(dt_fine, horizon, seeds[blk])
         oracle = x0 * np.exp(path.values[:, -1])
         x = _initial_state(ito_sys, [x0], path.values.shape[:-1])
-        for j, m in enumerate(meshes):
-            lift = piecewise_linear_lift(path, n_fine // m)
-            x_n = _final_state(x, lift.knot_times, _rk4_step(pathwise_sys, lift))
-            sq_err[j, blk] = (x_n[:, 0] - oracle) ** 2
-        x_n = _final_state(x, path.times, _em_step(ito_sys, path))
-        log_ratio[blk] = np.log(x_n[:, 0] / oracle)
+
+        def run_share(lo, hi):
+            for j in range(lo, hi):
+                if j < len(meshes):
+                    lift = piecewise_linear_lift(path, n_fine // meshes[j])
+                    x_n = _final_state(x, lift.knot_times, _rk4_step(pathwise_sys, lift))
+                    sq_err[j, blk] = (x_n[:, 0] - oracle) ** 2
+                else:
+                    x_n = _final_state(x, path.times, _em_step(ito_sys, path))
+                    log_ratio[blk] = np.log(x_n[:, 0] / oracle)
+
+        failed = _run_shares(run_share, weights, n_shares)
+        if failed is not None:
+            raise failed[1]
         # the next block's path must not be drawn beside this one
-        del path, lift
+        del path
     return WongZakaiReport(
         meshes=meshes,
         mse=sq_err.mean(axis=1),
@@ -715,6 +768,17 @@ def strong_order_estimate(integrate: Callable, sys: SdeSystem,
     four geometrically spaced step sizes are required, and every level
     re-uses the same underlying fine path by summing increments, so errors
     across levels are positively correlated and the slope is stable.
+
+    Within a block of paths the levels are split into contiguous shares of
+    near-equal steps (``integrate`` is opaque, so each step counts as one
+    drift evaluation), one share per CPU the process may run on and at
+    least ``SHARE_MIN_EVALUATIONS`` each: this process draws the fine path,
+    computes the oracle and runs the first share, ``os.fork`` children the
+    others, and each writes its rows of the errors into one shared mapping.
+    ``integrate`` runs in the children too, so what it records of its calls
+    stays there.  The slope is the same bit for bit for any number of
+    shares, and a failed level raises the exception that running every
+    share here would have raised first.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
@@ -729,23 +793,32 @@ def strong_order_estimate(integrate: Callable, sys: SdeSystem,
     for dt, fac in zip(dts, factors):
         if abs(fac * dt_min - dt) > 1e-9 * dt:
             raise ValueError("step sizes must be integer multiples of the smallest")
-    n_fine = int(np.floor(horizon / dt_min + 1e-9))
+    n_fine = _step_count(horizon, dt_min)
     for fac in factors:
         if n_fine % fac != 0:
             raise ValueError("every step size must divide the horizon evenly")
 
     x0 = np.asarray(x0, dtype=float)
     seeds = path_seeds(seed, n_paths)
-    errs = np.empty((len(dts), n_paths))
+    errs = _shared_arrays({"errs": ((len(dts), n_paths), float)})["errs"]
+    weights = [n_fine // fac for fac in factors]
+    n_shares = _n_shares(len(weights), sum(weights), SHARE_MIN_EVALUATIONS)
     # a row holds its fine path and the state history of one integrator run
     for blk in _path_blocks(n_paths, 2 * (n_fine + 1)):
         fine = sample_wiener(dt_min, horizon, seeds[blk])
         ref = np.asarray(exact_terminal(x0, fine.horizon, fine.values[:, -1:]), float)
-        for j, fac in enumerate(factors):
-            # factor 1 is the fine path itself; coarsen(1) would copy it
-            traj = integrate(sys, x0, fine if fac == 1 else fine.coarsen(fac))
-            errs[j, blk] = np.linalg.norm(traj.terminal - ref, axis=-1)
-            del traj
+
+        def run_share(lo, hi):
+            for j in range(lo, hi):
+                fac = factors[j]
+                # factor 1 is the fine path itself; coarsen(1) would copy it
+                traj = integrate(sys, x0, fine if fac == 1 else fine.coarsen(fac))
+                errs[j, blk] = np.linalg.norm(traj.terminal - ref, axis=-1)
+                del traj
+
+        failed = _run_shares(run_share, weights, n_shares)
+        if failed is not None:
+            raise failed[1]
         del fine, ref
     rms = np.sqrt((errs ** 2).mean(axis=1))
     if np.any(rms == 0.0):

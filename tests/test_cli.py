@@ -267,7 +267,7 @@ def test_scan_lv_empty_grid_is_a_config_error(tmp_path, capsys, args, name):
     assert run_cli(["scan-lv", *args, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name}: empty grid")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_scan_lv_csv_shape(tmp_path):
@@ -429,7 +429,7 @@ def test_wong_zakai_validation(tmp_path, capsys):
         capsys.readouterr()
         assert run_cli(["wong-zakai", *args, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {name} must be")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("horizon", ["1e-300", "1e-40"])
@@ -451,7 +451,7 @@ def test_wong_zakai_mesh_must_divide_the_fine_mesh(tmp_path, capsys):
     out = tmp_path / "wz"
     assert run_cli(["wong-zakai", "--meshes", "3,16", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: mesh 3 must divide the fine mesh 64\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_wong_zakai_divergence_exits_3(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Wiener sampling, lifts, and the three integrators."""
 
 import os
+import pickle
 import re
 import tempfile
 
@@ -14,7 +15,7 @@ from stostab import (ITO, STRATONOVICH, IntegrationDiverged,
                      PiecewiseLinearNoise, SdeSystem, Trajectory, WienerPath,
                      euler_maruyama, heun_stratonovich, ode_drive,
                      piecewise_linear_lift, sample_wiener, trajectory_to_csv)
-from stostab import sde
+from stostab import sde, verify
 from stostab.sde import (DIVERGENCE_BOUND, NORM_SQ_BOUND, _em_step, _final_state,
                          _finite, _initial_state, _rk4_step, _step_path,
                          seed_states, wiener_increments, write_csv,
@@ -716,3 +717,106 @@ def test_write_path_csvs_rejects_mismatched_shapes(tmp_path):
     with pytest.raises(ValueError):
         write_path_csvs(files[:1], times, states[:1], np.zeros((3, 3)))
     assert not any(f.exists() for f in files)
+
+
+@pytest.mark.parametrize("horizon, dt, n", [
+    (0.3, 0.1, 3), (0.7, 0.1, 7), (1.0, 1.0 / 3.0, 3), (0.25, 1e-3, 250),
+    (0.3, 0.0125, 24), (0.29, 0.1, 2), (1.0, 0.3, 3)])
+def test_step_count_forgives_a_quotient_just_below_an_integer(horizon, dt, n):
+    # 0.3 / 0.1 is 2.9999999999999996 in floats, and 0.3 / 0.0125 is
+    # 23.999999999999996: both count as whole numbers of steps, and every
+    # caller counts the same steps
+    assert sde._step_count(horizon, dt) == n
+    assert len(sample_wiener(dt, horizon, seed=1).values) == n + 1
+    plan = verify._ensemble_plan((0.0, 0.0, 1.0), dt, horizon, 1, 5.0, 0.1, 20.0, 0)
+    assert plan[1] == n
+
+
+def test_strong_order_counts_the_fine_steps_with_the_same_rule():
+    # 0.3 / 0.0125 falls just short of 24, which every level divides; a
+    # plain floor would count 23 fine steps and refuse the step sizes
+    sys = SdeSystem(1, ZERO, IDENT, ITO)
+    slope = verify.strong_order_estimate(
+        euler_maruyama, sys, lambda x0, T, wT: x0 * np.exp(wT - 0.5 * T), [1.0],
+        0.3, [0.1, 0.05, 0.025, 0.0125], n_paths=3, seed=1)
+    assert np.isfinite(slope)
+
+
+def _bounds(shares):
+    return [shares[0][0]] + [hi for _, hi in shares]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 10_000), min_size=1, max_size=40), st.integers(1, 9))
+def test_share_bounds_split_contiguously_and_near_evenly(weights, k):
+    shares = sde._share_bounds(weights, k)
+    # contiguous, in order, covering every item once, at most k shares
+    bounds = _bounds(shares)
+    assert bounds[0] == 0 and bounds[-1] == len(weights)
+    assert all(lo < hi for lo, hi in shares)
+    assert [lo for lo, _ in shares[1:]] == [hi for _, hi in shares[:-1]]
+    assert 1 <= len(shares) <= k
+    # no share outweighs the heaviest item plus an even share of the total
+    total = sum(weights)
+    assert all(k * sum(weights[lo:hi]) <= k * max(weights) + total for lo, hi in shares)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5000), st.integers(1, 9), st.integers(1, 1000))
+def test_share_bounds_of_equal_weights_are_the_even_split(n, k, weight):
+    # equal weights keep the ensembles' and path writers' shares s * n // k
+    want = sorted({s * n // k for s in range(k + 1)})
+    assert _bounds(sde._share_bounds([weight] * n, k)) == want
+
+
+def test_share_bounds_of_the_convergence_experiments():
+    # the strong-order levels of 2**-6 .. 2**-12: the finest is half the
+    # steps, and runs on its own; the Wong-Zakai RK4 lifts of meshes 16 ..
+    # 1024 (4 evaluations a step), then the Euler-Maruyama contrast on 4096
+    # steps: the lifts and the contrast split about evenly
+    levels = [4096 >> j for j in range(6, -1, -1)]
+    assert sde._share_bounds(levels, 2) == [(0, 6), (6, 7)]
+    wong_zakai = [64, 256, 1024, 4096, 4096]
+    assert sde._share_bounds(wong_zakai, 2) == [(0, 4), (4, 5)]
+    assert sde._share_bounds(wong_zakai, 3) == [(0, 3), (3, 4), (4, 5)]
+    assert sde._share_bounds([], 2) == [(0, 0)]
+
+
+def test_integration_diverged_survives_a_pickle_round_trip():
+    exc = IntegrationDiverged(0.0625, np.array([[1.5], [-2e12]]))
+    again = pickle.loads(pickle.dumps(exc))
+    assert type(again) is IntegrationDiverged
+    assert again.time == exc.time and str(again) == str(exc) == "integration diverged at t=0.0625"
+    assert np.array_equal(again.state, exc.state)
+
+
+class _Unpicklable(Exception):
+    def __init__(self, text):
+        super().__init__(text)
+        self.callback = lambda: None
+
+
+@pytest.mark.parametrize("raised, want_type, want_text", [
+    (lambda: IntegrationDiverged(0.5, np.ones((2, 1))), IntegrationDiverged,
+     "integration diverged at t=0.5"),
+    (lambda: FileNotFoundError(2, "No such file or directory", "/missing/p.csv"),
+     FileNotFoundError, "[Errno 2] No such file or directory: '/missing/p.csv'"),
+    # a lambda does not pickle: the text comes back in a RuntimeError
+    (lambda: _Unpicklable("cannot travel"), RuntimeError, "cannot travel"),
+    (lambda: ValueError(), ValueError, ""),
+], ids=("diverged", "oserror", "unpicklable", "no-text"))
+def test_a_child_sends_back_its_exception(monkeypatch, raised, want_type, want_text):
+    # two shares of two items: this process runs item 0, a child item 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def work(lo, hi):
+        if lo == 1:
+            raise raised()
+
+    lo, exc = sde._run_shares(work, [1, 1], 2)
+    assert lo == 1 and type(exc) is want_type and str(exc) == want_text
+    if want_type is IntegrationDiverged:
+        assert exc.time == 0.5 and np.array_equal(exc.state, np.ones((2, 1)))
+    # the ensemble and path-writer messages read an exception with no text
+    # as the exit code its child left with, as they did before
+    assert sde._failure_text(exc) == (want_text or "the child process exited with code 1")

@@ -21,7 +21,7 @@ from stostab import (DiffusionDesign, GridSpec, SdeSystem, SystemParams,
                      wilson_interval, wong_zakai_experiment, write_scan_csv,
                      write_summary)
 from stostab import loop_columns, verify
-from stostab.sde import ITO, STRATONOVICH
+from stostab.sde import ITO, STRATONOVICH, IntegrationDiverged
 from stostab.verify import path_seeds, wilson_halfwidth
 
 import exact_oracle
@@ -111,6 +111,27 @@ def test_scan_rejects_an_empty_grid():
     cl = closed_loop(P44, D4)
     with pytest.raises(ValueError, match="empty grid"):
         scan_generator(cl, GridSpec.cube(-5e-4, 5e-4, 2, exclude_radius=1e-3))
+
+
+_AXIS = st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 1e3), st.integers(1, 4)).map(
+    lambda a: (a[0], a[0] + a[1], a[2]) if a[2] > 1 and a[0] + a[1] > a[0] else (a[0], a[0], 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_AXIS, _AXIS, _AXIS, st.integers(-2, 2), st.floats(1e-3, 2e3))
+def test_scan_grid_check_agrees_with_the_points(a1, a2, a3, ulps, other):
+    # the check reads the farthest corner only; it refuses a grid exactly
+    # when no point is left outside the ball, also for a radius within a few
+    # ulps of that corner's norm
+    corner = np.linalg.norm([[max(abs(lo), abs(hi)) for lo, hi, _ in (a1, a2, a3)]], axis=1)[0]
+    for radius in (other, corner + ulps * np.spacing(corner)):
+        grid = GridSpec(a1, a2, a3, exclude_radius=max(radius, 1e-3))
+        try:
+            verify._check_scan_grid(grid)
+            refused = False
+        except ValueError:
+            refused = True
+        assert refused == (len(grid.points()) == 0)
 
 
 ORACLE_PLANTS = (P44, SystemParams(1.0, 1.0, 1.0, 0.0),
@@ -398,8 +419,10 @@ def test_mc_equals_the_reference_loop(case):
 
 
 def _share_setup(monkeypatch, cpus):
-    # one share per path on ``cpus`` CPUs; returns the fork calls
+    # one share per path, or per experiment run, on ``cpus`` CPUs; returns
+    # the fork calls
     monkeypatch.setattr(verify, "SHARE_MIN_PATHS", 1)
+    monkeypatch.setattr(verify, "SHARE_MIN_EVALUATIONS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -759,14 +782,15 @@ def test_path_blocks_at_the_experiment_sizes():
             block_sizes(n_paths, wong_zakai)
 
 
-def test_wong_zakai_holds_one_block_budget():
+def test_wong_zakai_holds_one_block_budget(monkeypatch):
     # a block holds its fine path, 8 bytes per sample of the budget: the
     # lifts are views of it and every run keeps only its final state, so
     # 50 rows of 4097 samples (1.6 MiB) run as one block, and 100 as two
     # blocks that never sit side by side.  A copied lift beside the path,
     # or an array of its slopes, would pass 2 MiB.  A small run first, so
     # one-time allocations of the first call (about 0.7 MiB) are not
-    # counted.
+    # counted.  On one CPU every run is traced here, none in a child.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     wong_zakai_experiment(1.0, 1.0, (2, 4), n_real=50, seed=3)
     for n_real in (50, 100):
         tracemalloc.start()
@@ -801,6 +825,123 @@ def test_blocked_experiments_equal_the_per_path_loops(monkeypatch):
         assert np.array_equal(rep.mse, mse)
         assert rep.ito_mean_log_ratio == mean
         assert rep.ito_std_log_ratio == std
+
+
+ZERO = lambda x: np.zeros_like(x)
+IDENT = lambda x: np.asarray(x, float)
+EM_CASE = (euler_maruyama, SdeSystem(1, ZERO, IDENT, ITO),
+           lambda x0, T, wT: x0 * np.exp(wT - 0.5 * T))
+HEUN_CASE = (heun_stratonovich, SdeSystem(1, ZERO, IDENT, STRATONOVICH),
+             lambda x0, T, wT: x0 * np.exp(wT))
+# 4 levels on a 64-step fine mesh: 8, 16, 32 and 64 steps
+LEVELS = [2.0 ** -k for k in range(3, 7)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_experiment_shares_equal_the_per_path_loops(monkeypatch, cpus):
+    # in blocks of 6/6/6/6/6/5/5 paths and 13/13/12/12 realizations (as in
+    # test_blocked_experiments_equal_the_per_path_loops), each block's runs
+    # are shared out: 1, 2 or 3 shares of the 4 levels (8 + 16 + 32 | 64,
+    # 8 + 16 | 32 | 64) and of the lifts and contrast (16 + 64 | 64 drift
+    # evaluations, 16 | 64 | 64); every share count gives the loops' bits
+    monkeypatch.setattr(verify, "_BLOCK_SAMPLES", 65 * 13)
+    forks = _share_setup(monkeypatch, cpus)
+    for integrate, sys, exact in (EM_CASE, HEUN_CASE):
+        args = (integrate, sys, exact, [1.0], 1.0, LEVELS, 40, 7)
+        assert strong_order_estimate(*args) == strong_order_slope(*args)
+    assert len(forks) == 2 * 7 * (min(cpus, 3) - 1)
+    del forks[:]
+    for x0 in (1.0, 0.5):
+        rep = wong_zakai_experiment(x0, 1.0, (4, 16), n_real=50, seed=11)
+        mse, mean, std = wong_zakai_stats(x0, 1.0, (4, 16), 50, 11)
+        assert np.array_equal(rep.mse, mse)
+        assert rep.ito_mean_log_ratio == mean
+        assert rep.ito_std_log_ratio == std
+    assert len(forks) == 2 * 4 * (min(cpus, 3) - 1)
+
+
+def test_experiments_below_the_share_minimum_never_fork(monkeypatch):
+    # each share holds at least SHARE_MIN_EVALUATIONS drift evaluations:
+    # 8 + 16 + 32 + 64 level steps, or 4 * (16 + 64) lift evaluations plus a
+    # 256-step contrast, run in this process however many CPUs are free
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork was called"))
+    minimum = verify.SHARE_MIN_EVALUATIONS
+    assert 4 * (16 + 64) + 256 < 2 * minimum
+    assert verify._n_shares(3, 2 * minimum - 1, minimum) == 1
+    assert verify._n_shares(3, 2 * minimum, minimum) == 2
+    strong_order_estimate(*EM_CASE, [1.0], 1.0, LEVELS, 40, 7)
+    wong_zakai_experiment(1.0, 1.0, (16, 64), n_real=50, seed=3)
+
+
+def _diverging_finest_level(sys, x0, path):
+    # only the finest level diverges: a drift of 1e4 x leaves the finite
+    # range within a few steps of 1/64
+    if path.dt == LEVELS[-1]:
+        sys = SdeSystem(1, lambda x: 1e4 * np.asarray(x, float), IDENT, ITO)
+    return euler_maruyama(sys, x0, path)
+
+
+def test_a_level_that_diverges_in_a_child_raises_its_exception_here(monkeypatch):
+    # on 2 CPUs the finest level is a share of its own, stepped in a child;
+    # its IntegrationDiverged comes back with the time, the states and the
+    # text of the one-process run's, after one fork for the first block
+    args = (_diverging_finest_level, EM_CASE[1], EM_CASE[2], [1.0], 1.0, LEVELS, 40, 7)
+    _share_setup(monkeypatch, 1)
+    with pytest.raises(IntegrationDiverged) as here:
+        strong_order_estimate(*args)
+    forks = _share_setup(monkeypatch, 2)
+    with pytest.raises(IntegrationDiverged) as child:
+        strong_order_estimate(*args)
+    assert len(forks) == 1
+    assert type(child.value) is IntegrationDiverged
+    assert str(child.value) == str(here.value)
+    assert child.value.time == here.value.time
+    assert child.value.state.shape == (40, 1)
+    assert np.array_equal(child.value.state, here.value.state)
+
+
+@pytest.mark.parametrize("failing, first", [
+    ({2, 3}, 2),      # both children fail: the earlier level wins
+    ({1, 3}, 1),      # this process's share and a child fail
+    ({3}, 3),
+])
+def test_the_earliest_failing_level_wins(monkeypatch, failing, first):
+    # on 3 CPUs the 4 levels are shared 8 + 16 | 32 | 64 steps: levels 0-1
+    # here and levels 2 and 3 in one child each; the error raised is the one
+    # the one-process loop meets first
+    forks = _share_setup(monkeypatch, 3)
+
+    def integrate(sys, x0, path):
+        level = LEVELS.index(path.dt)
+        if level in failing:
+            raise ValueError(f"level {level} failed")
+        return euler_maruyama(sys, x0, path)
+
+    with pytest.raises(ValueError, match=f"^level {first} failed$"):
+        strong_order_estimate(integrate, *EM_CASE[1:], [1.0], 1.0, LEVELS, 4, 7)
+    assert len(forks) == 2
+
+
+def test_a_wong_zakai_contrast_that_fails_in_a_child_raises_here(monkeypatch):
+    # on 2 CPUs the lifts of meshes 4 and 16 run here and the contrast in a
+    # child; a contrast that diverges raises what the one-process run raises
+    em_step = verify._em_step
+
+    def diverging(sys, path):
+        step = em_step(sys, path)
+        return lambda x, k: step(x, k) * (1e13 if k == 10 else 1.0)
+
+    monkeypatch.setattr(verify, "_em_step", diverging)
+    _share_setup(monkeypatch, 1)
+    with pytest.raises(IntegrationDiverged) as here:
+        wong_zakai_experiment(1.0, 1.0, (4, 16), n_real=50, seed=11)
+    forks = _share_setup(monkeypatch, 2)
+    with pytest.raises(IntegrationDiverged) as child:
+        wong_zakai_experiment(1.0, 1.0, (4, 16), n_real=50, seed=11)
+    assert len(forks) == 1
+    assert str(child.value) == str(here.value) == "integration diverged at t=0.171875"
+    assert np.array_equal(child.value.state, here.value.state)
 
 
 def test_strong_order_validation():
