@@ -20,12 +20,14 @@ v2 closes the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .lyapunov import _columns, _sontag_factor, _v2_columns
+from .lyapunov import (_HALF, _ONE, _TWO, _V2_OUT, _V2_ROWS, _ZERO, _Workspace,
+                       _columns, _const, _sontag_factor, _v2_columns, _v2_into,
+                       _workspace)
 # Not called here, but kept bound in this module: tools that trace the loop's
 # layers look these names up on it.
 from .lyapunov import v2_gradient, v2_hessian  # noqa: F401
@@ -101,38 +103,112 @@ def controllability_rank(p: SystemParams, x) -> int:
     return int(np.linalg.matrix_rank(m, tol=tol))
 
 
-def _h_entries(p: SystemParams, c, e, hess) -> tuple:
+class _Plant(NamedTuple):
+    """The plant's coefficients as 0-d arrays (see :func:`lyapunov._const`)."""
+
+    b1: np.ndarray
+    b2: np.ndarray
+    b3: np.ndarray
+    minus_b4: np.ndarray    # -b4, the factor of x1 in g's third row
+    third: np.ndarray       # (1/2)(b2 b3 - b1 b4), of the drift's third component
+
+
+def _plant(p: SystemParams) -> _Plant:
+    """The coefficients of ``p`` that the kernel multiplies by."""
+    return _Plant(*map(_const, (p.b1, p.b2, p.b3, -p.b4,
+                                0.5 * (p.b2 * p.b3 - p.b1 * p.b4))))
+
+
+def _design(d: DiffusionDesign) -> tuple:
+    """The design's gains (k1, k2) as 0-d arrays."""
+    return _const(d.k1), _const(d.k2)
+
+
+def _g_third_row(p: _Plant, x1, x2, c, e) -> None:
+    """The third row (c, e) = (b3 x2, -b4 x1) of g, into ``c`` and ``e``."""
+    np.multiply(p.b3, x2, out=c)
+    np.multiply(p.minus_b4, x1, out=e)
+
+
+def _h_entries(p: _Plant, c, e, hess, out, t) -> tuple:
     """Entries (H11, H12, H22) of H = g^T Hess(v2) g, written out.
 
     ``(c, e)`` is the third row of g and ``hess`` the six entries
     (h11, h12, h13, h22, h23, h33) of Hess(v2).  The terms are those of the
     double sum over g's nonzero entries, added in the order of that sum.
+    The entries are computed into the first three of the five columns
+    ``out``, and ``t`` is scratch.
     """
     h11, h12, h13, h22, h23, h33 = hess
-    b1, b2 = p.b1, p.b2
-    b1_h13 = b1 * h13
-    c_h33 = c * h33
-    return (b1 * h11 * b1 + 2.0 * (b1_h13 * c) + c_h33 * c,
-            b1 * h12 * b2 + b1_h13 * e + c * h23 * b2 + c_h33 * e,
-            b2 * h22 * b2 + 2.0 * (b2 * h23 * e) + e * h33 * e)
+    k11, k12, k22, b1_h13, c_h33 = out
+    np.multiply(p.b1, h13, out=b1_h13)
+    np.multiply(c, h33, out=c_h33)
+    # ((b1 h11) b1 + 2 (b1_h13 c)) + c_h33 c
+    np.multiply(p.b1, h11, out=k11)
+    k11 *= p.b1
+    np.multiply(b1_h13, c, out=t)
+    t *= _TWO
+    k11 += t
+    np.multiply(c_h33, c, out=t)
+    k11 += t
+    # (((b1 h12) b2 + b1_h13 e) + (c h23) b2) + c_h33 e
+    np.multiply(p.b1, h12, out=k12)
+    k12 *= p.b2
+    np.multiply(b1_h13, e, out=t)
+    k12 += t
+    np.multiply(c, h23, out=t)
+    t *= p.b2
+    k12 += t
+    np.multiply(c_h33, e, out=t)
+    k12 += t
+    # ((b2 h22) b2 + 2 ((b2 h23) e)) + (e h33) e
+    np.multiply(p.b2, h22, out=k22)
+    k22 *= p.b2
+    np.multiply(p.b2, h23, out=t)
+    t *= e
+    t *= _TWO
+    k22 += t
+    np.multiply(e, h33, out=t)
+    t *= e
+    k22 += t
+    return k11, k12, k22
 
 
-def _eigs(h11, h12, h22) -> tuple:
+def _eigs(h11, h12, h22, out, zero) -> tuple:
     """Eigenvalues of [[h11, h12], [h12, h22]], ascending; the smaller in
-    magnitude is det(H) over the larger, since mid -/+ rad would cancel."""
-    mid = 0.5 * (h11 + h22)
-    h12_sq = h12 * h12
-    rad = np.sqrt((0.5 * (h11 - h22)) ** 2 + h12_sq)
-    big = mid + np.copysign(rad, mid)
-    small = (h11 * h22 - h12_sq) / np.where(big == 0.0, 1.0, big)
-    return np.minimum(small, big), np.maximum(small, big)
+    magnitude is det(H) over the larger, since mid -/+ rad would cancel.
+
+    They are computed into the first two of the four columns ``out``, with
+    the boolean ``zero`` as scratch.
+    """
+    mid, h12_sq, big, small = out
+    np.add(h11, h22, out=mid)
+    mid *= _HALF
+    np.multiply(h12, h12, out=h12_sq)
+    np.subtract(h11, h22, out=big)
+    big *= _HALF
+    np.multiply(big, big, out=big)
+    big += h12_sq
+    np.sqrt(big, out=big)
+    np.copysign(big, mid, out=big)
+    big += mid
+    np.multiply(h11, h22, out=small)
+    small -= h12_sq
+    np.equal(big, _ZERO, out=zero)
+    small /= np.where(zero, _ONE, big) if zero.any() else big
+    np.minimum(small, big, out=mid)
+    np.maximum(small, big, out=h12_sq)
+    return mid, h12_sq
 
 
 def h_matrix(p: SystemParams, x) -> np.ndarray:
     """Symmetric 2x2 form H(x) = g^T Hess(v2) g, batched."""
     x1, x2, x3 = _columns(x)
-    h11, h12, h22 = _h_entries(p, p.b3 * x2, -p.b4 * x1,
-                               _v2_columns(x1, x2, x3).hess)
+    plant = _plant(p)
+    rows = _workspace(np.empty((8,) + np.shape(x1))).rows
+    _g_third_row(plant, x1, x2, *rows[6:])
+    h11, h12, h22 = _h_entries(plant, *rows[6:], _v2_columns(x1, x2, x3).hess,
+                               rows[:5], rows[5])
     return np.stack([np.stack([h11, h12], axis=-1),
                      np.stack([h12, h22], axis=-1)], axis=-2)
 
@@ -145,7 +221,8 @@ def eigs_sym2(h) -> tuple:
     if np.any(np.abs(h[..., 0, 1] - h[..., 1, 0])
               > 1e-9 * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))):
         raise ValueError("matrix is not symmetric")
-    return _eigs(h[..., 0, 0], h[..., 0, 1], h[..., 1, 1])
+    ws = _workspace(np.empty((4,) + h.shape[:-2]))
+    return _eigs(h[..., 0, 0], h[..., 0, 1], h[..., 1, 1], ws.rows, ws.masks[0])
 
 
 def diffusion_b(d: DiffusionDesign, p: SystemParams, x) -> tuple:
@@ -157,10 +234,6 @@ def diffusion_b(d: DiffusionDesign, p: SystemParams, x) -> tuple:
 def sigma(p: SystemParams, d: DiffusionDesign, x) -> np.ndarray:
     """Single-channel diffusion sigma = g B."""
     return np.stack(loop_columns(p, d, *_columns(x)).sigma, axis=-1)
-
-
-def _drift_third(p: SystemParams, b1v, b2v):
-    return 0.5 * (p.b2 * p.b3 - p.b1 * p.b4) * b1v * b2v
 
 
 def randomized_drift(p: SystemParams, d: DiffusionDesign, x) -> np.ndarray:
@@ -176,7 +249,7 @@ def randomized_drift(p: SystemParams, d: DiffusionDesign, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     b1v, b2v = diffusion_b(d, p, x)
     out = np.zeros(x.shape)
-    out[..., 2] = _drift_third(p, b1v, b2v)
+    out[..., 2] = _plant(p).third * b1v * b2v
     return out
 
 
@@ -196,40 +269,118 @@ class LoopColumns(NamedTuple):
     drift: tuple            # randomized drift + g u, columns (f1, f2, f3)
 
 
+# Rows of the kernel's workspace: those of _v2_into, then the 14 columns of
+# the loop's own results.  The kernel's temporaries take v2's 15 scratch
+# rows once _v2_into has returned.
+_N_ROWS = _V2_ROWS + 14
+
+
+def _fresh(shape: tuple) -> _Workspace:
+    """A new workspace of the kernel for states of ``shape``."""
+    return _workspace(np.empty((_N_ROWS,) + shape))
+
+
+def _loop_into(ws: _Workspace, p: _Plant, d: tuple, x1, x2, x3) -> LoopColumns:
+    """:func:`loop_columns` with the plant ``p`` from :func:`_plant` and the
+    design gains ``d`` from :func:`_design`, computed into ``ws``, the
+    workspace of a float block of shape ``(_N_ROWS, *shape)`` for states of
+    ``shape``.
+
+    The result is views of ``ws``, valid until its next pass.  No column of
+    the states' shape is allocated on the way, unless some row has a
+    degenerate H (both eigenvalues 0).
+    """
+    v = _v2_into(ws, x1, x2, x3)
+    d1, d2, d3 = v.grad
+    h11, h12, h13, h22, h23, h33 = v.hess
+    q1, q2, y = v.squares
+    k1, k2 = d
+    scratch = ws.rows[_V2_OUT:_V2_ROWS]
+    c, e, f3, t = scratch[:4]
+    h_rows, eig_rows = scratch[4:9], scratch[9:13]
+    # H's rows are free once its eigenvalues are out
+    r2, quad, u = h_rows[:3]
+    (b1v, b2v, s1, s2, s3, f_term, g_term, lg1, lg2, u1, u2,
+     dr1, dr2, dr3) = ws.rows[_V2_ROWS:]
+    # (c, e) is the third row of g; the first two rows are diag(b1, b2).
+    _g_third_row(p, x1, x2, c, e)
+    lam1, lam2 = _eigs(*_h_entries(p, c, e, v.hess, h_rows, t), eig_rows, ws.masks[0])
+    # |x|^2 added as (x1^2 + x3^2) + x2^2, the order in which einsum sums a
+    # row of three, so the gains keep the bits of the einsum formulation.
+    np.add(q1, y, out=r2)
+    r2 += q2
+    np.multiply(lam1, lam1, out=b1v)        # k1 lam1^2 |x|^2
+    b1v *= k1
+    b1v *= r2
+    np.multiply(lam2, lam2, out=b2v)        # k2 lam2^2 |x|^2 x3
+    b2v *= k2
+    b2v *= r2
+    b2v *= x3
+    np.multiply(p.b1, b1v, out=s1)
+    np.multiply(p.b2, b2v, out=s2)
+    np.multiply(c, b1v, out=s3)
+    np.multiply(e, b2v, out=t)
+    s3 += t
+    np.multiply(p.third, b1v, out=f3)       # as randomized_drift groups it
+    f3 *= b2v
+    # (s1 (h11 s1 + 2 (h12 s2 + h13 s3)) + s2 (h22 s2 + (2 h23) s3)) + (h33 s3) s3
+    np.multiply(h12, s2, out=quad)
+    np.multiply(h13, s3, out=t)
+    quad += t
+    quad *= _TWO
+    np.multiply(h11, s1, out=t)
+    quad += t
+    quad *= s1
+    np.multiply(_TWO, h23, out=t)
+    t *= s3
+    np.multiply(h22, s2, out=u)
+    t += u
+    t *= s2
+    quad += t
+    np.multiply(h33, s3, out=t)
+    t *= s3
+    quad += t
+    np.multiply(d3, f3, out=f_term)
+    quad *= _HALF
+    f_term += quad
+    np.multiply(p.b1, d1, out=lg1)
+    np.multiply(c, d3, out=t)
+    lg1 += t
+    np.multiply(p.b2, d2, out=lg2)
+    np.multiply(e, d3, out=t)
+    lg2 += t
+    np.multiply(lg1, lg1, out=g_term)
+    np.multiply(lg2, lg2, out=t)
+    g_term += t
+    minus_factor = _sontag_factor(f_term, g_term, quad, t, ws.masks[0])
+    np.negative(minus_factor, out=minus_factor)
+    np.multiply(minus_factor, lg1, out=u1)
+    np.multiply(minus_factor, lg2, out=u2)
+    np.multiply(p.b1, u1, out=dr1)
+    np.multiply(p.b2, u2, out=dr2)
+    np.multiply(c, u1, out=dr3)
+    np.multiply(e, u2, out=t)
+    dr3 += t
+    dr3 += f3
+    return LoopColumns(v.value, v.norm_sq, b1v, b2v, (s1, s2, s3), f_term,
+                       g_term, (lg1, lg2), (u1, u2), (dr1, dr2, dr3))
+
+
 def loop_columns(p: SystemParams, d: DiffusionDesign, x1, x2, x3) -> LoopColumns:
     """Evaluate the whole closed loop in one pass at the states with
     coordinate columns x1, x2, x3 (arrays of one shape).
 
     v2 and its derivatives, H, its eigenvalues, B, sigma, F, G, L_g v2, the
     Sontag control and the Ito drift are each computed once, with the zeros
-    of g skipped.  The drift keeps the grouped form of
-    :func:`randomized_drift` in its third component.
+    of g skipped; x1^2, x2^2 and x3^2 are computed once, for v2, |x|^2 and
+    the gains.  The drift keeps the grouped form of
+    :func:`randomized_drift` in its third component.  The pass computes
+    into one block of column buffers, fresh here; a caller that evaluates
+    the loop again and again passes one block to :func:`_loop_into`, and
+    makes no new column on the way.
     """
-    v = _v2_columns(x1, x2, x3)
-    d1, d2, d3 = v.grad
-    h11, h12, h13, h22, h23, h33 = v.hess
-    # (c, e) is the third row of g; the first two rows are diag(b1, b2).
-    c, e = p.b3 * x2, -p.b4 * x1
-    lam1, lam2 = _eigs(*_h_entries(p, c, e, v.hess))
-    # |x|^2 added as (x1^2 + x3^2) + x2^2, the order in which einsum sums a
-    # row of three, so the gains keep the bits of the einsum formulation.
-    r2 = x1 * x1 + x3 * x3 + x2 * x2
-    b1v = d.k1 * lam1 ** 2 * r2
-    b2v = d.k2 * lam2 ** 2 * r2 * x3
-    s1, s2, s3 = p.b1 * b1v, p.b2 * b2v, c * b1v + e * b2v
-    f3 = _drift_third(p, b1v, b2v)
-    quad = (s1 * (h11 * s1 + 2.0 * (h12 * s2 + h13 * s3))
-            + s2 * (h22 * s2 + 2.0 * h23 * s3) + h33 * s3 * s3)
-    f_term = d3 * f3 + 0.5 * quad
-    lg1 = p.b1 * d1 + c * d3
-    lg2 = p.b2 * d2 + e * d3
-    g_term = lg1 * lg1 + lg2 * lg2
-    minus_factor = -_sontag_factor(f_term, g_term)
-    u1 = minus_factor * lg1
-    u2 = minus_factor * lg2
-    return LoopColumns(v.value, v.norm_sq, b1v, b2v, (s1, s2, s3), f_term,
-                       g_term, (lg1, lg2), (u1, u2),
-                       (p.b1 * u1, p.b2 * u2, c * u1 + e * u2 + f3))
+    shape = np.broadcast_shapes(np.shape(x1), np.shape(x2), np.shape(x3))
+    return _loop_into(_fresh(shape), _plant(p), _design(d), x1, x2, x3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,17 +389,24 @@ class ClosedLoop:
 
     ``columns(x1, x2, x3)`` evaluates v2, drift, diffusion and control
     together in one pass on coordinate columns; the ``sde`` callables and
-    ``control`` are views of the same kernel.
+    ``control`` are views of the same kernel.  ``coefficients`` holds the
+    plant's and the design's coefficients as 0-d arrays, built once, for
+    :func:`_loop_into`.
     """
 
     params: SystemParams
     design: DiffusionDesign
     sde: SdeSystem
     control: Callable
+    coefficients: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients", (_plant(self.params), _design(self.design)))
 
     def columns(self, x1, x2, x3) -> LoopColumns:
         """The one-pass kernel :func:`loop_columns` of this loop."""
-        return loop_columns(self.params, self.design, x1, x2, x3)
+        shape = np.broadcast_shapes(np.shape(x1), np.shape(x2), np.shape(x3))
+        return _loop_into(_fresh(shape), *self.coefficients, x1, x2, x3)
 
 
 def closed_loop(p: SystemParams, d: DiffusionDesign) -> ClosedLoop:
@@ -257,22 +415,25 @@ def closed_loop(p: SystemParams, d: DiffusionDesign) -> ClosedLoop:
     Raises ValueError naming the violated condition when the gain map does
     not vanish at the origin or the equilibrium is not preserved exactly.
     """
-    t = loop_columns(p, d, *_columns(np.zeros(3)))
+    def columns(x):
+        return loop.columns(*_columns(x))
+
+    def drift(x):
+        return np.stack(columns(x).drift, axis=-1)
+
+    def diffusion(x):
+        return np.stack(columns(x).sigma, axis=-1)
+
+    def control(x):
+        return np.stack(columns(x).control, axis=-1)
+
+    loop = ClosedLoop(p, d, SdeSystem(3, drift, diffusion, ITO), control)
+    t = columns(np.zeros(3))
     if t.b1 != 0.0 or t.b2 != 0.0:
         raise ValueError("brockett6 violated: B(0) != 0 for this design")
     if any(col != 0.0 for col in t.drift + t.sigma):
         raise ValueError("closed loop does not preserve the origin exactly")
-
-    def drift(x):
-        return np.stack(loop_columns(p, d, *_columns(x)).drift, axis=-1)
-
-    def diffusion(x):
-        return sigma(p, d, x)
-
-    def control(x):
-        return np.stack(loop_columns(p, d, *_columns(x)).control, axis=-1)
-
-    return ClosedLoop(p, d, SdeSystem(3, drift, diffusion, ITO), control)
+    return loop
 
 
 # Radii of the shrinking-circle sequences in the design report and of the

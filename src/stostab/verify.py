@@ -11,6 +11,7 @@ paths run or in what order.
 
 from __future__ import annotations
 
+import functools
 import math
 import mmap
 import os
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import brockett
 from .brockett import ClosedLoop, DiffusionDesign, SystemParams
+from .lyapunov import _workspace
 from .sde import (ITO, NORM_SQ_BOUND, STRATONOVICH, SdeSystem, _em_step,
                   _failure_text, _final_state, _initial_state, _n_shares,
                   _rk4_step, _run_shares, _step_count, piecewise_linear_lift,
@@ -352,22 +354,56 @@ def _shared_arrays(layout: dict) -> dict:
     return arrays
 
 
+def _mapped(shape: tuple) -> np.ndarray:
+    """A float array of ``shape`` in an anonymous private mapping of its own.
+
+    Its memory goes back to the system when the array dies.  From the heap,
+    glibc would map a block this large only the first time: once it has
+    unmapped a freed block, it raises its threshold to that block's size
+    and keeps later ones in the heap, which left a 10 000-path ensemble's
+    process 1.5 MB larger after each call.
+    """
+    buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, float).reshape(shape)
+
+
+# Samples of one transposed block of drift-sample columns (256 KiB of
+# float64), which _drift_buckets sums as contiguous rows.
+_BUCKET_BLOCK = 1 << 15
+
+
 def _drift_buckets(z: np.ndarray, death: np.ndarray) -> tuple:
     """Mean, stderr and count of the v2 drift samples in each time bucket.
 
     Column k of ``z`` holds every path's sample z = (v2_new - v2) / dt of
     step k; a path's samples count for the steps before the one at which
-    it died (``death``).  Each column is summed over its paths in path order, and
-    the columns are added in step order, so the statistics do not depend on
-    how the paths were shared out.
+    it died (``death``).  Each column is summed over its paths in path
+    order, and the columns are added in step order, so the statistics do
+    not depend on how the paths were shared out.  The columns before the
+    first death are copied, a block of columns at a time, into the rows of
+    one contiguous buffer, which numpy sums as it sums a column, with the
+    same bits; from the first death on, each column is summed over the
+    paths still alive.
     """
-    n_steps = z.shape[1]
+    n_paths, n_steps = z.shape
     bucket_of = (np.arange(n_steps) * N_BUCKETS) // n_steps
     bsum, bsumsq = np.zeros(N_BUCKETS), np.zeros(N_BUCKETS)
     count = np.zeros(N_BUCKETS, dtype=np.int64)
     first_death = death.min()
-    for k in range(n_steps):
-        zk = z[:, k] if k < first_death else z[death > k, k]
+    width = max(1, _BUCKET_BLOCK // n_paths)
+    buf = np.empty(width * n_paths)
+    for k0 in range(0, first_death, width):
+        k1 = min(k0 + width, first_death)
+        block = buf[:(k1 - k0) * n_paths].reshape(k1 - k0, n_paths)
+        np.copyto(block, z[:, k0:k1].T)
+        b = bucket_of[k0:k1]
+        # np.add.at adds in index order, so each bucket sums its steps in order
+        np.add.at(bsum, b, block.sum(axis=1))
+        block *= block
+        np.add.at(bsumsq, b, block.sum(axis=1))
+        np.add.at(count, b, n_paths)
+    for k in range(first_death, n_steps):
+        zk = z[death > k, k]
         if len(zk):
             b = bucket_of[k]
             bsum[b] += zk.sum()
@@ -396,39 +432,60 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
     shape ``(len(seeds), n_steps)``, receives the paths' noise; once step k
     has used column k, the column is overwritten with every path's v2 drift
     sample z = (v2_new - v2) / dt of that step, for :func:`_drift_buckets`.
+
+    The paths step as three coordinate columns, updated in place, and every
+    kernel pass (:func:`brockett._loop_into`) computes into one workspace,
+    made once here; the previous step's v2 is kept in a column of its own,
+    since the next pass overwrites the workspace.  A step allocates no
+    column of the share's size, except on a step where some path diverges.
     Each kernel operation acts row by row, so a path's results do not
     depend on the other paths stepped with it.
     """
     n_paths = len(seeds)
     wiener_increments(dt, seeds, n_steps, out=dw)
-    x1, x2, x3 = (np.full(n_paths, c) for c in x0)
-    t = cl.columns(x1, x2, x3)
-    v2 = t.v2
-    out["v2_start"][:] = v2
+    x1, x2, x3 = np.empty((3, n_paths))
+    x1[:], x2[:], x3[:] = x0
+    ws = _workspace(_mapped((brockett._N_ROWS, n_paths)))
+    evaluate = functools.partial(brockett._loop_into, ws, *cl.coefficients, x1, x2, x3)
+    t = evaluate()
+    out["v2_start"][:] = t.v2
     sup_v2, sup_norm_sq, death = out["sup_v2"], out["sup_norm_sq"], out["death"]
-    sup_v2[:] = v2
+    sup_v2[:] = t.v2
     sup_norm_sq[:] = t.norm_sq
     death[:] = n_steps
+    v2_prev = t.v2.copy()
+    dt = np.array(dt)
 
     if rec_steps is not None:
+        rec_states, rec_controls = out["rec_states"], out["rec_controls"]
+
         def record(j):
-            out["rec_states"][:, j] = np.column_stack((x1, x2, x3))
-            out["rec_controls"][:, j] = np.column_stack(t.control)
+            for i, col in enumerate((x1, x2, x3)):
+                rec_states[:, j, i] = col
+            for i, col in enumerate(t.control):
+                rec_controls[:, j, i] = col
 
         record(0)
         j = 1
 
     for k in range(n_steps):
         w = dw[:, k]
-        (f1, f2, f3), (s1, s2, s3) = t.drift, t.sigma
-        x1 = x1 + f1 * dt + s1 * w
-        x2 = x2 + f2 * dt + s2 * w
-        x3 = x3 + f3 * dt + s3 * w
-        t = cl.columns(x1, x2, x3)
-        dw[:, k] = (t.v2 - v2) / dt
-        # A NaN state fails the norm test; a finite state can still overflow v2.
-        fine = (t.norm_sq <= NORM_SQ_BOUND) & np.isfinite(t.v2)
-        if not fine.all():
+        # x + f dt + s w, into x; the drift and sigma columns are spent
+        for x, f, s in zip((x1, x2, x3), t.drift, t.sigma):
+            f *= dt
+            x += f
+            s *= w
+            x += s
+        t = evaluate()
+        np.subtract(t.v2, v2_prev, out=w)
+        w /= dt
+        # A NaN state fails the norm test; a finite state can still overflow
+        # v2.  The sum of the |x|^2 column bounds each of its rows, and a
+        # NaN or inf makes a sum non-finite, so the rows are tested one by
+        # one only when a sum fails.
+        if not (np.add.reduce(t.norm_sq) <= NORM_SQ_BOUND
+                and math.isfinite(np.add.reduce(t.v2))):
+            fine = (t.norm_sq <= NORM_SQ_BOUND) & np.isfinite(t.v2)
             newly_dead = ~fine & (death == n_steps)
             if newly_dead.any():
                 # Park dead paths at the equilibrium and evaluate the loop
@@ -436,17 +493,19 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
                 death[newly_dead] = k
                 for col in (x1, x2, x3):
                     col[newly_dead] = 0.0
-                t = cl.columns(x1, x2, x3)
+                t = evaluate()
         # A parked path sits at v2 = |x|^2 = 0, and its sups become inf later.
         np.maximum(sup_v2, t.v2, out=sup_v2)
         np.maximum(sup_norm_sq, t.norm_sq, out=sup_norm_sq)
-        v2 = t.v2
+        np.copyto(v2_prev, t.v2)
         if rec_steps is not None and k + 1 == rec_steps[j]:
             record(j)
             j += 1
 
-    out["terminal"][:] = np.column_stack((x1, x2, x3))
-    out["v2"][:] = v2
+    terminal = out["terminal"]
+    for i, col in enumerate((x1, x2, x3)):
+        terminal[:, i] = col
+    out["v2"][:] = v2_prev
 
 
 def _is_int(value) -> bool:
@@ -508,13 +567,15 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
     """Euler-Maruyama ensemble of the closed loop with common bookkeeping.
 
     All paths step together as coordinate columns, and each step evaluates
-    the loop once, through ``cl.columns``, at the new state: that one pass
-    gives the divergence test its v2 and |x|^2, the next step its drift and
-    diffusion, and the recording its control.  Path i consumes increments
-    from its own seed-word stream, so results are reproducible and
-    unchanged under ensemble enlargement.  ``record_every`` > 0 stores every
-    k-th state and its control for all paths (plus the final one) for
-    export.
+    the loop's kernel once, at the new state: that one pass gives the
+    divergence test its v2 and |x|^2, the next step its drift and
+    diffusion, and the recording its control.  The pass computes into one
+    workspace per share, reused on every step, and the state columns are
+    updated in place, so a step creates no array of the share's size.
+    Path i consumes increments from its own seed-word stream, so results
+    are reproducible and unchanged under ensemble enlargement.
+    ``record_every`` > 0 stores every k-th state and its control for all
+    paths (plus the final one) for export.
 
     The paths are stepped in contiguous shares, one per CPU the process may
     run on, when each share holds at least ``SHARE_MIN_PATHS`` paths: this

@@ -1,0 +1,154 @@
+"""The closed-loop kernel against its allocating reference, bit for bit."""
+
+import ast
+import pathlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stostab import (DiffusionDesign, LoopColumns, SystemParams, brockett,
+                     closed_loop, loop_columns)
+from stostab.lyapunov import X_GUARD
+
+import kernel_oracle
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "stostab"
+
+PLANTS = [SystemParams(*b) for b in ((1, 1, 4, 4), (1, 1, 1, 4), (2, -1, 1, 1),
+                                     (1, -1, 4, 1), (1, 1, 0, 1))]
+DESIGNS = [DiffusionDesign(*k) for k in ((1e-4, 1e-4), (1.0, 0.5), (0.0, 0.0))]
+
+coord = st.floats(-3.0, 3.0, allow_subnormal=False)
+# |x1|, |x2| below sqrt(X_GUARD / 2), so X = x1^2 + x2^2 < X_GUARD
+tiny = st.floats(-0.7 * np.sqrt(X_GUARD), 0.7 * np.sqrt(X_GUARD))
+
+
+def _scaled(scale):
+    return st.tuples(coord, coord, coord).map(lambda r: tuple(scale * v for v in r))
+
+
+ROWS = st.one_of(
+    st.tuples(coord, coord, coord),
+    st.tuples(tiny, tiny, coord),                      # X < X_GUARD
+    st.tuples(st.just(0.0), st.just(0.0), coord),      # X = 0
+    st.tuples(coord, coord, st.just(0.0)),             # x3 = 0
+    st.just((0.0, 0.0, 0.0)),                          # the origin
+    _scaled(1e5),
+    _scaled(1e200),
+    st.tuples(coord, coord, coord, st.integers(0, 2)).map(    # a NaN coordinate
+        lambda r: tuple(np.nan if i == r[3] else v for i, v in enumerate(r[:3]))),
+)
+BATCHES = st.lists(ROWS, min_size=1, max_size=12).map(np.array)
+
+
+def _columns(t: LoopColumns):
+    """(field name, column) of every column of ``t``."""
+    for name, value in zip(LoopColumns._fields, t):
+        yield from ((name, col) for col in (value if isinstance(value, tuple) else (value,)))
+
+
+def _assert_same_columns(got: LoopColumns, want: LoopColumns):
+    pairs = list(zip(_columns(got), _columns(want)))
+    assert len(pairs) == 16
+    for (name, a), (_, b) in pairs:
+        assert np.array_equal(a, b, equal_nan=True), name
+        zero = a == 0.0     # 0.0 == -0.0, and a CSV prints the sign
+        assert np.array_equal(np.signbit(a[zero]), np.signbit(b[zero])), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PLANTS), st.sampled_from(DESIGNS), BATCHES)
+def test_kernel_equals_the_allocating_reference(p, d, x):
+    # every field, every bit, on ordinary rows and on the rows that take a
+    # branch: the X < X_GUARD patch, G = 0, overflow and NaN
+    with np.errstate(all="ignore"):
+        want = kernel_oracle.loop_columns(p, d, x[:, 0], x[:, 1], x[:, 2])
+        got = loop_columns(p, d, x[:, 0], x[:, 1], x[:, 2])
+    _assert_same_columns(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PLANTS), st.sampled_from(DESIGNS), BATCHES, BATCHES)
+def test_a_reused_workspace_equals_fresh_calls(p, d, x, y):
+    # a pass overwrites every column it returns, whatever the last pass on
+    # the same workspace left there: branch rows included
+    n = max(len(x), len(y))
+    x, y = np.resize(x, (n, 3)), np.resize(y, (n, 3))
+    cl = closed_loop(p, d)
+    ws = brockett._fresh((n,))
+    with np.errstate(all="ignore"):
+        for batch in (x, y, x):
+            _assert_same_columns(brockett._loop_into(ws, *cl.coefficients, *batch.T),
+                                 loop_columns(p, d, *batch.T))
+
+
+@pytest.mark.parametrize("p", PLANTS)
+def test_a_state_alone_equals_its_row_of_a_batch(p):
+    # a 0-d column runs the same ufunc loops as a batch.  Numpy's scalar
+    # arithmetic, which the allocating kernel fell into on 0-d states, takes
+    # powers through the C library: there the one-state drift differed from
+    # its batch row on 91 of 2000 uniform states, by up to 3e-15 relative
+    d = DiffusionDesign(1.0, 0.5)
+    cl = closed_loop(p, d)
+    x = np.random.default_rng(3).uniform(-3.0, 3.0, (300, 3))
+    x[:4] = [(0.0, 0.0, 1.5), (1e-150, 0.0, 1.0), (0.5, -1.0, 0.0), (0.0, 0.0, 0.0)]
+    batch = loop_columns(p, d, *x.T)
+    for i, row in enumerate(x):
+        alone = loop_columns(p, d, *row)
+        for (name, a), (_, b) in zip(_columns(alone), _columns(batch)):
+            assert np.shape(a) == () and a == b[i], name
+        for fn, cols in ((cl.sde.drift, batch.drift), (cl.sde.diffusion, batch.sigma),
+                         (cl.control, batch.control)):
+            assert np.array_equal(fn(row), [c[i] for c in cols])
+
+
+# The functions that compute into a reused workspace, and the step loop
+# that drives them: a Python float operand would cost each ufunc call a
+# conversion, so their constants are 0-d arrays.
+WORKSPACE_CODE = {"lyapunov.py": ("_v2_into", "_sontag_factor"),
+                  "brockett.py": ("_g_third_row", "_h_entries", "_eigs", "_loop_into"),
+                  "verify.py": ("_step_paths",)}
+
+
+def _float_operands(fn: ast.FunctionDef):
+    """Line numbers of float literals that are operands of an arithmetic
+    operator, an augmented assignment or a call in ``fn``."""
+    def is_float(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            node = node.operand
+        return isinstance(node, ast.Constant) and isinstance(node.value, float)
+
+    for node in ast.walk(fn):
+        if isinstance(node, ast.BinOp):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign):
+            operands = (node.value,)
+        elif isinstance(node, ast.Call):
+            operands = (*node.args, *(k.value for k in node.keywords))
+        else:
+            continue
+        yield from (op.lineno for op in operands if is_float(op))
+
+
+def test_the_workspace_kernel_has_no_float_literal_operands():
+    found = {}
+    for filename, names in WORKSPACE_CODE.items():
+        tree = ast.parse((SRC / filename).read_text(), filename)
+        fns = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for name in names:
+            lines = list(_float_operands(fns[name]))
+            if lines:
+                found[f"{filename}:{name}"] = lines
+    assert found == {}
+
+
+def test_the_float_literal_check_sees_each_kind_of_operand():
+    fn = ast.parse("def f(x, y):\n"
+                   "    y = 0.5 * x\n"
+                   "    y += -1.0\n"
+                   "    np.multiply(x, 2.0, out=y)\n"
+                   "    np.copyto(y, 4.0, where=x)\n"
+                   "    return x ** 2 + y[0] + TWO\n").body[0]
+    assert sorted(_float_operands(fn)) == [2, 3, 4, 5]

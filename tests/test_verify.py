@@ -497,6 +497,76 @@ def test_mc_below_the_share_minimum_never_forks(monkeypatch):
     assert rep.n_steps == 1 and rep.terminal_states.shape == (n_paths, 3)
 
 
+def _per_column_buckets(z, death):
+    """The drift statistics added up one column at a time, in step order."""
+    n_steps = z.shape[1]
+    bucket_of = (np.arange(n_steps) * verify.N_BUCKETS) // n_steps
+    bsum, bsumsq = np.zeros(verify.N_BUCKETS), np.zeros(verify.N_BUCKETS)
+    count = np.zeros(verify.N_BUCKETS, dtype=np.int64)
+    for k in range(n_steps):
+        zk = z[death > k, k]
+        bsum[bucket_of[k]] += zk.sum()
+        bsumsq[bucket_of[k]] += (zk * zk).sum()
+        count[bucket_of[k]] += len(zk)
+    return bsum, bsumsq, count
+
+
+@pytest.mark.parametrize("block", [None, 1000])
+@pytest.mark.parametrize("n_paths, n_steps", [(200, 500), (10000, 7), (1237, 77), (3, 40)])
+def test_drift_buckets_in_blocks_equal_the_per_column_sums(monkeypatch, n_paths, n_steps, block):
+    # the columns before the first death are summed as rows of contiguous
+    # blocks (of 1000 samples: 5, 1, 1 and 333 columns), the rest one by
+    # one over the paths alive; the sums are the per-column sums' bits
+    if block:
+        monkeypatch.setattr(verify, "_BUCKET_BLOCK", block)
+    rng = np.random.default_rng(n_paths)
+    z = rng.standard_normal((n_paths, n_steps)) * np.exp(rng.uniform(-30, 30, (n_paths, n_steps)))
+    for death in (np.full(n_paths, n_steps), rng.integers(n_steps // 2, n_steps + 1, n_paths)):
+        bsum, bsumsq, count = _per_column_buckets(z, death)
+        mean, se, got_count = verify._drift_buckets(z, death)
+        assert np.array_equal(got_count, count)
+        nz = count > 0
+        assert np.array_equal(mean[nz], bsum[nz] / count[nz])
+        multi = count > 1
+        var = np.maximum(bsumsq[multi] / count[multi] - mean[multi] ** 2, 0.0)
+        assert np.array_equal(se[multi], np.sqrt(var / count[multi]))
+
+
+def test_mc_steps_allocate_no_columns(monkeypatch):
+    # from the noise draw to the drift statistics, a share allocates its
+    # three state columns, the previous step's v2 and two boolean columns,
+    # and nothing else of its size: its workspace is mapped, like the noise
+    # and the results, out of tracemalloc's sight, and every step computes
+    # into it.  A kernel that made fresh temporaries held dozens of columns
+    # at once.  On one CPU the whole ensemble steps in this process.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    cl = closed_loop(P44, D4)
+    marks = {}
+    draw, buckets = verify.wiener_increments, verify._drift_buckets
+
+    def reset_after_draw(*args, **kwargs):
+        out = draw(*args, **kwargs)
+        tracemalloc.reset_peak()
+        marks["start"] = tracemalloc.get_traced_memory()[0]
+        return out
+
+    def peak_before(*args):
+        marks["peak"] = tracemalloc.get_traced_memory()[1]
+        return buckets(*args)
+
+    monkeypatch.setattr(verify, "wiener_increments", reset_after_draw)
+    monkeypatch.setattr(verify, "_drift_buckets", peak_before)
+    n_paths = 4000
+    tracemalloc.start()
+    try:
+        rep = mc_stability(cl, (0.0, 0.0, 1.0), 1e-3, 0.05, n_paths, 5.0, 0.1, 20.0, seed=1)
+    finally:
+        tracemalloc.stop()
+    assert rep.n_steps == 50 and rep.n_diverged == 0
+    # 4.5 columns here; 54 with fresh temporaries
+    assert marks["peak"] - marks["start"] <= 6 * 8 * n_paths
+
+
 def test_mc_overflow_counts_as_divergence():
     # From this off-axis start some paths leave the float range within a few
     # steps; they must be counted, not leak overflow warnings or NaN stats.
