@@ -10,7 +10,7 @@ from .brockett import (CONTINUITY_RADII, ClosedLoop, DesignReport,
                        DiffusionDesign, LoopColumns, SystemParams,
                        check_design_conditions, closed_loop,
                        controllability_rank, diffusion_b, eigs_sym2, g_matrix,
-                       h_matrix, loop_columns, randomized_drift, sigma)
+                       h_matrix, loop_columns, sigma)
 from .lyapunov import sontag_control, v2_eval, v2_gradient, v2_hessian
 from .sde import (ITO, STRATONOVICH, IntegrationDiverged, PiecewiseLinearNoise,
                   SdeSystem, Trajectory, WienerPath, euler_maruyama,
@@ -33,7 +33,7 @@ __all__ = [
     "CONTINUITY_RADII", "ClosedLoop", "DesignReport", "DiffusionDesign",
     "LoopColumns", "SystemParams", "check_design_conditions", "closed_loop",
     "controllability_rank", "diffusion_b", "eigs_sym2", "g_matrix", "h_matrix",
-    "loop_columns", "randomized_drift", "sigma",
+    "loop_columns", "sigma",
     "GridSpec", "ScanReport", "SclfReport", "SmallControlReport",
     "StabilityReport", "WongZakaiReport", "mc_stability", "scan_generator",
     "sclf_condition_check", "small_control_scan", "strong_order_estimate",

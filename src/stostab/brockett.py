@@ -232,47 +232,40 @@ def diffusion_b(d: DiffusionDesign, p: SystemParams, x) -> tuple:
 
 
 def sigma(p: SystemParams, d: DiffusionDesign, x) -> np.ndarray:
-    """Single-channel diffusion sigma = g B."""
-    return np.stack(loop_columns(p, d, *_columns(x)).sigma, axis=-1)
-
-
-def randomized_drift(p: SystemParams, d: DiffusionDesign, x) -> np.ndarray:
-    """Ito drift of the randomized loop before any residual control.
-
-    Equals g v + (1/2)(d sigma/dx) sigma.  The gradient-of-B cross terms
-    cancel exactly between the two summands, so the sum is assembled in the
-    grouped form (0, 0, (1/2)(b2 b3 - b1 b4) B1 B2); evaluating the two
-    summands separately and adding would pollute the third component with
-    rounding noise of the order of the discarded cross terms, which grow
-    fast with |x3|.
-    """
-    x = np.asarray(x, dtype=float)
-    b1v, b2v = diffusion_b(d, p, x)
-    out = np.zeros(x.shape)
-    out[..., 2] = _plant(p).third * b1v * b2v
-    return out
+    """Single-channel diffusion sigma = g B, a view of one kernel pass."""
+    return np.moveaxis(loop_columns(p, d, *_columns(x)).sigma, 0, -1)
 
 
 class LoopColumns(NamedTuple):
-    """Closed-loop quantities at a batch of states, as coordinate columns,
-    from :func:`loop_columns`."""
+    """Closed-loop quantities at a batch of states, from :func:`loop_columns`:
+    a scalar as a column of the states' shape, a vector as a block of shape
+    ``(k,) + shape``, one coordinate to a row.
+
+    ``ito`` is the third and only nonzero component of the randomized
+    loop's Ito drift before the control, g v + (1/2)(d sigma/dx) sigma.
+    Its gradient-of-B cross terms cancel exactly, so it is computed in the
+    grouped form (1/2)(b2 b3 - b1 b4) B1 B2; adding the two summands would
+    leave rounding noise of the order of the cross terms, which grow fast
+    with |x3|.
+    """
 
     v2: np.ndarray          # the candidate v2
     norm_sq: np.ndarray     # |x|^2, summed as (x1^2 + x2^2) + x3^2
     b1: np.ndarray          # noise gain B1
     b2: np.ndarray          # noise gain B2
-    sigma: tuple            # diffusion g B, columns (s1, s2, s3)
+    sigma: np.ndarray       # diffusion g B, rows (s1, s2, s3)
     f_term: np.ndarray      # F of the universal formula
     g_term: np.ndarray      # G = ||L_g v2||^2
-    lg: tuple               # L_g v2, columns (lg1, lg2)
-    control: tuple          # Sontag control u, columns (u1, u2)
-    drift: tuple            # randomized drift + g u, columns (f1, f2, f3)
+    lg: np.ndarray          # L_g v2, rows (lg1, lg2)
+    control: np.ndarray     # Sontag control u, rows (u1, u2)
+    drift: np.ndarray       # (0, 0, ito) + g u, rows (f1, f2, f3)
+    ito: np.ndarray         # third component of the drift before the control
 
 
-# Rows of the kernel's workspace: those of _v2_into, then the 14 columns of
+# Rows of the kernel's workspace: those of _v2_into, then the 15 columns of
 # the loop's own results.  The kernel's temporaries take v2's 15 scratch
 # rows once _v2_into has returned.
-_N_ROWS = _V2_ROWS + 14
+_N_ROWS = _V2_ROWS + 15
 
 
 def _fresh(shape: tuple) -> _Workspace:
@@ -286,9 +279,9 @@ def _loop_into(ws: _Workspace, p: _Plant, d: tuple, x1, x2, x3) -> LoopColumns:
     workspace of a float block of shape ``(_N_ROWS, *shape)`` for states of
     ``shape``.
 
-    The result is views of ``ws``, valid until its next pass.  No column of
-    the states' shape is allocated on the way, unless some row has a
-    degenerate H (both eigenvalues 0).
+    The result is views of ``ws`` (a vector as a slice of adjacent rows),
+    valid until its next pass.  No column of the states' shape is allocated
+    on the way, unless some row has a degenerate H (both eigenvalues 0).
     """
     v = _v2_into(ws, x1, x2, x3)
     d1, d2, d3 = v.grad
@@ -296,12 +289,13 @@ def _loop_into(ws: _Workspace, p: _Plant, d: tuple, x1, x2, x3) -> LoopColumns:
     q1, q2, y = v.squares
     k1, k2 = d
     scratch = ws.rows[_V2_OUT:_V2_ROWS]
-    c, e, f3, t = scratch[:4]
-    h_rows, eig_rows = scratch[4:9], scratch[9:13]
+    c, e, t = scratch[:3]
+    h_rows, eig_rows = scratch[3:8], scratch[8:12]
     # H's rows are free once its eigenvalues are out
     r2, quad, u = h_rows[:3]
+    results = ws.block[_V2_ROWS:]
     (b1v, b2v, s1, s2, s3, f_term, g_term, lg1, lg2, u1, u2,
-     dr1, dr2, dr3) = ws.rows[_V2_ROWS:]
+     dr1, dr2, dr3, ito) = ws.rows[_V2_ROWS:]
     # (c, e) is the third row of g; the first two rows are diag(b1, b2).
     _g_third_row(p, x1, x2, c, e)
     lam1, lam2 = _eigs(*_h_entries(p, c, e, v.hess, h_rows, t), eig_rows, ws.masks[0])
@@ -321,8 +315,8 @@ def _loop_into(ws: _Workspace, p: _Plant, d: tuple, x1, x2, x3) -> LoopColumns:
     np.multiply(c, b1v, out=s3)
     np.multiply(e, b2v, out=t)
     s3 += t
-    np.multiply(p.third, b1v, out=f3)       # as randomized_drift groups it
-    f3 *= b2v
+    np.multiply(p.third, b1v, out=ito)
+    ito *= b2v
     # (s1 (h11 s1 + 2 (h12 s2 + h13 s3)) + s2 (h22 s2 + (2 h23) s3)) + (h33 s3) s3
     np.multiply(h12, s2, out=quad)
     np.multiply(h13, s3, out=t)
@@ -340,7 +334,7 @@ def _loop_into(ws: _Workspace, p: _Plant, d: tuple, x1, x2, x3) -> LoopColumns:
     np.multiply(h33, s3, out=t)
     t *= s3
     quad += t
-    np.multiply(d3, f3, out=f_term)
+    np.multiply(d3, ito, out=f_term)
     quad *= _HALF
     f_term += quad
     np.multiply(p.b1, d1, out=lg1)
@@ -361,9 +355,9 @@ def _loop_into(ws: _Workspace, p: _Plant, d: tuple, x1, x2, x3) -> LoopColumns:
     np.multiply(c, u1, out=dr3)
     np.multiply(e, u2, out=t)
     dr3 += t
-    dr3 += f3
-    return LoopColumns(v.value, v.norm_sq, b1v, b2v, (s1, s2, s3), f_term,
-                       g_term, (lg1, lg2), (u1, u2), (dr1, dr2, dr3))
+    dr3 += ito
+    return LoopColumns(v.value, v.norm_sq, b1v, b2v, results[2:5], f_term, g_term,
+                       results[7:9], results[9:11], results[11:14], ito)
 
 
 def loop_columns(p: SystemParams, d: DiffusionDesign, x1, x2, x3) -> LoopColumns:
@@ -371,13 +365,13 @@ def loop_columns(p: SystemParams, d: DiffusionDesign, x1, x2, x3) -> LoopColumns
     coordinate columns x1, x2, x3 (arrays of one shape).
 
     v2 and its derivatives, H, its eigenvalues, B, sigma, F, G, L_g v2, the
-    Sontag control and the Ito drift are each computed once, with the zeros
-    of g skipped; x1^2, x2^2 and x3^2 are computed once, for v2, |x|^2 and
-    the gains.  The drift keeps the grouped form of
-    :func:`randomized_drift` in its third component.  The pass computes
-    into one block of column buffers, fresh here; a caller that evaluates
-    the loop again and again passes one block to :func:`_loop_into`, and
-    makes no new column on the way.
+    Sontag control, the Ito term ``ito`` (which F and the drift read) and
+    the drift are each computed once, with the zeros of g skipped; x1^2,
+    x2^2 and x3^2 are computed once, for v2, |x|^2 and the gains.  The pass
+    computes into one block of column buffers, fresh here, and returns
+    views of it (see :class:`LoopColumns`); a caller that evaluates the
+    loop again and again passes one block to :func:`_loop_into`, and makes
+    no new column on the way.
     """
     shape = np.broadcast_shapes(np.shape(x1), np.shape(x2), np.shape(x3))
     return _loop_into(_fresh(shape), _plant(p), _design(d), x1, x2, x3)
@@ -385,13 +379,13 @@ def loop_columns(p: SystemParams, d: DiffusionDesign, x1, x2, x3) -> LoopColumns
 
 @dataclass(frozen=True, eq=False)
 class ClosedLoop:
-    """Assembled Ito loop: drift = randomized drift + g u_s, diffusion = sigma.
+    """Assembled Ito loop: drift = (0, 0, ito) + g u_s, diffusion = sigma.
 
     ``columns(x1, x2, x3)`` evaluates v2, drift, diffusion and control
     together in one pass on coordinate columns; the ``sde`` callables and
-    ``control`` are views of the same kernel.  ``coefficients`` holds the
-    plant's and the design's coefficients as 0-d arrays, built once, for
-    :func:`_loop_into`.
+    ``control`` return views of one such pass, the coordinate last.
+    ``coefficients`` holds the plant's and the design's coefficients as
+    0-d arrays, built once, for :func:`_loop_into`.
     """
 
     params: SystemParams
@@ -410,7 +404,8 @@ class ClosedLoop:
 
 
 def closed_loop(p: SystemParams, d: DiffusionDesign) -> ClosedLoop:
-    """Assemble the noise-stabilized loop.
+    """Assemble the noise-stabilized loop, whose callables each return
+    views of one fresh kernel pass.
 
     Raises ValueError naming the violated condition when the gain map does
     not vanish at the origin or the equilibrium is not preserved exactly.
@@ -419,19 +414,19 @@ def closed_loop(p: SystemParams, d: DiffusionDesign) -> ClosedLoop:
         return loop.columns(*_columns(x))
 
     def drift(x):
-        return np.stack(columns(x).drift, axis=-1)
+        return np.moveaxis(columns(x).drift, 0, -1)
 
     def diffusion(x):
-        return np.stack(columns(x).sigma, axis=-1)
+        return np.moveaxis(columns(x).sigma, 0, -1)
 
     def control(x):
-        return np.stack(columns(x).control, axis=-1)
+        return np.moveaxis(columns(x).control, 0, -1)
 
     loop = ClosedLoop(p, d, SdeSystem(3, drift, diffusion, ITO), control)
     t = columns(np.zeros(3))
     if t.b1 != 0.0 or t.b2 != 0.0:
         raise ValueError("brockett6 violated: B(0) != 0 for this design")
-    if any(col != 0.0 for col in t.drift + t.sigma):
+    if t.drift.any() or t.sigma.any():
         raise ValueError("closed loop does not preserve the origin exactly")
     return loop
 

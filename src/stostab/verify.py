@@ -433,20 +433,21 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
     has used column k, the column is overwritten with every path's v2 drift
     sample z = (v2_new - v2) / dt of that step, for :func:`_drift_buckets`.
 
-    The paths step as three coordinate columns, updated in place, and every
-    kernel pass (:func:`brockett._loop_into`) computes into one workspace,
-    made once here; the previous step's v2 is kept in a column of its own,
-    since the next pass overwrites the workspace.  A step allocates no
-    column of the share's size, except on a step where some path diverges.
-    Each kernel operation acts row by row, so a path's results do not
-    depend on the other paths stepped with it.
+    The states are one block ``x`` of shape ``(3, len(seeds))``, updated in
+    place with the pass's drift and sigma blocks, ``x += f dt`` and then
+    ``x += s w`` (``s *= w`` row by row); every kernel pass
+    (:func:`brockett._loop_into`) computes into one workspace, made once
+    here.  The previous step's v2 is kept in a column of its own, since the
+    next pass overwrites the workspace.  A step allocates no column of the
+    share's size, except on a step where some path diverges.  Each kernel
+    operation acts path by path, so a path's results do not depend on the
+    other paths stepped with it.
     """
     n_paths = len(seeds)
     wiener_increments(dt, seeds, n_steps, out=dw)
-    x1, x2, x3 = np.empty((3, n_paths))
-    x1[:], x2[:], x3[:] = x0
+    x = np.repeat(x0[:, None], n_paths, axis=1)
     ws = _workspace(_mapped((brockett._N_ROWS, n_paths)))
-    evaluate = functools.partial(brockett._loop_into, ws, *cl.coefficients, x1, x2, x3)
+    evaluate = functools.partial(brockett._loop_into, ws, *cl.coefficients, *x)
     t = evaluate()
     out["v2_start"][:] = t.v2
     sup_v2, sup_norm_sq, death = out["sup_v2"], out["sup_norm_sq"], out["death"]
@@ -460,22 +461,19 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
         rec_states, rec_controls = out["rec_states"], out["rec_controls"]
 
         def record(j):
-            for i, col in enumerate((x1, x2, x3)):
-                rec_states[:, j, i] = col
-            for i, col in enumerate(t.control):
-                rec_controls[:, j, i] = col
+            rec_states[:, j] = x.T
+            rec_controls[:, j] = t.control.T
 
         record(0)
         j = 1
 
     for k in range(n_steps):
         w = dw[:, k]
-        # x + f dt + s w, into x; the drift and sigma columns are spent
-        for x, f, s in zip((x1, x2, x3), t.drift, t.sigma):
-            f *= dt
-            x += f
+        # (x + f dt) + s w, into x; the drift and sigma blocks are spent
+        x += np.multiply(t.drift, dt, out=t.drift)
+        for s in t.sigma:
             s *= w
-            x += s
+        x += t.sigma
         t = evaluate()
         np.subtract(t.v2, v2_prev, out=w)
         w /= dt
@@ -491,8 +489,7 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
                 # Park dead paths at the equilibrium and evaluate the loop
                 # there for the next step; the stats mask them out.
                 death[newly_dead] = k
-                for col in (x1, x2, x3):
-                    col[newly_dead] = 0.0
+                x[:, newly_dead] = 0.0
                 t = evaluate()
         # A parked path sits at v2 = |x|^2 = 0, and its sups become inf later.
         np.maximum(sup_v2, t.v2, out=sup_v2)
@@ -502,9 +499,7 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
             record(j)
             j += 1
 
-    terminal = out["terminal"]
-    for i, col in enumerate((x1, x2, x3)):
-        terminal[:, i] = col
+    out["terminal"][:] = x.T
     out["v2"][:] = v2_prev
 
 

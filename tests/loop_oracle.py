@@ -1,13 +1,13 @@
 """Reference evaluations for the kernel parity tests: the closed loop by
 full-matrix einsums, the generator of a scalar field along an SDE, and
-central-difference Jacobians."""
+central-difference Jacobians; and the kernel's Ito drift as a 3-vector."""
 
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from stostab import (eigs_sym2, g_matrix, sontag_control, v2_eval, v2_gradient,
-                     v2_hessian)
+from stostab import (eigs_sym2, g_matrix, loop_columns, sontag_control, v2_eval,
+                     v2_gradient, v2_hessian)
 
 
 def oracle_loop(p, d, x):
@@ -86,6 +86,16 @@ def generator(field: Field, drift, diffusion, x, control_matrix=None) -> Generat
         lg = np.einsum('...i,...ik->...k', grad,
                        np.asarray(control_matrix(x), float))
     return Generator(lf, trace, lg)
+
+
+def ito_drift(p, d, x) -> np.ndarray:
+    """The randomized loop's Ito drift before the control,
+    g v + (1/2)(d sigma/dx) sigma = (0, 0, ito), at states x (..., 3), with
+    ``ito`` the kernel's Ito row."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    out[..., 2] = loop_columns(p, d, x[..., 0], x[..., 1], x[..., 2]).ito
+    return out
 
 
 def jacobian_fd(fn, x) -> np.ndarray:

@@ -9,11 +9,10 @@ import pytest
 from stostab import (CONTINUITY_RADII, ClosedLoop, DiffusionDesign,
                      SystemParams, check_design_conditions, closed_loop,
                      controllability_rank, diffusion_b, eigs_sym2, g_matrix,
-                     h_matrix, loop_columns, randomized_drift, sigma,
-                     v2_hessian)
+                     h_matrix, loop_columns, sigma, v2_hessian)
 
 import exact_oracle
-from loop_oracle import V2, generator, jacobian_fd, oracle_loop
+from loop_oracle import V2, generator, ito_drift, jacobian_fd, oracle_loop
 
 P44 = SystemParams(1.0, 1.0, 4.0, 4.0)
 CHAINED = SystemParams(1.0, 1.0, 1.0, 0.0)
@@ -137,10 +136,10 @@ def test_diffusion_b_examples():
 def test_prefeedback_vanishes_where_it_should():
     # the pre-feedback and the drift it leaves vanish at the origin and
     # wherever the gains are zero
-    assert np.all(randomized_drift(P44, D4, np.zeros(3)) == 0.0)
+    assert np.all(ito_drift(P44, D4, np.zeros(3)) == 0.0)
     dz = DiffusionDesign(0.0, 0.0)
     pts = np.random.default_rng(5).uniform(-2, 2, (20, 3))
-    assert np.all(randomized_drift(P44, dz, pts) == 0.0)
+    assert np.all(ito_drift(P44, dz, pts) == 0.0)
     ex = exact_oracle.design(P44, dz, pts)
     assert np.all(ex["v"] == 0.0) and np.all(ex["drift"] == 0.0)
 
@@ -182,11 +181,11 @@ def test_sigma_jacobian_matches_finite_differences():
 
 def test_randomized_drift_cancellation():
     pts = np.random.default_rng(9).uniform(-3, 3, (500, 3))
-    rd = randomized_drift(P44, D4, pts)
+    rd = ito_drift(P44, D4, pts)
     # planar components cancel identically; the third carries
     # (b2 b3 - b1 b4) B1 B2 / 2, which is zero for these parameters
     assert np.all(rd == 0.0)
-    rdc = randomized_drift(CHAINED, D4, pts)
+    rdc = ito_drift(CHAINED, D4, pts)
     assert np.all(rdc[:, :2] == 0.0)
     b1v, b2v = diffusion_b(D4, CHAINED, pts)
     assert np.allclose(rdc[:, 2], 0.5 * b1v * b2v, rtol=1e-15)
@@ -204,7 +203,7 @@ def test_randomized_drift_against_fd_assembly():
     v_fd = np.stack([-0.5 * js[..., 0] / CHAINED.b1,
                      -0.5 * js[..., 1] / CHAINED.b2], axis=-1)
     fd = np.einsum('...ik,...k->...i', g_matrix(CHAINED, pts), v_fd) + 0.5 * js
-    ana = randomized_drift(CHAINED, D4, pts)
+    ana = ito_drift(CHAINED, D4, pts)
     err = np.abs(fd - ana) / (1.0 + np.abs(ana))
     assert err.max() < 1e-6
 

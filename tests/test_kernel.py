@@ -1,6 +1,7 @@
 """The closed-loop kernel against its allocating reference, bit for bit."""
 
 import ast
+import collections
 import pathlib
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stostab import (DiffusionDesign, LoopColumns, SystemParams, brockett,
-                     closed_loop, loop_columns)
+                     closed_loop, loop_columns, sigma)
 from stostab.lyapunov import X_GUARD
 
 import kernel_oracle
@@ -43,15 +44,29 @@ ROWS = st.one_of(
 BATCHES = st.lists(ROWS, min_size=1, max_size=12).map(np.array)
 
 
+# The fields that hold one coordinate a row, and the row count of each.
+BLOCKS = {"sigma": 3, "lg": 2, "control": 2, "drift": 3}
+
+# The allocating reference predates the Ito row: its result is read with
+# the other ten fields, and its Ito row is built from its own B columns.
+kernel_oracle.LoopColumns = collections.namedtuple("OracleColumns", LoopColumns._fields[:-1])
+
+
+def _oracle_columns(p, d, x1, x2, x3) -> LoopColumns:
+    """The allocating reference, with the Ito row 0.5 (b2 b3 - b1 b4) B1 B2."""
+    o = kernel_oracle.loop_columns(p, d, x1, x2, x3)
+    return LoopColumns(*o, kernel_oracle._drift_third(p, o.b1, o.b2))
+
+
 def _columns(t: LoopColumns):
-    """(field name, column) of every column of ``t``."""
+    """(field name, column) of every column of ``t``, a block's rows one by one."""
     for name, value in zip(LoopColumns._fields, t):
-        yield from ((name, col) for col in (value if isinstance(value, tuple) else (value,)))
+        yield from ((name, col) for col in (value if name in BLOCKS else (value,)))
 
 
 def _assert_same_columns(got: LoopColumns, want: LoopColumns):
     pairs = list(zip(_columns(got), _columns(want)))
-    assert len(pairs) == 16
+    assert len(pairs) == 17
     for (name, a), (_, b) in pairs:
         assert np.array_equal(a, b, equal_nan=True), name
         zero = a == 0.0     # 0.0 == -0.0, and a CSV prints the sign
@@ -64,7 +79,7 @@ def test_kernel_equals_the_allocating_reference(p, d, x):
     # every field, every bit, on ordinary rows and on the rows that take a
     # branch: the X < X_GUARD patch, G = 0, overflow and NaN
     with np.errstate(all="ignore"):
-        want = kernel_oracle.loop_columns(p, d, x[:, 0], x[:, 1], x[:, 2])
+        want = _oracle_columns(p, d, x[:, 0], x[:, 1], x[:, 2])
         got = loop_columns(p, d, x[:, 0], x[:, 1], x[:, 2])
     _assert_same_columns(got, want)
 
@@ -102,6 +117,27 @@ def test_a_state_alone_equals_its_row_of_a_batch(p):
         for fn, cols in ((cl.sde.drift, batch.drift), (cl.sde.diffusion, batch.sigma),
                          (cl.control, batch.control)):
             assert np.array_equal(fn(row), [c[i] for c in cols])
+
+
+def test_the_kernel_hands_out_row_blocks_of_its_workspace():
+    # every vector field is one contiguous (k, n) slice of the pass's float
+    # block, and each callable of the loop returns the block of one pass,
+    # with the coordinate last and the bits of the batch rows
+    p, d = PLANTS[1], DESIGNS[1]
+    x = np.random.default_rng(4).uniform(-3.0, 3.0, (50, 3))
+    cl = closed_loop(p, d)
+    ws = brockett._fresh((len(x),))
+    t = brockett._loop_into(ws, *cl.coefficients, *x.T)
+    for name, k in BLOCKS.items():
+        block = getattr(t, name)
+        assert block.shape == (k, len(x)) and block.flags.c_contiguous, name
+        assert np.shares_memory(block, ws.block), name
+    batch = loop_columns(p, d, *x.T)
+    for fn, block in ((cl.sde.drift, batch.drift), (cl.sde.diffusion, batch.sigma),
+                      (cl.control, batch.control), (lambda y: sigma(p, d, y), batch.sigma)):
+        got = fn(x)
+        assert got.base is not None and got.base.shape == (brockett._N_ROWS, len(x))
+        assert got.shape == block.T.shape and got.tobytes() == block.T.tobytes()
 
 
 # The functions that compute into a reused workspace, and the step loop

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from stostab import (DiffusionDesign, GridSpec, SdeSystem, SystemParams,
                      closed_loop, euler_maruyama, g_matrix, StabilityReport,
                      heun_stratonovich, mc_stability, ode_drive,
-                     piecewise_linear_lift, randomized_drift, sample_wiener,
+                     piecewise_linear_lift, sample_wiener,
                      scan_generator, sclf_condition_check, sigma,
                      small_control_scan, strong_order_estimate, v2_gradient,
                      wilson_interval, wong_zakai_experiment, write_scan_csv,
@@ -25,7 +25,7 @@ from stostab.sde import ITO, STRATONOVICH, IntegrationDiverged
 from stostab.verify import path_seeds, wilson_halfwidth
 
 import exact_oracle
-from loop_oracle import V1, generator, oracle_loop
+from loop_oracle import V1, generator, ito_drift, oracle_loop
 from mc_oracle import oracle_mc_stability
 from path_loop_oracle import strong_order_slope, wong_zakai_stats
 
@@ -238,7 +238,7 @@ def test_sclf_check_rejects_sum_of_squares():
     pts = GridSpec.cube(-2, 2, 11, exclude_radius=1e-3).points()
     axis = pts[(pts[:, 0] == 0.0) & (pts[:, 1] == 0.0)]
     assert len(axis) == 10
-    drift = lambda y: randomized_drift(P44, D4, y)
+    drift = lambda y: ito_drift(P44, D4, y)
     sig = lambda y: sigma(P44, D4, y)
     br = generator(V1, drift, sig, axis, control_matrix=lambda y: g_matrix(P44, y))
     assert np.all(br.lg_v == 0.0)
