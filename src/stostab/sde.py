@@ -540,12 +540,10 @@ def write_path_csvs(paths, times, states, controls=None, header_lines=()) -> Non
     and one write.  The bytes equal formatting every number, row by row,
     with ``"%.17g" %``, as :func:`write_csv` does.
 
-    The files are written by up to one process per CPU the process may run
-    on, each taking one contiguous share of the paths and at least
-    ``SHARE_MIN_VALUES`` of the values: this process writes the first share
-    and ``os.fork`` children the others.  Every child is reaped before this
-    returns or raises; a child's failure raises ``OSError`` naming its
-    share's first file and the child's error.
+    :func:`_run_shares` writes the files in shares of at least
+    ``SHARE_MIN_VALUES`` values, the first here and the others in forked
+    children; a child's failure raises ``OSError`` naming its share's first
+    file and the child's error.
     """
     n_paths, n_rows, dim = np.shape(states)
     n_controls = 0 if controls is None else np.shape(controls)[-1]
@@ -569,9 +567,8 @@ def write_path_csvs(paths, times, states, controls=None, header_lines=()) -> Non
             with open(paths[i], "w") as fh:
                 fh.write(template % tuple(values.ravel().tolist()))
 
-    n_shares = _n_shares(n_paths, n_paths * n_rows * (dim + n_controls),
+    failed = _run_shares(write_share, np.full(n_paths, n_rows * (dim + n_controls)),
                          SHARE_MIN_VALUES)
-    failed = _run_shares(write_share, np.ones(n_paths, np.int64), n_shares)
     if failed is not None:
         lo, exc = failed
         raise OSError(f"could not write the path files from {paths[lo]}: "
@@ -614,18 +611,21 @@ def _share_bounds(weights, n_shares: int) -> list:
     return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi] or [(0, 0)]
 
 
-def _run_shares(work: Callable, weights, n_shares: int) -> Optional[tuple]:
-    """Run ``work(lo, hi)`` on up to ``n_shares`` contiguous shares of the items.
+def _run_shares(work: Callable, weights, min_units: int) -> Optional[tuple]:
+    """Run ``work(lo, hi)`` on contiguous shares of the items, one per process.
 
-    The items are ``range(len(weights))``, split by :func:`_share_bounds`.
-    Every share but the first is handed to its own :func:`_fork` child, and
-    then this process runs the first.  Every child is reaped before this
-    returns or raises, also when this process's share raises, which then
-    propagates as it is.  Returns None, or the first item of the first
-    share whose child failed and the exception the child raised (see
+    The items are ``range(len(weights))``, of integer costs ``weights``.
+    This is the one place a share count is decided: :func:`_n_shares`, with
+    at least ``min_units`` a share, and :func:`_share_bounds` splits the
+    items.  Every share but the first is handed to its own :func:`_fork`
+    child, and then this process runs the first.  Every child is reaped
+    before this returns or raises, also when this process's share raises,
+    which then propagates as it is.  Returns None, or the first item of the
+    first share whose child failed and the exception the child raised (see
     :func:`_reap`); a caller that re-raises it raises what running every
     share in this process, in order, would have raised first.
     """
+    n_shares = _n_shares(len(weights), int(np.sum(weights, dtype=np.int64)), min_units)
     shares = _share_bounds(weights, n_shares)
     children = []
     try:

@@ -24,8 +24,8 @@ from . import brockett
 from .brockett import ClosedLoop, DiffusionDesign, SystemParams
 from .lyapunov import _workspace
 from .sde import (ITO, NORM_SQ_BOUND, STRATONOVICH, SdeSystem, _em_step,
-                  _failure_text, _final_state, _initial_state, _n_shares,
-                  _rk4_step, _run_shares, _step_count, piecewise_linear_lift,
+                  _failure_text, _final_state, _initial_state, _rk4_step,
+                  _run_shares, _step_count, piecewise_linear_lift,
                   sample_wiener, wiener_increments, write_csv, write_header)
 
 
@@ -334,9 +334,31 @@ SHARE_MIN_PATHS = 2500
 SHARE_MIN_EVALUATIONS = 1024
 
 
-def _ensemble_shares(n_paths: int) -> int:
-    """Processes that step an ensemble of ``n_paths`` paths."""
-    return _n_shares(n_paths, n_paths, SHARE_MIN_PATHS)
+def _run_levels(seeds, dt, horizon, row_samples, weights, run: Callable) -> None:
+    """Run ``run(j, path, blk)`` for every level j on every block of paths.
+
+    The one block loop of the strong-order and Wong-Zakai experiments.  This
+    process draws the Wiener path, at ``dt`` to ``horizon``, of each
+    :func:`_path_blocks` slice ``blk`` of ``seeds`` (a path holds
+    ``row_samples``); :func:`_run_shares` splits the levels, weighted by
+    their drift evaluations, into shares of at least
+    ``SHARE_MIN_EVALUATIONS``, runs the first here and forks the others.
+    ``run`` writes its rows of the results into a shared mapping, so they
+    are the same bit for bit for any number of shares, and a failed level
+    raises what running every level here, in order, would raise first.
+    """
+    for blk in _path_blocks(len(seeds), row_samples):
+        path = sample_wiener(dt, horizon, seeds[blk])
+
+        def run_share(lo, hi):
+            for j in range(lo, hi):
+                run(j, path, blk)
+
+        failed = _run_shares(run_share, weights, SHARE_MIN_EVALUATIONS)
+        if failed is not None:
+            raise failed[1]
+        # the next block's path must not be drawn beside this one
+        del path
 
 
 def _shared_arrays(layout: dict) -> dict:
@@ -361,7 +383,10 @@ def _mapped(shape: tuple) -> np.ndarray:
     glibc would map a block this large only the first time: once it has
     unmapped a freed block, it raises its threshold to that block's size
     and keeps later ones in the heap, which left a 10 000-path ensemble's
-    process 1.5 MB larger after each call.
+    process 1.5 MB larger after each call.  It stays apart from
+    :func:`_shared_arrays`, as a private page is cheaper to touch first:
+    each share fills its 44 x 5 000 stepping workspace in 0.90-0.94 ms
+    private, 1.23-1.28 ms shared (median of 50, 2-CPU Xeon).
     """
     buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE)
     return np.frombuffer(buf, float).reshape(shape)
@@ -572,10 +597,9 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
     ``record_every`` > 0 stores every k-th state and its control for all
     paths (plus the final one) for export.
 
-    The paths are stepped in contiguous shares, one per CPU the process may
-    run on, when each share holds at least ``SHARE_MIN_PATHS`` paths: this
-    process steps the first share and ``os.fork`` children the others; a
-    smaller ensemble is one share.  Each share draws its own paths' noise
+    :func:`_run_shares` steps the paths in shares of at least
+    ``SHARE_MIN_PATHS``, the first here and the others in forked children;
+    a smaller ensemble is one share.  Each share draws its own paths' noise
     into one shared buffer and overwrites each spent noise column with that
     step's v2 drift samples, which this process then adds up in step order,
     so the drift statistics need no memory beyond the noise.  The report is
@@ -599,7 +623,7 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
         _step_paths(cl, x0, dt, seeds[lo:hi], n_steps, rec_steps,
                     {name: a[lo:hi] for name, a in res.items()}, dw[lo:hi])
 
-    failed = _run_shares(step_share, np.ones(n_paths, np.int64), _ensemble_shares(n_paths))
+    failed = _run_shares(step_share, np.ones(n_paths, np.int64), SHARE_MIN_PATHS)
     if failed is not None:
         lo, exc = failed
         raise RuntimeError(f"could not step the ensemble share from path {lo}: "
@@ -680,7 +704,7 @@ def small_control_scan(cl: ClosedLoop, n_dirs: int, seed: int) -> SmallControlRe
     dirs /= np.where(norms > 1e-12, norms, 1.0)[:, None]
     out = []
     for r in radii:
-        u = cl.control(r * dirs)
+        u = cl.columns(*(r * dirs).T).control.T
         out.append(float(np.linalg.norm(u, axis=1).max()))
     return SmallControlReport(radii, np.asarray(out), n_dirs, seed)
 
@@ -753,14 +777,10 @@ def wong_zakai_experiment(x0: float, horizon: float, meshes, n_real: int,
     one's result is that of its own path, bit for bit that of
     :func:`ode_drive` and :func:`euler_maruyama`.
 
-    Within a block the runs (one per mesh, then the contrast) are split into
-    contiguous shares of near-equal drift evaluations, 4 a step for RK4 and
-    1 for Euler-Maruyama, one share per CPU the process may run on and at
-    least ``SHARE_MIN_EVALUATIONS`` each: this process draws the block's path
-    and runs the first share, ``os.fork`` children the others, and each
-    writes its rows of the results into one shared mapping.  The report is
-    the same bit for bit for any number of shares, and a failed run raises
-    the exception that running every share here would have raised first.
+    The runs (one per mesh, then the contrast) are the levels of
+    :func:`_run_levels`, weighted 4 drift evaluations a step for RK4 and 1
+    for Euler-Maruyama; it shares them out over processes, and the report
+    is the same bit for bit for any number of shares.
     """
     meshes, n_fine = _wong_zakai_plan(x0, horizon, meshes, n_real)
     dt_fine = horizon / n_fine
@@ -775,30 +795,22 @@ def wong_zakai_experiment(x0: float, horizon: float, meshes, n_real: int,
     res = _shared_arrays({"sq_err": ((len(meshes), n_real), float),
                           "log_ratio": ((n_real,), float)})
     sq_err, log_ratio = res["sq_err"], res["log_ratio"]
-    weights = [4 * m for m in meshes] + [n_fine]
-    n_shares = _n_shares(len(weights), sum(weights), SHARE_MIN_EVALUATIONS)
-    # every run keeps only its final state, and every mesh divides n_fine,
-    # so each lift is a view: a block holds its fine path and nothing more
-    for blk in _path_blocks(n_real, n_fine + 1):
-        path = sample_wiener(dt_fine, horizon, seeds[blk])
+
+    def run(j, path, blk):
         oracle = x0 * np.exp(path.values[:, -1])
         x = _initial_state(ito_sys, [x0], path.values.shape[:-1])
+        if j < len(meshes):
+            lift = piecewise_linear_lift(path, n_fine // meshes[j])
+            x_n = _final_state(x, lift.knot_times, _rk4_step(pathwise_sys, lift))
+            sq_err[j, blk] = (x_n[:, 0] - oracle) ** 2
+        else:
+            x_n = _final_state(x, path.times, _em_step(ito_sys, path))
+            log_ratio[blk] = np.log(x_n[:, 0] / oracle)
 
-        def run_share(lo, hi):
-            for j in range(lo, hi):
-                if j < len(meshes):
-                    lift = piecewise_linear_lift(path, n_fine // meshes[j])
-                    x_n = _final_state(x, lift.knot_times, _rk4_step(pathwise_sys, lift))
-                    sq_err[j, blk] = (x_n[:, 0] - oracle) ** 2
-                else:
-                    x_n = _final_state(x, path.times, _em_step(ito_sys, path))
-                    log_ratio[blk] = np.log(x_n[:, 0] / oracle)
-
-        failed = _run_shares(run_share, weights, n_shares)
-        if failed is not None:
-            raise failed[1]
-        # the next block's path must not be drawn beside this one
-        del path
+    # every run keeps only its final state, and every mesh divides n_fine,
+    # so each lift is a view: a block holds its fine path and nothing more
+    _run_levels(seeds, dt_fine, horizon, n_fine + 1,
+                [4 * m for m in meshes] + [n_fine], run)
     return WongZakaiReport(
         meshes=meshes,
         mse=sq_err.mean(axis=1),
@@ -825,16 +837,12 @@ def strong_order_estimate(integrate: Callable, sys: SdeSystem,
     re-uses the same underlying fine path by summing increments, so errors
     across levels are positively correlated and the slope is stable.
 
-    Within a block of paths the levels are split into contiguous shares of
-    near-equal steps (``integrate`` is opaque, so each step counts as one
-    drift evaluation), one share per CPU the process may run on and at
-    least ``SHARE_MIN_EVALUATIONS`` each: this process draws the fine path,
-    computes the oracle and runs the first share, ``os.fork`` children the
-    others, and each writes its rows of the errors into one shared mapping.
-    ``integrate`` runs in the children too, so what it records of its calls
-    stays there.  The slope is the same bit for bit for any number of
-    shares, and a failed level raises the exception that running every
-    share here would have raised first.
+    The levels are those of :func:`_run_levels`, weighted by their steps
+    (``integrate`` is opaque, so each step counts as one drift evaluation);
+    it shares them out over processes, and the slope is the same bit for
+    bit for any number of shares.  ``integrate`` and ``exact_terminal`` run
+    in the children too, once per level, so what they record of their
+    calls stays there.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
@@ -857,25 +865,16 @@ def strong_order_estimate(integrate: Callable, sys: SdeSystem,
     x0 = np.asarray(x0, dtype=float)
     seeds = path_seeds(seed, n_paths)
     errs = _shared_arrays({"errs": ((len(dts), n_paths), float)})["errs"]
-    weights = [n_fine // fac for fac in factors]
-    n_shares = _n_shares(len(weights), sum(weights), SHARE_MIN_EVALUATIONS)
-    # a row holds its fine path and the state history of one integrator run
-    for blk in _path_blocks(n_paths, 2 * (n_fine + 1)):
-        fine = sample_wiener(dt_min, horizon, seeds[blk])
+
+    def run(j, fine, blk):
         ref = np.asarray(exact_terminal(x0, fine.horizon, fine.values[:, -1:]), float)
+        # factor 1 is the fine path itself; coarsen(1) would copy it
+        traj = integrate(sys, x0, fine if factors[j] == 1 else fine.coarsen(factors[j]))
+        errs[j, blk] = np.linalg.norm(traj.terminal - ref, axis=-1)
 
-        def run_share(lo, hi):
-            for j in range(lo, hi):
-                fac = factors[j]
-                # factor 1 is the fine path itself; coarsen(1) would copy it
-                traj = integrate(sys, x0, fine if fac == 1 else fine.coarsen(fac))
-                errs[j, blk] = np.linalg.norm(traj.terminal - ref, axis=-1)
-                del traj
-
-        failed = _run_shares(run_share, weights, n_shares)
-        if failed is not None:
-            raise failed[1]
-        del fine, ref
+    # a row holds its fine path and the state history of one integrator run
+    _run_levels(seeds, dt_min, horizon, 2 * (n_fine + 1),
+                [n_fine // fac for fac in factors], run)
     rms = np.sqrt((errs ** 2).mean(axis=1))
     if np.any(rms == 0.0):
         raise ValueError("zero RMS error; slope is undefined")

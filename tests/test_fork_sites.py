@@ -1,4 +1,4 @@
-"""Where the package forks: one runner starts and reaps every child."""
+"""Where the package forks: one runner sizes, starts and reaps every share."""
 
 import ast
 import pathlib
@@ -6,26 +6,58 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "stostab"
 
 
-def _fork_sites(tree: ast.AST, filename: str):
-    """``file:function`` of every use of ``os.fork``, and every import of it."""
-    def visit(node, where):
+def _sites(match):
+    """``file:function`` of every node of the package that ``match`` labels.
+
+    ``match(node)`` returns None, or a label that is appended to the site.
+    """
+    def visit(node, where, filename):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = f"{filename}:{node.name}"
-        if (isinstance(node, ast.Attribute) and node.attr == "fork"
-                and isinstance(node.value, ast.Name) and node.value.id == "os"):
-            yield where
-        if (isinstance(node, ast.ImportFrom) and node.module == "os"
-                and any(alias.name == "fork" for alias in node.names)):
-            yield f"{where} (from os import fork)"
+        label = match(node)
+        if label is not None:
+            yield where + label
         for child in ast.iter_child_nodes(node):
-            yield from visit(child, where)
+            yield from visit(child, where, filename)
 
-    yield from visit(tree, f"{filename}:<module>")
+    return [site for path in sorted(SRC.glob("*.py"))
+            for site in visit(ast.parse(path.read_text(), str(path)),
+                              f"{path.name}:<module>", path.name)]
+
+
+def _os_fork(node):
+    # every use of os.fork, and every import of it
+    if (isinstance(node, ast.Attribute) and node.attr == "fork"
+            and isinstance(node.value, ast.Name) and node.value.id == "os"):
+        return ""
+    if (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name == "fork" for alias in node.names)):
+        return " (from os import fork)"
+    return None
+
+
+def _share_count(node):
+    # every call of _n_shares, by name or attribute, and every import of it
+    if isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id == "_n_shares")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "_n_shares")):
+        return ""
+    if (isinstance(node, ast.ImportFrom)
+            and any(alias.name == "_n_shares" for alias in node.names)):
+        return " (import)"
+    return None
 
 
 def test_os_fork_is_called_only_in_the_share_runner():
     # sde._run_shares hands each share to sde._fork and reaps every child
     # it started; a fork anywhere else could leave a child unreaped
-    sites = [site for path in sorted(SRC.glob("*.py"))
-             for site in _fork_sites(ast.parse(path.read_text(), str(path)), path.name)]
+    sites = _sites(_os_fork)
     assert sites == ["sde.py:_fork"], sites
+
+
+def test_only_the_share_runner_decides_a_share_count():
+    # sde._run_shares sizes every share from the items' weights and its
+    # caller's least weight a share; a caller that counted its own shares
+    # could hand the runner a count that its policy would not choose
+    sites = _sites(_share_count)
+    assert sites == ["sde.py:_run_shares"], sites

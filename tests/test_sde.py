@@ -806,14 +806,15 @@ class _Unpicklable(Exception):
     (lambda: ValueError(), ValueError, ""),
 ], ids=("diverged", "oserror", "unpicklable", "no-text"))
 def test_a_child_sends_back_its_exception(monkeypatch, raised, want_type, want_text):
-    # two shares of two items: this process runs item 0, a child item 1
+    # two items of weight 1, at least 1 a share, on two CPUs: two shares,
+    # so this process runs item 0 and a child item 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
     def work(lo, hi):
         if lo == 1:
             raise raised()
 
-    lo, exc = sde._run_shares(work, [1, 1], 2)
+    lo, exc = sde._run_shares(work, [1, 1], 1)
     assert lo == 1 and type(exc) is want_type and str(exc) == want_text
     if want_type is IntegrationDiverged:
         assert exc.time == 0.5 and np.array_equal(exc.state, np.ones((2, 1)))

@@ -20,7 +20,7 @@ from stostab import (DiffusionDesign, GridSpec, SdeSystem, SystemParams,
                      small_control_scan, strong_order_estimate, v2_gradient,
                      wilson_interval, wong_zakai_experiment, write_scan_csv,
                      write_summary)
-from stostab import loop_columns, verify
+from stostab import loop_columns, sde, verify
 from stostab.sde import ITO, STRATONOVICH, IntegrationDiverged
 from stostab.verify import path_seeds, wilson_halfwidth
 
@@ -489,8 +489,9 @@ def test_mc_below_the_share_minimum_never_forks(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork was called"))
     n_paths = 2 * verify.SHARE_MIN_PATHS - 1
-    assert verify._ensemble_shares(n_paths) == 1
-    assert verify._ensemble_shares(n_paths + 1) == 2
+    minimum = verify.SHARE_MIN_PATHS
+    assert sde._n_shares(n_paths, n_paths, minimum) == 1
+    assert sde._n_shares(n_paths + 1, n_paths + 1, minimum) == 2
     rep = mc_stability(closed_loop(P44, D4), (0.0, 0.0, 1.0), dt=1e-3,
                        horizon=1e-3, n_paths=n_paths, eps=5.0, conv_threshold=0.1,
                        m_level=20.0, seed=1)
@@ -938,8 +939,8 @@ def test_experiments_below_the_share_minimum_never_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork was called"))
     minimum = verify.SHARE_MIN_EVALUATIONS
     assert 4 * (16 + 64) + 256 < 2 * minimum
-    assert verify._n_shares(3, 2 * minimum - 1, minimum) == 1
-    assert verify._n_shares(3, 2 * minimum, minimum) == 2
+    assert sde._n_shares(3, 2 * minimum - 1, minimum) == 1
+    assert sde._n_shares(3, 2 * minimum, minimum) == 2
     strong_order_estimate(*EM_CASE, [1.0], 1.0, LEVELS, 40, 7)
     wong_zakai_experiment(1.0, 1.0, (16, 64), n_real=50, seed=3)
 
