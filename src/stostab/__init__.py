@@ -16,11 +16,12 @@ from .sde import (ITO, STRATONOVICH, IntegrationDiverged, PiecewiseLinearNoise,
                   SdeSystem, Trajectory, WienerPath, euler_maruyama,
                   heun_stratonovich, ode_drive, piecewise_linear_lift,
                   sample_wiener, trajectory_to_csv)
-from .verify import (GridSpec, ScanReport, SclfReport, SmallControlReport,
-                     StabilityReport, WongZakaiReport, mc_stability,
-                     scan_generator, sclf_condition_check, small_control_scan,
-                     strong_order_estimate, wilson_interval,
-                     wong_zakai_experiment, write_scan_csv, write_summary)
+from .verify import (ScanReport, SclfReport, SmallControlReport,
+                     StabilityReport, WongZakaiReport, grid_points,
+                     mc_stability, scan_generator, sclf_condition_check,
+                     small_control_scan, strong_order_estimate,
+                     wilson_interval, wong_zakai_experiment, write_scan_csv,
+                     write_summary)
 
 __version__ = "0.1.0"
 
@@ -34,8 +35,8 @@ __all__ = [
     "LoopColumns", "SystemParams", "check_design_conditions", "closed_loop",
     "controllability_rank", "diffusion_b", "eigs_sym2", "g_matrix", "h_matrix",
     "loop_columns", "sigma",
-    "GridSpec", "ScanReport", "SclfReport", "SmallControlReport",
-    "StabilityReport", "WongZakaiReport", "mc_stability", "scan_generator",
+    "ScanReport", "SclfReport", "SmallControlReport", "StabilityReport",
+    "WongZakaiReport", "grid_points", "mc_stability", "scan_generator",
     "sclf_condition_check", "small_control_scan", "strong_order_estimate",
     "wilson_interval", "wong_zakai_experiment", "write_scan_csv",
     "write_summary",

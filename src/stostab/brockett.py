@@ -469,14 +469,22 @@ def _not_finite(n_bad: int) -> str:
     return f", not finite at {n_bad} points" if n_bad else ""
 
 
+def _states(points) -> np.ndarray:
+    """``points`` as float states, raising ValueError unless of shape (N, 3)."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
+    return pts
+
+
 # A state too large for float arithmetic gives a NaN or infinite gain, which
 # fails its condition.
 @np.errstate(over="ignore", invalid="ignore")
-def check_design_conditions(p: SystemParams, d: DiffusionDesign, grid,
+def check_design_conditions(p: SystemParams, d: DiffusionDesign, points,
                             b_fn: Optional[Callable] = None) -> DesignReport:
     """Check the gain-map conditions on a cloud of states.
 
-    ``grid`` is an (N, 3) array of states; they feed the sign condition,
+    ``points`` is an (N, 3) array of states; they feed the sign condition,
     and their third coordinates provide the axis samples for the
     nonvanishing check.  ``b_fn`` (default: the eigenvalue-scaled design)
     maps states to (B1, B2) so stub designs can be audited with the same
@@ -485,9 +493,7 @@ def check_design_conditions(p: SystemParams, d: DiffusionDesign, grid,
     """
     if b_fn is None:
         b_fn = lambda pts: diffusion_b(d, p, pts)
-    pts = np.asarray(grid, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("grid_points must have shape (N, 3)")
+    pts = _states(points)
     conditions = {}
     details = {}
 

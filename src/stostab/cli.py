@@ -32,7 +32,7 @@ from .brockett import (DiffusionDesign, SystemParams, check_design_conditions,
                        closed_loop, controllability_rank, diffusion_b)
 from .lyapunov import v2_eval
 from .sde import IntegrationDiverged, write_csv, write_path_csvs
-from .verify import (GridSpec, _check_scan_grid, _ensemble_plan, _wong_zakai_plan,
+from .verify import (_ensemble_plan, _wong_zakai_plan, grid_points,
                      mc_stability, scan_generator, small_control_scan,
                      wong_zakai_experiment, write_scan_csv, write_summary)
 
@@ -222,19 +222,23 @@ def _validate(command: str, cfg: dict) -> None:
         _scan_grids(cfg)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _axis(cfg: dict) -> np.ndarray:
+    """grid_count values over +-grid_extent.  Near the float limit the
+    spacing overflows to non-finite values, without a warning."""
+    return np.linspace(-cfg["grid_extent"], cfg["grid_extent"], cfg["grid_count"])
+
+
 def _scan_grids(cfg: dict) -> list:
-    """scan-lv's cube and x2 = 0 slice grids; one the scan refuses is a
-    ConfigError naming it."""
-    args = (-cfg["grid_extent"], cfg["grid_extent"], cfg["grid_count"],
-            cfg["exclude_radius"])
+    """scan-lv's cube and x2 = 0 slice points; an empty one is a ConfigError
+    naming it."""
+    ax, radius = _axis(cfg), cfg["exclude_radius"]
     grids = []
-    for name, grid in (("cube grid", GridSpec.cube(*args)),
-                       ("x2 = 0 slice", GridSpec.slice_x2(*args))):
-        try:
-            _check_scan_grid(grid)
-        except ValueError as exc:
-            raise ConfigError(f"{name}: {exc}") from None
-        grids.append(grid)
+    for name, mid in (("cube grid", ax), ("x2 = 0 slice", [0.0])):
+        pts = grid_points(ax, mid, ax, radius)
+        _require(len(pts) > 0, f"{name}: empty grid: every point lies inside "
+                               f"the exclusion ball of radius {radius:g}")
+        grids.append(pts)
     return grids
 
 
@@ -311,7 +315,7 @@ def cmd_simulate(cfg: dict, out: str, hdr: list) -> int:
 def cmd_scan_lv(cfg: dict, out: str, hdr: list) -> int:
     p, d = _system(cfg)
     cl = closed_loop(p, d)
-    full, sl = (scan_generator(cl, grid) for grid in _scan_grids(cfg))
+    full, sl = (scan_generator(cl, pts) for pts in _scan_grids(cfg))
     write_scan_csv(full, os.path.join(out, "scan_full.csv"), hdr)
     write_scan_csv(sl, os.path.join(out, "scan_slice.csv"), hdr)
     write_summary(os.path.join(out, "summary.txt"), [
@@ -338,14 +342,13 @@ def cmd_scan_lv(cfg: dict, out: str, hdr: list) -> int:
 
 def cmd_check_design(cfg: dict, out: str, hdr: list) -> int:
     p, d = _system(cfg)
-    lo, hi = -cfg["grid_extent"], cfg["grid_extent"]
-    grid = GridSpec.cube(lo, hi, cfg["grid_count"])
+    ax = _axis(cfg)
     b_fn = None
     if cfg["sabotage_b1"]:
         # Negative control: constant B1 cannot vanish at the origin.
         b_fn = lambda pts: (np.ones_like(np.asarray(pts, float)[..., 0]),
                             diffusion_b(d, p, pts)[1])
-    rep = check_design_conditions(p, d, grid.points(), b_fn=b_fn)
+    rep = check_design_conditions(p, d, grid_points(ax, ax, ax), b_fn=b_fn)
     items = []
     for name in ("brockett6", "brockett7", "brockett8",
                  "continuous1", "continuous2"):

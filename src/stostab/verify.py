@@ -1,9 +1,11 @@
 """Numerical evidence for the noise-assisted stabilizer.
 
-Everything here reduces a stability claim to a reproducible number: grid
-scans of the generator's sign, Monte Carlo estimates of convergence and
+Everything here reduces a stability claim to a reproducible number: scans
+of the generator's sign, Monte Carlo estimates of convergence and
 supremum-exceedance probabilities with Wilson intervals, shrinking-radius
 control scans, Wong-Zakai mesh-refinement errors, and strong-order slopes.
+Every check reads its states as an (N, 3) float array; :func:`grid_points`
+builds the rectangular ones.
 All randomness derives from a single master seed; per-path seeds are words
 of the master's seed sequence, so path i is the same no matter how many
 paths run or in what order.
@@ -93,61 +95,23 @@ def wilson_halfwidth(successes: int, n: int) -> float:
     return 0.5 * (hi - lo)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Rectangular evaluation grid; each axis is a (min, max, count) triple.
+# A point too large for float arithmetic has an inf norm, outside every ball.
+@np.errstate(over="ignore")
+def grid_points(a1, a2, a3, exclude_radius: float = 0.0) -> np.ndarray:
+    """The (N, 3) meshgrid of three 1-d axes of values, in "ij" order.
 
-    A degenerate axis (count = 1 with min = max) pins a slice, which is how
-    the x2 = 0 plane scans are expressed.  ``exclude_radius`` drops points
-    with |x| below it.
+    Points with |x| < ``exclude_radius`` are left out.  A one-value axis
+    pins a slice: ``grid_points(ax, [0.0], ax)`` is the x2 = 0 plane.
     """
-
-    axis1: tuple
-    axis2: tuple
-    axis3: tuple
-    exclude_radius: float = 0.0
-
-    def __post_init__(self):
-        for ax in (self.axis1, self.axis2, self.axis3):
-            lo, hi, count = ax
-            if int(count) != count or count < 1:
-                raise ValueError(f"axis count must be a positive integer, got {count}")
-            if count == 1:
-                if lo != hi:
-                    raise ValueError("a single-point axis needs min == max")
-            elif not lo < hi:
-                raise ValueError(f"axis needs min < max, got ({lo}, {hi})")
-        if self.exclude_radius < 0:
-            raise ValueError("exclude_radius must be nonnegative")
-
-    @staticmethod
-    def cube(lo: float, hi: float, count: int, exclude_radius: float = 0.0) -> "GridSpec":
-        ax = (lo, hi, count)
-        return GridSpec(ax, ax, ax, exclude_radius)
-
-    @staticmethod
-    def slice_x2(lo: float, hi: float, count: int, exclude_radius: float = 0.0) -> "GridSpec":
-        ax = (lo, hi, count)
-        return GridSpec(ax, (0.0, 0.0, 1), ax, exclude_radius)
-
-    def axis_values(self, i: int) -> np.ndarray:
-        lo, hi, count = (self.axis1, self.axis2, self.axis3)[i]
-        return np.linspace(lo, hi, int(count))
-
-    def points(self) -> np.ndarray:
-        """All grid points outside the exclusion ball, shape (N, 3)."""
-        a1, a2, a3 = (self.axis_values(i) for i in range(3))
-        m1, m2, m3 = np.meshgrid(a1, a2, a3, indexing="ij")
-        pts = np.stack([m1.ravel(), m2.ravel(), m3.ravel()], axis=-1)
-        if self.exclude_radius > 0.0:
-            keep = np.linalg.norm(pts, axis=1) >= self.exclude_radius
-            pts = pts[keep]
-        return pts
+    pts = np.stack([m.ravel() for m in np.meshgrid(a1, a2, a3, indexing="ij")], axis=-1)
+    if exclude_radius > 0.0:
+        pts = pts[np.linalg.norm(pts, axis=1) >= exclude_radius]
+    return pts
 
 
 @dataclass(eq=False)
 class ScanReport:
-    """Generator values over a grid, with sign violations singled out.
+    """Generator values over a set of states, with sign violations singled out.
 
     ``violations`` collects the points where the generator is not < 0; the
     on-axis fields summarize the x1 = x2 = 0 subset, where the drift term
@@ -169,38 +133,23 @@ class ScanReport:
         return len(self.violations) == 0
 
 
-def _check_scan_grid(grid: GridSpec) -> None:
-    """Raise ValueError unless :func:`scan_generator` can scan ``grid``.
-
-    The grid must exclude a ball of radius at least 1e-3 around the origin
-    and keep a point outside it.  Its farthest point is the corner of the
-    largest coordinate magnitudes, and rounding keeps every norm monotone
-    in them, so that corner's norm, computed as :meth:`GridSpec.points`
-    does, settles it without building the grid.
-    """
-    if grid.exclude_radius < 1e-3:
-        raise ValueError("grid must exclude a ball of radius >= 1e-3 around the origin")
-    corner = [[max(abs(lo), abs(hi)) for lo, hi, _ in (grid.axis1, grid.axis2, grid.axis3)]]
-    # a corner too large for float arithmetic has an inf norm, outside every ball
-    with np.errstate(over="ignore"):
-        if np.linalg.norm(corner, axis=1)[0] < grid.exclude_radius:
-            raise ValueError("empty grid: every point lies inside the exclusion "
-                             f"ball of radius {grid.exclude_radius:g}")
-
-
-# A grid point too large for float arithmetic overflows to a NaN LV, which
+# A point too large for float arithmetic overflows to a NaN LV, which
 # counts as a violation.
 @np.errstate(over="ignore", invalid="ignore")
-def scan_generator(cl: ClosedLoop, grid: GridSpec) -> ScanReport:
-    """Evaluate the closed-loop generator of v2 on every grid point.
+def scan_generator(cl: ClosedLoop, points) -> ScanReport:
+    """Evaluate the closed-loop generator of v2 on every point of an (N, 3)
+    array of states.
 
     One kernel pass gives LV = F + L_g v2 . u; every value that is not
-    negative, NaN included, is a violation.  The grid must exclude a ball
-    of radius at least 1e-3 around the origin, where the generator
-    degenerates to zero by construction, and keep at least one point.
+    negative, NaN included, is a violation.  The points must keep out of
+    the ball of radius 1e-3 around the origin, where the generator
+    degenerates to zero by construction, and there must be at least one.
     """
-    _check_scan_grid(grid)
-    pts = grid.points()
+    pts = brockett._states(points)
+    if len(pts) == 0:
+        raise ValueError("empty grid: no point to scan")
+    if np.any(np.linalg.norm(pts, axis=1) < 1e-3):
+        raise ValueError("grid must exclude a ball of radius >= 1e-3 around the origin")
     t = cl.columns(pts[:, 0], pts[:, 1], pts[:, 2])
     (lg1, lg2), (u1, u2) = t.lg, t.control
     lv = t.f_term + (lg1 * u1 + lg2 * u2)
@@ -229,10 +178,10 @@ def write_scan_csv(report: ScanReport, path, header_lines=()) -> None:
 
 @dataclass(eq=False)
 class SclfReport:
-    """Outcome of the control-Lyapunov condition check on a grid.
+    """Outcome of the control-Lyapunov condition check on a set of states.
 
     The condition is tested only where the control derivative nearly
-    vanishes (there is nothing to check elsewhere); ``vacuous`` flags grids
+    vanishes (there is nothing to check elsewhere); ``vacuous`` flags sets
     that contained no such points.
     """
 
@@ -248,8 +197,8 @@ class SclfReport:
 
 
 def sclf_condition_check(p: SystemParams, d: DiffusionDesign,
-                         grid: GridSpec) -> SclfReport:
-    """On the grid points where ||L_g v2|| < 1e-6, test the noise condition
+                         points) -> SclfReport:
+    """Where ||L_g v2|| < 1e-6 on the (N, 3) states, test the noise condition
 
         (1/2) B^T (g^T Hess v2 g) B + (1/2) grad v2 . (d(gB)/dx)(gB) < -L_f v2.
 
@@ -259,7 +208,7 @@ def sclf_condition_check(p: SystemParams, d: DiffusionDesign,
     origin is left out: it is the equilibrium, where F = 0 by construction
     and the strict inequality cannot hold.
     """
-    pts = grid.points()
+    pts = brockett._states(points)
     t = brockett.loop_columns(p, d, pts[:, 0], pts[:, 1], pts[:, 2])
     mask = (np.hypot(*t.lg) < 1e-6) & pts.any(axis=1)
     margins = t.f_term[mask]
@@ -647,8 +596,9 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
     quantiles = np.quantile(v2_final, levels)
     # Interpolating towards a diverged (inf) path can give NaN; the exact
     # value there is the upper neighbour.
-    quantiles = np.where(np.isnan(quantiles),
-                         np.quantile(v2_final, levels, method="higher"), quantiles)
+    nan = np.isnan(quantiles)
+    if nan.any():
+        quantiles[nan] = np.quantile(v2_final, levels, method="higher")[nan]
     return StabilityReport(
         n_paths=n_paths,
         n_steps=n_steps,

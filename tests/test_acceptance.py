@@ -9,9 +9,9 @@ fixtures; everything else is cheap enough to recompute.
 import numpy as np
 import pytest
 
-from stostab import (DiffusionDesign, GridSpec, SdeSystem, SystemParams, cli,
+from stostab import (DiffusionDesign, SdeSystem, SystemParams, cli,
                      closed_loop, controllability_rank, euler_maruyama,
-                     mc_stability, sample_wiener,
+                     grid_points, mc_stability, sample_wiener,
                      scan_generator, small_control_scan, strong_order_estimate,
                      v2_gradient, v2_hessian, wong_zakai_experiment)
 from stostab.sde import ITO
@@ -27,6 +27,13 @@ P1114 = SystemParams(1.0, 1.0, 1.0, 4.0)
 D4 = DiffusionDesign(1e-4, 1e-4)
 
 
+def scan_sets(count: int) -> tuple:
+    """The count^3 cube over [-2, 2]^3 and its x2 = 0 slice, less the
+    ball of radius 1e-3 around the origin."""
+    ax = np.linspace(-2, 2, count)
+    return grid_points(ax, ax, ax, 1e-3), grid_points(ax, [0.0], ax, 1e-3)
+
+
 def report(num, desc, ok):
     line = f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {desc}"
     print(line, flush=True)
@@ -40,7 +47,7 @@ def loop44():
 
 @pytest.fixture(scope="module")
 def big_scan(loop44):
-    return scan_generator(loop44, GridSpec.cube(-2, 2, 41, exclude_radius=1e-3))
+    return scan_generator(loop44, scan_sets(41)[0])
 
 
 @pytest.fixture(scope="module")
@@ -83,11 +90,9 @@ def test_criterion_2_derivative_oracles():
 
 
 def test_criterion_3_generator_negative_on_grid(loop44, big_scan):
-    sl = scan_generator(loop44,
-                        GridSpec.slice_x2(-2, 2, 41, exclude_radius=1e-3))
+    sl = scan_generator(loop44, scan_sets(41)[1])
     loop1114 = closed_loop(P1114, D4)
-    scans1114 = [scan_generator(loop1114, grid(-2, 2, 21, exclude_radius=1e-3))
-                 for grid in (GridSpec.cube, GridSpec.slice_x2)]
+    scans1114 = [scan_generator(loop1114, pts) for pts in scan_sets(21)]
     n1114 = sum(len(s.violations) for s in scans1114)
     ok = big_scan.clean and np.all(sl.values < 0.0) and n1114 == 0
     report(3, f"41^3 scan has {len(big_scan.violations)} violations, "
@@ -97,7 +102,7 @@ def test_criterion_3_generator_negative_on_grid(loop44, big_scan):
 
 def test_criterion_4_zero_noise_violations_on_axis():
     cl0 = closed_loop(P44, DiffusionDesign(0.0, 0.0))
-    rep = scan_generator(cl0, GridSpec.cube(-2, 2, 41, exclude_radius=1e-3))
+    rep = scan_generator(cl0, scan_sets(41)[0])
     axis_pts = {(0.0, 0.0, float(c)) for c in np.linspace(-2, 2, 41)
                 if abs(c) >= 1e-3}
     got = {tuple(v) for v in rep.violations}

@@ -9,7 +9,7 @@ import pytest
 from stostab import (CONTINUITY_RADII, ClosedLoop, DiffusionDesign,
                      SystemParams, check_design_conditions, closed_loop,
                      controllability_rank, diffusion_b, eigs_sym2, g_matrix,
-                     h_matrix, loop_columns, sigma, v2_hessian)
+                     grid_points, h_matrix, loop_columns, sigma, v2_hessian)
 
 import exact_oracle
 from loop_oracle import V2, generator, ito_drift, jacobian_fd, oracle_loop
@@ -350,8 +350,8 @@ def test_check_design_flags_constant_gain():
 
 
 def test_check_design_accepts_grid_object():
-    from stostab import GridSpec
-    rep = check_design_conditions(P44, D4, GridSpec.cube(-2, 2, 5).points())
+    ax = np.linspace(-2, 2, 5)
+    rep = check_design_conditions(P44, D4, grid_points(ax, ax, ax))
     assert rep.passed
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"must have shape \(N, 3\)"):
         check_design_conditions(P44, D4, np.zeros((4, 2)))

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stostab import (DiffusionDesign, GridSpec, SdeSystem, SystemParams,
-                     closed_loop, euler_maruyama, g_matrix, StabilityReport,
-                     heun_stratonovich, mc_stability, ode_drive,
+from stostab import (CONTINUITY_RADII, DiffusionDesign, SdeSystem, SystemParams,
+                     closed_loop, euler_maruyama, g_matrix, grid_points,
+                     StabilityReport, heun_stratonovich, mc_stability, ode_drive,
                      piecewise_linear_lift, sample_wiener,
                      scan_generator, sclf_condition_check, sigma,
                      small_control_scan, strong_order_estimate, v2_gradient,
@@ -72,66 +72,96 @@ def test_wilson_interval_coverage():
     assert cover >= 93
 
 
+def cube(count: int, exclude_radius: float = 0.0, extent: float = 2.0) -> np.ndarray:
+    """The count^3 grid over [-extent, extent]^3, less the exclusion ball."""
+    ax = np.linspace(-extent, extent, count)
+    return grid_points(ax, ax, ax, exclude_radius)
+
+
 def test_grid_spec_points():
-    grid = GridSpec.cube(-2, 2, 41, exclude_radius=1e-3)
-    pts = grid.points()
+    ax = np.linspace(-2, 2, 41)
+    full = grid_points(ax, ax, ax)
+    assert full.shape == (41 ** 3, 3)
+    # "ij" order: the third axis runs fastest
+    assert np.array_equal(full[:41, 2], ax) and np.all(full[:41, :2] == -2.0)
+    pts = cube(41, exclude_radius=1e-3)
     # only the origin falls inside the exclusion ball
     assert pts.shape == (41 ** 3 - 1, 3)
     assert np.all(np.linalg.norm(pts, axis=1) >= 1e-3)
-    assert len(GridSpec.cube(-2, 2, 41).points()) == 41 ** 3
-    assert np.array_equal(grid.axis_values(0), np.linspace(-2, 2, 41))
+    assert np.array_equal(pts, full[full.any(axis=1)])
 
 
 def test_grid_spec_slice():
-    grid = GridSpec.slice_x2(-2, 2, 21, exclude_radius=1e-3)
-    pts = grid.points()
+    ax = np.linspace(-2, 2, 21)
+    pts = grid_points(ax, [0.0], ax, exclude_radius=1e-3)
     assert np.all(pts[:, 1] == 0.0)
     assert pts.shape == (21 * 21 - 1, 3)
 
 
-def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec((0.0, 1.0, 0), (0.0, 1.0, 2), (0.0, 1.0, 2))
-    with pytest.raises(ValueError):
-        GridSpec((0.0, 1.0, 1), (0.0, 1.0, 2), (0.0, 1.0, 2))  # 1 point needs lo == hi
-    with pytest.raises(ValueError):
-        GridSpec((1.0, 0.0, 5), (0.0, 1.0, 2), (0.0, 1.0, 2))
-    with pytest.raises(ValueError):
-        GridSpec.cube(-1, 1, 3, exclude_radius=-0.5)
-
-
 def test_scan_requires_exclusion():
     cl = closed_loop(P44, D4)
-    with pytest.raises(ValueError):
-        scan_generator(cl, GridSpec.cube(-2, 2, 5))
+    with pytest.raises(ValueError, match="exclude a ball of radius >= 1e-3"):
+        scan_generator(cl, cube(5))
 
 
 def test_scan_rejects_an_empty_grid():
     # both points of the 2-point cube lie inside the exclusion ball
     cl = closed_loop(P44, D4)
+    pts = cube(2, exclude_radius=1e-3, extent=5e-4)
+    assert pts.shape == (0, 3)
     with pytest.raises(ValueError, match="empty grid"):
-        scan_generator(cl, GridSpec.cube(-5e-4, 5e-4, 2, exclude_radius=1e-3))
+        scan_generator(cl, pts)
 
 
-_AXIS = st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 1e3), st.integers(1, 4)).map(
-    lambda a: (a[0], a[0] + a[1], a[2]) if a[2] > 1 and a[0] + a[1] > a[0] else (a[0], a[0], 1))
+def rings_and_axis() -> np.ndarray:
+    """A set of states no axis-aligned grid holds: the 16-point rings
+    (r cos t, r sin t, r) at the continuity radii down to 1e-3, the axis
+    points (0, 0, +-r) at those radii and at 1, and three off-axis states."""
+    angles = 2.0 * np.pi * np.arange(16) / 16
+    radii = [r for r in CONTINUITY_RADII if r >= 1e-3]
+    rings = [np.stack([r * np.cos(angles), r * np.sin(angles), np.full(16, r)], axis=-1)
+             for r in radii]
+    axis = [[0.0, 0.0, s * r] for r in [1.0] + radii for s in (-1.0, 1.0)]
+    off = [[0.3, -1.2, 0.7], [-1.5, 0.4, -2.0], [1e-3, 0.0, 1.0]]
+    return np.vstack(rings + [axis, off])
 
 
-@settings(max_examples=150, deadline=None)
-@given(_AXIS, _AXIS, _AXIS, st.integers(-2, 2), st.floats(1e-3, 2e3))
-def test_scan_grid_check_agrees_with_the_points(a1, a2, a3, ulps, other):
-    # the check reads the farthest corner only; it refuses a grid exactly
-    # when no point is left outside the ball, also for a radius within a few
-    # ulps of that corner's norm
-    corner = np.linalg.norm([[max(abs(lo), abs(hi)) for lo, hi, _ in (a1, a2, a3)]], axis=1)[0]
-    for radius in (other, corner + ulps * np.spacing(corner)):
-        grid = GridSpec(a1, a2, a3, exclude_radius=max(radius, 1e-3))
-        try:
-            verify._check_scan_grid(grid)
-            refused = False
-        except ValueError:
-            refused = True
-        assert refused == (len(grid.points()) == 0)
+@pytest.mark.parametrize("p", (P44, SystemParams(1.0, 1.0, 1.0, 0.0)))
+def test_checks_read_a_set_that_is_not_a_grid(p):
+    pts = rings_and_axis()
+    on_axis = (pts[:, 0] == 0.0) & (pts[:, 1] == 0.0)
+    assert len(pts) == 59 and on_axis.sum() == 8
+    t = loop_columns(p, D4, pts[:, 0], pts[:, 1], pts[:, 2])
+    cl = closed_loop(p, D4)
+    rep = scan_generator(cl, pts)
+    (lg1, lg2), (u1, u2) = t.lg, t.control
+    assert np.array_equal(rep.points, pts)
+    assert np.array_equal(rep.values, t.f_term + (lg1 * u1 + lg2 * u2))
+    assert rep.on_axis_count == 8
+
+    # L_g v2 vanishes on the axis alone, so the SCLF margins are F there
+    sc = sclf_condition_check(p, D4, pts)
+    assert np.array_equal(sc.points, pts[on_axis])
+    assert np.array_equal(sc.margins, t.f_term[on_axis])
+    assert sc.n_tested == 8 and not sc.vacuous
+    if p == P44:
+        assert rep.clean and sc.holds and sc.n_holds == 8
+    else:
+        # on the chained plant F vanishes at |x3| = 1, which fails the
+        # strict condition and the strict sign of the generator
+        assert not sc.holds and sc.n_holds == 6
+        assert np.array_equal(sc.points[sc.margins >= 0.0],
+                              [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
+        assert np.array_equal(rep.violations, [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
+
+    with pytest.raises(ValueError, match="exclude a ball of radius >= 1e-3"):
+        scan_generator(cl, np.vstack([pts, np.zeros((1, 3))]))
+    with pytest.raises(ValueError, match="empty grid"):
+        scan_generator(cl, np.empty((0, 3)))
+    for check in (lambda q: scan_generator(cl, q),
+                  lambda q: sclf_condition_check(p, D4, q)):
+        with pytest.raises(ValueError, match=r"must have shape \(N, 3\)"):
+            check(pts[:, :2])
 
 
 ORACLE_PLANTS = (P44, SystemParams(1.0, 1.0, 1.0, 0.0),
@@ -147,8 +177,9 @@ def test_scan_values_match_the_exact_oracle(p, k):
     # from the exact oracle's v2 derivatives, drift and sigma.
     d = DiffusionDesign(k, k)
     cl = closed_loop(p, d)
-    rep = scan_generator(cl, GridSpec((-1.9, 1.7, 5), (-1.3, 1.1, 5),
-                                      (-2.0, 2.0, 6), exclude_radius=1e-3))
+    rep = scan_generator(cl, grid_points(np.linspace(-1.9, 1.7, 5),
+                                         np.linspace(-1.3, 1.1, 5),
+                                         np.linspace(-2.0, 2.0, 6), exclude_radius=1e-3))
     pts = rep.points
     assert len(pts) == 150 and np.all(pts[:, 0] ** 2 + pts[:, 1] ** 2 > 0.0)
     exact = exact_oracle.design(p, d, pts)
@@ -162,8 +193,8 @@ def test_scan_values_match_the_exact_oracle(p, k):
 
     # On the axis L_g v2 = 0 and u = 0, so LV is the kernel's F, bit for
     # bit, and F is exactly 0 without noise.
-    axis = scan_generator(cl, GridSpec((0.0, 0.0, 1), (0.0, 0.0, 1),
-                                       (-2.0, 2.0, 9), exclude_radius=1e-3))
+    axis = scan_generator(cl, grid_points([0.0], [0.0], np.linspace(-2.0, 2.0, 9),
+                                          exclude_radius=1e-3))
     x3 = axis.points[:, 2]
     assert len(x3) == 8
     f_axis = loop_columns(p, d, np.zeros_like(x3), np.zeros_like(x3), x3).f_term
@@ -176,7 +207,7 @@ def test_scan_zero_noise_violations_sit_on_the_axis():
     # without noise the generator is 0 exactly where x1 = x2 = 0 and
     # strictly negative elsewhere
     cl = closed_loop(P44, DZ)
-    rep = scan_generator(cl, GridSpec.cube(-2, 2, 11, exclude_radius=1e-3))
+    rep = scan_generator(cl, cube(11, exclude_radius=1e-3))
     assert not rep.clean
     assert len(rep.violations) == 10  # 11 axis points minus the origin
     assert np.all(rep.violations[:, 0] == 0.0)
@@ -189,8 +220,8 @@ def test_scan_zero_noise_violations_sit_on_the_axis():
 
 def test_scan_refinement_keeps_violations():
     cl = closed_loop(P44, DZ)
-    coarse = scan_generator(cl, GridSpec.cube(-2, 2, 11, exclude_radius=1e-3))
-    fine = scan_generator(cl, GridSpec.cube(-2, 2, 21, exclude_radius=1e-3))
+    coarse = scan_generator(cl, cube(11, exclude_radius=1e-3))
+    fine = scan_generator(cl, cube(21, exclude_radius=1e-3))
     assert len(fine.violations) == 20
     fine_set = {tuple(v) for v in fine.violations}
     # the 11-point axis nests inside the 21-point axis exactly
@@ -199,7 +230,7 @@ def test_scan_refinement_keeps_violations():
 
 def test_scan_reference_design_is_clean():
     cl = closed_loop(P44, D4)
-    rep = scan_generator(cl, GridSpec.cube(-2, 2, 11, exclude_radius=1e-3))
+    rep = scan_generator(cl, cube(11, exclude_radius=1e-3))
     assert rep.clean
     assert rep.min_value < 0.0
     assert rep.on_axis_max < 0.0
@@ -208,7 +239,7 @@ def test_scan_reference_design_is_clean():
 
 def test_write_scan_csv(tmp_path):
     cl = closed_loop(P44, D4)
-    rep = scan_generator(cl, GridSpec.cube(-1, 1, 3, exclude_radius=1e-3))
+    rep = scan_generator(cl, cube(3, exclude_radius=1e-3, extent=1.0))
     out = tmp_path / "scan.csv"
     write_scan_csv(rep, out, header_lines=["demo"])
     lines = out.read_text().splitlines()
@@ -221,8 +252,7 @@ def test_write_scan_csv(tmp_path):
 
 
 def test_sclf_check_reference_design():
-    grid = GridSpec.cube(-2, 2, 11, exclude_radius=1e-3)
-    rep = sclf_condition_check(P44, D4, grid)
+    rep = sclf_condition_check(P44, D4, cube(11, exclude_radius=1e-3))
     # the control derivative only vanishes on the axis: 10 grid points
     assert rep.n_tested == 10
     assert rep.n_holds == 10
@@ -235,7 +265,7 @@ def test_sclf_check_rejects_sum_of_squares():
     # the quadratic candidate V1 = |x|^2 fails: on the axis L_g V1 vanishes,
     # and there its margin, the generator 2 x . f + |sigma|^2 along the Ito
     # loop, is positive wherever the noise acts
-    pts = GridSpec.cube(-2, 2, 11, exclude_radius=1e-3).points()
+    pts = cube(11, exclude_radius=1e-3)
     axis = pts[(pts[:, 0] == 0.0) & (pts[:, 1] == 0.0)]
     assert len(axis) == 10
     drift = lambda y: ito_drift(P44, D4, y)
@@ -251,8 +281,8 @@ def test_sclf_check_rejects_sum_of_squares():
 def test_sclf_check_vacuous_grid():
     # off the axis, and on the x3 = 0 plane where the axis meets it only at
     # the origin, which is not tested
-    for grid in (GridSpec((1.0, 1.0, 1), (1.0, 1.0, 1), (0.0, 1.0, 3)),
-                 GridSpec((-1.0, 1.0, 3), (-1.0, 1.0, 3), (0.0, 0.0, 1))):
+    for grid in (grid_points([1.0], [1.0], np.linspace(0.0, 1.0, 3)),
+                 grid_points(np.linspace(-1.0, 1.0, 3), np.linspace(-1.0, 1.0, 3), [0.0])):
         rep = sclf_condition_check(P44, D4, grid)
         assert rep.vacuous
         assert rep.n_tested == 0
@@ -262,8 +292,8 @@ def test_sclf_check_vacuous_grid():
 def test_sclf_check_leaves_out_the_origin():
     # the equilibrium has F = 0 by construction, so a grid that keeps it
     # gives the verdict of the grid that excludes it
-    grid = GridSpec.cube(-2, 2, 21)
-    assert (grid.points() == 0.0).all(axis=1).sum() == 1
+    grid = cube(21)
+    assert (grid == 0.0).all(axis=1).sum() == 1
     rep = sclf_condition_check(P44, D4, grid)
     assert (rep.n_tested, rep.n_holds, rep.holds) == (20, 20, True)
     assert np.all(rep.points.any(axis=1))
@@ -279,9 +309,8 @@ def test_sclf_margins_are_the_kernel_f(p, k):
     # On the axis L_g v2 = 0, so the pre-feedback adds nothing to the
     # generator and the paper's margin is the kernel's F, bit for bit.
     d = DiffusionDesign(k, k)
-    grid = GridSpec.cube(-2, 2, 21, exclude_radius=1e-3)
-    rep = sclf_condition_check(p, d, grid)
-    pts = grid.points()
+    pts = cube(21, exclude_radius=1e-3)
+    rep = sclf_condition_check(p, d, pts)
     axis = pts[(pts[:, 0] == 0.0) & (pts[:, 1] == 0.0) & (pts[:, 2] != 0.0)]
     assert len(axis) == 20 and rep.n_tested == 20 and not rep.vacuous
     assert np.array_equal(rep.points, axis)
@@ -681,7 +710,7 @@ def test_small_control_scan_decays():
     assert rep.radii == (1e-1, 1e-2, 1e-3, 1e-4)
 
 
-def formula_deviations(p, d, grid) -> tuple:
+def formula_deviations(p, d, ax) -> tuple:
     """Three hand-derived expressions against the kernel :func:`loop_columns`.
 
     (a) The drift term grad v2 . (0, 0, (1/2)(b2 b3 - b1 b4) B1 B2) against
@@ -690,9 +719,10 @@ def formula_deviations(p, d, grid) -> tuple:
     against its expanded form.  All skip X <= 1e-3, where the expansions
     lose meaning.  Returns the number of points, the largest drift-term
     deviation, the number of slice points, and the largest deviations of
-    (b) and (c).
+    (b) and (c).  The points are the grid of ``ax`` on every axis and its
+    x3 = 0 slice.
     """
-    pts = grid.points()
+    pts = grid_points(ax, ax, ax)
     big_x = pts[:, 0] ** 2 + pts[:, 1] ** 2
     pts = pts[big_x > 1e-3]
     big_x = big_x[big_x > 1e-3]
@@ -705,7 +735,7 @@ def formula_deviations(p, d, grid) -> tuple:
         + big_x ** (1.0 + 0.5 * x3 ** 2) * np.log(2.0 / big_x))
     max_drift = float(np.abs(direct - closed).max()) if len(pts) else 0.0
 
-    flat = GridSpec(grid.axis1, grid.axis2, (0.0, 0.0, 1)).points()
+    flat = grid_points(ax, ax, [0.0])
     xf = flat[:, 0] ** 2 + flat[:, 1] ** 2
     flat = flat[xf > 1e-3]
     xf = xf[xf > 1e-3]
@@ -723,7 +753,7 @@ def formula_deviations(p, d, grid) -> tuple:
 
 def test_formula_check_reference_parameters():
     n_points, max_drift, n_slice, max_g, max_bhb = formula_deviations(
-        P44, D4, GridSpec.cube(-2, 2, 21))
+        P44, D4, np.linspace(-2, 2, 21))
     # b2 b3 - b1 b4 = 0 kills the drift term identically
     assert max_drift == 0.0
     assert max_g < 1e-12
@@ -734,7 +764,7 @@ def test_formula_check_reference_parameters():
 def test_formula_check_generic_parameters():
     chained = SystemParams(1.0, 1.0, 1.0, 0.0)
     n_points, max_drift, n_slice, max_g, max_bhb = formula_deviations(
-        chained, D4, GridSpec.cube(-2, 2, 21))
+        chained, D4, np.linspace(-2, 2, 21))
     # 21^3 minus the 21 axis points; slice is 21^2 minus its axis point
     assert n_points == 21 ** 3 - 21
     assert n_slice == 21 ** 2 - 1
