@@ -25,11 +25,14 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+# The passes call ufuncs as lyapunov's do (see there).
+from numpy import (add, copysign, count_nonzero, divide, equal, maximum, minimum,
+                   multiply, negative, sqrt, subtract, where)
+
 from .lyapunov import (_HALF, _ONE, _TWO, _V2_OUT, _V2_ROWS, _ZERO, _Workspace,
-                       _columns, _const, _sontag_factor, _v2_columns, _v2_into,
-                       _workspace)
-# Not called here, but kept bound in this module: tools that trace the loop's
-# layers look these names up on it.
+                       _bind_sontag_factor, _bind_v2, _columns, _const, _v2_columns,
+                       _v2_views, _workspace)
+# Not called here: tools that trace the loop's layers look them up on this module.
 from .lyapunov import v2_gradient, v2_hessian  # noqa: F401
 from .sde import ITO, SdeSystem
 
@@ -124,81 +127,85 @@ def _design(d: DiffusionDesign) -> tuple:
     return _const(d.k1), _const(d.k2)
 
 
-def _g_third_row(p: _Plant, x1, x2, c, e) -> None:
-    """The third row (c, e) = (b3 x2, -b4 x1) of g, into ``c`` and ``e``."""
-    np.multiply(p.b3, x2, out=c)
-    np.multiply(p.minus_b4, x1, out=e)
+def _bind_h_entries(p: _Plant, x1, x2, c, e, hess, out, t) -> Callable[[], tuple]:
+    """A pass that computes the third row (c, e) = (b3 x2, -b4 x1) of g,
+    then the entries (H11, H12, H22) of H = g^T Hess(v2) g into the first
+    three of the five columns ``out``, and returns them; ``t`` is scratch.
 
-
-def _h_entries(p: _Plant, c, e, hess, out, t) -> tuple:
-    """Entries (H11, H12, H22) of H = g^T Hess(v2) g, written out.
-
-    ``(c, e)`` is the third row of g and ``hess`` the six entries
-    (h11, h12, h13, h22, h23, h33) of Hess(v2).  The terms are those of the
-    double sum over g's nonzero entries, added in the order of that sum.
-    The entries are computed into the first three of the five columns
-    ``out``, and ``t`` is scratch.
+    ``hess`` is the entries (h11, h12, h13, h22, h23, h33) of Hess(v2).  H
+    is written out as the double sum over g's nonzero entries, in its order.
     """
+    b1, b2, b3, minus_b4 = p.b1, p.b2, p.b3, p.minus_b4
     h11, h12, h13, h22, h23, h33 = hess
     k11, k12, k22, b1_h13, c_h33 = out
-    np.multiply(p.b1, h13, out=b1_h13)
-    np.multiply(c, h33, out=c_h33)
-    # ((b1 h11) b1 + 2 (b1_h13 c)) + c_h33 c
-    np.multiply(p.b1, h11, out=k11)
-    k11 *= p.b1
-    np.multiply(b1_h13, c, out=t)
-    t *= _TWO
-    k11 += t
-    np.multiply(c_h33, c, out=t)
-    k11 += t
-    # (((b1 h12) b2 + b1_h13 e) + (c h23) b2) + c_h33 e
-    np.multiply(p.b1, h12, out=k12)
-    k12 *= p.b2
-    np.multiply(b1_h13, e, out=t)
-    k12 += t
-    np.multiply(c, h23, out=t)
-    t *= p.b2
-    k12 += t
-    np.multiply(c_h33, e, out=t)
-    k12 += t
-    # ((b2 h22) b2 + 2 ((b2 h23) e)) + (e h33) e
-    np.multiply(p.b2, h22, out=k22)
-    k22 *= p.b2
-    np.multiply(p.b2, h23, out=t)
-    t *= e
-    t *= _TWO
-    k22 += t
-    np.multiply(e, h33, out=t)
-    t *= e
-    k22 += t
-    return k11, k12, k22
+    entries = (k11, k12, k22)
+
+    def h_pass():
+        multiply(b3, x2, c)
+        multiply(minus_b4, x1, e)
+        multiply(b1, h13, b1_h13)
+        multiply(c, h33, c_h33)
+        # ((b1 h11) b1 + 2 (b1_h13 c)) + c_h33 c
+        multiply(b1, h11, k11)
+        multiply(k11, b1, k11)
+        multiply(b1_h13, c, t)
+        multiply(t, _TWO, t)
+        add(k11, t, k11)
+        multiply(c_h33, c, t)
+        add(k11, t, k11)
+        # (((b1 h12) b2 + b1_h13 e) + (c h23) b2) + c_h33 e
+        multiply(b1, h12, k12)
+        multiply(k12, b2, k12)
+        multiply(b1_h13, e, t)
+        add(k12, t, k12)
+        multiply(c, h23, t)
+        multiply(t, b2, t)
+        add(k12, t, k12)
+        multiply(c_h33, e, t)
+        add(k12, t, k12)
+        # ((b2 h22) b2 + 2 ((b2 h23) e)) + (e h33) e
+        multiply(b2, h22, k22)
+        multiply(k22, b2, k22)
+        multiply(b2, h23, t)
+        multiply(t, e, t)
+        multiply(t, _TWO, t)
+        add(k22, t, k22)
+        multiply(e, h33, t)
+        multiply(t, e, t)
+        add(k22, t, k22)
+        return entries
+
+    return h_pass
 
 
-def _eigs(h11, h12, h22, out, zero) -> tuple:
-    """Eigenvalues of [[h11, h12], [h12, h22]], ascending; the smaller in
-    magnitude is det(H) over the larger, since mid -/+ rad would cancel.
-
-    They are computed into the first two of the four columns ``out``, with
-    the boolean ``zero`` as scratch.
-    """
+def _bind_eigs(h11, h12, h22, out, zero) -> Callable[[], tuple]:
+    """A pass that computes the eigenvalues of [[h11, h12], [h12, h22]],
+    ascending, into the first two of the four columns ``out`` (the boolean
+    ``zero`` is scratch) and returns them.  The smaller in magnitude is
+    det(H) over the larger, since mid -/+ rad would cancel."""
     mid, h12_sq, big, small = out
-    np.add(h11, h22, out=mid)
-    mid *= _HALF
-    np.multiply(h12, h12, out=h12_sq)
-    np.subtract(h11, h22, out=big)
-    big *= _HALF
-    np.multiply(big, big, out=big)
-    big += h12_sq
-    np.sqrt(big, out=big)
-    np.copysign(big, mid, out=big)
-    big += mid
-    np.multiply(h11, h22, out=small)
-    small -= h12_sq
-    np.equal(big, _ZERO, out=zero)
-    small /= np.where(zero, _ONE, big) if zero.any() else big
-    np.minimum(small, big, out=mid)
-    np.maximum(small, big, out=h12_sq)
-    return mid, h12_sq
+    eigenvalues = (mid, h12_sq)
+
+    def eig_pass():
+        add(h11, h22, mid)
+        multiply(mid, _HALF, mid)
+        multiply(h12, h12, h12_sq)
+        subtract(h11, h22, big)
+        multiply(big, _HALF, big)
+        multiply(big, big, big)
+        add(big, h12_sq, big)
+        sqrt(big, big)
+        copysign(big, mid, big)
+        add(big, mid, big)
+        multiply(h11, h22, small)
+        subtract(small, h12_sq, small)
+        equal(big, _ZERO, zero)
+        divide(small, where(zero, _ONE, big) if count_nonzero(zero) else big, small)
+        minimum(small, big, out=mid)
+        maximum(small, big, out=h12_sq)
+        return eigenvalues
+
+    return eig_pass
 
 
 def h_matrix(p: SystemParams, x) -> np.ndarray:
@@ -206,9 +213,8 @@ def h_matrix(p: SystemParams, x) -> np.ndarray:
     x1, x2, x3 = _columns(x)
     plant = _plant(p)
     rows = _workspace(np.empty((8,) + np.shape(x1))).rows
-    _g_third_row(plant, x1, x2, *rows[6:])
-    h11, h12, h22 = _h_entries(plant, *rows[6:], _v2_columns(x1, x2, x3).hess,
-                               rows[:5], rows[5])
+    h11, h12, h22 = _bind_h_entries(plant, x1, x2, *rows[6:], _v2_columns(x1, x2, x3).hess,
+                                    rows[:5], rows[5])()
     return np.stack([np.stack([h11, h12], axis=-1),
                      np.stack([h12, h22], axis=-1)], axis=-2)
 
@@ -222,7 +228,7 @@ def eigs_sym2(h) -> tuple:
               > 1e-9 * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))):
         raise ValueError("matrix is not symmetric")
     ws = _workspace(np.empty((4,) + h.shape[:-2]))
-    return _eigs(h[..., 0, 0], h[..., 0, 1], h[..., 1, 1], ws.rows, ws.masks[0])
+    return _bind_eigs(h[..., 0, 0], h[..., 0, 1], h[..., 1, 1], ws.rows, ws.masks[0])()
 
 
 def diffusion_b(d: DiffusionDesign, p: SystemParams, x) -> tuple:
@@ -241,12 +247,11 @@ class LoopColumns(NamedTuple):
     a scalar as a column of the states' shape, a vector as a block of shape
     ``(k,) + shape``, one coordinate to a row.
 
-    ``ito`` is the third and only nonzero component of the randomized
-    loop's Ito drift before the control, g v + (1/2)(d sigma/dx) sigma.
-    Its gradient-of-B cross terms cancel exactly, so it is computed in the
-    grouped form (1/2)(b2 b3 - b1 b4) B1 B2; adding the two summands would
-    leave rounding noise of the order of the cross terms, which grow fast
-    with |x3|.
+    ``ito`` is the only nonzero (third) component of the randomized loop's
+    Ito drift before the control, g v + (1/2)(d sigma/dx) sigma, in the
+    grouped form (1/2)(b2 b3 - b1 b4) B1 B2: its gradient-of-B cross terms
+    cancel exactly, and adding the two summands would leave rounding noise
+    of their order, which grows fast with |x3|.
     """
 
     v2: np.ndarray          # the candidate v2
@@ -262,9 +267,9 @@ class LoopColumns(NamedTuple):
     ito: np.ndarray         # third component of the drift before the control
 
 
-# Rows of the kernel's workspace: those of _v2_into, then the 15 columns of
+# Rows of the kernel's workspace: those of a v2 pass, then the 15 columns of
 # the loop's own results.  The kernel's temporaries take v2's 15 scratch
-# rows once _v2_into has returned.
+# rows once the v2 pass has returned.
 _N_ROWS = _V2_ROWS + 15
 
 
@@ -273,91 +278,102 @@ def _fresh(shape: tuple) -> _Workspace:
     return _workspace(np.empty((_N_ROWS,) + shape))
 
 
-def _loop_into(ws: _Workspace, p: _Plant, d: tuple, x1, x2, x3) -> LoopColumns:
-    """:func:`loop_columns` with the plant ``p`` from :func:`_plant` and the
-    design gains ``d`` from :func:`_design`, computed into ``ws``, the
-    workspace of a float block of shape ``(_N_ROWS, *shape)`` for states of
-    ``shape``.
+def _bind_loop(ws: _Workspace, p: _Plant, d: tuple, x1, x2, x3) -> Callable[[], LoopColumns]:
+    """A pass of :func:`loop_columns` (plant ``p`` from :func:`_plant`,
+    gains ``d`` from :func:`_design`) at the states in the coordinate
+    columns x1, x2, x3, into ``ws``, a float block of shape
+    ``(_N_ROWS, *shape)``.
 
-    The result is views of ``ws`` (a vector as a slice of adjacent rows),
-    valid until its next pass.  No column of the states' shape is allocated
-    on the way, unless some row has a degenerate H (both eigenvalues 0).
+    The rows, coefficients, helper passes and the result, a
+    :class:`LoopColumns` of views of ``ws``, are bound here once.  Each call
+    reads the columns' values then, makes only ufunc calls and returns that
+    result; it allocates no column unless some row has a degenerate H.
     """
-    v = _v2_into(ws, x1, x2, x3)
-    d1, d2, d3 = v.grad
-    h11, h12, h13, h22, h23, h33 = v.hess
-    q1, q2, y = v.squares
+    v = _v2_views(ws)
+    _, _, (d1, d2, d3), (h11, h12, h13, h22, h23, h33), (q1, q2, y) = v
+    b1, b2, third = p.b1, p.b2, p.third
     k1, k2 = d
     scratch = ws.rows[_V2_OUT:_V2_ROWS]
     c, e, t = scratch[:3]
     h_rows, eig_rows = scratch[3:8], scratch[8:12]
     # H's rows are free once its eigenvalues are out
     r2, quad, u = h_rows[:3]
+    lam1, lam2 = eig_rows[:2]
     results = ws.block[_V2_ROWS:]
     (b1v, b2v, s1, s2, s3, f_term, g_term, lg1, lg2, u1, u2,
      dr1, dr2, dr3, ito) = ws.rows[_V2_ROWS:]
+    v2_pass = _bind_v2(ws, x1, x2, x3)
     # (c, e) is the third row of g; the first two rows are diag(b1, b2).
-    _g_third_row(p, x1, x2, c, e)
-    lam1, lam2 = _eigs(*_h_entries(p, c, e, v.hess, h_rows, t), eig_rows, ws.masks[0])
-    # |x|^2 added as (x1^2 + x3^2) + x2^2, the order in which einsum sums a
-    # row of three, so the gains keep the bits of the einsum formulation.
-    np.add(q1, y, out=r2)
-    r2 += q2
-    np.multiply(lam1, lam1, out=b1v)        # k1 lam1^2 |x|^2
-    b1v *= k1
-    b1v *= r2
-    np.multiply(lam2, lam2, out=b2v)        # k2 lam2^2 |x|^2 x3
-    b2v *= k2
-    b2v *= r2
-    b2v *= x3
-    np.multiply(p.b1, b1v, out=s1)
-    np.multiply(p.b2, b2v, out=s2)
-    np.multiply(c, b1v, out=s3)
-    np.multiply(e, b2v, out=t)
-    s3 += t
-    np.multiply(p.third, b1v, out=ito)
-    ito *= b2v
-    # (s1 (h11 s1 + 2 (h12 s2 + h13 s3)) + s2 (h22 s2 + (2 h23) s3)) + (h33 s3) s3
-    np.multiply(h12, s2, out=quad)
-    np.multiply(h13, s3, out=t)
-    quad += t
-    quad *= _TWO
-    np.multiply(h11, s1, out=t)
-    quad += t
-    quad *= s1
-    np.multiply(_TWO, h23, out=t)
-    t *= s3
-    np.multiply(h22, s2, out=u)
-    t += u
-    t *= s2
-    quad += t
-    np.multiply(h33, s3, out=t)
-    t *= s3
-    quad += t
-    np.multiply(d3, ito, out=f_term)
-    quad *= _HALF
-    f_term += quad
-    np.multiply(p.b1, d1, out=lg1)
-    np.multiply(c, d3, out=t)
-    lg1 += t
-    np.multiply(p.b2, d2, out=lg2)
-    np.multiply(e, d3, out=t)
-    lg2 += t
-    np.multiply(lg1, lg1, out=g_term)
-    np.multiply(lg2, lg2, out=t)
-    g_term += t
-    minus_factor = _sontag_factor(f_term, g_term, quad, t, ws.masks[0])
-    np.negative(minus_factor, out=minus_factor)
-    np.multiply(minus_factor, lg1, out=u1)
-    np.multiply(minus_factor, lg2, out=u2)
-    np.multiply(p.b1, u1, out=dr1)
-    np.multiply(p.b2, u2, out=dr2)
-    np.multiply(c, u1, out=dr3)
-    np.multiply(e, u2, out=t)
-    dr3 += t
-    dr3 += ito
-    return LoopColumns(v.value, v.norm_sq, b1v, b2v, results[2:5], f_term, g_term,
-                       results[7:9], results[9:11], results[11:14], ito)
+    h_pass = _bind_h_entries(p, x1, x2, c, e, v.hess, h_rows, t)
+    eig_pass = _bind_eigs(*h_rows[:3], eig_rows, ws.masks[0])
+    factor_pass = _bind_sontag_factor(f_term, g_term, quad, t, ws.masks[0])
+    columns = LoopColumns(v.value, v.norm_sq, b1v, b2v, results[2:5], f_term, g_term,
+                          results[7:9], results[9:11], results[11:14], ito)
+
+    def loop_pass():
+        v2_pass()
+        h_pass()
+        eig_pass()
+        # |x|^2 added as (x1^2 + x3^2) + x2^2, the order in which einsum sums
+        # a row of three, so the gains keep the bits of the einsum formulation.
+        add(q1, y, r2)
+        add(r2, q2, r2)
+        multiply(lam1, lam1, b1v)        # k1 lam1^2 |x|^2
+        multiply(b1v, k1, b1v)
+        multiply(b1v, r2, b1v)
+        multiply(lam2, lam2, b2v)        # k2 lam2^2 |x|^2 x3
+        multiply(b2v, k2, b2v)
+        multiply(b2v, r2, b2v)
+        multiply(b2v, x3, b2v)
+        multiply(b1, b1v, s1)
+        multiply(b2, b2v, s2)
+        multiply(c, b1v, s3)
+        multiply(e, b2v, t)
+        add(s3, t, s3)
+        multiply(third, b1v, ito)
+        multiply(ito, b2v, ito)
+        # (s1 (h11 s1 + 2 (h12 s2 + h13 s3)) + s2 (h22 s2 + (2 h23) s3)) + (h33 s3) s3
+        multiply(h12, s2, quad)
+        multiply(h13, s3, t)
+        add(quad, t, quad)
+        multiply(quad, _TWO, quad)
+        multiply(h11, s1, t)
+        add(quad, t, quad)
+        multiply(quad, s1, quad)
+        multiply(_TWO, h23, t)
+        multiply(t, s3, t)
+        multiply(h22, s2, u)
+        add(t, u, t)
+        multiply(t, s2, t)
+        add(quad, t, quad)
+        multiply(h33, s3, t)
+        multiply(t, s3, t)
+        add(quad, t, quad)
+        multiply(d3, ito, f_term)
+        multiply(quad, _HALF, quad)
+        add(f_term, quad, f_term)
+        multiply(b1, d1, lg1)
+        multiply(c, d3, t)
+        add(lg1, t, lg1)
+        multiply(b2, d2, lg2)
+        multiply(e, d3, t)
+        add(lg2, t, lg2)
+        multiply(lg1, lg1, g_term)
+        multiply(lg2, lg2, t)
+        add(g_term, t, g_term)
+        minus_factor = factor_pass()
+        negative(minus_factor, minus_factor)
+        multiply(minus_factor, lg1, u1)
+        multiply(minus_factor, lg2, u2)
+        multiply(b1, u1, dr1)
+        multiply(b2, u2, dr2)
+        multiply(c, u1, dr3)
+        multiply(e, u2, t)
+        add(dr3, t, dr3)
+        add(dr3, ito, dr3)
+        return columns
+
+    return loop_pass
 
 
 def loop_columns(p: SystemParams, d: DiffusionDesign, x1, x2, x3) -> LoopColumns:
@@ -365,16 +381,13 @@ def loop_columns(p: SystemParams, d: DiffusionDesign, x1, x2, x3) -> LoopColumns
     coordinate columns x1, x2, x3 (arrays of one shape).
 
     v2 and its derivatives, H, its eigenvalues, B, sigma, F, G, L_g v2, the
-    Sontag control, the Ito term ``ito`` (which F and the drift read) and
-    the drift are each computed once, with the zeros of g skipped; x1^2,
-    x2^2 and x3^2 are computed once, for v2, |x|^2 and the gains.  The pass
-    computes into one block of column buffers, fresh here, and returns
-    views of it (see :class:`LoopColumns`); a caller that evaluates the
-    loop again and again passes one block to :func:`_loop_into`, and makes
-    no new column on the way.
+    Sontag control, the Ito term ``ito`` and the drift are each computed
+    once, with the zeros of g skipped, into a fresh block of columns whose
+    views are returned (see :class:`LoopColumns`).  A caller that evaluates
+    the loop again and again binds one pass to one block (:func:`_bind_loop`).
     """
     shape = np.broadcast_shapes(np.shape(x1), np.shape(x2), np.shape(x3))
-    return _loop_into(_fresh(shape), _plant(p), _design(d), x1, x2, x3)
+    return _bind_loop(_fresh(shape), _plant(p), _design(d), x1, x2, x3)()
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,7 +398,7 @@ class ClosedLoop:
     together in one pass on coordinate columns; the ``sde`` callables and
     ``control`` return views of one such pass, the coordinate last.
     ``coefficients`` holds the plant's and the design's coefficients as
-    0-d arrays, built once, for :func:`_loop_into`.
+    0-d arrays, built once, for :func:`_bind_loop`.
     """
 
     params: SystemParams
@@ -400,7 +413,7 @@ class ClosedLoop:
     def columns(self, x1, x2, x3) -> LoopColumns:
         """The one-pass kernel :func:`loop_columns` of this loop."""
         shape = np.broadcast_shapes(np.shape(x1), np.shape(x2), np.shape(x3))
-        return _loop_into(_fresh(shape), *self.coefficients, x1, x2, x3)
+        return _bind_loop(_fresh(shape), *self.coefficients, x1, x2, x3)()
 
 
 def closed_loop(p: SystemParams, d: DiffusionDesign) -> ClosedLoop:
@@ -484,12 +497,11 @@ def check_design_conditions(p: SystemParams, d: DiffusionDesign, points,
                             b_fn: Optional[Callable] = None) -> DesignReport:
     """Check the gain-map conditions on a cloud of states.
 
-    ``points`` is an (N, 3) array of states; they feed the sign condition,
-    and their third coordinates provide the axis samples for the
-    nonvanishing check.  ``b_fn`` (default: the eigenvalue-scaled design)
-    maps states to (B1, B2) so stub designs can be audited with the same
-    report.  A sign expression or axis gain that is not finite fails its
-    condition, and the detail counts the points where it was not.
+    ``points``, an (N, 3) array of states, feeds the sign condition, and
+    its third coordinates the axis samples of the nonvanishing check.
+    ``b_fn`` (default: the eigenvalue-scaled design) maps states to (B1, B2),
+    so stub designs get the same report.  A sign expression or axis gain
+    that is not finite fails its condition, and the detail counts them.
     """
     if b_fn is None:
         b_fn = lambda pts: diffusion_b(d, p, pts)

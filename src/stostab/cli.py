@@ -199,6 +199,8 @@ def _validate(command: str, cfg: dict) -> None:
     elif command in ("scan-lv", "check-design"):
         _require(cfg["grid_count"] >= 2, "grid_count must be at least 2")
         _require(cfg["grid_extent"] > 0, "grid_extent must be positive")
+        _require(np.isfinite(_axis(cfg)).all(), f"grid_extent = {cfg['grid_extent']!r} "
+                 "is too large: its grid axis is not finite")
         if command == "scan-lv":
             _require(cfg["exclude_radius"] >= 1e-3,
                      "exclude_radius must be at least 1e-3")

@@ -17,9 +17,14 @@ All evaluators broadcast over leading batch axes.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
+# A pass calls each ufunc by module name with its output as the last operand:
+# at 200 rows multiply(a, b, a) took 0.37 us, np.multiply(a, b, out=a) 0.50
+# us; and a += b in a closure would make a local to it.
+from numpy import (add, copyto, count_nonzero, divide, greater, less, log, logical_and,
+                   logical_not, multiply, power, sqrt, subtract)
 
 # Below this value of X = x1^2 + x2^2 the log-carrying terms are replaced by
 # their X -> 0 limits.  It sits 20 decades above G_ZERO, so the G = 0 branch
@@ -49,12 +54,9 @@ def v2_eval(x):
 
 
 def _const(value) -> np.ndarray:
-    """``value`` as a read-only 0-d float64 array.
-
-    A ufunc converts a Python float operand on every call and takes a 0-d
-    array as it is: at 200 rows a multiply by the array took 0.56 us
-    against 0.82 us by the float, for the same arithmetic and bits.
-    """
+    """``value`` as a read-only 0-d float64 array, which a ufunc takes as it
+    is, while it converts a Python float operand on every call: at 200 rows
+    a multiply took 0.56 us by the array, 0.82 us by the float, same bits."""
     a = np.array(value, dtype=float)
     a.flags.writeable = False
     return a
@@ -81,7 +83,7 @@ def _workspace(block: np.ndarray) -> _Workspace:
 
 
 class _V2Columns(NamedTuple):
-    """v2 and its derivatives at a batch of states, from :func:`_v2_into`."""
+    """v2 and its derivatives at a batch of states, from :func:`_bind_v2`."""
 
     value: np.ndarray       # v2
     norm_sq: np.ndarray     # |x|^2, summed as (x1^2 + x2^2) + x3^2
@@ -90,117 +92,125 @@ class _V2Columns(NamedTuple):
     squares: tuple          # (x1^2, x2^2, x3^2)
 
 
-# Rows of a workspace that _v2_into fills: the 14 columns of its result
+# Rows of a workspace that a v2 pass fills: the 14 columns of its result
 # first, then 15 of scratch, which are free again once it returns.
 _V2_OUT = 14
 _V2_ROWS = _V2_OUT + 15
 
 
-def _v2_into(ws: _Workspace, x1, x2, x3) -> _V2Columns:
-    """v2, |x|^2, the gradient and the Hessian entries of :func:`v2_eval`
-    at states given as coordinate columns, from one pass into the first
-    ``_V2_ROWS`` rows of ``ws``; the result is views of its first
-    ``_V2_OUT`` rows.
+def _v2_views(ws: _Workspace) -> _V2Columns:
+    """The first ``_V2_OUT`` rows of ``ws``, which a v2 pass returns."""
+    r = ws.rows
+    return _V2Columns(r[0], r[1], r[2:5], r[5:11], r[11:14])
 
-    The squares of x1, x2 and x3, X/2, the power (X/2)^(1 + x3^2/2) and
-    log(X/2) are evaluated once; the lower powers follow by dividing by X/2,
-    and v2 reuses the same power.  Each temporary is written into a row of
-    ``ws`` and overwritten in place once dead; each element takes the same
-    IEEE operations, up to the order of a commutative operation's operands,
-    as when every temporary was a fresh array.  The terms of v2 are added in
-    the order of :func:`v2_eval`, so both give the same bits.  Rows with
-    X < ``X_GUARD`` take the X -> 0 limits of the log-carrying terms (see
-    :func:`v2_gradient` and :func:`v2_hessian`); they are patched only when
-    some row has one.
+
+def _bind_v2(ws: _Workspace, x1, x2, x3) -> Callable[[], _V2Columns]:
+    """A pass, bound once to the coordinate columns x1, x2, x3 and to the
+    first ``_V2_ROWS`` rows of ``ws``, that computes v2, |x|^2, the gradient
+    and the Hessian entries of :func:`v2_eval` at the states the columns
+    hold when it is called, and returns :func:`_v2_views` of ``ws``.
+
+    X/2, the power (X/2)^(1 + x3^2/2) and log(X/2) are evaluated once; the
+    lower powers follow by dividing by X/2, and v2 reuses the same power.
+    Each temporary overwrites a dead row, and each element takes the IEEE
+    operations of fresh temporaries, up to the order of a commutative
+    operation's operands; v2 adds its terms in :func:`v2_eval`'s order, so
+    both give the same bits.  Rows with X < ``X_GUARD`` take the X -> 0
+    limits of the log-carrying terms (see :func:`v2_gradient` and
+    :func:`v2_hessian`), patched only when some row has one.
     """
-    (value, norm_sq, d1, d2, d3, h11, h12, h13, h22, h23, h33, q1, q2, y,
-     big_x, a, p, two_y, h_axis, a_safe, log_a, a_p, a_pm1, two_p, planar,
-     axial, rank1, cross, t) = ws.rows[:_V2_ROWS]
+    v = _v2_views(ws)
+    value, norm_sq, (d1, d2, d3), (h11, h12, h13, h22, h23, h33), (q1, q2, y) = v
+    (big_x, a, p, two_y, h_axis, a_safe, log_a, a_p, a_pm1, two_p, planar,
+     axial, rank1, cross, t) = ws.rows[_V2_OUT:_V2_ROWS]
     small, axis_y = ws.masks
-    np.multiply(x1, x1, out=q1)
-    np.multiply(x2, x2, out=q2)
-    np.multiply(x3, x3, out=y)
-    np.add(q1, q2, out=big_x)
-    np.add(big_x, y, out=norm_sq)
-    np.multiply(_HALF, big_x, out=a)
-    np.multiply(_HALF, y, out=p)
-    p += _ONE
-    np.multiply(_TWO, y, out=two_y)
-    np.subtract(_MINUS_ONE, y, out=h_axis)    # planar Hessian on X = 0
-    np.less(big_x, _X_GUARD, out=small)
-    patch = small.any()
-    if patch:
-        np.copyto(a_safe, a)
-        np.copyto(a_safe, _ONE, where=small)
-    else:
-        a_safe = a
-    np.log(a_safe, out=log_a)
-    np.power(a_safe, p, out=a_p)
-    np.divide(a_p, a_safe, out=a_pm1)
-    np.multiply(_TWO, p, out=two_p)
-    np.multiply(two_p, a_pm1, out=planar)
-    planar += h_axis
-    # a * h_axis is -(a (1 + y)) exactly, so this is v2_eval's sum.
-    np.multiply(a, h_axis, out=value)
-    value += two_y
-    np.multiply(_TWO, a_p, out=t)                 # 2 (X/2)^p
-    value += t
-    t *= log_a
-    np.subtract(_FOUR, big_x, out=axial)      # big_x = 2 a, but for subnormal X
-    axial += t
+    off_diagonal = (h12, h13, h23)
 
-    np.subtract(p, _ONE, out=rank1)               # coefficient of x_i x_j
-    rank1 *= two_p
-    np.divide(a_pm1, a_safe, out=t)
-    rank1 *= t
-    np.multiply(p, log_a, out=t)
-    t += _ONE
-    t *= a_pm1
-    t -= _ONE
-    np.multiply(_TWO, x3, out=cross)
-    cross *= t
-    np.multiply(rank1, x1, out=t)
-    np.multiply(t, x1, out=h11)
-    h11 += planar
-    np.multiply(t, x2, out=h12)
-    np.multiply(rank1, x2, out=h22)
-    h22 *= x2
-    h22 += planar
-    np.multiply(x1, cross, out=h13)
-    np.multiply(x2, cross, out=h23)
-    np.multiply(two_y, a_p, out=h33)
-    h33 *= log_a
-    h33 *= log_a
-    h33 += axial
-    if patch:
-        # a_safe = 1 on these rows, so the power-log terms (d3's too) vanish;
-        # v2 takes the power of the true X/2.  The 0^0 corner (X = 0,
-        # x3 = 0) of the gradient's power is defined as 1.
-        np.power(a, p, out=t)
-        t *= _TWO
-        np.multiply(a, h_axis, out=rank1)
-        rank1 += two_y
-        rank1 += t
-        np.copyto(value, rank1, where=small)
-        np.copyto(h11, h_axis, where=small)
-        np.copyto(h22, h_axis, where=small)
-        for h in (h12, h13, h23):
-            np.copyto(h, _ZERO, where=small)
-        np.copyto(h33, _FOUR, where=small)
-        np.greater(y, _ZERO, out=axis_y)
-        axis_y &= small
-        np.copyto(planar, h_axis, where=axis_y)
-    np.multiply(x1, planar, out=d1)
-    np.multiply(x2, planar, out=d2)
-    np.multiply(x3, axial, out=d3)
-    return _V2Columns(value, norm_sq, (d1, d2, d3), (h11, h12, h13, h22, h23, h33),
-                      (q1, q2, y))
+    def v2_pass():
+        multiply(x1, x1, q1)
+        multiply(x2, x2, q2)
+        multiply(x3, x3, y)
+        add(q1, q2, big_x)
+        add(big_x, y, norm_sq)
+        multiply(_HALF, big_x, a)
+        multiply(_HALF, y, p)
+        add(p, _ONE, p)
+        multiply(_TWO, y, two_y)
+        subtract(_MINUS_ONE, y, h_axis)    # planar Hessian on X = 0
+        less(big_x, _X_GUARD, small)
+        patch = count_nonzero(small)
+        safe = a_safe if patch else a
+        if patch:
+            copyto(a_safe, a)
+            copyto(a_safe, _ONE, where=small)
+        log(safe, log_a)
+        power(safe, p, a_p)
+        divide(a_p, safe, a_pm1)
+        multiply(_TWO, p, two_p)
+        multiply(two_p, a_pm1, planar)
+        add(planar, h_axis, planar)
+        # a * h_axis is -(a (1 + y)) exactly, so this is v2_eval's sum.
+        multiply(a, h_axis, value)
+        add(value, two_y, value)
+        multiply(_TWO, a_p, t)                 # 2 (X/2)^p
+        add(value, t, value)
+        multiply(t, log_a, t)
+        subtract(_FOUR, big_x, axial)      # big_x = 2 a, but for subnormal X
+        add(axial, t, axial)
+
+        subtract(p, _ONE, rank1)               # coefficient of x_i x_j
+        multiply(rank1, two_p, rank1)
+        divide(a_pm1, safe, t)
+        multiply(rank1, t, rank1)
+        multiply(p, log_a, t)
+        add(t, _ONE, t)
+        multiply(t, a_pm1, t)
+        subtract(t, _ONE, t)
+        multiply(_TWO, x3, cross)
+        multiply(cross, t, cross)
+        multiply(rank1, x1, t)
+        multiply(t, x1, h11)
+        add(h11, planar, h11)
+        multiply(t, x2, h12)
+        multiply(rank1, x2, h22)
+        multiply(h22, x2, h22)
+        add(h22, planar, h22)
+        multiply(x1, cross, h13)
+        multiply(x2, cross, h23)
+        multiply(two_y, a_p, h33)
+        multiply(h33, log_a, h33)
+        multiply(h33, log_a, h33)
+        add(h33, axial, h33)
+        if patch:
+            # a_safe = 1 on these rows, so the power-log terms (d3's too)
+            # vanish; v2 takes the power of the true X/2.  The 0^0 corner
+            # (X = 0, x3 = 0) of the gradient's power is defined as 1.
+            power(a, p, t)
+            multiply(t, _TWO, t)
+            multiply(a, h_axis, rank1)
+            add(rank1, two_y, rank1)
+            add(rank1, t, rank1)
+            copyto(value, rank1, where=small)
+            copyto(h11, h_axis, where=small)
+            copyto(h22, h_axis, where=small)
+            for h in off_diagonal:
+                copyto(h, _ZERO, where=small)
+            copyto(h33, _FOUR, where=small)
+            greater(y, _ZERO, axis_y)
+            logical_and(axis_y, small, axis_y)
+            copyto(planar, h_axis, where=axis_y)
+        multiply(x1, planar, d1)
+        multiply(x2, planar, d2)
+        multiply(x3, axial, d3)
+        return v
+
+    return v2_pass
 
 
 def _v2_columns(x1, x2, x3) -> _V2Columns:
-    """:func:`_v2_into` on a fresh workspace."""
+    """:func:`_bind_v2` on a fresh workspace, run once."""
     shape = np.broadcast_shapes(np.shape(x1), np.shape(x2), np.shape(x3))
-    return _v2_into(_workspace(np.empty((_V2_ROWS,) + shape)), x1, x2, x3)
+    return _bind_v2(_workspace(np.empty((_V2_ROWS,) + shape)), x1, x2, x3)()
 
 
 def v2_gradient(x):
@@ -231,24 +241,29 @@ def v2_hessian(x):
     return np.stack([row1, row2, row3], axis=-2)
 
 
-def _sontag_factor(f_term, g_term, out, t, mask):
-    """(F + sqrt(F^2 + G^2)) / G into ``out``, and 0 where G <= ``G_ZERO``
-    (or is NaN); ``t`` and the boolean ``mask`` are scratch columns."""
-    np.multiply(f_term, f_term, out=out)
-    np.multiply(g_term, g_term, out=t)
-    out += t
-    np.sqrt(out, out=out)
-    out += f_term
-    np.greater(g_term, _G_ZERO, out=mask)
-    if mask.all():
-        out /= g_term
+def _bind_sontag_factor(f_term, g_term, out, t, mask) -> Callable[[], np.ndarray]:
+    """A pass that computes (F + sqrt(F^2 + G^2)) / G, or 0 where G <= ``G_ZERO``
+    or is NaN, into ``out`` and returns it; ``t`` and ``mask`` are scratch."""
+    size = mask.size
+
+    def factor_pass():
+        multiply(f_term, f_term, out)
+        multiply(g_term, g_term, t)
+        add(out, t, out)
+        sqrt(out, out)
+        add(out, f_term, out)
+        greater(g_term, _G_ZERO, mask)
+        if count_nonzero(mask) == size:
+            divide(out, g_term, out)
+            return out
+        zero = logical_not(mask, mask)
+        copyto(t, g_term)
+        copyto(t, _ONE, where=zero)
+        divide(out, t, out)
+        copyto(out, _ZERO, where=zero)
         return out
-    zero = np.logical_not(mask, out=mask)
-    np.copyto(t, g_term)
-    np.copyto(t, _ONE, where=zero)
-    out /= t
-    np.copyto(out, _ZERO, where=zero)
-    return out
+
+    return factor_pass
 
 
 def sontag_control(f_term, g_term, lg_v) -> np.ndarray:
@@ -265,5 +280,5 @@ def sontag_control(f_term, g_term, lg_v) -> np.ndarray:
     if np.any(np.abs(g_term - gg) > 1e-12 * np.maximum(1.0, np.abs(g_term))):
         raise ValueError("g_term is inconsistent with lg_v . lg_v^T")
     ws = _workspace(np.empty((2,) + np.broadcast_shapes(f_term.shape, g_term.shape)))
-    factor = _sontag_factor(f_term, g_term, *ws.rows, ws.masks[0])
+    factor = _bind_sontag_factor(f_term, g_term, *ws.rows, ws.masks[0])()
     return -factor[..., None] * lg

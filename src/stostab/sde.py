@@ -8,26 +8,20 @@ same shape.  Every integrator is driven by an explicit, pre-sampled
 :class:`WienerPath`, so a simulation is a pure function of the system, the
 initial state, and the path seed.
 
-Paths come singly or in batches.  ``sample_wiener`` given one seed returns
-samples of shape ``(n+1,)``; given a sequence of N seeds it returns one
-``(N, n+1)`` array whose row i is bit for bit the single-seed path of seed
-i.  Seeds are integers in [0, 2**64), and a seed's increments are those of
-``numpy.random.default_rng(seed)``, bit for bit.  Sampling, coarsening and
-lifting act on the last axis.  The integrators step a batch as one array:
-with a batched path, x0 of shape ``(dim,)`` (used for every row) or
-``(N, dim)`` gives states of shape ``(n+1, N, dim)``, and row i equals the
-single-path run on seed i.  A batch raises
-:class:`IntegrationDiverged` at the first step where any of its rows leaves
-the finite range.  Each step screens the whole batch with one dot product:
-a total |x|^2 of at most half the squared bound clears every row, and only
-a larger total, inf or NaN runs the per-row test, so the verdict is always
-the per-row one.
+Paths come singly or in batches: ``sample_wiener`` given a sequence of N
+seeds returns one ``(N, n+1)`` array whose row i is bit for bit the path of
+seed i alone, the increments of ``numpy.random.default_rng(seed)`` (seeds
+are integers in [0, 2**64)).  Sampling, coarsening and lifting act on the
+last axis.  The integrators step a batch as one array: x0 of shape
+``(dim,)`` (for every row) or ``(N, dim)`` gives states of shape
+``(n+1, N, dim)``, whose row i is the single-path run on seed i.  A batch
+raises :class:`IntegrationDiverged` at the first step where any row leaves
+the finite range.  One dot product screens the batch; only a total |x|^2
+above half the squared bound, inf or NaN runs the per-row test.
 
-Each scheme is a step rule ``(x_k, k) -> x_{k+1}``.  The public
-integrators run it through ``_step_path``, which records every state; a
-caller that needs only x_n (the Wong-Zakai experiment) runs the same rule
-through ``_final_state``, which keeps no history and gives the same bits and
-the same divergence exception.
+Each scheme is a step rule ``(x_k, k) -> x_{k+1}``, run by ``_step_path``,
+which records every state, or by ``_final_state`` (the Wong-Zakai
+experiment), which keeps only x_n, with the same bits and exception.
 """
 
 from __future__ import annotations
@@ -534,11 +528,10 @@ def write_path_csvs(paths, times, states, controls=None, header_lines=()) -> Non
 
     ``times`` has shape ``(n,)``, ``states`` ``(N, n, dim)`` and
     ``controls`` ``(N, n, m)`` (or None) for the N paths.  Every file has
-    the same header, column names and time column, so these are formatted
-    once per call, into one template whose remaining ``%.17g`` fields are a
-    path's states and controls; each file is one ``%`` over its own values
-    and one write.  The bytes equal formatting every number, row by row,
-    with ``"%.17g" %``, as :func:`write_csv` does.
+    the same header, column names and time column, formatted once into one
+    template whose other ``%.17g`` fields are a path's states and controls;
+    each file is one ``%`` and one write, with the bytes of formatting every
+    number, row by row, as :func:`write_csv` does.
 
     :func:`_run_shares` writes the files in shares of at least
     ``SHARE_MIN_VALUES`` values, the first here and the others in forked
@@ -615,15 +608,14 @@ def _run_shares(work: Callable, weights, min_units: int) -> Optional[tuple]:
     """Run ``work(lo, hi)`` on contiguous shares of the items, one per process.
 
     The items are ``range(len(weights))``, of integer costs ``weights``.
-    This is the one place a share count is decided: :func:`_n_shares`, with
-    at least ``min_units`` a share, and :func:`_share_bounds` splits the
-    items.  Every share but the first is handed to its own :func:`_fork`
-    child, and then this process runs the first.  Every child is reaped
-    before this returns or raises, also when this process's share raises,
-    which then propagates as it is.  Returns None, or the first item of the
-    first share whose child failed and the exception the child raised (see
-    :func:`_reap`); a caller that re-raises it raises what running every
-    share in this process, in order, would have raised first.
+    This is the one place a share count is decided (:func:`_n_shares`, at
+    least ``min_units`` a share; :func:`_share_bounds` splits the items).
+    Each share but the first goes to its own :func:`_fork` child, then this
+    process runs the first; every child is reaped before this returns or
+    raises (an error of this process's share propagates as it is).  Returns
+    None, or the first item of the first failed child's share and its
+    exception (see :func:`_reap`), which a caller re-raises as what running
+    every share here, in order, would have raised first.
     """
     n_shares = _n_shares(len(weights), int(np.sum(weights, dtype=np.int64)), min_units)
     shares = _share_bounds(weights, n_shares)

@@ -13,7 +13,6 @@ paths run or in what order.
 
 from __future__ import annotations
 
-import functools
 import math
 import mmap
 import os
@@ -32,11 +31,9 @@ from .sde import (ITO, NORM_SQ_BOUND, STRATONOVICH, SdeSystem, _em_step,
 
 
 # Samples one block of a per-path experiment holds at once (2 MiB of
-# float64).  A strong-order row holds its fine path plus the scalar state
-# history of the one integrator run that steps it, 2 * (n_steps + 1)
-# samples; a Wong-Zakai row holds its fine path alone, n_steps + 1, since
-# its lifts are views of the path and its runs keep only the final state.
-# At 4096 steps a block holds up to 31 and 63 rows.
+# float64).  A strong-order row holds its fine path plus the state history
+# of the run that steps it, 2 * (n_steps + 1) samples; a Wong-Zakai row its
+# fine path alone (its lifts are views, its runs keep only the final state).
 _BLOCK_SAMPLES = 1 << 18
 
 
@@ -100,12 +97,13 @@ def wilson_halfwidth(successes: int, n: int) -> float:
 def grid_points(a1, a2, a3, exclude_radius: float = 0.0) -> np.ndarray:
     """The (N, 3) meshgrid of three 1-d axes of values, in "ij" order.
 
-    Points with |x| < ``exclude_radius`` are left out.  A one-value axis
-    pins a slice: ``grid_points(ax, [0.0], ax)`` is the x2 = 0 plane.
+    Points with |x| < ``exclude_radius`` are left out; a point with a NaN
+    norm is kept.  A one-value axis pins a slice: ``grid_points(ax, [0.0],
+    ax)`` is the x2 = 0 plane.
     """
     pts = np.stack([m.ravel() for m in np.meshgrid(a1, a2, a3, indexing="ij")], axis=-1)
     if exclude_radius > 0.0:
-        pts = pts[np.linalg.norm(pts, axis=1) >= exclude_radius]
+        pts = pts[~(np.linalg.norm(pts, axis=1) < exclude_radius)]
     return pts
 
 
@@ -125,7 +123,6 @@ class ScanReport:
     min_value: float
     argmin: np.ndarray
     on_axis_count: int
-    on_axis_min: float
     on_axis_max: float
 
     @property
@@ -137,13 +134,11 @@ class ScanReport:
 # counts as a violation.
 @np.errstate(over="ignore", invalid="ignore")
 def scan_generator(cl: ClosedLoop, points) -> ScanReport:
-    """Evaluate the closed-loop generator of v2 on every point of an (N, 3)
-    array of states.
+    """Evaluate the closed-loop generator of v2 on an (N, 3) array of states.
 
     One kernel pass gives LV = F + L_g v2 . u; every value that is not
-    negative, NaN included, is a violation.  The points must keep out of
-    the ball of radius 1e-3 around the origin, where the generator
-    degenerates to zero by construction, and there must be at least one.
+    negative, NaN included, is a violation.  There must be a point, and
+    none within 1e-3 of the origin, where LV is zero by construction.
     """
     pts = brockett._states(points)
     if len(pts) == 0:
@@ -164,7 +159,6 @@ def scan_generator(cl: ClosedLoop, points) -> ScanReport:
         min_value=float(lv[k]),
         argmin=pts[k].copy(),
         on_axis_count=int(on_axis.sum()),
-        on_axis_min=float(lv[on_axis].min()) if on_axis.any() else float("nan"),
         on_axis_max=float(lv[on_axis].max()) if on_axis.any() else float("nan"),
     )
 
@@ -292,9 +286,9 @@ def _run_levels(seeds, dt, horizon, row_samples, weights, run: Callable) -> None
     ``row_samples``); :func:`_run_shares` splits the levels, weighted by
     their drift evaluations, into shares of at least
     ``SHARE_MIN_EVALUATIONS``, runs the first here and forks the others.
-    ``run`` writes its rows of the results into a shared mapping, so they
-    are the same bit for bit for any number of shares, and a failed level
-    raises what running every level here, in order, would raise first.
+    ``run`` writes its rows into a shared mapping, so the results are the
+    same bit for bit for any number of shares; a failed level raises what
+    running every level here, in order, would raise first.
     """
     for blk in _path_blocks(len(seeds), row_samples):
         path = sample_wiener(dt, horizon, seeds[blk])
@@ -326,17 +320,11 @@ def _shared_arrays(layout: dict) -> dict:
 
 
 def _mapped(shape: tuple) -> np.ndarray:
-    """A float array of ``shape`` in an anonymous private mapping of its own.
-
-    Its memory goes back to the system when the array dies.  From the heap,
-    glibc would map a block this large only the first time: once it has
-    unmapped a freed block, it raises its threshold to that block's size
-    and keeps later ones in the heap, which left a 10 000-path ensemble's
-    process 1.5 MB larger after each call.  It stays apart from
-    :func:`_shared_arrays`, as a private page is cheaper to touch first:
-    each share fills its 44 x 5 000 stepping workspace in 0.90-0.94 ms
-    private, 1.23-1.28 ms shared (median of 50, 2-CPU Xeon).
-    """
+    """A float array of ``shape`` in an anonymous private mapping of its own,
+    whose memory goes back to the system when the array dies; from the heap,
+    glibc would keep every such block after the first.  A private page is
+    cheaper to touch first than a :func:`_shared_arrays` one (README,
+    "Numerical notes")."""
     buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE)
     return np.frombuffer(buf, float).reshape(shape)
 
@@ -403,32 +391,35 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
     ``sup_norm_sq``, ``death`` (the step at which the path diverged, or
     n_steps) and, unless ``rec_steps`` is None, ``rec_states`` and
     ``rec_controls`` at those steps, 0 first and n_steps last.  ``dw``, of
-    shape ``(len(seeds), n_steps)``, receives the paths' noise; once step k
-    has used column k, the column is overwritten with every path's v2 drift
-    sample z = (v2_new - v2) / dt of that step, for :func:`_drift_buckets`.
+    shape ``(len(seeds), n_steps)``, receives the paths' noise; step k then
+    overwrites column k with every path's v2 drift sample
+    z = (v2_new - v2) / dt, for :func:`_drift_buckets`.
 
     The states are one block ``x`` of shape ``(3, len(seeds))``, updated in
-    place with the pass's drift and sigma blocks, ``x += f dt`` and then
-    ``x += s w`` (``s *= w`` row by row); every kernel pass
-    (:func:`brockett._loop_into`) computes into one workspace, made once
-    here.  The previous step's v2 is kept in a column of its own, since the
-    next pass overwrites the workspace.  A step allocates no column of the
-    share's size, except on a step where some path diverges.  Each kernel
-    operation acts path by path, so a path's results do not depend on the
-    other paths stepped with it.
+    place: ``x += f dt``, then ``x += s w`` (``s *= w`` row by row).  The
+    kernel pass is bound once to ``x`` and one workspace
+    (:func:`brockett._bind_loop`), and the loop calls ufuncs by local name
+    on the pass's rows.  The previous v2 has a column of its own.  A step
+    allocates no column of the share's size unless some path diverges, and
+    a path's results do not depend on the paths stepped with it.
     """
+    add, subtract, multiply, divide, maximum, copyto, isfinite = (
+        np.add, np.subtract, np.multiply, np.divide, np.maximum, np.copyto, np.isfinite)
+    total = np.add.reduce
     n_paths = len(seeds)
     wiener_increments(dt, seeds, n_steps, out=dw)
     x = np.repeat(x0[:, None], n_paths, axis=1)
-    ws = _workspace(_mapped((brockett._N_ROWS, n_paths)))
-    evaluate = functools.partial(brockett._loop_into, ws, *cl.coefficients, *x)
+    evaluate = brockett._bind_loop(_workspace(_mapped((brockett._N_ROWS, n_paths))),
+                                   *cl.coefficients, *x)
     t = evaluate()
-    out["v2_start"][:] = t.v2
+    v2, norm_sq, drift, sigma, control = t.v2, t.norm_sq, t.drift, t.sigma, t.control
+    s1, s2, s3 = sigma
+    out["v2_start"][:] = v2
     sup_v2, sup_norm_sq, death = out["sup_v2"], out["sup_norm_sq"], out["death"]
-    sup_v2[:] = t.v2
-    sup_norm_sq[:] = t.norm_sq
+    sup_v2[:] = v2
+    sup_norm_sq[:] = norm_sq
     death[:] = n_steps
-    v2_prev = t.v2.copy()
+    v2_prev = v2.copy()
     dt = np.array(dt)
 
     if rec_steps is not None:
@@ -436,7 +427,7 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
 
         def record(j):
             rec_states[:, j] = x.T
-            rec_controls[:, j] = t.control.T
+            rec_controls[:, j] = control.T
 
         record(0)
         j = 1
@@ -444,31 +435,29 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
     for k in range(n_steps):
         w = dw[:, k]
         # (x + f dt) + s w, into x; the drift and sigma blocks are spent
-        x += np.multiply(t.drift, dt, out=t.drift)
-        for s in t.sigma:
-            s *= w
-        x += t.sigma
-        t = evaluate()
-        np.subtract(t.v2, v2_prev, out=w)
-        w /= dt
-        # A NaN state fails the norm test; a finite state can still overflow
-        # v2.  The sum of the |x|^2 column bounds each of its rows, and a
-        # NaN or inf makes a sum non-finite, so the rows are tested one by
-        # one only when a sum fails.
-        if not (np.add.reduce(t.norm_sq) <= NORM_SQ_BOUND
-                and math.isfinite(np.add.reduce(t.v2))):
-            fine = (t.norm_sq <= NORM_SQ_BOUND) & np.isfinite(t.v2)
+        add(x, multiply(drift, dt, drift), x)
+        multiply(s1, w, s1)
+        multiply(s2, w, s2)
+        multiply(s3, w, s3)
+        add(x, sigma, x)
+        evaluate()
+        subtract(v2, v2_prev, w)
+        divide(w, dt, w)
+        # The sum of the |x|^2 column bounds each row, and a NaN or inf (a
+        # finite state can overflow v2) makes a sum fail: only then test rows.
+        if not (total(norm_sq) <= NORM_SQ_BOUND and math.isfinite(total(v2))):
+            fine = (norm_sq <= NORM_SQ_BOUND) & isfinite(v2)
             newly_dead = ~fine & (death == n_steps)
             if newly_dead.any():
                 # Park dead paths at the equilibrium and evaluate the loop
                 # there for the next step; the stats mask them out.
                 death[newly_dead] = k
                 x[:, newly_dead] = 0.0
-                t = evaluate()
+                evaluate()
         # A parked path sits at v2 = |x|^2 = 0, and its sups become inf later.
-        np.maximum(sup_v2, t.v2, out=sup_v2)
-        np.maximum(sup_norm_sq, t.norm_sq, out=sup_norm_sq)
-        np.copyto(v2_prev, t.v2)
+        maximum(sup_v2, v2, out=sup_v2)
+        maximum(sup_norm_sq, norm_sq, out=sup_norm_sq)
+        copyto(v2_prev, v2)
         if rec_steps is not None and k + 1 == rec_steps[j]:
             record(j)
             j += 1
@@ -535,30 +524,24 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
                  record_every: int = 0) -> StabilityReport:
     """Euler-Maruyama ensemble of the closed loop with common bookkeeping.
 
-    All paths step together as coordinate columns, and each step evaluates
-    the loop's kernel once, at the new state: that one pass gives the
+    All paths step together as coordinate columns (:func:`_step_paths`),
+    with one kernel pass per step, at the new state: it gives the
     divergence test its v2 and |x|^2, the next step its drift and
-    diffusion, and the recording its control.  The pass computes into one
-    workspace per share, reused on every step, and the state columns are
-    updated in place, so a step creates no array of the share's size.
-    Path i consumes increments from its own seed-word stream, so results
-    are reproducible and unchanged under ensemble enlargement.
-    ``record_every`` > 0 stores every k-th state and its control for all
-    paths (plus the final one) for export.
+    diffusion, and the recording its control.  Path i consumes increments
+    from its own seed-word stream, so results are reproducible and
+    unchanged under ensemble enlargement.  ``record_every`` > 0 stores
+    every k-th state and its control for all paths (plus the final one).
 
     :func:`_run_shares` steps the paths in shares of at least
-    ``SHARE_MIN_PATHS``, the first here and the others in forked children;
-    a smaller ensemble is one share.  Each share draws its own paths' noise
-    into one shared buffer and overwrites each spent noise column with that
-    step's v2 drift samples, which this process then adds up in step order,
-    so the drift statistics need no memory beyond the noise.  The report is
-    the same bit for bit for any number of shares.  A child's failure
-    raises ``RuntimeError`` naming its share's first path and the child's
-    error.
+    ``SHARE_MIN_PATHS``, the first here and the others in forked children.
+    Each share draws its paths' noise into one shared buffer and overwrites
+    each spent noise column with that step's v2 drift samples, which this
+    process adds up in step order, so the report is the same bit for bit
+    for any number of shares.  A child's failure raises ``RuntimeError``
+    naming its share's first path and the child's error.
 
-    A bad ``dt``, ``horizon``, ``n_paths``, ``record_every``, ``eps``,
-    ``conv_threshold``, ``m_level``, ``x0`` or ``seed``, or a run whose noise
-    and results exceed physical memory, raises ``ValueError`` before anything
+    A bad argument (:func:`_ensemble_plan`, :func:`path_seeds`), or noise
+    and results beyond physical memory, raise ``ValueError`` before anything
     is mapped, drawn or forked.
     """
     x0, n_steps, rec_steps, layout = _ensemble_plan(
@@ -723,14 +706,11 @@ def wong_zakai_experiment(x0: float, horizon: float, meshes, n_real: int,
     is integrated with RK4 steps aligned to the knots, and the terminal value
     is compared with x0 exp(w(T)).  An uncorrected Ito Euler-Maruyama run on
     the fine mesh provides the contrast statistic.  Realizations are stepped
-    in blocks of batched paths, each run only to its final state; each
-    one's result is that of its own path, bit for bit that of
-    :func:`ode_drive` and :func:`euler_maruyama`.
-
+    in blocks of batched paths, each run only to its final state, bit for
+    bit that of :func:`ode_drive` and :func:`euler_maruyama` on its path.
     The runs (one per mesh, then the contrast) are the levels of
     :func:`_run_levels`, weighted 4 drift evaluations a step for RK4 and 1
-    for Euler-Maruyama; it shares them out over processes, and the report
-    is the same bit for bit for any number of shares.
+    for Euler-Maruyama.
     """
     meshes, n_fine = _wong_zakai_plan(x0, horizon, meshes, n_real)
     dt_fine = horizon / n_fine
@@ -788,11 +768,9 @@ def strong_order_estimate(integrate: Callable, sys: SdeSystem,
     across levels are positively correlated and the slope is stable.
 
     The levels are those of :func:`_run_levels`, weighted by their steps
-    (``integrate`` is opaque, so each step counts as one drift evaluation);
-    it shares them out over processes, and the slope is the same bit for
-    bit for any number of shares.  ``integrate`` and ``exact_terminal`` run
-    in the children too, once per level, so what they record of their
-    calls stays there.
+    (each counts as one drift evaluation).  ``integrate`` and
+    ``exact_terminal`` run in its children too, so what they record of
+    their calls stays there.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")

@@ -270,6 +270,18 @@ def test_scan_lv_empty_grid_is_a_config_error(tmp_path, capsys, args, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["scan-lv", "check-design"])
+def test_an_overflowing_grid_extent_is_a_config_error(tmp_path, capsys, command):
+    # linspace(-1.5e308, 1.5e308, 3) overflows to [nan, inf, 1.5e308]; a
+    # scan of that axis kept 8 of its 27 points
+    out = tmp_path / "s"
+    assert run_cli([command, "--grid-count", "3", "--grid-extent", "1.5e308",
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: grid_extent = 1.5e+308 is too large: its grid axis is not finite\n"
+    assert not out.exists()
+
+
 def test_scan_lv_csv_shape(tmp_path):
     out = tmp_path / "s"
     assert run_cli(["scan-lv", "--grid-count", "5", "--out", str(out)]) == 0

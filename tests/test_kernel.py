@@ -95,8 +95,25 @@ def test_a_reused_workspace_equals_fresh_calls(p, d, x, y):
     ws = brockett._fresh((n,))
     with np.errstate(all="ignore"):
         for batch in (x, y, x):
-            _assert_same_columns(brockett._loop_into(ws, *cl.coefficients, *batch.T),
+            _assert_same_columns(brockett._bind_loop(ws, *cl.coefficients, *batch.T)(),
                                  loop_columns(p, d, *batch.T))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PLANTS), st.sampled_from(DESIGNS), st.lists(BATCHES, min_size=2, max_size=4))
+def test_a_bound_pass_follows_its_state_block(p, d, batches):
+    # a pass bound once reads the state columns as they are at each call:
+    # the step loop overwrites them in place, and the next pass must take
+    # its branches (X < X_GUARD patch, G = 0, degenerate H) from the rows
+    # it sees then, not from an earlier pass
+    n = max(map(len, batches))
+    x = np.empty((3, n))
+    cl = closed_loop(p, d)
+    run = brockett._bind_loop(brockett._fresh((n,)), *cl.coefficients, *x)
+    with np.errstate(all="ignore"):
+        for batch in batches:
+            x[...] = np.resize(batch, (n, 3)).T
+            _assert_same_columns(run(), _oracle_columns(p, d, *x))
 
 
 @pytest.mark.parametrize("p", PLANTS)
@@ -127,7 +144,7 @@ def test_the_kernel_hands_out_row_blocks_of_its_workspace():
     x = np.random.default_rng(4).uniform(-3.0, 3.0, (50, 3))
     cl = closed_loop(p, d)
     ws = brockett._fresh((len(x),))
-    t = brockett._loop_into(ws, *cl.coefficients, *x.T)
+    t = brockett._bind_loop(ws, *cl.coefficients, *x.T)()
     for name, k in BLOCKS.items():
         block = getattr(t, name)
         assert block.shape == (k, len(x)) and block.flags.c_contiguous, name
@@ -140,11 +157,11 @@ def test_the_kernel_hands_out_row_blocks_of_its_workspace():
         assert got.shape == block.T.shape and got.tobytes() == block.T.tobytes()
 
 
-# The functions that compute into a reused workspace, and the step loop
+# The functions that bind a pass to a reused workspace, and the step loop
 # that drives them: a Python float operand would cost each ufunc call a
 # conversion, so their constants are 0-d arrays.
-WORKSPACE_CODE = {"lyapunov.py": ("_v2_into", "_sontag_factor"),
-                  "brockett.py": ("_g_third_row", "_h_entries", "_eigs", "_loop_into"),
+WORKSPACE_CODE = {"lyapunov.py": ("_bind_v2", "_bind_sontag_factor"),
+                  "brockett.py": ("_bind_h_entries", "_bind_eigs", "_bind_loop"),
                   "verify.py": ("_step_paths",)}
 
 
@@ -188,3 +205,40 @@ def test_the_float_literal_check_sees_each_kind_of_operand():
                    "    np.copyto(y, 4.0, where=x)\n"
                    "    return x ** 2 + y[0] + TWO\n").body[0]
     assert sorted(_float_operands(fn)) == [2, 3, 4, 5]
+
+
+def _np_lookups(fn: ast.FunctionDef):
+    """Line numbers of ``np.<name>`` lookups in the passes ``fn`` binds (its
+    nested functions) and in its loops."""
+    lines = set()
+    for node in ast.walk(fn):
+        if node is not fn and isinstance(node, (ast.FunctionDef, ast.For, ast.While)):
+            lines.update(sub.lineno for sub in ast.walk(node)
+                         if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                         and sub.value.id == "np")
+    return sorted(lines)
+
+
+def test_a_bound_pass_looks_up_no_numpy_name():
+    # a pass calls its ufuncs by module or local name: a lookup on np costs
+    # each call an attribute read
+    found = {}
+    for filename, names in WORKSPACE_CODE.items():
+        tree = ast.parse((SRC / filename).read_text(), filename)
+        fns = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for name in names:
+            lines = _np_lookups(fns[name])
+            if lines:
+                found[f"{filename}:{name}"] = lines
+    assert found == {}
+
+
+def test_the_lookup_check_sees_the_pass_and_the_loop_only():
+    fn = ast.parse("def bind(x):\n"
+                   "    mul = np.multiply\n"
+                   "    def run():\n"
+                   "        np.add(x, x, x)\n"
+                   "    for k in range(3):\n"
+                   "        mul(x, np.pi, x)\n"
+                   "    return run\n").body[0]
+    assert _np_lookups(fn) == [4, 6]

@@ -98,6 +98,17 @@ def test_grid_spec_slice():
     assert pts.shape == (21 * 21 - 1, 3)
 
 
+def test_grid_points_keep_a_point_with_a_nan_norm():
+    # NaN < r is False, so a NaN point is not inside the ball: it stays in
+    # the set, where a scan counts its NaN generator value as a violation
+    pts = grid_points([np.nan, 0.0, 1.0], [0.0], [0.0], exclude_radius=0.5)
+    assert pts.shape == (2, 3) and np.isnan(pts[0, 0]) and pts[1, 0] == 1.0
+    cl = closed_loop(P44, D4)
+    with np.errstate(invalid="ignore"):
+        rep = scan_generator(cl, pts)
+    assert len(rep.violations) == 1 and np.isnan(rep.violation_values[0])
+
+
 def test_scan_requires_exclusion():
     cl = closed_loop(P44, D4)
     with pytest.raises(ValueError, match="exclude a ball of radius >= 1e-3"):
