@@ -20,7 +20,7 @@ v2 closes the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -29,9 +29,8 @@ import numpy as np
 from numpy import (add, copysign, count_nonzero, divide, equal, maximum, minimum,
                    multiply, negative, sqrt, subtract, where)
 
-from .lyapunov import (_HALF, _ONE, _TWO, _V2_OUT, _V2_ROWS, _ZERO, _Workspace,
-                       _bind_sontag_factor, _bind_v2, _columns, _const, _v2_columns,
-                       _v2_views, _workspace)
+from .lyapunov import (_HALF, _ONE, _TWO, _V2_OUT, _V2_ROWS, _ZERO, _bind_sontag_factor,
+                       _bind_v2, _columns, _const, _v2_columns, _v2_views, _workspace)
 # Not called here: tools that trace the loop's layers look them up on this module.
 from .lyapunov import v2_gradient, v2_hessian  # noqa: F401
 from .sde import ITO, SdeSystem
@@ -93,8 +92,11 @@ def controllability_rank(p: SystemParams, x) -> int:
     """Numerical rank of [g1, g2, [g1, g2]] at a single point.
 
     The Lie bracket [g1, g2] = (dg2/dx) g1 - (dg1/dx) g2 evaluates to the
-    constant column (0, 0, -(b1 b4 + b2 b3)).  Rank uses SVD with tolerance
-    1e-10 times the spectral norm.
+    constant column (0, 0, -(b1 b4 + b2 b3)).  Each column, nonzero for
+    every plant, is scaled to unit norm: that leaves the rank as it is, and
+    keeps the constant bracket from falling under the tolerance beside g1
+    and g2, which grow with |x|.  Rank uses SVD with tolerance 1e-10 times
+    the spectral norm.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
@@ -102,40 +104,28 @@ def controllability_rank(p: SystemParams, x) -> int:
     g = g_matrix(p, x)
     bracket = np.array([0.0, 0.0, -(p.b1 * p.b4 + p.b2 * p.b3)])
     m = np.column_stack([g[:, 0], g[:, 1], bracket])
+    m /= np.linalg.norm(m, axis=0)
     tol = 1e-10 * np.linalg.norm(m, 2)
     return int(np.linalg.matrix_rank(m, tol=tol))
 
 
-class _Plant(NamedTuple):
-    """The plant's coefficients as 0-d arrays (see :func:`lyapunov._const`)."""
-
-    b1: np.ndarray
-    b2: np.ndarray
-    b3: np.ndarray
-    minus_b4: np.ndarray    # -b4, the factor of x1 in g's third row
-    third: np.ndarray       # (1/2)(b2 b3 - b1 b4), of the drift's third component
+def _plant(p: SystemParams) -> tuple:
+    """The coefficients of ``p`` that the kernel multiplies by, as 0-d arrays
+    (see :func:`lyapunov._const`): b1, b2, b3, -b4 (the factor of x1 in g's
+    third row) and (1/2)(b2 b3 - b1 b4), of the drift's third component."""
+    return tuple(map(_const, (p.b1, p.b2, p.b3, -p.b4, 0.5 * (p.b2 * p.b3 - p.b1 * p.b4))))
 
 
-def _plant(p: SystemParams) -> _Plant:
-    """The coefficients of ``p`` that the kernel multiplies by."""
-    return _Plant(*map(_const, (p.b1, p.b2, p.b3, -p.b4,
-                                0.5 * (p.b2 * p.b3 - p.b1 * p.b4))))
-
-
-def _design(d: DiffusionDesign) -> tuple:
-    """The design's gains (k1, k2) as 0-d arrays."""
-    return _const(d.k1), _const(d.k2)
-
-
-def _bind_h_entries(p: _Plant, x1, x2, c, e, hess, out, t) -> Callable[[], tuple]:
-    """A pass that computes the third row (c, e) = (b3 x2, -b4 x1) of g,
+def _bind_h_entries(p: tuple, x1, x2, c, e, hess, out, t) -> Callable[[], tuple]:
+    """A pass, for plant coefficients ``p`` from :func:`_plant`, that
+    computes the third row (c, e) = (b3 x2, -b4 x1) of g,
     then the entries (H11, H12, H22) of H = g^T Hess(v2) g into the first
     three of the five columns ``out``, and returns them; ``t`` is scratch.
 
     ``hess`` is the entries (h11, h12, h13, h22, h23, h33) of Hess(v2).  H
     is written out as the double sum over g's nonzero entries, in its order.
     """
-    b1, b2, b3, minus_b4 = p.b1, p.b2, p.b3, p.minus_b4
+    b1, b2, b3, minus_b4, _ = p
     h11, h12, h13, h22, h23, h33 = hess
     k11, k12, k22, b1_h13, c_h33 = out
     entries = (k11, k12, k22)
@@ -273,38 +263,36 @@ class LoopColumns(NamedTuple):
 _N_ROWS = _V2_ROWS + 15
 
 
-def _fresh(shape: tuple) -> _Workspace:
-    """A new workspace of the kernel for states of ``shape``."""
-    return _workspace(np.empty((_N_ROWS,) + shape))
+def _bind_loop(block: np.ndarray, p: SystemParams, d: DiffusionDesign,
+               x1, x2, x3) -> Callable[[], LoopColumns]:
+    """A pass of :func:`loop_columns` for plant ``p`` and design ``d`` at the
+    states in the coordinate columns x1, x2, x3, into ``block``, a float
+    array of shape ``(_N_ROWS, *shape)``.
 
-
-def _bind_loop(ws: _Workspace, p: _Plant, d: tuple, x1, x2, x3) -> Callable[[], LoopColumns]:
-    """A pass of :func:`loop_columns` (plant ``p`` from :func:`_plant`,
-    gains ``d`` from :func:`_design`) at the states in the coordinate
-    columns x1, x2, x3, into ``ws``, a float block of shape
-    ``(_N_ROWS, *shape)``.
-
-    The rows, coefficients, helper passes and the result, a
-    :class:`LoopColumns` of views of ``ws``, are bound here once.  Each call
-    reads the columns' values then, makes only ufunc calls and returns that
-    result; it allocates no column unless some row has a degenerate H.
+    The workspace's rows, the coefficients as 0-d arrays, the helper passes
+    and the result, a :class:`LoopColumns` of views of ``block``, are bound
+    here once.  Each call reads the columns' values then, makes only ufunc
+    calls and returns that result; it allocates no column unless some row
+    has a degenerate H.
     """
+    ws = _workspace(block)
     v = _v2_views(ws)
     _, _, (d1, d2, d3), (h11, h12, h13, h22, h23, h33), (q1, q2, y) = v
-    b1, b2, third = p.b1, p.b2, p.third
-    k1, k2 = d
+    plant = _plant(p)
+    b1, b2, _, _, third = plant
+    k1, k2 = _const(d.k1), _const(d.k2)
     scratch = ws.rows[_V2_OUT:_V2_ROWS]
     c, e, t = scratch[:3]
     h_rows, eig_rows = scratch[3:8], scratch[8:12]
     # H's rows are free once its eigenvalues are out
     r2, quad, u = h_rows[:3]
     lam1, lam2 = eig_rows[:2]
-    results = ws.block[_V2_ROWS:]
+    results = block[_V2_ROWS:]
     (b1v, b2v, s1, s2, s3, f_term, g_term, lg1, lg2, u1, u2,
      dr1, dr2, dr3, ito) = ws.rows[_V2_ROWS:]
     v2_pass = _bind_v2(ws, x1, x2, x3)
     # (c, e) is the third row of g; the first two rows are diag(b1, b2).
-    h_pass = _bind_h_entries(p, x1, x2, c, e, v.hess, h_rows, t)
+    h_pass = _bind_h_entries(plant, x1, x2, c, e, v.hess, h_rows, t)
     eig_pass = _bind_eigs(*h_rows[:3], eig_rows, ws.masks[0])
     factor_pass = _bind_sontag_factor(f_term, g_term, quad, t, ws.masks[0])
     columns = LoopColumns(v.value, v.norm_sq, b1v, b2v, results[2:5], f_term, g_term,
@@ -387,33 +375,22 @@ def loop_columns(p: SystemParams, d: DiffusionDesign, x1, x2, x3) -> LoopColumns
     the loop again and again binds one pass to one block (:func:`_bind_loop`).
     """
     shape = np.broadcast_shapes(np.shape(x1), np.shape(x2), np.shape(x3))
-    return _bind_loop(_fresh(shape), _plant(p), _design(d), x1, x2, x3)()
+    return _bind_loop(np.empty((_N_ROWS,) + shape), p, d, x1, x2, x3)()
 
 
 @dataclass(frozen=True, eq=False)
 class ClosedLoop:
     """Assembled Ito loop: drift = (0, 0, ito) + g u_s, diffusion = sigma.
 
-    ``columns(x1, x2, x3)`` evaluates v2, drift, diffusion and control
-    together in one pass on coordinate columns; the ``sde`` callables and
-    ``control`` return views of one such pass, the coordinate last.
-    ``coefficients`` holds the plant's and the design's coefficients as
-    0-d arrays, built once, for :func:`_bind_loop`.
+    The ``sde`` callables and ``control`` return views of one fresh pass
+    of :func:`loop_columns` on ``params`` and ``design``, the coordinate
+    last.
     """
 
     params: SystemParams
     design: DiffusionDesign
     sde: SdeSystem
     control: Callable
-    coefficients: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", (_plant(self.params), _design(self.design)))
-
-    def columns(self, x1, x2, x3) -> LoopColumns:
-        """The one-pass kernel :func:`loop_columns` of this loop."""
-        shape = np.broadcast_shapes(np.shape(x1), np.shape(x2), np.shape(x3))
-        return _bind_loop(_fresh(shape), *self.coefficients, x1, x2, x3)()
 
 
 def closed_loop(p: SystemParams, d: DiffusionDesign) -> ClosedLoop:
@@ -424,7 +401,7 @@ def closed_loop(p: SystemParams, d: DiffusionDesign) -> ClosedLoop:
     not vanish at the origin or the equilibrium is not preserved exactly.
     """
     def columns(x):
-        return loop.columns(*_columns(x))
+        return loop_columns(p, d, *_columns(x))
 
     def drift(x):
         return np.moveaxis(columns(x).drift, 0, -1)
@@ -435,13 +412,12 @@ def closed_loop(p: SystemParams, d: DiffusionDesign) -> ClosedLoop:
     def control(x):
         return np.moveaxis(columns(x).control, 0, -1)
 
-    loop = ClosedLoop(p, d, SdeSystem(3, drift, diffusion, ITO), control)
     t = columns(np.zeros(3))
     if t.b1 != 0.0 or t.b2 != 0.0:
         raise ValueError("brockett6 violated: B(0) != 0 for this design")
     if t.drift.any() or t.sigma.any():
         raise ValueError("closed loop does not preserve the origin exactly")
-    return loop
+    return ClosedLoop(p, d, SdeSystem(3, drift, diffusion, ITO), control)
 
 
 # Radii of the shrinking-circle sequences in the design report and of the

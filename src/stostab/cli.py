@@ -423,7 +423,7 @@ def cmd_controllability(cfg: dict, out: str, hdr: list) -> int:
         print(f"controllability: rank 3 at all {len(pts)} sampled states")
         return 0
     bad = pts[ranks < 3][0]
-    print(f"controllability: rank {ranks.min()} at {tuple(bad)}", file=sys.stderr)
+    print(f"controllability: rank {ranks.min()} at {tuple(bad.tolist())}", file=sys.stderr)
     return 4
 
 

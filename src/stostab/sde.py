@@ -98,14 +98,11 @@ class WienerPath:
     """Equispaced samples of a scalar Wiener path, ``values[..., 0] == 0``.
 
     ``values[..., k]`` approximates w(k dt); a batch of N paths on one
-    mesh has ``values`` of shape ``(N, n+1)``.  The path remembers the seed
-    it was drawn from (a tuple of seeds for a batch) so derived artifacts
-    can be reproduced.
+    mesh has ``values`` of shape ``(N, n+1)``.
     """
 
     dt: float
     values: np.ndarray
-    seed: int | tuple
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -137,8 +134,7 @@ class WienerPath:
             raise ValueError(f"factor must be a positive integer, got {factor}")
         if (self.values.shape[-1] - 1) % factor != 0:
             raise ValueError("factor must divide the number of increments")
-        return WienerPath(self.dt * factor,
-                          self.values[..., ::factor].copy(), self.seed)
+        return WienerPath(self.dt * factor, self.values[..., ::factor].copy())
 
 
 # numpy's SeedSequence hash (O'Neill's seed_seq_fe, numpy/random/bit_generator.pyx)
@@ -288,9 +284,7 @@ def sample_wiener(dt: float, horizon: float, seed) -> WienerPath:
     w = np.zeros((len(seeds), n + 1))
     dw = wiener_increments(dt, seeds, n, out=w[:, 1:])
     np.cumsum(dw, axis=-1, out=dw)
-    if single:
-        return WienerPath(dt, w[0], int(seeds[0]))
-    return WienerPath(dt, w, tuple(seeds.tolist()))
+    return WienerPath(dt, w[0] if single else w)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import brockett
 from .brockett import ClosedLoop, DiffusionDesign, SystemParams
-from .lyapunov import _workspace
 from .sde import (ITO, NORM_SQ_BOUND, STRATONOVICH, SdeSystem, _em_step,
                   _failure_text, _final_state, _initial_state, _rk4_step,
                   _run_shares, _step_count, piecewise_linear_lift,
@@ -145,7 +144,7 @@ def scan_generator(cl: ClosedLoop, points) -> ScanReport:
         raise ValueError("empty grid: no point to scan")
     if np.any(np.linalg.norm(pts, axis=1) < 1e-3):
         raise ValueError("grid must exclude a ball of radius >= 1e-3 around the origin")
-    t = cl.columns(pts[:, 0], pts[:, 1], pts[:, 2])
+    t = brockett.loop_columns(cl.params, cl.design, pts[:, 0], pts[:, 1], pts[:, 2])
     (lg1, lg2), (u1, u2) = t.lg, t.control
     lv = t.f_term + (lg1 * u1 + lg2 * u2)
     bad = ~(lv < 0.0)
@@ -304,29 +303,16 @@ def _run_levels(seeds, dt, horizon, row_samples, weights, run: Callable) -> None
         del path
 
 
-def _shared_arrays(layout: dict) -> dict:
-    """``{name: (shape, dtype)}`` as zeroed arrays in one anonymous shared mapping.
+def _mapped(shape: tuple, dtype=float) -> np.ndarray:
+    """A zeroed array of ``shape`` in an anonymous shared mapping of its own.
 
-    A forked child writes into them what this process then reads.  Every
-    dtype is 8 bytes wide, so every array is aligned.
+    A forked child writes into it what this process then reads, and its
+    memory goes back to the system when the array dies; from the heap,
+    glibc would keep every such block after the first.
     """
-    sizes = {name: math.prod(shape) for name, (shape, _) in layout.items()}
-    buf = mmap.mmap(-1, 8 * sum(sizes.values()))
-    arrays, offset = {}, 0
-    for name, (shape, dtype) in layout.items():
-        arrays[name] = np.frombuffer(buf, dtype, sizes[name], offset).reshape(shape)
-        offset += 8 * sizes[name]
-    return arrays
-
-
-def _mapped(shape: tuple) -> np.ndarray:
-    """A float array of ``shape`` in an anonymous private mapping of its own,
-    whose memory goes back to the system when the array dies; from the heap,
-    glibc would keep every such block after the first.  A private page is
-    cheaper to touch first than a :func:`_shared_arrays` one (README,
-    "Numerical notes")."""
-    buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE)
-    return np.frombuffer(buf, float).reshape(shape)
+    dtype = np.dtype(dtype)
+    buf = mmap.mmap(-1, dtype.itemsize * math.prod(shape))
+    return np.frombuffer(buf, dtype).reshape(shape)
 
 
 # Samples of one transposed block of drift-sample columns (256 KiB of
@@ -409,8 +395,8 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
     n_paths = len(seeds)
     wiener_increments(dt, seeds, n_steps, out=dw)
     x = np.repeat(x0[:, None], n_paths, axis=1)
-    evaluate = brockett._bind_loop(_workspace(_mapped((brockett._N_ROWS, n_paths))),
-                                   *cl.coefficients, *x)
+    evaluate = brockett._bind_loop(_mapped((brockett._N_ROWS, n_paths)),
+                                   cl.params, cl.design, *x)
     t = evaluate()
     v2, norm_sq, drift, sigma, control = t.v2, t.norm_sq, t.drift, t.sigma, t.control
     s1, s2, s3 = sigma
@@ -547,9 +533,8 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
     x0, n_steps, rec_steps, layout = _ensemble_plan(
         x0, dt, horizon, n_paths, eps, conv_threshold, m_level, record_every)
     seeds = path_seeds(seed, n_paths)
-    res = _shared_arrays(layout)
-    # a mapping of its own, which the report's views of res do not keep alive
-    dw = _shared_arrays({"dw": ((n_paths, n_steps), float)})["dw"]
+    res = {name: _mapped(shape, dtype) for name, (shape, dtype) in layout.items()}
+    dw = _mapped((n_paths, n_steps))
 
     def step_share(lo, hi):
         _step_paths(cl, x0, dt, seeds[lo:hi], n_steps, rec_steps,
@@ -637,7 +622,7 @@ def small_control_scan(cl: ClosedLoop, n_dirs: int, seed: int) -> SmallControlRe
     dirs /= np.where(norms > 1e-12, norms, 1.0)[:, None]
     out = []
     for r in radii:
-        u = cl.columns(*(r * dirs).T).control.T
+        u = brockett.loop_columns(cl.params, cl.design, *(r * dirs).T).control.T
         out.append(float(np.linalg.norm(u, axis=1).max()))
     return SmallControlReport(radii, np.asarray(out), n_dirs, seed)
 
@@ -722,9 +707,7 @@ def wong_zakai_experiment(x0: float, horizon: float, meshes, n_real: int,
     ito_sys = SdeSystem(1, zero, ident, ITO)
 
     seeds = path_seeds(seed, n_real)
-    res = _shared_arrays({"sq_err": ((len(meshes), n_real), float),
-                          "log_ratio": ((n_real,), float)})
-    sq_err, log_ratio = res["sq_err"], res["log_ratio"]
+    sq_err, log_ratio = _mapped((len(meshes), n_real)), _mapped((n_real,))
 
     def run(j, path, blk):
         oracle = x0 * np.exp(path.values[:, -1])
@@ -792,7 +775,7 @@ def strong_order_estimate(integrate: Callable, sys: SdeSystem,
 
     x0 = np.asarray(x0, dtype=float)
     seeds = path_seeds(seed, n_paths)
-    errs = _shared_arrays({"errs": ((len(dts), n_paths), float)})["errs"]
+    errs = _mapped((len(dts), n_paths))
 
     def run(j, fine, blk):
         ref = np.asarray(exact_terminal(x0, fine.horizon, fine.values[:, -1:]), float)

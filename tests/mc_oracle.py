@@ -12,7 +12,7 @@ bit for bit.
 
 import numpy as np
 
-from stostab import v2_eval
+from stostab import loop_columns, v2_eval
 from stostab.sde import DIVERGENCE_BOUND
 from stostab.verify import StabilityReport, path_seeds, wilson_halfwidth
 
@@ -48,7 +48,7 @@ def oracle_mc_stability(cl, x0, dt, horizon, n_paths, eps, conv_threshold,
         rec_states.append(x.copy())
 
     for k in range(n_steps):
-        cols = cl.columns(x[:, 0], x[:, 1], x[:, 2])
+        cols = loop_columns(cl.params, cl.design, x[:, 0], x[:, 1], x[:, 2])
         drift = np.stack(cols.drift, axis=-1)
         sig = np.stack(cols.sigma, axis=-1)
         x_new = x + drift * dt + sig * dw[:, k, None]

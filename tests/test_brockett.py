@@ -294,7 +294,7 @@ def test_loop_terms_views_agree():
     pts = np.random.default_rng(14).uniform(-2, 2, (100, 3))
     p = PARITY_PLANTS[3]
     cl = closed_loop(p, D4)
-    t = cl.columns(pts[:, 0], pts[:, 1], pts[:, 2])
+    t = loop_columns(p, D4, pts[:, 0], pts[:, 1], pts[:, 2])
     assert np.array_equal(cl.sde.drift(pts), np.stack(t.drift, axis=-1))
     assert np.array_equal(cl.control(pts), np.stack(t.control, axis=-1))
     assert np.array_equal(sigma(p, D4, pts), np.stack(t.sigma, axis=-1))

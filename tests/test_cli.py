@@ -225,6 +225,22 @@ def test_controllability_reference_and_chained(tmp_path):
                     "--out", str(out2)]) == 0
 
 
+@pytest.mark.parametrize("b3", ["4", "1"])
+def test_controllability_holds_far_from_the_origin(tmp_path, capsys, b3):
+    # det [g1 g2 [g1, g2]] = -b1 b2 (b1 b4 + b2 b3) is a nonzero constant;
+    # unscaled, the bracket column fell under the SVD tolerance from 1e5 on
+    assert run_cli(["controllability", "--b3", b3, "--extent", "1e6",
+                    "--out", str(tmp_path)]) == 0
+    assert "rank 3 at all 101 sampled states" in capsys.readouterr().out
+
+
+def test_controllability_failure_prints_plain_floats(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "controllability_rank", lambda p, x: 2 if x.any() else 3)
+    assert run_cli(["controllability", "--n-points", "2", "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("controllability: rank 2 at (") and "np." not in err, err
+
+
 def test_every_output_carries_the_header(tmp_path):
     out = tmp_path / "o"
     assert run_cli(["scan-lv", "--grid-count", "5", "--out", str(out)]) == 0

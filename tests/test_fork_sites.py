@@ -1,4 +1,5 @@
-"""Where the package forks: one runner sizes, starts and reaps every share."""
+"""Where the package forks and maps memory: one runner sizes, starts and
+reaps every share, and one helper maps every array the shares write."""
 
 import ast
 import pathlib
@@ -48,6 +49,17 @@ def _share_count(node):
     return None
 
 
+def _mmap_call(node):
+    # every call of mmap.mmap, and every import of mmap's names
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "mmap" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "mmap"):
+        return ""
+    if isinstance(node, ast.ImportFrom) and node.module == "mmap":
+        return " (from mmap import)"
+    return None
+
+
 def test_os_fork_is_called_only_in_the_share_runner():
     # sde._run_shares hands each share to sde._fork and reaps every child
     # it started; a fork anywhere else could leave a child unreaped
@@ -61,3 +73,19 @@ def test_only_the_share_runner_decides_a_share_count():
     # could hand the runner a count that its policy would not choose
     sites = _sites(_share_count)
     assert sites == ["sde.py:_run_shares"], sites
+
+
+def test_only_verify_mapped_maps_memory():
+    # every array a forked share writes, and the kernel's workspace, is one
+    # anonymous shared mapping from verify._mapped
+    sites = _sites(_mmap_call)
+    assert sites == ["verify.py:_mapped"], sites
+
+
+def test_the_mapping_check_sees_a_second_helper(tmp_path, monkeypatch):
+    # the check above fails on a package that maps memory anywhere else
+    (tmp_path / "verify.py").write_text((SRC / "verify.py").read_text() + (
+        "\n\ndef _private(n):\n"
+        "    return mmap.mmap(-1, n, flags=mmap.MAP_PRIVATE)\n"))
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert _sites(_mmap_call) == ["verify.py:_mapped", "verify.py:_private"]

@@ -91,11 +91,10 @@ def test_a_reused_workspace_equals_fresh_calls(p, d, x, y):
     # the same workspace left there: branch rows included
     n = max(len(x), len(y))
     x, y = np.resize(x, (n, 3)), np.resize(y, (n, 3))
-    cl = closed_loop(p, d)
-    ws = brockett._fresh((n,))
+    block = np.empty((brockett._N_ROWS, n))
     with np.errstate(all="ignore"):
         for batch in (x, y, x):
-            _assert_same_columns(brockett._bind_loop(ws, *cl.coefficients, *batch.T)(),
+            _assert_same_columns(brockett._bind_loop(block, p, d, *batch.T)(),
                                  loop_columns(p, d, *batch.T))
 
 
@@ -108,8 +107,7 @@ def test_a_bound_pass_follows_its_state_block(p, d, batches):
     # it sees then, not from an earlier pass
     n = max(map(len, batches))
     x = np.empty((3, n))
-    cl = closed_loop(p, d)
-    run = brockett._bind_loop(brockett._fresh((n,)), *cl.coefficients, *x)
+    run = brockett._bind_loop(np.empty((brockett._N_ROWS, n)), p, d, *x)
     with np.errstate(all="ignore"):
         for batch in batches:
             x[...] = np.resize(batch, (n, 3)).T
@@ -143,12 +141,12 @@ def test_the_kernel_hands_out_row_blocks_of_its_workspace():
     p, d = PLANTS[1], DESIGNS[1]
     x = np.random.default_rng(4).uniform(-3.0, 3.0, (50, 3))
     cl = closed_loop(p, d)
-    ws = brockett._fresh((len(x),))
-    t = brockett._bind_loop(ws, *cl.coefficients, *x.T)()
+    ws = np.empty((brockett._N_ROWS, len(x)))
+    t = brockett._bind_loop(ws, p, d, *x.T)()
     for name, k in BLOCKS.items():
         block = getattr(t, name)
         assert block.shape == (k, len(x)) and block.flags.c_contiguous, name
-        assert np.shares_memory(block, ws.block), name
+        assert np.shares_memory(block, ws), name
     batch = loop_columns(p, d, *x.T)
     for fn, block in ((cl.sde.drift, batch.drift), (cl.sde.diffusion, batch.sigma),
                       (cl.control, batch.control), (lambda y: sigma(p, d, y), batch.sigma)):

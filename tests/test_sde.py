@@ -68,11 +68,11 @@ def test_sample_wiener_validation():
 
 def test_wiener_path_validation():
     with pytest.raises(ValueError):
-        WienerPath(1.0, np.array([0.5, 1.0]), 0)  # must start at 0
+        WienerPath(1.0, np.array([0.5, 1.0]))  # must start at 0
     with pytest.raises(ValueError):
-        WienerPath(1.0, np.array([0.0]), 0)
+        WienerPath(1.0, np.array([0.0]))
     with pytest.raises(ValueError):
-        WienerPath(-1.0, np.array([0.0, 1.0]), 0)
+        WienerPath(-1.0, np.array([0.0, 1.0]))
 
 
 def test_wiener_increments_rows_are_per_seed_paths():
@@ -159,7 +159,6 @@ def test_bad_seed_arrays_raise(bad):
 def test_batched_paths_equal_single_seed_paths():
     batch = sample_wiener(1.0 / 64, 1.0, SEEDS)
     assert batch.values.shape == (5, 65)
-    assert batch.seed == tuple(int(s) for s in SEEDS)
     assert np.array_equal(batch.times, sample_wiener(1.0 / 64, 1.0, 1).times)
     coarse = batch.coarsen(4)
     lift = piecewise_linear_lift(batch, 3)
@@ -296,7 +295,7 @@ def test_euler_maruyama_zero_fields_is_constant():
 
 def test_euler_maruyama_single_step():
     sys = SdeSystem(3, lambda x: np.array([1.0, 0.0, 0.0]), ZERO, ITO)
-    path = WienerPath(0.5, np.array([0.0, 0.7]), 0)
+    path = WienerPath(0.5, np.array([0.0, 0.7]))
     traj = euler_maruyama(sys, [0.0, 0.0, 0.0], path)
     assert np.allclose(traj.terminal, [0.5, 0.0, 0.0])
 
@@ -361,7 +360,7 @@ def test_heun_zero_fields_is_constant():
 def test_heun_single_step_closed_form():
     # predictor x + x dw, corrector x + (x + predictor) dw / 2
     sys = SdeSystem(1, ZERO, IDENT, STRATONOVICH)
-    path = WienerPath(1.0, np.array([0.0, 0.3]), 0)
+    path = WienerPath(1.0, np.array([0.0, 0.3]))
     traj = heun_stratonovich(sys, [2.0], path)
     assert traj.terminal[0] == pytest.approx(2.0 * (1.0 + 0.3 + 0.5 * 0.09))
 

@@ -458,6 +458,21 @@ def test_mc_equals_the_reference_loop(case):
             assert np.array_equal(controls, cl.control(states))
 
 
+def test_mc_of_a_wrapped_loop_equals_the_loop():
+    # a copy of the loop whose callables are wrapped, as a tracer builds it
+    # (dataclasses.replace of sde and control), keeps the plant and design
+    # that the ensemble's bound pass reads, so its report keeps every bit
+    cl = closed_loop(P44, D4)
+    wrap = lambda fn: lambda x: fn(x)
+    sde_system = dataclasses.replace(cl.sde, drift=wrap(cl.sde.drift),
+                                     diffusion=wrap(cl.sde.diffusion))
+    wrapped = dataclasses.replace(cl, sde=sde_system, control=wrap(cl.control))
+    args = ((0.4, -0.3, 0.8), 1e-3, 0.05, 200, 5.0, 0.1, 20.0, 1)
+    got = mc_stability(wrapped, *args, record_every=10)
+    assert got.n_steps == 50
+    _assert_same_report(got, mc_stability(cl, *args, record_every=10))
+
+
 def _share_setup(monkeypatch, cpus):
     # one share per path, or per experiment run, on ``cpus`` CPUs; returns
     # the fork calls
