@@ -69,16 +69,15 @@ _X_GUARD, _G_ZERO = _const(X_GUARD), _const(G_ZERO)
 class _Workspace(NamedTuple):
     """Column buffers of one shape that a kernel pass computes into."""
 
-    block: np.ndarray       # the float columns, one a row
-    rows: tuple             # the rows of ``block``
+    rows: tuple             # the float columns, one a row of a block
     masks: tuple            # two boolean columns
 
 
 def _workspace(block: np.ndarray) -> _Workspace:
-    """The float ``block``, its rows as columns, and two boolean columns
+    """The rows of the float ``block`` as columns, and two boolean columns
     of their shape."""
     masks = np.empty((2,) + block.shape[1:], dtype=bool)
-    return _Workspace(block, tuple(block[i, ...] for i in range(len(block))),
+    return _Workspace(tuple(block[i, ...] for i in range(len(block))),
                       (masks[0, ...], masks[1, ...]))
 
 

@@ -315,48 +315,27 @@ def _mapped(shape: tuple, dtype=float) -> np.ndarray:
     return np.frombuffer(buf, dtype).reshape(shape)
 
 
-# Samples of one transposed block of drift-sample columns (256 KiB of
-# float64), which _drift_buckets sums as contiguous rows.
-_BUCKET_BLOCK = 1 << 15
-
-
 def _drift_buckets(z: np.ndarray, death: np.ndarray) -> tuple:
     """Mean, stderr and count of the v2 drift samples in each time bucket.
 
     Column k of ``z`` holds every path's sample z = (v2_new - v2) / dt of
-    step k; a path's samples count for the steps before the one at which
-    it died (``death``).  Each column is summed over its paths in path
-    order, and the columns are added in step order, so the statistics do
-    not depend on how the paths were shared out.  The columns before the
-    first death are copied, a block of columns at a time, into the rows of
-    one contiguous buffer, which numpy sums as it sums a column, with the
-    same bits; from the first death on, each column is summed over the
-    paths still alive.
+    step k, and 0 from the step at which the path died (``death``) on.
+    Each column is summed over its paths in path order (numpy adds the rows
+    of an axis-0 sum one after another; one column alone, it sums pairwise),
+    and the columns are added in step order, so the statistics do not
+    depend on how the paths were shared out.  A path counts for the steps
+    before its death.  ``z`` is squared in place, for the second sum.
     """
     n_paths, n_steps = z.shape
     bucket_of = (np.arange(n_steps) * N_BUCKETS) // n_steps
     bsum, bsumsq = np.zeros(N_BUCKETS), np.zeros(N_BUCKETS)
     count = np.zeros(N_BUCKETS, dtype=np.int64)
-    first_death = death.min()
-    width = max(1, _BUCKET_BLOCK // n_paths)
-    buf = np.empty(width * n_paths)
-    for k0 in range(0, first_death, width):
-        k1 = min(k0 + width, first_death)
-        block = buf[:(k1 - k0) * n_paths].reshape(k1 - k0, n_paths)
-        np.copyto(block, z[:, k0:k1].T)
-        b = bucket_of[k0:k1]
-        # np.add.at adds in index order, so each bucket sums its steps in order
-        np.add.at(bsum, b, block.sum(axis=1))
-        block *= block
-        np.add.at(bsumsq, b, block.sum(axis=1))
-        np.add.at(count, b, n_paths)
-    for k in range(first_death, n_steps):
-        zk = z[death > k, k]
-        if len(zk):
-            b = bucket_of[k]
-            bsum[b] += zk.sum()
-            bsumsq[b] += (zk * zk).sum()
-            count[b] += len(zk)
+    # np.add.at adds in index order, so each bucket sums its steps in order
+    np.add.at(bsum, bucket_of, z.sum(axis=0))
+    z *= z
+    np.add.at(bsumsq, bucket_of, z.sum(axis=0))
+    alive = n_paths - np.cumsum(np.bincount(death, minlength=n_steps)[:n_steps])
+    np.add.at(count, bucket_of, alive)
     mean = np.full(N_BUCKETS, np.nan)
     se = np.full(N_BUCKETS, np.nan)
     nz = count > 0
@@ -368,18 +347,18 @@ def _drift_buckets(z: np.ndarray, death: np.ndarray) -> tuple:
 
 
 def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
-                n_steps: int, rec_steps: Optional[np.ndarray], out: dict,
-                dw: np.ndarray) -> None:
+                n_steps: int, rec_steps: Optional[np.ndarray], out: dict) -> None:
     """Step the paths of ``seeds`` from ``x0`` and write their results to ``out``.
 
     ``out`` holds one row per path for each result: ``v2_start``,
     ``terminal`` (the final state), ``v2`` (its v2), ``sup_v2``,
     ``sup_norm_sq``, ``death`` (the step at which the path diverged, or
-    n_steps) and, unless ``rec_steps`` is None, ``rec_states`` and
+    n_steps), ``dw`` and, unless ``rec_steps`` is None, ``rec_states`` and
     ``rec_controls`` at those steps, 0 first and n_steps last.  ``dw``, of
-    shape ``(len(seeds), n_steps)``, receives the paths' noise; step k then
-    overwrites column k with every path's v2 drift sample
-    z = (v2_new - v2) / dt, for :func:`_drift_buckets`.
+    n_steps columns, receives the paths' noise; step k then overwrites
+    column k with every path's v2 drift sample z = (v2_new - v2) / dt, for
+    :func:`_drift_buckets`: 0 on the step at which the path dies, and after
+    it, where the path is parked at the origin.
 
     The states are one block ``x`` of shape ``(3, len(seeds))``, updated in
     place: ``x += f dt``, then ``x += s w`` (``s *= w`` row by row).  The
@@ -392,7 +371,7 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
     add, subtract, multiply, divide, maximum, copyto, isfinite = (
         np.add, np.subtract, np.multiply, np.divide, np.maximum, np.copyto, np.isfinite)
     total = np.add.reduce
-    n_paths = len(seeds)
+    n_paths, dw = len(seeds), out["dw"]
     wiener_increments(dt, seeds, n_steps, out=dw)
     x = np.repeat(x0[:, None], n_paths, axis=1)
     evaluate = brockett._bind_loop(_mapped((brockett._N_ROWS, n_paths)),
@@ -435,9 +414,10 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
             fine = (norm_sq <= NORM_SQ_BOUND) & isfinite(v2)
             newly_dead = ~fine & (death == n_steps)
             if newly_dead.any():
-                # Park dead paths at the equilibrium and evaluate the loop
-                # there for the next step; the stats mask them out.
+                # Park dead paths at the equilibrium, where their drift
+                # samples stay 0, and evaluate the loop there for the next step.
                 death[newly_dead] = k
+                w[newly_dead] = 0.0
                 x[:, newly_dead] = 0.0
                 evaluate()
         # A parked path sits at v2 = |x|^2 = 0, and its sups become inf later.
@@ -461,8 +441,9 @@ def _ensemble_plan(x0, dt: float, horizon: float, n_paths: int, eps: float,
                    conv_threshold: float, m_level: float, record_every: int) -> tuple:
     """Check a :func:`mc_stability` run and return ``x0`` as an array, the
     step count, the recorded steps (None when ``record_every`` is 0) and the
-    results' ``{name: (shape, dtype)}`` layout.  A bad argument, or noise (8
-    bytes per path-step) and results beyond physical memory, raise ValueError.
+    results' ``{name: (shape, dtype)}`` layout, the noise buffer ``dw`` (8
+    bytes per path-step) included.  A bad argument, or a layout beyond
+    physical memory, raise ValueError.
     """
     for name, value in (("dt", dt), ("eps", eps), ("conv_threshold", conv_threshold),
                         ("m_level", m_level)):
@@ -483,14 +464,15 @@ def _ensemble_plan(x0, dt: float, horizon: float, n_paths: int, eps: float,
     n_steps = _step_count(horizon, dt)
     layout = {"v2_start": ((n_paths,), float), "terminal": ((n_paths, 3), float),
               "v2": ((n_paths,), float), "sup_v2": ((n_paths,), float),
-              "sup_norm_sq": ((n_paths,), float), "death": ((n_paths,), np.int64)}
+              "sup_norm_sq": ((n_paths,), float), "death": ((n_paths,), np.int64),
+              "dw": ((n_paths, n_steps), float)}
     if record_every:
         # step 0, every record_every-th step, and the last step
         n_rec = -(-n_steps // record_every) + 1
         layout["rec_states"] = ((n_paths, n_rec, 3), float)
         layout["rec_controls"] = ((n_paths, n_rec, 2), float)
     # exact integers, so no count overflows; every dtype is 8 bytes wide
-    need = 8 * (n_paths * n_steps + sum(math.prod(shape) for shape, _ in layout.values()))
+    need = 8 * sum(math.prod(shape) for shape, _ in layout.values())
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > memory:
         from decimal import Decimal  # a count beyond float range, on refusal only
@@ -520,11 +502,13 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
 
     :func:`_run_shares` steps the paths in shares of at least
     ``SHARE_MIN_PATHS``, the first here and the others in forked children.
-    Each share draws its paths' noise into one shared buffer and overwrites
-    each spent noise column with that step's v2 drift samples, which this
-    process adds up in step order, so the report is the same bit for bit
-    for any number of shares.  A child's failure raises ``RuntimeError``
-    naming its share's first path and the child's error.
+    Each share draws its paths' noise into its rows of the results' noise
+    buffer and overwrites each spent noise column with that step's v2 drift
+    samples, which this process adds up in step order, each step's in path
+    order (:func:`_drift_buckets`), so the report is the same bit for bit
+    for any number of shares.  The buffer is unmapped before the report is
+    built.  A child's failure raises ``RuntimeError`` naming its share's
+    first path and the child's error.
 
     A bad argument (:func:`_ensemble_plan`, :func:`path_seeds`), or noise
     and results beyond physical memory, raise ``ValueError`` before anything
@@ -534,19 +518,17 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
         x0, dt, horizon, n_paths, eps, conv_threshold, m_level, record_every)
     seeds = path_seeds(seed, n_paths)
     res = {name: _mapped(shape, dtype) for name, (shape, dtype) in layout.items()}
-    dw = _mapped((n_paths, n_steps))
 
     def step_share(lo, hi):
         _step_paths(cl, x0, dt, seeds[lo:hi], n_steps, rec_steps,
-                    {name: a[lo:hi] for name, a in res.items()}, dw[lo:hi])
+                    {name: a[lo:hi] for name, a in res.items()})
 
     failed = _run_shares(step_share, np.ones(n_paths, np.int64), SHARE_MIN_PATHS)
     if failed is not None:
         lo, exc = failed
         raise RuntimeError(f"could not step the ensemble share from path {lo}: "
                            f"{_failure_text(exc)}")
-    mean, se, count = _drift_buckets(dw, res["death"])
-    del dw
+    mean, se, count = _drift_buckets(res.pop("dw"), res["death"])
 
     x = res["terminal"]
     died = res["death"] < n_steps

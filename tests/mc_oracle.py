@@ -65,8 +65,9 @@ def oracle_mc_stability(cl, x0, dt, horizon, n_paths, eps, conv_threshold,
         if ok.any():
             z = (v2_new[ok] - v2[ok]) / dt
             b = bucket_of[k]
-            bsum[b] += z.sum()
-            bsumsq[b] += (z * z).sum()
+            # each step's samples added one after another, in path order
+            bsum[b] += np.cumsum(z)[-1]
+            bsumsq[b] += np.cumsum(z * z)[-1]
             bcount[b] += len(z)
         alive &= ~bad
         np.maximum(sup_v2, np.where(alive, v2_new, -np.inf), out=sup_v2)

@@ -60,6 +60,15 @@ def _mmap_call(node):
     return None
 
 
+def _mapped_call(node):
+    # every call of _mapped, by name or attribute
+    if isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id == "_mapped")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "_mapped")):
+        return ""
+    return None
+
+
 def test_os_fork_is_called_only_in_the_share_runner():
     # sde._run_shares hands each share to sde._fork and reaps every child
     # it started; a fork anywhere else could leave a child unreaped
@@ -89,3 +98,13 @@ def test_the_mapping_check_sees_a_second_helper(tmp_path, monkeypatch):
         "    return mmap.mmap(-1, n, flags=mmap.MAP_PRIVATE)\n"))
     monkeypatch.setitem(globals(), "SRC", tmp_path)
     assert _sites(_mmap_call) == ["verify.py:_mapped", "verify.py:_private"]
+
+
+def test_the_ensemble_maps_memory_only_from_its_layout():
+    # mc_stability maps every result, the noise buffer included, from
+    # _ensemble_plan's layout, so the memory refusal counts all of it; a
+    # share maps only its kernel workspace
+    sites = _sites(_mapped_call)
+    assert sites == ["verify.py:_step_paths", "verify.py:mc_stability",
+                     "verify.py:wong_zakai_experiment", "verify.py:wong_zakai_experiment",
+                     "verify.py:strong_order_estimate"], sites

@@ -2,9 +2,11 @@
 
 import dataclasses
 import functools
+import gc
 import os
 import tracemalloc
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -554,7 +556,8 @@ def test_mc_below_the_share_minimum_never_forks(monkeypatch):
 
 
 def _per_column_buckets(z, death):
-    """The drift statistics added up one column at a time, in step order."""
+    """The drift statistics added up one column at a time, in step order,
+    each column by numpy's pairwise sum over the paths alive."""
     n_steps = z.shape[1]
     bucket_of = (np.arange(n_steps) * verify.N_BUCKETS) // n_steps
     bsum, bsumsq = np.zeros(verify.N_BUCKETS), np.zeros(verify.N_BUCKETS)
@@ -567,25 +570,74 @@ def _per_column_buckets(z, death):
     return bsum, bsumsq, count
 
 
-@pytest.mark.parametrize("block", [None, 1000])
 @pytest.mark.parametrize("n_paths, n_steps", [(200, 500), (10000, 7), (1237, 77), (3, 40)])
-def test_drift_buckets_in_blocks_equal_the_per_column_sums(monkeypatch, n_paths, n_steps, block):
-    # the columns before the first death are summed as rows of contiguous
-    # blocks (of 1000 samples: 5, 1, 1 and 333 columns), the rest one by
-    # one over the paths alive; the sums are the per-column sums' bits
-    if block:
-        monkeypatch.setattr(verify, "_BUCKET_BLOCK", block)
+def test_drift_buckets_sum_each_step_in_path_order(n_paths, n_steps):
+    # each step's samples are added one after another in path order, and a
+    # path counts for the steps before its death, from which on its samples
+    # are 0: the statistics are those sums' bits.  They stay within 1e-12,
+    # relative to the bucket's sum of |z| (of z^2 for the squares), of the
+    # per-column pairwise sums.
     rng = np.random.default_rng(n_paths)
     z = rng.standard_normal((n_paths, n_steps)) * np.exp(rng.uniform(-30, 30, (n_paths, n_steps)))
+    bucket_of = (np.arange(n_steps) * verify.N_BUCKETS) // n_steps
+
+    def per_bucket(per_step):
+        out = np.zeros(verify.N_BUCKETS, dtype=per_step.dtype)
+        np.add.at(out, bucket_of, per_step)
+        return out
+
     for death in (np.full(n_paths, n_steps), rng.integers(n_steps // 2, n_steps + 1, n_paths)):
-        bsum, bsumsq, count = _per_column_buckets(z, death)
-        mean, se, got_count = verify._drift_buckets(z, death)
+        alive = np.arange(n_steps) < death[:, None]
+        z[~alive] = 0.0
+        bsum = per_bucket(np.cumsum(z, axis=0)[-1])
+        bsumsq = per_bucket(np.cumsum(z * z, axis=0)[-1])
+        count = per_bucket(alive.sum(axis=0))
+        mean, se, got_count = verify._drift_buckets(z.copy(), death)
         assert np.array_equal(got_count, count)
         nz = count > 0
         assert np.array_equal(mean[nz], bsum[nz] / count[nz])
         multi = count > 1
         var = np.maximum(bsumsq[multi] / count[multi] - mean[multi] ** 2, 0.0)
         assert np.array_equal(se[multi], np.sqrt(var / count[multi]))
+
+        pair_sum, pair_sumsq, pair_count = _per_column_buckets(z, death)
+        assert np.array_equal(pair_count, count)
+        assert np.all(np.abs(bsum - pair_sum) <= 1e-12 * per_bucket(np.abs(z).sum(axis=0)))
+        assert np.all(np.abs(bsumsq - pair_sumsq) <= 1e-12 * per_bucket((z * z).sum(axis=0)))
+
+
+def test_drift_buckets_square_the_samples_in_place():
+    # the sums read the buffer where it lies and square it in place: a
+    # squared copy of this (4 000, 50) buffer would take 1.6 MB
+    z, death = np.random.default_rng(0).standard_normal((4000, 50)), np.full(4000, 50)
+    tracemalloc.start()
+    try:
+        verify._drift_buckets(z, death)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 1024
+
+
+def test_mc_unmaps_the_noise_before_it_returns(monkeypatch):
+    # the noise buffer, 8 bytes per path-step, is the one result that the
+    # report does not hold: it dies with the call, while the report's
+    # arrays live
+    mapped, refs = verify._mapped, {}
+
+    def tracked(shape, dtype=float):
+        a = mapped(shape, dtype)
+        refs[shape] = weakref.ref(a)
+        return a
+
+    monkeypatch.setattr(verify, "_mapped", tracked)
+    n_paths, n_steps = 30, 40
+    rep = mc_stability(closed_loop(P44, D4), (0.0, 0.0, 1.0), 1e-3, n_steps * 1e-3,
+                       n_paths, 5.0, 0.1, 20.0, seed=1)
+    gc.collect()
+    assert rep.n_steps == n_steps
+    assert refs[(n_paths, n_steps)]() is None
+    assert refs[(n_paths, 3)]() is rep.terminal_states
 
 
 def test_mc_steps_allocate_no_columns(monkeypatch):
