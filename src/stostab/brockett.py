@@ -258,7 +258,7 @@ class LoopColumns(NamedTuple):
 
 
 # Rows of the kernel's workspace: those of a v2 pass, then the 15 columns of
-# the loop's own results.  The kernel's temporaries take v2's 15 scratch
+# the loop's own results.  The kernel's temporaries take v2's 18 scratch
 # rows once the v2 pass has returned.
 _N_ROWS = _V2_ROWS + 15
 
@@ -277,15 +277,15 @@ def _bind_loop(block: np.ndarray, p: SystemParams, d: DiffusionDesign,
     """
     ws = _workspace(block)
     v = _v2_views(ws)
-    _, _, (d1, d2, d3), (h11, h12, h13, h22, h23, h33), (q1, q2, y) = v
+    _, norm_sq, (d1, d2, d3), _ = v
     plant = _plant(p)
     b1, b2, _, _, third = plant
     k1, k2 = _const(d.k1), _const(d.k2)
     scratch = ws.rows[_V2_OUT:_V2_ROWS]
     c, e, t = scratch[:3]
     h_rows, eig_rows = scratch[3:8], scratch[8:12]
-    # H's rows are free once its eigenvalues are out
-    r2, quad, u = h_rows[:3]
+    # H's entries stay alive for F; its fourth row is free once H is out
+    k11, k12, k22, quad = h_rows[:4]
     lam1, lam2 = eig_rows[:2]
     results = block[_V2_ROWS:]
     (b1v, b2v, s1, s2, s3, f_term, g_term, lg1, lg2, u1, u2,
@@ -302,16 +302,12 @@ def _bind_loop(block: np.ndarray, p: SystemParams, d: DiffusionDesign,
         v2_pass()
         h_pass()
         eig_pass()
-        # |x|^2 added as (x1^2 + x3^2) + x2^2, the order in which einsum sums
-        # a row of three, so the gains keep the bits of the einsum formulation.
-        add(q1, y, r2)
-        add(r2, q2, r2)
         multiply(lam1, lam1, b1v)        # k1 lam1^2 |x|^2
         multiply(b1v, k1, b1v)
-        multiply(b1v, r2, b1v)
+        multiply(b1v, norm_sq, b1v)
         multiply(lam2, lam2, b2v)        # k2 lam2^2 |x|^2 x3
         multiply(b2v, k2, b2v)
-        multiply(b2v, r2, b2v)
+        multiply(b2v, norm_sq, b2v)
         multiply(b2v, x3, b2v)
         multiply(b1, b1v, s1)
         multiply(b2, b2v, s2)
@@ -320,22 +316,14 @@ def _bind_loop(block: np.ndarray, p: SystemParams, d: DiffusionDesign,
         add(s3, t, s3)
         multiply(third, b1v, ito)
         multiply(ito, b2v, ito)
-        # (s1 (h11 s1 + 2 (h12 s2 + h13 s3)) + s2 (h22 s2 + (2 h23) s3)) + (h33 s3) s3
-        multiply(h12, s2, quad)
-        multiply(h13, s3, t)
+        # sigma^T Hess(v2) sigma = B^T H B, as B1 (H11 B1 + 2 (H12 B2)) + (H22 B2) B2
+        multiply(k11, b1v, quad)
+        multiply(k12, b2v, t)
+        multiply(t, _TWO, t)
         add(quad, t, quad)
-        multiply(quad, _TWO, quad)
-        multiply(h11, s1, t)
-        add(quad, t, quad)
-        multiply(quad, s1, quad)
-        multiply(_TWO, h23, t)
-        multiply(t, s3, t)
-        multiply(h22, s2, u)
-        add(t, u, t)
-        multiply(t, s2, t)
-        add(quad, t, quad)
-        multiply(h33, s3, t)
-        multiply(t, s3, t)
+        multiply(quad, b1v, quad)
+        multiply(k22, b2v, t)
+        multiply(t, b2v, t)
         add(quad, t, quad)
         multiply(d3, ito, f_term)
         multiply(quad, _HALF, quad)

@@ -41,76 +41,52 @@ class ConfigError(ValueError):
     """Bad configuration value, unknown key, or unreadable config file."""
 
 
-# Schema entries are key -> (kind, default).  The common block applies to
-# every subcommand; x0 lives in the per-command blocks because simulate wants
-# a state triple while wong-zakai wants a scalar.
+# Schema entries are key -> (kind, default, flag help).  The common block
+# applies to every subcommand; x0 lives in the per-command blocks because
+# simulate wants a state triple while wong-zakai wants a scalar.
 COMMON_SCHEMA = {
-    "seed": ("int", 1),
-    "out": ("str", "."),
-    "b1": ("float", 1.0),
-    "b2": ("float", 1.0),
-    "b3": ("float", 4.0),
-    "b4": ("float", 4.0),
-    "k1": ("float", 1e-4),
-    "k2": ("float", 1e-4),
+    "seed": ("int", 1, "master seed for all randomness"),
+    "out": ("str", ".", "output directory (created if missing)"),
+    "b1": ("float", 1.0, "plant parameter b1"),
+    "b2": ("float", 1.0, "plant parameter b2"),
+    "b3": ("float", 4.0, "plant parameter b3"),
+    "b4": ("float", 4.0, "plant parameter b4"),
+    "k1": ("float", 1e-4, "diffusion gain k1"),
+    "k2": ("float", 1e-4, "diffusion gain k2"),
 }
 
 SUBCOMMAND_SCHEMA = {
     "simulate": {
-        "x0": ("floats3", (0.0, 0.0, 1.0)),
-        "dt": ("float", 1e-3),
-        "horizon": ("float", 50.0),
-        "n_paths": ("int", 200),
-        "eps": ("float", 5.0),
-        "conv_threshold": ("float", 0.1),
-        "m_level": ("optfloat", None),
-        "thin": ("int", 100),
+        "x0": ("floats3", (0.0, 0.0, 1.0), "initial state v1,v2,v3"),
+        "dt": ("float", 1e-3, "integration step"),
+        "horizon": ("float", 50.0, "time horizon"),
+        "n_paths": ("int", 200, "ensemble size"),
+        "eps": ("float", 5.0, "tube radius for the sup-norm exceedance estimate"),
+        "conv_threshold": ("float", 0.1, "terminal norm below which a path counts as converged"),
+        "m_level": ("optfloat", None, "level for the running-max exceedance (default 10 * V2(x0))"),
+        "thin": ("int", 100, "record every k-th step in trajectory CSVs"),
     },
     "scan-lv": {
-        "grid_count": ("int", 41),
-        "grid_extent": ("float", 2.0),
-        "exclude_radius": ("float", 1e-3),
+        "grid_count": ("int", 41, "points per grid axis"),
+        "grid_extent": ("float", 2.0, "grid covers [-extent, extent] per axis"),
+        "exclude_radius": ("float", 1e-3, "radius of the excluded ball around the origin"),
     },
     "check-design": {
-        "grid_count": ("int", 41),
-        "grid_extent": ("float", 2.0),
-        "n_dirs": ("int", 1000),
-        "sabotage_b1": ("bool", False),
+        "grid_count": ("int", 41, "points per grid axis"),
+        "grid_extent": ("float", 2.0, "grid covers [-extent, extent] per axis"),
+        "n_dirs": ("int", 1000, "random directions per radius in the control scan"),
+        "sabotage_b1": ("bool", False, "replace B1 with the constant 1 (negative control)"),
     },
     "wong-zakai": {
-        "x0": ("float", 1.0),
-        "horizon": ("float", 1.0),
-        "meshes": ("ints", (16, 64, 256, 1024)),
-        "n_real": ("int", 100),
+        "x0": ("float", 1.0, "scalar initial state"),
+        "horizon": ("float", 1.0, "time horizon"),
+        "meshes": ("ints", (16, 64, 256, 1024), "comma-separated piecewise-linear mesh sizes"),
+        "n_real": ("int", 100, "number of noise realizations"),
     },
     "controllability": {
-        "n_points": ("int", 100),
-        "extent": ("float", 5.0),
+        "n_points": ("int", 100, "number of random sample states"),
+        "extent": ("float", 5.0, "sample states drawn from [-extent, extent]^3"),
     },
-}
-
-FLAG_HELP = {
-    "seed": "master seed for all randomness",
-    "out": "output directory (created if missing)",
-    "b1": "plant parameter b1", "b2": "plant parameter b2",
-    "b3": "plant parameter b3", "b4": "plant parameter b4",
-    "k1": "diffusion gain k1", "k2": "diffusion gain k2",
-    "x0": "initial state (v1,v2,v3 for simulate; scalar for wong-zakai)",
-    "dt": "integration step", "horizon": "time horizon",
-    "n_paths": "ensemble size",
-    "eps": "tube radius for the sup-norm exceedance estimate",
-    "conv_threshold": "terminal norm below which a path counts as converged",
-    "m_level": "level for the running-max exceedance (default 10 * V2(x0))",
-    "thin": "record every k-th step in trajectory CSVs",
-    "grid_count": "points per grid axis",
-    "grid_extent": "grid covers [-extent, extent] per axis",
-    "exclude_radius": "radius of the excluded ball around the origin",
-    "n_dirs": "random directions per radius in the control scan",
-    "sabotage_b1": "replace B1 with the constant 1 (negative control)",
-    "meshes": "comma-separated piecewise-linear mesh sizes",
-    "n_real": "number of noise realizations",
-    "n_points": "number of random sample states",
-    "extent": "sample states drawn from [-extent, extent]^3",
 }
 
 
@@ -166,7 +142,7 @@ def load_config_file(path: str) -> dict:
 def resolve_config(command: str, args: argparse.Namespace) -> dict:
     schema = dict(COMMON_SCHEMA)
     schema.update(SUBCOMMAND_SCHEMA[command])
-    cfg = {key: default for key, (_, default) in schema.items()}
+    cfg = {key: default for key, (_, default, _) in schema.items()}
     if args.config is not None:
         for key, text in load_config_file(args.config).items():
             if key not in schema:
@@ -361,7 +337,7 @@ def cmd_check_design(cfg: dict, out: str, hdr: list) -> int:
     sc_ok = None
     if rep.passed:
         sc = small_control_scan(closed_loop(p, d), cfg["n_dirs"], cfg["seed"])
-        sc_ok = sc.non_increasing and sc.max_control[-1] < 1e-4
+        sc_ok = sc.holds
         items.append(("small_control_radii", _fmt(sc.radii)))
         items.append(("small_control_max", _fmt(tuple(sc.max_control))))
         items.append(("small_control", "PASS" if sc_ok else "FAIL"))
@@ -450,14 +426,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(command, help=f"run the {command} experiment")
         sp.add_argument("--config", default=None, metavar="PATH",
                         help="flat key = value config file (flags win)")
-        for key in {**COMMON_SCHEMA, **extra}:
+        for key, (kind, _, text) in {**COMMON_SCHEMA, **extra}.items():
             flag = "--" + key.replace("_", "-")
-            if key == "sabotage_b1":
+            if kind == "bool":
                 sp.add_argument(flag, action="store_const", const="true",
-                                default=None, help=FLAG_HELP[key])
+                                default=None, help=text)
             else:
-                sp.add_argument(flag, default=None, metavar="V",
-                                help=FLAG_HELP[key])
+                sp.add_argument(flag, default=None, metavar="V", help=text)
     return parser
 
 

@@ -88,19 +88,18 @@ class _V2Columns(NamedTuple):
     norm_sq: np.ndarray     # |x|^2, summed as (x1^2 + x2^2) + x3^2
     grad: tuple             # (d1, d2, d3)
     hess: tuple             # (h11, h12, h13, h22, h23, h33)
-    squares: tuple          # (x1^2, x2^2, x3^2)
 
 
-# Rows of a workspace that a v2 pass fills: the 14 columns of its result
-# first, then 15 of scratch, which are free again once it returns.
-_V2_OUT = 14
-_V2_ROWS = _V2_OUT + 15
+# Rows of a workspace that a v2 pass fills: the 11 columns of its result
+# first, then 18 of scratch, which are free again once it returns.
+_V2_OUT = 11
+_V2_ROWS = _V2_OUT + 18
 
 
 def _v2_views(ws: _Workspace) -> _V2Columns:
     """The first ``_V2_OUT`` rows of ``ws``, which a v2 pass returns."""
     r = ws.rows
-    return _V2Columns(r[0], r[1], r[2:5], r[5:11], r[11:14])
+    return _V2Columns(r[0], r[1], r[2:5], r[5:11])
 
 
 def _bind_v2(ws: _Workspace, x1, x2, x3) -> Callable[[], _V2Columns]:
@@ -119,9 +118,9 @@ def _bind_v2(ws: _Workspace, x1, x2, x3) -> Callable[[], _V2Columns]:
     :func:`v2_hessian`), patched only when some row has one.
     """
     v = _v2_views(ws)
-    value, norm_sq, (d1, d2, d3), (h11, h12, h13, h22, h23, h33), (q1, q2, y) = v
-    (big_x, a, p, two_y, h_axis, a_safe, log_a, a_p, a_pm1, two_p, planar,
-     axial, rank1, cross, t) = ws.rows[_V2_OUT:_V2_ROWS]
+    value, norm_sq, (d1, d2, d3), (h11, h12, h13, h22, h23, h33) = v
+    (q1, q2, y, big_x, a, p, two_y, h_axis, a_safe, log_a, a_p, a_pm1, two_p,
+     planar, axial, rank1, cross, t) = ws.rows[_V2_OUT:_V2_ROWS]
     small, axis_y = ws.masks
     off_diagonal = (h12, h13, h23)
 

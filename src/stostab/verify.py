@@ -590,6 +590,12 @@ class SmallControlReport:
     def non_increasing(self) -> bool:
         return bool(np.all(np.diff(self.max_control) <= 0.0))
 
+    @property
+    def holds(self) -> bool:
+        """The small-control property: max ||u_s|| does not grow as the radius
+        shrinks, and on the smallest sphere it is below that radius."""
+        return self.non_increasing and bool(self.max_control[-1] < self.radii[-1])
+
 
 def small_control_scan(cl: ClosedLoop, n_dirs: int, seed: int) -> SmallControlReport:
     """Evaluate max ||u_s|| on spheres of the radii ``brockett.CONTINUITY_RADII``.

@@ -11,7 +11,9 @@ formulas, so a wrong closed form in the package shows as a mismatch:
 * B = (k1 lam1^2 |x|^2, k2 lam2^2 |x|^2 x3), sigma = g B and d sigma/dx;
 * the pre-feedback v_i = -(d sigma_i/dx . sigma) / (2 b_i) and the
   randomized drift g v + (1/2)(d sigma/dx) sigma, assembled term by term
-  rather than in the package's grouped form.
+  rather than in the package's grouped form;
+* F = (1/2) sigma^T Hess(v2) sigma + (dv2/dx3) drift_3, summed over the
+  full 3x3 form rather than the package's B^T H B.
 
 The design is compiled in two stages to keep the expressions small: the
 Hessian entries of v2 and their x-derivatives are exact expressions in x,
@@ -136,3 +138,29 @@ def design(p, d, x):
     return {"b": out[:, :2], "sigma": out[:, 2:5],
             "dsigma": out[:, 5:14].reshape(-1, 3, 3), "v": out[:, 14:16],
             "drift": out[:, 16:19]}
+
+
+def f_term(p, d, x):
+    """Exact F = (1/2) sigma^T Hess(v2) sigma + (dv2/dx3) drift_3 of plant
+    ``p`` and gains ``d`` at states (n, 3), and its magnitude sum
+    S = (1/2) sum_ij |sigma_i Hess_ij sigma_j| + |(dv2/dx3) drift_3|.
+
+    Every term is taken from the stages above at ``DIGITS`` digits, and F
+    and S are each rounded to double once; returns two float arrays (n,).
+    """
+    stage2 = _design_fns()[1]
+    f, s = [], []
+    with mpmath.workdps(DIGITS):
+        consts = [mpmath.mpf(c) for c in (p.b1, p.b2, p.b3, p.b4, d.k1, d.k2)]
+        for row in _states(x):
+            xs = [mpmath.mpf(v) for v in row]
+            h_and_dh = _stage1_row(*row)
+            out = stage2(*xs, *consts, *h_and_dh)
+            hess = h_and_dh[:6]
+            sig = out[2:5]
+            drift_term = _v2_fn()(*xs)[2] * out[18]
+            terms = [sig[i] * hess[_UPPER.index((min(i, j), max(i, j)))] * sig[j]
+                     for i in range(3) for j in range(3)]
+            f.append(float(sum(terms) / 2 + drift_term))
+            s.append(float(sum(map(abs, terms)) / 2 + abs(drift_term)))
+    return np.array(f), np.array(s)

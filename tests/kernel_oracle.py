@@ -3,9 +3,11 @@
 ``loop_columns``, ``_v2_columns``, ``_h_entries``, ``_eigs``,
 ``_sontag_factor`` and ``_drift_third`` are kept verbatim as they were
 before the kernel computed into a reused workspace: every temporary a fresh
-array, every constant a Python float, and the gains' |x|^2 squaring the
-coordinates again.  The workspace kernel in ``stostab.brockett`` must
-reproduce every field of its ``LoopColumns`` bit for bit.
+array and every constant a Python float.  Two lines have since followed
+the kernel's formulas: the gains read v2's |x|^2, and F's quadratic form
+sigma^T Hess(v2) sigma is B^T H B from the entries of H.  The workspace
+kernel in ``stostab.brockett`` must reproduce every field of its
+``LoopColumns`` bit for bit.
 """
 
 from typing import NamedTuple
@@ -108,19 +110,17 @@ def loop_columns(p, d, x1, x2, x3) -> LoopColumns:
     """The closed loop at states given as coordinate columns, one pass."""
     v = _v2_columns(x1, x2, x3)
     d1, d2, d3 = v.grad
-    h11, h12, h13, h22, h23, h33 = v.hess
     # (c, e) is the third row of g; the first two rows are diag(b1, b2).
     c, e = p.b3 * x2, -p.b4 * x1
-    lam1, lam2 = _eigs(*_h_entries(p, c, e, v.hess))
-    # |x|^2 added as (x1^2 + x3^2) + x2^2, the order in which einsum sums a
-    # row of three, so the gains keep the bits of the einsum formulation.
-    r2 = x1 * x1 + x3 * x3 + x2 * x2
+    k11, k12, k22 = _h_entries(p, c, e, v.hess)
+    lam1, lam2 = _eigs(k11, k12, k22)
+    r2 = v.norm_sq
     b1v = d.k1 * lam1 ** 2 * r2
     b2v = d.k2 * lam2 ** 2 * r2 * x3
     s1, s2, s3 = p.b1 * b1v, p.b2 * b2v, c * b1v + e * b2v
     f3 = _drift_third(p, b1v, b2v)
-    quad = (s1 * (h11 * s1 + 2.0 * (h12 * s2 + h13 * s3))
-            + s2 * (h22 * s2 + 2.0 * h23 * s3) + h33 * s3 * s3)
+    # sigma^T Hess(v2) sigma = B^T H B, since sigma = g B
+    quad = b1v * (k11 * b1v + k12 * b2v * 2.0) + k22 * b2v * b2v
     f_term = d3 * f3 + 0.5 * quad
     lg1 = p.b1 * d1 + c * d3
     lg2 = p.b2 * d2 + e * d3

@@ -289,6 +289,32 @@ def test_closed_loop_matches_einsum_oracle(p, d):
     assert np.all(cl.control(pts[-4:-1]) == 0.0)
 
 
+def _f_states(rng, n):
+    """n states: a quarter in the cube |x_i| <= 2, a quarter each within
+    1e-3 and 1e-6 of the x1 = x2 = 0 axis (|x3| <= 2), the rest in the
+    ball of radius 0.1."""
+    k = n // 4
+    near = [rng.uniform(-1.0, 1.0, (k, 3)) * [w, w, 2.0] for w in (1e-3, 1e-6)]
+    ball = rng.standard_normal((n - 3 * k, 3))
+    ball /= np.linalg.norm(ball, axis=1, keepdims=True)
+    ball *= 0.1 * rng.uniform(0.0, 1.0, (len(ball), 1)) ** (1 / 3)
+    return np.vstack([rng.uniform(-2.0, 2.0, (k, 3)), *near, ball])
+
+
+@pytest.mark.parametrize("plant, k", [((1, 1, 4, 4), 1e-4), ((1, 1, 1, 4), 1e-4),
+                                      ((2, -1, 1, 1), 0.3)])
+def test_f_term_matches_the_exact_oracle(plant, k):
+    # F = (1/2) B^T H B + (dv2/dx3) ito against the full 3x3 form at 40
+    # digits, relative to F's magnitude sum S.  Near the axis the rounding
+    # of Hess(v2)'s own entries dominates: 1.0e-13 S here, and up to 5e-13 S
+    # on other draws of these sets.
+    p, d = SystemParams(*plant), DiffusionDesign(k, k)
+    pts = _f_states(np.random.default_rng(16), 150)
+    want, size = exact_oracle.f_term(p, d, pts)
+    got = loop_columns(p, d, *pts.T).f_term
+    assert np.all(np.abs(got - want) <= 1e-12 * size)
+
+
 def test_loop_terms_views_agree():
     # every view of the one-pass kernel gives the kernel's bits
     pts = np.random.default_rng(14).uniform(-2, 2, (100, 3))

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stostab import (DiffusionDesign, LoopColumns, SystemParams, brockett,
-                     closed_loop, loop_columns, sigma)
-from stostab.lyapunov import X_GUARD
+                     closed_loop, loop_columns, lyapunov, sigma)
+from stostab.lyapunov import G_ZERO, X_GUARD
 
 import kernel_oracle
 
@@ -240,3 +240,29 @@ def test_the_lookup_check_sees_the_pass_and_the_loop_only():
                    "        mul(x, np.pi, x)\n"
                    "    return run\n").body[0]
     assert _np_lookups(fn) == [4, 6]
+
+
+def test_a_loop_pass_makes_at_most_148_numpy_calls(monkeypatch):
+    # ensemble-narrow (200 paths) is dispatch-bound: these calls are most of
+    # each Euler-Maruyama step's time, so a pass that grows by a contraction
+    # or a sum shows there first.  The passes look their numpy names up as
+    # module globals at call time, so patching the modules counts them all.
+    p, d = SystemParams(1.0, 1.0, 4.0, 4.0), DiffusionDesign(1e-4, 1e-4)
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, (3, 200))
+    run = brockett._bind_loop(np.empty((brockett._N_ROWS, 200)), p, d, *x)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for module in (brockett, lyapunov):
+        for name, obj in list(vars(module).items()):
+            if getattr(np, name, None) is obj:
+                monkeypatch.setattr(module, name, counted(name, obj))
+    t = run()
+    # rows on neither branch: no X < X_GUARD patch, no G <= G_ZERO
+    assert np.all(x[0] ** 2 + x[1] ** 2 >= X_GUARD) and np.all(t.g_term > G_ZERO)
+    assert calls["multiply"] > 0 and sum(calls.values()) <= 148, calls

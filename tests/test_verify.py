@@ -18,7 +18,7 @@ from stostab import (CONTINUITY_RADII, DiffusionDesign, SdeSystem, SystemParams,
                      closed_loop, euler_maruyama, g_matrix, grid_points,
                      StabilityReport, heun_stratonovich, mc_stability, ode_drive,
                      piecewise_linear_lift, sample_wiener,
-                     scan_generator, sclf_condition_check, sigma,
+                     scan_generator, sclf_condition_check, sigma, SmallControlReport,
                      small_control_scan, strong_order_estimate, v2_gradient,
                      wilson_interval, wong_zakai_experiment, write_scan_csv,
                      write_summary)
@@ -782,10 +782,21 @@ def test_mc_rejects_x0_of_the_wrong_shape(x0):
 def test_small_control_scan_decays():
     cl = closed_loop(P44, D4)
     rep = small_control_scan(cl, n_dirs=100, seed=1)
-    assert rep.non_increasing
-    assert rep.max_control[-1] < 1e-4
+    assert rep.holds
     assert rep.max_control[0] > rep.max_control[-1]
     assert rep.radii == (1e-1, 1e-2, 1e-3, 1e-4)
+
+
+@pytest.mark.parametrize("max_control, holds", [
+    ((0.1, 1e-2, 1e-3, 0.9e-4), True),
+    ((0.1, 1e-2, 1e-3, 1e-4), False),        # the last maximum equals its radius
+    ((0.1, 1e-2, 1e-3, 2e-4), False),        # ... or exceeds it
+    ((0.1, 1e-2, 1e-2, 0.9e-4), True),       # equal neighbours do not increase
+    ((0.1, 1e-3, 1e-2, 0.9e-4), False),      # an increase before the last radius
+])
+def test_small_control_holds_only_when_it_decays_below_the_last_radius(max_control, holds):
+    rep = SmallControlReport((1e-1, 1e-2, 1e-3, 1e-4), np.array(max_control), 4, 0)
+    assert rep.holds is holds
 
 
 def formula_deviations(p, d, ax) -> tuple:
