@@ -88,25 +88,30 @@ def g_matrix(p: SystemParams, x) -> np.ndarray:
     return g
 
 
-def controllability_rank(p: SystemParams, x) -> int:
-    """Numerical rank of [g1, g2, [g1, g2]] at a single point.
+def _states(points) -> np.ndarray:
+    """``points`` as float states, raising ValueError unless of shape (N, 3)."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
+    return pts
+
+
+def controllability_rank(p: SystemParams, points) -> np.ndarray:
+    """Numerical ranks of [g1, g2, [g1, g2]] at an (N, 3) array of states.
 
     The Lie bracket [g1, g2] = (dg2/dx) g1 - (dg1/dx) g2 evaluates to the
     constant column (0, 0, -(b1 b4 + b2 b3)).  Each column, nonzero for
     every plant, is scaled to unit norm: that leaves the rank as it is, and
     keeps the constant bracket from falling under the tolerance beside g1
     and g2, which grow with |x|.  Rank uses SVD with tolerance 1e-10 times
-    the spectral norm.
+    the spectral norm, one batched call for all the states.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        raise ValueError("controllability_rank takes a single state")
-    g = g_matrix(p, x)
-    bracket = np.array([0.0, 0.0, -(p.b1 * p.b4 + p.b2 * p.b3)])
-    m = np.column_stack([g[:, 0], g[:, 1], bracket])
-    m /= np.linalg.norm(m, axis=0)
-    tol = 1e-10 * np.linalg.norm(m, 2)
-    return int(np.linalg.matrix_rank(m, tol=tol))
+    g = g_matrix(p, _states(points))
+    bracket = np.broadcast_to([0.0, 0.0, -(p.b1 * p.b4 + p.b2 * p.b3)], g.shape[:-1])
+    m = np.concatenate([g, bracket[..., None]], axis=-1)
+    m /= np.linalg.norm(m, axis=-2, keepdims=True)
+    tol = 1e-10 * np.linalg.norm(m, 2, axis=(-2, -1))
+    return np.linalg.matrix_rank(m, tol=tol)
 
 
 def _plant(p: SystemParams) -> tuple:
@@ -446,14 +451,6 @@ def _not_finite(n_bad: int) -> str:
     return f", not finite at {n_bad} points" if n_bad else ""
 
 
-def _states(points) -> np.ndarray:
-    """``points`` as float states, raising ValueError unless of shape (N, 3)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
-    return pts
-
-
 # A state too large for float arithmetic gives a NaN or infinite gain, which
 # fails its condition.
 @np.errstate(over="ignore", invalid="ignore")
@@ -464,7 +461,7 @@ def check_design_conditions(p: SystemParams, d: DiffusionDesign, points,
     ``points``, an (N, 3) array of states, feeds the sign condition, and
     its third coordinates the axis samples of the nonvanishing check.
     ``b_fn`` (default: the eigenvalue-scaled design) maps states to (B1, B2),
-    so stub designs get the same report.  A sign expression or axis gain
+    row by row, so stub designs get the same report.  A sign expression or axis gain
     that is not finite fails its condition, and the detail counts them.
     """
     if b_fn is None:
@@ -502,20 +499,19 @@ def check_design_conditions(p: SystemParams, d: DiffusionDesign, points,
                                 f"min |B2| = {np.abs(b2m).min():.3g} on the axis"
                                 + _not_finite(n_bad))
 
+    # the rings of every radius are one block and their x3 = 0 shadows another:
+    # a state's gains do not depend on the states stacked beside it
     angles = 2.0 * np.pi * np.arange(N_ANGLES) / N_ANGLES
-    c1_seq = []
-    c2_seq = []
-    for r in CONTINUITY_RADII:
-        ring = np.stack([r * np.cos(angles), r * np.sin(angles),
-                         np.full(N_ANGLES, r)], axis=-1)
-        b1r, b2r = b_fn(ring)
-        c1_seq.append(float(np.abs(b1r * b2r * ring[:, 2]).max()))
-        flat = ring.copy()
-        flat[:, 2] = 0.0
-        b1f, b2f = b_fn(flat)
-        num = p.b1 ** 2 * b1f ** 2 + p.b2 ** 2 * b2f ** 2
-        den = p.b1 ** 2 * flat[:, 0] ** 2 + p.b2 ** 2 * flat[:, 1] ** 2
-        c2_seq.append(float((num / den).max()))
+    unit = np.stack([np.cos(angles), np.sin(angles), np.ones(N_ANGLES)], axis=-1)
+    ring = np.multiply.outer(CONTINUITY_RADII, unit).reshape(-1, 3)
+    flat = ring * (1.0, 1.0, 0.0)
+    b1r, b2r = b_fn(ring)
+    b1f, b2f = b_fn(flat)
+    num = p.b1 ** 2 * b1f ** 2 + p.b2 ** 2 * b2f ** 2
+    den = p.b1 ** 2 * flat[:, 0] ** 2 + p.b2 ** 2 * flat[:, 1] ** 2
+    by_radius = (len(CONTINUITY_RADII), N_ANGLES)
+    c1_seq = np.abs(b1r * b2r * ring[:, 2]).reshape(by_radius).max(axis=1).tolist()
+    c2_seq = (num / den).reshape(by_radius).max(axis=1).tolist()
     conditions["continuous1"] = _nonincreasing(c1_seq) and c1_seq[-1] < 1e-6
     details["continuous1"] = "max |B1 B2 x3| by radius: " + \
         ", ".join(f"{v:.3g}" for v in c1_seq)

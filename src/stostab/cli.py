@@ -389,7 +389,7 @@ def cmd_controllability(cfg: dict, out: str, hdr: list) -> int:
     rng = np.random.default_rng(cfg["seed"])
     pts = rng.uniform(-cfg["extent"], cfg["extent"], (cfg["n_points"], 3))
     pts = np.vstack([np.zeros(3), pts])
-    ranks = np.array([controllability_rank(p, pt) for pt in pts])
+    ranks = controllability_rank(p, pts)
     write_summary(os.path.join(out, "summary.txt"), [
         ("n_points", len(pts)),
         ("min_rank", int(ranks.min())),
@@ -455,9 +455,6 @@ def main(argv=None) -> int:
     hdr = header_lines(args.command, cfg)
     try:
         return DISPATCH[args.command](cfg, out, hdr)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except IntegrationDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -124,7 +124,7 @@ class WienerPath:
         return np.diff(self.values, axis=-1)
 
     def coarsen(self, factor: int) -> "WienerPath":
-        """Keep every ``factor``-th sample.
+        """Keep every ``factor``-th sample, as a strided view of ``values``.
 
         The coarse increments are sums of the fine ones, so both paths
         describe the same underlying realization; convergence studies use
@@ -134,7 +134,7 @@ class WienerPath:
             raise ValueError(f"factor must be a positive integer, got {factor}")
         if (self.values.shape[-1] - 1) % factor != 0:
             raise ValueError("factor must divide the number of increments")
-        return WienerPath(self.dt * factor, self.values[..., ::factor].copy())
+        return WienerPath(self.dt * factor, self.values[..., ::factor])
 
 
 # numpy's SeedSequence hash (O'Neill's seed_seq_fe, numpy/random/bit_generator.pyx)
@@ -199,6 +199,11 @@ def seed_states(seeds: np.ndarray) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _seed_array(seeds) -> np.ndarray:
     """``seeds`` as a 1-d uint64 array; a bool, float, negative or >= 2**64 seed is an error."""
     if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
@@ -207,8 +212,7 @@ def _seed_array(seeds) -> np.ndarray:
             raise ValueError(f"seed {negative[0]!r} is not an integer in [0, 2**64)")
         return seeds.astype(np.uint64, copy=False)
     for s in seeds:
-        if (isinstance(s, (bool, np.bool_)) or not isinstance(s, (int, np.integer))
-                or not 0 <= int(s) < 2**64):
+        if not (_is_int(s) and 0 <= int(s) < 2**64):
             raise ValueError(f"seed {s!r} is not an integer in [0, 2**64)")
     return np.array(seeds, dtype=np.uint64)
 

@@ -24,8 +24,8 @@ import numpy as np
 from . import brockett
 from .brockett import ClosedLoop, DiffusionDesign, SystemParams
 from .sde import (ITO, NORM_SQ_BOUND, STRATONOVICH, SdeSystem, _em_step,
-                  _failure_text, _final_state, _initial_state, _rk4_step,
-                  _run_shares, _step_count, piecewise_linear_lift,
+                  _failure_text, _final_state, _initial_state, _is_int, _rk4_step,
+                  _run_shares, _share_bounds, _step_count, piecewise_linear_lift,
                   sample_wiener, wiener_increments, write_csv, write_header)
 
 
@@ -34,26 +34,6 @@ from .sde import (ITO, NORM_SQ_BOUND, STRATONOVICH, SdeSystem, _em_step,
 # of the run that steps it, 2 * (n_steps + 1) samples; a Wong-Zakai row its
 # fine path alone (its lifts are views, its runs keep only the final state).
 _BLOCK_SAMPLES = 1 << 18
-
-
-def _path_blocks(n_paths: int, row_samples: int):
-    """Consecutive slices covering range(n_paths) in the fewest blocks.
-
-    ``row_samples`` is what one path holds while its block runs.  Each block
-    holds at most _BLOCK_SAMPLES // row_samples paths (at least one), and
-    block sizes differ by at most one, larger blocks first, so no short tail
-    block pays for a whole pass of the integrator.
-    """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be positive, got {n_paths}")
-    cap = max(1, _BLOCK_SAMPLES // row_samples)
-    n_blocks = -(-n_paths // cap)
-    size, extra = divmod(n_paths, n_blocks)
-    lo = 0
-    for b in range(n_blocks):
-        hi = lo + size + (b < extra)
-        yield slice(lo, hi)
-        lo = hi
 
 
 def path_seeds(master_seed: int, n: int) -> np.ndarray:
@@ -249,11 +229,14 @@ class StabilityReport:
         """True when every bucket's mean v2 drift is <= 0 within 2 stderr.
 
         Only buckets with more than one sample have a stderr; with none of
-        them there is no evidence either way, and the answer is False.
+        them there is no evidence either way, and the answer is False.  So
+        it is when such a bucket's mean or stderr is not finite: its sums
+        overflowed, and an infinite stderr would excuse any mean.
         """
         ok = self.bucket_counts > 1
-        return bool(ok.any() and np.all(self.bucket_mean_drift[ok]
-                                         <= 2.0 * self.bucket_stderr[ok]))
+        mean, se = self.bucket_mean_drift[ok], self.bucket_stderr[ok]
+        return bool(ok.any() and np.isfinite(mean).all() and np.isfinite(se).all()
+                    and np.all(mean <= 2.0 * se))
 
 
 # Equal-width time buckets of the v2 drift statistics.
@@ -279,17 +262,21 @@ SHARE_MIN_EVALUATIONS = 1024
 def _run_levels(seeds, dt, horizon, row_samples, weights, run: Callable) -> None:
     """Run ``run(j, path, blk)`` for every level j on every block of paths.
 
-    The one block loop of the strong-order and Wong-Zakai experiments.  This
-    process draws the Wiener path, at ``dt`` to ``horizon``, of each
-    :func:`_path_blocks` slice ``blk`` of ``seeds`` (a path holds
-    ``row_samples``); :func:`_run_shares` splits the levels, weighted by
-    their drift evaluations, into shares of at least
+    The one block loop of the strong-order and Wong-Zakai experiments.  A
+    path holds ``row_samples`` while its block runs, so a block holds at
+    most _BLOCK_SAMPLES // row_samples paths (at least one).  The blocks
+    ``blk`` of ``seeds`` are the fewest such, split by :func:`_share_bounds`
+    into sizes that differ by at most one, so no short tail block pays for
+    a whole pass of the integrator.  This process draws each block's Wiener
+    path, at ``dt`` to ``horizon``; :func:`_run_shares` splits the levels,
+    weighted by their drift evaluations, into shares of at least
     ``SHARE_MIN_EVALUATIONS``, runs the first here and forks the others.
     ``run`` writes its rows into a shared mapping, so the results are the
     same bit for bit for any number of shares; a failed level raises what
     running every level here, in order, would raise first.
     """
-    for blk in _path_blocks(len(seeds), row_samples):
+    n, cap = len(seeds), max(1, _BLOCK_SAMPLES // row_samples)
+    for blk in [slice(*b) for b in _share_bounds(np.ones(n, np.int64), -(-n // cap))]:
         path = sample_wiener(dt, horizon, seeds[blk])
 
         def run_share(lo, hi):
@@ -342,6 +329,8 @@ def _drift_buckets(z: np.ndarray, death: np.ndarray) -> tuple:
     mean[nz] = bsum[nz] / count[nz]
     multi = count > 1
     var = np.maximum(bsumsq[multi] / count[multi] - mean[multi] ** 2, 0.0)
+    # an overflowed sum of squares gives inf - inf = NaN above
+    var[np.isinf(bsumsq[multi])] = np.inf
     se[multi] = np.sqrt(var / count[multi])
     return mean, se, count
 
@@ -430,11 +419,6 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
 
     out["terminal"][:] = x.T
     out["v2"][:] = v2_prev
-
-
-def _is_int(value) -> bool:
-    """True for a Python or numpy integer that is not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _ensemble_plan(x0, dt: float, horizon: float, n_paths: int, eps: float,
@@ -608,11 +592,11 @@ def small_control_scan(cl: ClosedLoop, n_dirs: int, seed: int) -> SmallControlRe
     dirs = rng.standard_normal((n_dirs, 3))
     norms = np.linalg.norm(dirs, axis=1)
     dirs /= np.where(norms > 1e-12, norms, 1.0)[:, None]
-    out = []
-    for r in radii:
-        u = brockett.loop_columns(cl.params, cl.design, *(r * dirs).T).control.T
-        out.append(float(np.linalg.norm(u, axis=1).max()))
-    return SmallControlReport(radii, np.asarray(out), n_dirs, seed)
+    # every sphere in one pass: a kernel row does not depend on the rows beside it
+    pts = np.multiply.outer(radii, dirs).reshape(-1, 3)
+    u = brockett.loop_columns(cl.params, cl.design, *pts.T).control.T
+    max_control = np.linalg.norm(u, axis=1).reshape(len(radii), n_dirs).max(axis=1)
+    return SmallControlReport(radii, max_control, n_dirs, seed)
 
 
 @dataclass(eq=False)
@@ -767,8 +751,7 @@ def strong_order_estimate(integrate: Callable, sys: SdeSystem,
 
     def run(j, fine, blk):
         ref = np.asarray(exact_terminal(x0, fine.horizon, fine.values[:, -1:]), float)
-        # factor 1 is the fine path itself; coarsen(1) would copy it
-        traj = integrate(sys, x0, fine if factors[j] == 1 else fine.coarsen(factors[j]))
+        traj = integrate(sys, x0, fine.coarsen(factors[j]))
         errs[j, blk] = np.linalg.norm(traj.terminal - ref, axis=-1)
 
     # a row holds its fine path and the state history of one integrator run

@@ -180,8 +180,7 @@ def test_criterion_10_design_gate(tmp_path):
 def test_criterion_11_controllability():
     rng = np.random.default_rng(31)
     pts = rng.uniform(-5, 5, (100, 3))
-    ranks = [controllability_rank(p, pt)
-             for p in (P44, CHAINED) for pt in pts]
+    ranks = np.concatenate([controllability_rank(p, pts) for p in (P44, CHAINED)])
     ok = all(r == 3 for r in ranks)
     report(11, f"rank 3 at {len(ranks)} sampled states for both parameter "
                f"sets", ok)

@@ -72,11 +72,21 @@ def test_g_matrix_examples():
 
 
 def test_controllability_rank_examples():
-    assert controllability_rank(P44, np.zeros(3)) == 3
-    assert controllability_rank(P44, np.array([1.0, 2.0, 3.0])) == 3
-    assert controllability_rank(CHAINED, np.array([-0.3, 0.2, 5.0])) == 3
-    with pytest.raises(ValueError):
-        controllability_rank(P44, np.zeros((2, 3)))
+    assert controllability_rank(P44, np.zeros((1, 3))).tolist() == [3]
+    assert controllability_rank(P44, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]).tolist() == [3, 3]
+    assert controllability_rank(CHAINED, [[-0.3, 0.2, 5.0]]).tolist() == [3]
+    with pytest.raises(ValueError, match=r"points must have shape \(N, 3\), got \(3,\)"):
+        controllability_rank(P44, np.zeros(3))
+
+
+@pytest.mark.parametrize("extent", [5.0, 1e9, 1e10])
+def test_controllability_rank_of_a_block_is_that_of_its_rows(extent):
+    # one batched SVD reads each state's rank as a one-row call does, also
+    # where the far states lose rank (at 1e9 and 1e10 on these plants)
+    pts = np.random.default_rng(1).uniform(-extent, extent, (100, 3))
+    for p in (P44, SystemParams(1.0, 1.0, 1.0, 4.0)):
+        ranks = controllability_rank(p, pts)
+        assert ranks.tolist() == [controllability_rank(p, pt[None])[0] for pt in pts]
 
 
 def test_h_matrix_on_axis():
@@ -359,6 +369,33 @@ def test_check_design_passes_reference_configuration():
     # both continuity sequences decay to (numerical) zero
     assert rep.c1_sequence[-1] < 1e-6
     assert rep.c2_sequence[-1] < 1e-6
+
+
+def test_check_design_makes_one_b_fn_call_per_point_set():
+    # B(0), the cloud, its axis samples, the rings of every radius and their
+    # x3 = 0 shadows: one call each.  The shells are rows of one block, so
+    # more shells (log-polar spheres, say) add rows to these calls, not
+    # calls.  The sequences are those of a call per radius, bit for bit.
+    ax = np.linspace(-2, 2, 5)
+    shapes = []
+
+    def b_fn(pts):
+        shapes.append(np.shape(pts))
+        return diffusion_b(D4, P44, pts)
+
+    rep = check_design_conditions(P44, D4, grid_points(ax, ax, ax), b_fn=b_fn)
+    assert len(shapes) <= 5
+    rings = (len(CONTINUITY_RADII) * 16, 3)
+    assert shapes[-2:] == [rings, rings]
+    angles = 2.0 * np.pi * np.arange(16) / 16
+    for r, c1, c2 in zip(CONTINUITY_RADII, rep.c1_sequence, rep.c2_sequence):
+        ring = np.stack([r * np.cos(angles), r * np.sin(angles), np.full(16, r)], axis=-1)
+        b1r, b2r = diffusion_b(D4, P44, ring)
+        assert c1 == float(np.abs(b1r * b2r * ring[:, 2]).max())
+        flat = ring.copy()
+        flat[:, 2] = 0.0
+        b1f, b2f = diffusion_b(D4, P44, flat)
+        assert c2 == float(((b1f ** 2 + b2f ** 2) / (flat[:, 0] ** 2 + flat[:, 1] ** 2)).max())
 
 
 def test_check_design_flags_constant_gain():

@@ -196,6 +196,18 @@ def test_malformed_values_rejected(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("line, error", [
+    ("sabotage_b1 = maybe", "error: bad value for 'sabotage_b1': 'maybe' (expected true or false)"),
+    ("sabotage_b1", "error: {cfg}:1: expected key = value"),
+])
+def test_malformed_config_lines_rejected(tmp_path, capsys, line, error):
+    cfg, out = tmp_path / "bad.cfg", tmp_path / "o"
+    cfg.write_text(f"{line}\n")
+    assert run_cli(["check-design", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == error.format(cfg=cfg) + "\n"
+    assert not out.exists()
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -235,7 +247,8 @@ def test_controllability_holds_far_from_the_origin(tmp_path, capsys, b3):
 
 
 def test_controllability_failure_prints_plain_floats(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "controllability_rank", lambda p, x: 2 if x.any() else 3)
+    monkeypatch.setattr(cli, "controllability_rank",
+                        lambda p, pts: np.where(pts.any(axis=1), 2, 3))
     assert run_cli(["controllability", "--n-points", "2", "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("controllability: rank 2 at (") and "np." not in err, err
@@ -322,6 +335,21 @@ def test_check_design_pass_and_sabotage(tmp_path):
     report = (sab / "design_report.txt").read_text()
     assert "brockett6 = FAIL" in report
     assert "overall = FAIL" in report
+
+
+def test_check_design_fails_on_the_small_control_scan_alone(tmp_path, capsys, monkeypatch):
+    # the design conditions pass, but the control does not decay below the
+    # smallest radius: the scan's failure alone fails the run
+    def growing(cl, n_dirs, seed):
+        return verify.SmallControlReport((1e-1, 1e-2), np.array([1e-3, 1e-1]), n_dirs, seed)
+
+    monkeypatch.setattr(cli, "small_control_scan", growing)
+    out = tmp_path / "sc"
+    assert run_cli(["check-design", "--grid-count", "5", "--out", str(out)]) == 4
+    assert capsys.readouterr().out == "check-design: FAIL (small_control)\n"
+    report = (out / "design_report.txt").read_text().splitlines()
+    assert "continuous2 = PASS" in report and "small_control = FAIL" in report
+    assert report[-2:] == ["overall = FAIL", "failed = small_control"]
 
 
 def test_check_design_fails_a_grid_the_kernel_cannot_evaluate(tmp_path, capsys):
@@ -460,6 +488,19 @@ def test_wong_zakai_validation(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_wong_zakai_growing_mse_exits_4(tmp_path, capsys, monkeypatch):
+    def growing(x0, horizon, meshes, n_real, seed):
+        return verify.WongZakaiReport(meshes, np.array([1e-3, 2e-3]), n_real, x0,
+                                      horizon, 4 * meshes[-1], seed, -0.5, 1.0)
+
+    monkeypatch.setattr(cli, "wong_zakai_experiment", growing)
+    out = tmp_path / "wz"
+    assert run_cli(["wong-zakai", "--meshes", "4,16", "--n-real", "50",
+                    "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "wong-zakai: MSE sequence is not non-increasing\n"
+    assert "mse_non_increasing = false" in (out / "summary.txt").read_text().splitlines()
+
+
 @pytest.mark.parametrize("horizon", ["1e-300", "1e-40"])
 def test_wong_zakai_all_zero_mse_is_vacuous(tmp_path, capsys, horizon):
     # over so short a horizon x0 exp(w) rounds to x0 on every path, so every
@@ -505,6 +546,20 @@ def test_all_diverged_run_makes_no_drift_claim(tmp_path, capsys):
     counts = np.loadtxt(out / "v2_drift_buckets.csv", delimiter=",",
                         skiprows=6)[:, 4]
     assert np.all(counts == 0)
+
+
+def test_an_overflowing_run_writes_no_nan_and_makes_no_drift_claim(tmp_path):
+    # 43 of the 200 paths diverge, and the squares of bucket 2's drift
+    # samples overflow: its stderr is written as inf, not the NaN of
+    # inf - inf, and a bucket that is not finite makes the verdict false
+    out = tmp_path / "ovf"
+    assert run_cli(["simulate", "--b3", "1", "--k1", "0.1", "--k2", "0.1",
+                    "--x0", "0.4,-0.3,0.8", "--horizon", "0.2", "--out", str(out)]) == 0
+    buckets = np.loadtxt(out / "v2_drift_buckets.csv", delimiter=",", skiprows=6)
+    assert not np.isnan(buckets).any()
+    assert buckets[1, 2] > 1e169 and buckets[1, 3] == np.inf
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "n_diverged = 43" in summary and "drift_nonpositive_2se = false" in summary
 
 
 def child_env():

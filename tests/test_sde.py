@@ -75,6 +75,13 @@ def test_wiener_path_validation():
         WienerPath(-1.0, np.array([0.0, 1.0]))
 
 
+def test_system_validation():
+    with pytest.raises(ValueError, match="dim must be >= 1, got 0"):
+        SdeSystem(0, ZERO, IDENT)
+    with pytest.raises(ValueError, match="unknown convention 'levy'"):
+        SdeSystem(1, ZERO, IDENT, "levy")
+
+
 def test_wiener_increments_rows_are_per_seed_paths():
     # row i is path i's own stream: a larger batch leaves earlier rows alone,
     # and sample_wiener's path is the running sum of the same row
@@ -259,6 +266,9 @@ def test_coarsen_sums_increments():
                        path.increments().reshape(-1, 2).sum(axis=1))
     assert path.coarsen(1).values is not path.values
     assert np.array_equal(path.coarsen(1).values, path.values)
+    # every level is a strided view of the fine samples, as a lift's knots are
+    assert np.shares_memory(coarse.values, path.values)
+    assert np.shares_memory(path.coarsen(1).values, path.values)
 
 
 def test_coarsen_validation():
@@ -285,6 +295,16 @@ def test_piecewise_linear_lift_interpolates():
         piecewise_linear_lift(path, 0)
 
 
+@pytest.mark.parametrize("times, values, message", [
+    ([0.0, 1.0], np.zeros((2, 3)), "equal length"),
+    ([0.0], np.zeros(1), "at least two knots"),
+    ([0.0, 1.0, 1.0], np.zeros(3), "strictly increasing"),
+])
+def test_piecewise_linear_noise_validation(times, values, message):
+    with pytest.raises(ValueError, match=message):
+        PiecewiseLinearNoise(np.array(times), values)
+
+
 def test_euler_maruyama_zero_fields_is_constant():
     sys = SdeSystem(2, ZERO, ZERO, ITO)
     path = sample_wiener(0.1, 1.0, seed=3)
@@ -304,6 +324,8 @@ def test_euler_maruyama_convention_guard():
     sys = SdeSystem(1, ZERO, IDENT, STRATONOVICH)
     with pytest.raises(ValueError):
         euler_maruyama(sys, [1.0], sample_wiener(0.1, 1.0, seed=1))
+    with pytest.raises(ValueError, match="expects a Stratonovich system"):
+        heun_stratonovich(SdeSystem(1, ZERO, IDENT, ITO), [1.0], sample_wiener(0.1, 1.0, seed=1))
 
 
 def test_euler_maruyama_divergence():
@@ -547,6 +569,8 @@ def test_trajectory_validation():
         Trajectory(np.array([0.0, 1.0]), np.zeros((3, 1)))
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="controls must align with times"):
+        Trajectory(np.array([0.0, 1.0]), np.zeros((2, 1)), np.zeros((3, 2)))
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -779,6 +803,13 @@ def test_share_bounds_of_the_convergence_experiments():
     assert sde._share_bounds(wong_zakai, 2) == [(0, 4), (4, 5)]
     assert sde._share_bounds(wong_zakai, 3) == [(0, 3), (3, 4), (4, 5)]
     assert sde._share_bounds([], 2) == [(0, 0)]
+
+
+def test_one_share_without_sched_getaffinity(monkeypatch):
+    # a platform that cannot say which CPUs the process may use runs every
+    # share here, however much work there is
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert sde._n_shares(8, 10 ** 9, 1) == 1
 
 
 def test_integration_diverged_survives_a_pickle_round_trip():

@@ -606,6 +606,27 @@ def test_drift_buckets_sum_each_step_in_path_order(n_paths, n_steps):
         assert np.all(np.abs(bsumsq - pair_sumsq) <= 1e-12 * per_bucket((z * z).sum(axis=0)))
 
 
+def test_an_overflowed_bucket_makes_no_drift_claim():
+    # the squares of 1e200 overflow, so bucket 1's variance is inf - inf:
+    # its stderr is inf, not NaN.  An inf stderr would excuse any mean, so
+    # a bucket that is not finite makes the verdict False
+    z = np.zeros((3, verify.N_BUCKETS))
+    z[:2, 1] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, se, count = verify._drift_buckets(z, np.full(3, verify.N_BUCKETS))
+    assert mean[1] == 2e200 / 3 and se[1] == np.inf
+    assert not np.delete(mean, 1).any() and not np.delete(se, 1).any()
+    rep = mc_stability(closed_loop(P44, D4), (0.0, 0.0, 1.0), 1e-3, 0.05, 2,
+                       eps=5.0, conv_threshold=0.1, m_level=20.0, seed=1)
+    rep = dataclasses.replace(rep, bucket_mean_drift=mean, bucket_stderr=se,
+                              bucket_counts=count)
+    assert not rep.drift_nonpositive_2se
+    # the report holds these arrays: bucket 1 alone decides the verdict
+    for bucket_1 in ((0.0, 0.0), (np.inf, np.inf), (np.nan, 1.0), (-1.0, np.nan)):
+        mean[1], se[1] = bucket_1
+        assert rep.drift_nonpositive_2se is bool(mean[1] == 0.0)
+
+
 def test_drift_buckets_square_the_samples_in_place():
     # the sums read the buffer where it lies and square it in place: a
     # squared copy of this (4 000, 50) buffer would take 1.6 MB
@@ -787,6 +808,27 @@ def test_small_control_scan_decays():
     assert rep.radii == (1e-1, 1e-2, 1e-3, 1e-4)
 
 
+def test_small_control_scan_makes_one_kernel_pass(monkeypatch):
+    # every sphere's states are rows of one block: more spheres add rows to
+    # the one pass, not passes.  Each maximum is that of a pass per radius.
+    cl = closed_loop(P44, D4)
+    loop_columns = verify.brockett.loop_columns
+    passes = []
+
+    def counted(p, d, x1, x2, x3):
+        passes.append(np.shape(x1))
+        return loop_columns(p, d, x1, x2, x3)
+
+    monkeypatch.setattr(verify.brockett, "loop_columns", counted)
+    rep = small_control_scan(cl, n_dirs=100, seed=1)
+    assert passes == [(len(CONTINUITY_RADII) * 100,)]
+    dirs = np.random.default_rng(1).standard_normal((100, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    for r, got in zip(CONTINUITY_RADII, rep.max_control):
+        u = loop_columns(P44, D4, *(r * dirs).T).control.T
+        assert got == float(np.linalg.norm(u, axis=1).max())
+
+
 @pytest.mark.parametrize("max_control, holds", [
     ((0.1, 1e-2, 1e-3, 0.9e-4), True),
     ((0.1, 1e-2, 1e-3, 1e-4), False),        # the last maximum equals its radius
@@ -935,8 +977,22 @@ def test_strong_order_heun_is_first_order():
     assert 0.8 <= slope <= 1.2
 
 
+def path_blocks(n_paths, row_samples):
+    # the blocks _run_levels steps n_paths paths of row_samples in, one
+    # level each; the stub draws a block's seeds for its path
+    seeds, blocks = np.arange(n_paths), []
+
+    def run(j, path, blk):
+        assert np.array_equal(path, seeds[blk])
+        blocks.append(blk)
+
+    with mock.patch.object(verify, "sample_wiener", lambda dt, horizon, seeds: seeds):
+        verify._run_levels(seeds, 1.0, 1.0, row_samples, [1], run)
+    return blocks
+
+
 def block_sizes(n_paths, row_samples):
-    return [blk.stop - blk.start for blk in verify._path_blocks(n_paths, row_samples)]
+    return [blk.stop - blk.start for blk in path_blocks(n_paths, row_samples)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -944,7 +1000,7 @@ def block_sizes(n_paths, row_samples):
        st.one_of(st.just(verify._BLOCK_SAMPLES), st.integers(1, 1 << 22)))
 def test_path_blocks_split_evenly_under_the_budget(n_paths, row_samples, budget):
     with mock.patch.object(verify, "_BLOCK_SAMPLES", budget):
-        blocks = list(verify._path_blocks(n_paths, row_samples))
+        blocks = path_blocks(n_paths, row_samples)
     cap = max(1, budget // row_samples)
     assert all(blk.step is None for blk in blocks)
     # consecutive, in order, covering every path once
@@ -960,16 +1016,20 @@ def test_path_blocks_at_the_experiment_sizes():
     # at 4096 fine steps a strong-order row holds its path and one history
     # (31 rows a block): the 200 paths of criterion 6 and 2 paths.  A
     # Wong-Zakai row holds its path alone (63 rows a block): the
-    # benchmark's 50 realizations, the 100 of criterion 5, and 200
+    # benchmark's 50 realizations, the 100 of criterion 5, and 200.  Block
+    # b ends at path (b + 1) * n // n_blocks, so the sizes alternate
     strong, wong_zakai = 2 * 4097, 4097
-    assert block_sizes(200, strong) == [29] * 4 + [28] * 3
+    assert block_sizes(200, strong) == [28, 29] * 3 + [29]
     assert block_sizes(2, strong) == [2]
     assert block_sizes(50, wong_zakai) == [50]
     assert block_sizes(100, wong_zakai) == [50, 50]
     assert block_sizes(200, wong_zakai) == [50] * 4
+    # no path count below one reaches the blocks: the experiments refuse it
     for n_paths in (0, -1):
         with pytest.raises(ValueError, match=f"n_paths must be positive, got {n_paths}"):
-            block_sizes(n_paths, wong_zakai)
+            strong_order_estimate(*EM_CASE, [1.0], 1.0, LEVELS, n_paths, 1)
+        with pytest.raises(ValueError, match="need at least 50 realizations"):
+            wong_zakai_experiment(1.0, 1.0, (4, 16), n_real=n_paths, seed=1)
 
 
 def test_wong_zakai_holds_one_block_budget(monkeypatch):
@@ -995,10 +1055,10 @@ def test_wong_zakai_holds_one_block_budget(monkeypatch):
 def test_blocked_experiments_equal_the_per_path_loops(monkeypatch):
     # 13 rows of 65 samples per block on a 64-step fine mesh: the
     # strong-order rows hold 130 samples, so 40 paths span blocks of
-    # 6/6/6/6/6/5/5, and 50 realizations span 13/13/12/12
+    # 5/6/6/5/6/6/6, and 50 realizations span 12/13/12/13
     monkeypatch.setattr(verify, "_BLOCK_SAMPLES", 65 * 13)
-    assert block_sizes(40, 2 * 65) == [6] * 5 + [5] * 2
-    assert block_sizes(50, 65) == [13, 13, 12, 12]
+    assert block_sizes(40, 2 * 65) == [5, 6, 6, 5, 6, 6, 6]
+    assert block_sizes(50, 65) == [12, 13, 12, 13]
     zero = lambda x: np.zeros_like(x)
     ident = lambda x: np.asarray(x, float)
     dts = [2.0 ** -k for k in range(3, 7)]
@@ -1029,7 +1089,7 @@ LEVELS = [2.0 ** -k for k in range(3, 7)]
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_experiment_shares_equal_the_per_path_loops(monkeypatch, cpus):
-    # in blocks of 6/6/6/6/6/5/5 paths and 13/13/12/12 realizations (as in
+    # in blocks of 5/6/6/5/6/6/6 paths and 12/13/12/13 realizations (as in
     # test_blocked_experiments_equal_the_per_path_loops), each block's runs
     # are shared out: 1, 2 or 3 shares of the 4 levels (8 + 16 + 32 | 64,
     # 8 + 16 | 32 | 64) and of the lifts and contrast (16 + 64 | 64 drift
@@ -1152,6 +1212,13 @@ def test_strong_order_validation():
         strong_order_estimate(euler_maruyama, const_sys,
                               lambda x0, T, wT: x0, [1.0], 1.0,
                               [2.0 ** -k for k in range(2, 6)], 5, 1)
+    with pytest.raises(ValueError, match="integer multiples of the smallest"):
+        strong_order_estimate(euler_maruyama, sys, lambda x0, T, wT: x0, [1.0], 1.0,
+                              [1.0, 0.4, 0.16, 0.064], 10, 1)
+    # 0.75 is 12 steps of 2**-4, which dt = 0.5, 8 of them, does not divide
+    with pytest.raises(ValueError, match="divide the horizon evenly"):
+        strong_order_estimate(euler_maruyama, sys, lambda x0, T, wT: x0, [1.0], 0.75,
+                              [2.0 ** -k for k in range(1, 5)], 10, 1)
     # no paths means no RMS error at all, not a nan slope
     dts = [2.0 ** -k for k in range(2, 6)]
     for n_paths in (0, -3):
