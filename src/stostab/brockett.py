@@ -54,8 +54,8 @@ class SystemParams:
             raise ValueError("b1 must be nonzero")
         if self.b2 == 0.0:
             raise ValueError("b2 must be nonzero")
-        if self.b1 * self.b4 + self.b2 * self.b3 == 0.0:
-            raise ValueError("b1*b4 + b2*b3 must be nonzero")
+        if not 0.0 < abs(self.b1 * self.b4 + self.b2 * self.b3) < np.inf:
+            raise ValueError("b1*b4 + b2*b3 must be nonzero and finite")
 
 
 @dataclass(frozen=True)
@@ -100,18 +100,20 @@ def controllability_rank(p: SystemParams, points) -> np.ndarray:
     """Numerical ranks of [g1, g2, [g1, g2]] at an (N, 3) array of states.
 
     The Lie bracket [g1, g2] = (dg2/dx) g1 - (dg1/dx) g2 evaluates to the
-    constant column (0, 0, -(b1 b4 + b2 b3)).  Each column, nonzero for
-    every plant, is scaled to unit norm: that leaves the rank as it is, and
-    keeps the constant bracket from falling under the tolerance beside g1
-    and g2, which grow with |x|.  Rank uses SVD with tolerance 1e-10 times
-    the spectral norm, one batched call for all the states.
+    constant column (0, 0, -(b1 b4 + b2 b3)).  Each row, then each column,
+    is divided by its largest |entry|, nonzero for every plant: that leaves
+    the rank as it is, and the constant determinant -b1 b2 (b1 b4 + b2 b3)
+    survives the scaling, so the bracket does not fall under the tolerance
+    beside g1 and g2, which grow with |x|.  A rank counts the singular values
+    above 1e-10 times the largest, from one batched SVD of all the states.
     """
     g = g_matrix(p, _states(points))
     bracket = np.broadcast_to([0.0, 0.0, -(p.b1 * p.b4 + p.b2 * p.b3)], g.shape[:-1])
     m = np.concatenate([g, bracket[..., None]], axis=-1)
-    m /= np.linalg.norm(m, axis=-2, keepdims=True)
-    tol = 1e-10 * np.linalg.norm(m, 2, axis=(-2, -1))
-    return np.linalg.matrix_rank(m, tol=tol)
+    m /= np.abs(m).max(axis=-1, keepdims=True)
+    m /= np.abs(m).max(axis=-2, keepdims=True)
+    s = np.linalg.svd(m, compute_uv=False)
+    return np.count_nonzero(s > 1e-10 * s[..., :1], axis=-1)
 
 
 def _plant(p: SystemParams) -> tuple:
@@ -393,24 +395,17 @@ def closed_loop(p: SystemParams, d: DiffusionDesign) -> ClosedLoop:
     Raises ValueError naming the violated condition when the gain map does
     not vanish at the origin or the equilibrium is not preserved exactly.
     """
-    def columns(x):
-        return loop_columns(p, d, *_columns(x))
+    def view(name):
+        return lambda x: np.moveaxis(getattr(loop_columns(p, d, *_columns(x)), name), 0, -1)
 
-    def drift(x):
-        return np.moveaxis(columns(x).drift, 0, -1)
-
-    def diffusion(x):
-        return np.moveaxis(columns(x).sigma, 0, -1)
-
-    def control(x):
-        return np.moveaxis(columns(x).control, 0, -1)
-
-    t = columns(np.zeros(3))
+    # a loop that overflows at the origin fails the check below, not with a warning
+    with np.errstate(all="ignore"):
+        t = loop_columns(p, d, *_columns(np.zeros(3)))
     if t.b1 != 0.0 or t.b2 != 0.0:
         raise ValueError("brockett6 violated: B(0) != 0 for this design")
     if t.drift.any() or t.sigma.any():
         raise ValueError("closed loop does not preserve the origin exactly")
-    return ClosedLoop(p, d, SdeSystem(3, drift, diffusion, ITO), control)
+    return ClosedLoop(p, d, SdeSystem(3, view("drift"), view("sigma"), ITO), view("control"))
 
 
 # Radii of the shrinking-circle sequences in the design report and of the
@@ -443,8 +438,9 @@ class DesignReport:
         return [name for name, ok in self.conditions.items() if not ok]
 
 
-def _nonincreasing(seq) -> bool:
-    return bool(np.all(np.diff(seq) <= 0.0))
+def _shrinks(seq, bound) -> bool:
+    """Whether ``seq`` does not increase and its last value is below ``bound``."""
+    return bool(np.all(np.diff(seq) <= 0.0) and seq[-1] < bound)
 
 
 def _not_finite(n_bad: int) -> str:
@@ -507,15 +503,16 @@ def check_design_conditions(p: SystemParams, d: DiffusionDesign, points,
     flat = ring * (1.0, 1.0, 0.0)
     b1r, b2r = b_fn(ring)
     b1f, b2f = b_fn(flat)
-    num = p.b1 ** 2 * b1f ** 2 + p.b2 ** 2 * b2f ** 2
-    den = p.b1 ** 2 * flat[:, 0] ** 2 + p.b2 ** 2 * flat[:, 1] ** 2
+    b1_sq, b2_sq = np.square(p.b1), np.square(p.b2)
+    num = b1_sq * b1f ** 2 + b2_sq * b2f ** 2
+    den = b1_sq * flat[:, 0] ** 2 + b2_sq * flat[:, 1] ** 2
     by_radius = (len(CONTINUITY_RADII), N_ANGLES)
     c1_seq = np.abs(b1r * b2r * ring[:, 2]).reshape(by_radius).max(axis=1).tolist()
     c2_seq = (num / den).reshape(by_radius).max(axis=1).tolist()
-    conditions["continuous1"] = _nonincreasing(c1_seq) and c1_seq[-1] < 1e-6
+    conditions["continuous1"] = _shrinks(c1_seq, 1e-6)
     details["continuous1"] = "max |B1 B2 x3| by radius: " + \
         ", ".join(f"{v:.3g}" for v in c1_seq)
-    conditions["continuous2"] = _nonincreasing(c2_seq) and c2_seq[-1] < 1e-6
+    conditions["continuous2"] = _shrinks(c2_seq, 1e-6)
     details["continuous2"] = "max |g B|^2/|g_12 x|^2 by radius: " + \
         ", ".join(f"{v:.3g}" for v in c2_seq)
 

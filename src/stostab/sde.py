@@ -496,11 +496,6 @@ def header_text(header_lines) -> str:
     return "".join(f"# {line}\n" for line in header_lines)
 
 
-def write_header(fh, header_lines) -> None:
-    """Write each header line prefixed with ``# ``."""
-    fh.write(header_text(header_lines))
-
-
 def write_csv(path, columns, rows, header_lines=()) -> None:
     """Write the header, the column names, then rows of numbers at ``.17g``.
 
@@ -511,7 +506,7 @@ def write_csv(path, columns, rows, header_lines=()) -> None:
     """
     fmt = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
-        write_header(fh, header_lines)
+        fh.write(header_text(header_lines))
         fh.write(",".join(columns) + "\n")
         fh.writelines(fmt % tuple(row) for row in rows)
 

@@ -23,10 +23,11 @@ import numpy as np
 
 from . import brockett
 from .brockett import ClosedLoop, DiffusionDesign, SystemParams
+from .lyapunov import v2_eval
 from .sde import (ITO, NORM_SQ_BOUND, STRATONOVICH, SdeSystem, _em_step,
                   _failure_text, _final_state, _initial_state, _is_int, _rk4_step,
                   _run_shares, _share_bounds, _step_count, piecewise_linear_lift,
-                  sample_wiener, wiener_increments, write_csv, write_header)
+                  header_text, sample_wiener, wiener_increments, write_csv)
 
 
 # Samples one block of a per-path experiment holds at once (2 MiB of
@@ -315,14 +316,12 @@ def _drift_buckets(z: np.ndarray, death: np.ndarray) -> tuple:
     """
     n_paths, n_steps = z.shape
     bucket_of = (np.arange(n_steps) * N_BUCKETS) // n_steps
-    bsum, bsumsq = np.zeros(N_BUCKETS), np.zeros(N_BUCKETS)
-    count = np.zeros(N_BUCKETS, dtype=np.int64)
-    # np.add.at adds in index order, so each bucket sums its steps in order
-    np.add.at(bsum, bucket_of, z.sum(axis=0))
+    # bincount adds its weights in index order, so each bucket sums its steps in order
+    bsum = np.bincount(bucket_of, z.sum(axis=0), N_BUCKETS)
     z *= z
-    np.add.at(bsumsq, bucket_of, z.sum(axis=0))
+    bsumsq = np.bincount(bucket_of, z.sum(axis=0), N_BUCKETS)
     alive = n_paths - np.cumsum(np.bincount(death, minlength=n_steps)[:n_steps])
-    np.add.at(count, bucket_of, alive)
+    count = np.bincount(bucket_of, alive, N_BUCKETS).astype(np.int64)
     mean = np.full(N_BUCKETS, np.nan)
     se = np.full(N_BUCKETS, np.nan)
     nz = count > 0
@@ -339,15 +338,15 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
                 n_steps: int, rec_steps: Optional[np.ndarray], out: dict) -> None:
     """Step the paths of ``seeds`` from ``x0`` and write their results to ``out``.
 
-    ``out`` holds one row per path for each result: ``v2_start``,
-    ``terminal`` (the final state), ``v2`` (its v2), ``sup_v2``,
-    ``sup_norm_sq``, ``death`` (the step at which the path diverged, or
-    n_steps), ``dw`` and, unless ``rec_steps`` is None, ``rec_states`` and
-    ``rec_controls`` at those steps, 0 first and n_steps last.  ``dw``, of
-    n_steps columns, receives the paths' noise; step k then overwrites
-    column k with every path's v2 drift sample z = (v2_new - v2) / dt, for
-    :func:`_drift_buckets`: 0 on the step at which the path dies, and after
-    it, where the path is parked at the origin.
+    ``out`` holds one row per path for each result: ``terminal`` (the final
+    state), ``v2`` (its v2), ``sup_v2``, ``sup_norm_sq``, ``death`` (the
+    step at which the path diverged, or n_steps), ``dw`` and, unless
+    ``rec_steps`` is None, ``rec_states`` and ``rec_controls`` at those
+    steps, 0 first and n_steps last.  ``dw``, of n_steps columns, receives
+    the paths' noise; step k then overwrites column k with every path's v2
+    drift sample z = (v2_new - v2) / dt, for :func:`_drift_buckets`: 0 on
+    the step at which the path dies, and after it, where the path is parked
+    at the origin.
 
     The states are one block ``x`` of shape ``(3, len(seeds))``, updated in
     place: ``x += f dt``, then ``x += s w`` (``s *= w`` row by row).  The
@@ -368,7 +367,6 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
     t = evaluate()
     v2, norm_sq, drift, sigma, control = t.v2, t.norm_sq, t.drift, t.sigma, t.control
     s1, s2, s3 = sigma
-    out["v2_start"][:] = v2
     sup_v2, sup_norm_sq, death = out["sup_v2"], out["sup_norm_sq"], out["death"]
     sup_v2[:] = v2
     sup_norm_sq[:] = norm_sq
@@ -446,10 +444,9 @@ def _ensemble_plan(x0, dt: float, horizon: float, n_paths: int, eps: float,
     if not np.isfinite(x0).all():
         raise ValueError(f"x0 must be finite, got {tuple(x0.tolist())}")
     n_steps = _step_count(horizon, dt)
-    layout = {"v2_start": ((n_paths,), float), "terminal": ((n_paths, 3), float),
-              "v2": ((n_paths,), float), "sup_v2": ((n_paths,), float),
-              "sup_norm_sq": ((n_paths,), float), "death": ((n_paths,), np.int64),
-              "dw": ((n_paths, n_steps), float)}
+    layout = {"terminal": ((n_paths, 3), float), "v2": ((n_paths,), float),
+              "sup_v2": ((n_paths,), float), "sup_norm_sq": ((n_paths,), float),
+              "death": ((n_paths,), np.int64), "dw": ((n_paths, n_steps), float)}
     if record_every:
         # step 0, every record_every-th step, and the last step
         n_rec = -(-n_steps // record_every) + 1
@@ -539,7 +536,7 @@ def mc_stability(cl: ClosedLoop, x0, dt: float, horizon: float, n_paths: int,
         dt=dt,
         horizon=horizon,
         seed=seed,
-        v2_start=float(res["v2_start"][0]),
+        v2_start=float(v2_eval(x0)),
         m_level=m_level,
         eps=eps,
         conv_threshold=conv_threshold,
@@ -571,14 +568,10 @@ class SmallControlReport:
     seed: int
 
     @property
-    def non_increasing(self) -> bool:
-        return bool(np.all(np.diff(self.max_control) <= 0.0))
-
-    @property
     def holds(self) -> bool:
         """The small-control property: max ||u_s|| does not grow as the radius
         shrinks, and on the smallest sphere it is below that radius."""
-        return self.non_increasing and bool(self.max_control[-1] < self.radii[-1])
+        return brockett._shrinks(self.max_control, self.radii[-1])
 
 
 def small_control_scan(cl: ClosedLoop, n_dirs: int, seed: int) -> SmallControlReport:
@@ -767,5 +760,5 @@ def strong_order_estimate(integrate: Callable, sys: SdeSystem,
 def write_summary(path, items, header_lines=()) -> None:
     """Write a flat ``key = value`` summary file with a comment header."""
     with open(path, "w") as fh:
-        write_header(fh, header_lines)
+        fh.write(header_text(header_lines))
         fh.writelines(f"{key} = {value}\n" for key, value in items)

@@ -10,6 +10,7 @@ from stostab import (CONTINUITY_RADII, ClosedLoop, DiffusionDesign,
                      SystemParams, check_design_conditions, closed_loop,
                      controllability_rank, diffusion_b, eigs_sym2, g_matrix,
                      grid_points, h_matrix, loop_columns, sigma, v2_hessian)
+from stostab import brockett
 
 import exact_oracle
 from loop_oracle import V2, generator, ito_drift, jacobian_fd, oracle_loop
@@ -44,6 +45,10 @@ def test_params_validation():
     # b1*b4 + b2*b3 = 4 - 4 = 0
     with pytest.raises(ValueError):
         SystemParams(1.0, 1.0, -4.0, 4.0)
+    # finite gains whose b1*b4 + b2*b3 overflows, to inf or to inf - inf
+    for b3 in (1.0, -1e200):
+        with pytest.raises(ValueError, match=r"^b1\*b4 \+ b2\*b3 must be nonzero and finite$"):
+            SystemParams(1e200, 1e200, b3, 1e200)
     SystemParams(1.0, 1.0, 1.0, 0.0)  # chained form is fine
     # nan passes every comparison above, so finiteness is checked first
     for bad in (np.nan, np.inf, -np.inf):
@@ -82,11 +87,39 @@ def test_controllability_rank_examples():
 @pytest.mark.parametrize("extent", [5.0, 1e9, 1e10])
 def test_controllability_rank_of_a_block_is_that_of_its_rows(extent):
     # one batched SVD reads each state's rank as a one-row call does, also
-    # where the far states lose rank (at 1e9 and 1e10 on these plants)
+    # for the far states of 1e9 and 1e10
     pts = np.random.default_rng(1).uniform(-extent, extent, (100, 3))
     for p in (P44, SystemParams(1.0, 1.0, 1.0, 4.0)):
         ranks = controllability_rank(p, pts)
         assert ranks.tolist() == [controllability_rank(p, pt[None])[0] for pt in pts]
+
+
+RANK_PLANTS = ((1.0, 1.0, 4.0, 4.0), (1.0, 1.0, 1.0, 4.0), (1.0, -1.0, 4.0, 1.0),
+               (2.0, -1.0, 1.0, 1.0), (1e-3, 1e3, 1.0, 1.0), (1e-150, 1e150, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("plant", RANK_PLANTS)
+def test_controllability_rank_is_full_at_every_extent(plant):
+    # det [g1 g2 [g1, g2]] = -b1 b2 (b1 b4 + b2 b3) survives equilibrating the
+    # rows and then the columns, at any |x| that g holds, with no overflow
+    # (warnings are errors here), also on plants of very unequal gains
+    p = SystemParams(*plant)
+    for extent in (1e-300, 1e-5, 5.0, 1e8, 1e9, 1e10, 1e12, 1e50, 1e150, 1e300):
+        pts = np.random.default_rng(1).uniform(-extent, extent, (100, 3))
+        pts = np.vstack([np.zeros(3), pts])
+        assert controllability_rank(p, pts).tolist() == [3] * 101, extent
+
+
+def test_controllability_rank_makes_one_svd_per_call(monkeypatch):
+    # the tolerance is read off the same singular values as the rank: a
+    # second SVD would compute them again
+    calls = []
+    for module in (np.linalg, np.linalg._linalg):
+        monkeypatch.setattr(module, "svd", lambda *a, _svd=module.svd, **kw:
+                            calls.append(1) or _svd(*a, **kw))
+    pts = np.random.default_rng(1).uniform(-5.0, 5.0, (100, 3))
+    assert controllability_rank(P44, pts).tolist() == [3] * 100
+    assert len(calls) == 1
 
 
 def test_h_matrix_on_axis():
@@ -225,6 +258,19 @@ def test_closed_loop_preserves_origin():
     assert np.all(cl.sde.drift(z) == 0.0)
     assert np.all(cl.sde.diffusion(z) == 0.0)
     assert np.all(cl.control(z) == 0.0)
+
+
+def test_closed_loop_refuses_a_loop_that_moves_the_origin(monkeypatch):
+    # lambda^2 overflows at b1 = 1e80, and B(0) = inf * 0 is NaN: refused
+    # without a warning
+    with pytest.raises(ValueError, match=r"^brockett6 violated: B\(0\) != 0"):
+        closed_loop(SystemParams(1e80, 1.0, 4.0, 4.0), D4)
+    # gains that vanish at the origin beside a drift that does not
+    real = brockett.loop_columns
+    monkeypatch.setattr(brockett, "loop_columns", lambda *a: real(*a)._replace(
+        drift=np.array([0.0, 0.0, 1e-300])))
+    with pytest.raises(ValueError, match="^closed loop does not preserve the origin exactly$"):
+        closed_loop(P44, D4)
 
 
 def test_closed_loop_control_vanishes_on_axis():

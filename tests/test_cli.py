@@ -85,11 +85,11 @@ class _Ran(Exception):
     pass
 
 
-@pytest.mark.parametrize("shares, need", [(1, 896), (2, 896)])
+@pytest.mark.parametrize("shares, need", [(1, 864), (2, 864)])
 def test_simulate_memory_refusal_counts_the_drift_samples(tmp_path, monkeypatch,
                                                           capsys, shares, need):
-    # 4 paths of 10 steps at thin 100 record 2 rows and keep 8 results each:
-    # 4 (8 * 10 + 40 * 2 + 64) bytes for any number of shares, since the
+    # 4 paths of 10 steps at thin 100 record 2 rows and keep 7 results each:
+    # 4 (8 * 10 + 40 * 2 + 56) bytes for any number of shares, since the
     # drift samples overwrite the spent noise; the run starts at exactly
     # that much memory
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(shares)))
@@ -154,6 +154,36 @@ def test_singular_parameters_rejected(tmp_path):
     assert run_cli(["controllability", "--b1", "0", "--out", str(tmp_path)]) == 2
     # b1 b4 + b2 b3 = 0
     assert run_cli(["controllability", "--b3", "-4", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("args, code", [
+    # |b1| >= about 1e77: lambda^2 overflows and B(0) = inf * 0 is NaN
+    (["simulate", "--b1", "1e80", "--n-paths", "2", "--horizon", "0.01"], 2),
+    (["scan-lv", "--b1", "1e80", "--grid-count", "3"], 2),
+    # b1^2 overflows in float64, and every condition fails on the NaN gains
+    (["check-design", "--b1", "1e200"], 4),
+    # the sampling range is not finite, then g's third row
+    (["controllability", "--extent", "1e308"], 2),
+    (["controllability", "--extent", "8e307"], 2),
+    # b1 b4 + b2 b3 overflows
+    (["controllability", "--b1", "1e200", "--b4", "1e200"], 2),
+    # the loop holds at the origin, and every path diverges
+    (["simulate", "--b1", "1e76", "--n-paths", "2", "--horizon", "0.01"], 3),
+    # the largest extent accepted on the reference plant
+    (["controllability", "--extent", "1e307"], 0),
+], ids=("simulate-b1", "scan-lv-b1", "check-design-b1", "extent-range", "extent-g",
+        "bracket", "simulate-diverges", "extent-largest"))
+def test_configurations_beyond_float_range_exit_with_a_documented_code(tmp_path, capsys,
+                                                                       args, code):
+    # an exception leaving main would print a traceback and exit 1, which
+    # is no documented code; numpy warnings are errors in this suite.  A
+    # refusal is one stderr line and writes nothing.
+    out = tmp_path / "o"
+    assert run_cli([*args, "--out", str(out)]) == code
+    if code == 2:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 def test_malformed_values_rejected(tmp_path, capsys):
@@ -579,6 +609,18 @@ def test_module_entry_point(tmp_path):
                        capture_output=True, text=True, env=child_env())
     assert r.returncode == 0
     assert (tmp_path / "m" / "summary.txt").exists()
+
+
+def test_run_exits_with_the_code_of_main(monkeypatch, capsys):
+    # the console script and ``python -m stostab.cli`` both end in run()
+    monkeypatch.setattr(sys, "argv", ["stostab", "--version"])
+    with pytest.raises(SystemExit) as info:
+        cli.run()
+    assert info.value.code == 0
+    assert capsys.readouterr().out == f"stostab {cli.__version__}\n"
+    r = subprocess.run([sys.executable, "-m", "stostab.cli", "--version"],
+                       capture_output=True, text=True, env=child_env())
+    assert r.returncode == 0 and r.stdout == f"stostab {cli.__version__}\n", r.stderr
 
 
 def test_import_leaves_out_the_test_oracle_libraries():

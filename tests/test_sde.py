@@ -851,3 +851,25 @@ def test_a_child_sends_back_its_exception(monkeypatch, raised, want_type, want_t
     # the ensemble and path-writer messages read an exception with no text
     # as the exit code its child left with, as they did before
     assert sde._failure_text(exc) == (want_text or "the child process exited with code 1")
+
+
+def test_a_failed_fork_reaps_the_started_child(monkeypatch):
+    # three items on three CPUs: the first fork starts a child, the second
+    # fails.  Its OSError propagates before this process runs its share, the
+    # child is reaped, and no pipe end stays open.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    fork, pids, ran = os.fork, [], []
+
+    def fork_once():
+        if pids:
+            raise OSError("no process for the third share")
+        pids.append(fork())
+        return pids[-1]
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    n_fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError, match="^no process for the third share$"):
+        sde._run_shares(lambda lo, hi: ran.append(lo), [1, 1, 1], 1)
+    assert ran == [] and len(os.listdir("/proc/self/fd")) == n_fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)

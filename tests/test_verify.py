@@ -661,6 +661,19 @@ def test_mc_unmaps_the_noise_before_it_returns(monkeypatch):
     assert refs[(n_paths, 3)]() is rep.terminal_states
 
 
+def test_mc_maps_seven_arrays_without_recording(monkeypatch):
+    # six results and the share's kernel workspace.  v2 at the start is one
+    # number for the run: a per-path copy of it would be an eighth mapping.
+    mapped, shapes = verify._mapped, []
+    monkeypatch.setattr(verify, "_mapped", lambda shape, dtype=float:
+                        shapes.append(shape) or mapped(shape, dtype))
+    x0 = (0.4, -0.3, 0.8)
+    rep = mc_stability(closed_loop(P44, D4), x0, 1e-3, 0.01, 4, 5.0, 0.1, 20.0, seed=1)
+    assert len(shapes) == 7
+    # the kernel's v2 at x0, which every path stored
+    assert rep.v2_start == loop_columns(P44, D4, *np.array(x0)[:, None]).v2[0]
+
+
 def test_mc_steps_allocate_no_columns(monkeypatch):
     # from the noise draw to the drift statistics, a share allocates its
     # three state columns, the previous step's v2 and two boolean columns,
@@ -762,9 +775,9 @@ def test_mc_rejects_bad_steps_and_record_every(monkeypatch, bad, name):
 
 def test_mc_refuses_a_run_beyond_physical_memory(monkeypatch):
     # 4 paths of 10 steps recorded every 3 steps keep 5 rows: 4 (8 * 10 +
-    # 40 * 5 + 64) bytes of noise, recording and results.  One byte less is
+    # 40 * 5 + 56) bytes of noise, recording and 7 results.  One byte less is
     # refused before anything is mapped, drawn or forked; exactly that runs.
-    need = 4 * (8 * 10 + 40 * 5 + 64)
+    need = 4 * (8 * 10 + 40 * 5 + 56)
     cl = closed_loop(P44, D4)
     kw = dict(dt=1e-3, horizon=0.01, n_paths=4, eps=5.0, conv_threshold=0.1,
               m_level=20.0, seed=1, record_every=3)
