@@ -16,12 +16,11 @@ from .sde import (ITO, STRATONOVICH, IntegrationDiverged, PiecewiseLinearNoise,
                   SdeSystem, Trajectory, WienerPath, euler_maruyama,
                   heun_stratonovich, ode_drive, piecewise_linear_lift,
                   sample_wiener, trajectory_to_csv)
-from .verify import (ScanReport, SclfReport, SmallControlReport,
-                     StabilityReport, WongZakaiReport, grid_points,
-                     mc_stability, scan_generator, sclf_condition_check,
-                     small_control_scan, strong_order_estimate,
-                     wilson_interval, wong_zakai_experiment, write_scan_csv,
-                     write_summary)
+from .verify import (ScanReport, SmallControlReport, StabilityReport,
+                     WongZakaiReport, ZeroSetReport, grid_points,
+                     mc_stability, scan_generator, small_control_scan,
+                     strong_order_estimate, wilson_interval,
+                     wong_zakai_experiment, write_summary, zero_set_check)
 
 __version__ = "0.1.0"
 
@@ -35,10 +34,9 @@ __all__ = [
     "LoopColumns", "SystemParams", "check_design_conditions", "closed_loop",
     "controllability_rank", "diffusion_b", "eigs_sym2", "g_matrix", "h_matrix",
     "loop_columns", "sigma",
-    "ScanReport", "SclfReport", "SmallControlReport", "StabilityReport",
-    "WongZakaiReport", "grid_points", "mc_stability", "scan_generator",
-    "sclf_condition_check", "small_control_scan", "strong_order_estimate",
-    "wilson_interval", "wong_zakai_experiment", "write_scan_csv",
-    "write_summary",
+    "ScanReport", "SmallControlReport", "StabilityReport", "WongZakaiReport",
+    "ZeroSetReport", "grid_points", "mc_stability", "scan_generator",
+    "small_control_scan", "strong_order_estimate", "wilson_interval",
+    "wong_zakai_experiment", "write_summary", "zero_set_check",
     "__version__",
 ]

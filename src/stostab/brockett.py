@@ -50,12 +50,12 @@ class SystemParams:
         for name, value in vars(self).items():
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.b1 == 0.0:
-            raise ValueError("b1 must be nonzero")
-        if self.b2 == 0.0:
-            raise ValueError("b2 must be nonzero")
+            if value == 0.0 and name in ("b1", "b2"):
+                raise ValueError(f"{name} must be nonzero")
         if not 0.0 < abs(self.b1 * self.b4 + self.b2 * self.b3) < np.inf:
             raise ValueError("b1*b4 + b2*b3 must be nonzero and finite")
+        if not np.isfinite(self.b1 * self.b4 - self.b2 * self.b3):
+            raise ValueError("b1*b4 - b2*b3 must be finite")
 
 
 @dataclass(frozen=True)
@@ -433,9 +433,6 @@ class DesignReport:
     @property
     def passed(self) -> bool:
         return all(self.conditions.values())
-
-    def failed(self) -> list:
-        return [name for name, ok in self.conditions.items() if not ok]
 
 
 def _shrinks(seq, bound) -> bool:

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``simulate`` (Monte Carlo ensemble of the noise-stabilized
-Brockett loop), ``scan-lv`` (generator sign scan on a grid), ``check-design``
-(gain-map conditions plus the shrinking-radius control scan), ``wong-zakai``
-(pathwise ODE mesh-refinement experiment), and ``controllability`` (bracket
-rank over random states).
+Brockett loop), ``scan-lv`` (generator sign scan on a grid) and
+``check-design`` (gain-map conditions and control scan), both of which test
+F < 0 where L_g v2 = 0, ``wong-zakai`` (pathwise ODE mesh-refinement
+experiment), and ``controllability`` (bracket rank over random states).
 
 Configuration comes from defaults, then an optional flat ``key = value``
 file given with ``--config``, then command-line flags; later layers win.
@@ -34,7 +34,7 @@ from .lyapunov import v2_eval
 from .sde import IntegrationDiverged, write_csv, write_path_csvs
 from .verify import (_ensemble_plan, _wong_zakai_plan, grid_points,
                      mc_stability, scan_generator, small_control_scan,
-                     wong_zakai_experiment, write_scan_csv, write_summary)
+                     wong_zakai_experiment, write_summary, zero_set_check)
 
 
 class ConfigError(ValueError):
@@ -253,6 +253,16 @@ def _system(cfg: dict):
     return p, d
 
 
+def _zero_set_items(p, d, heights) -> list:
+    """The zero-set verdict at ``heights``, and its worst point, F and ||L_g v2||."""
+    rep = zero_set_check(p, d, heights)
+    w = int(np.argmax(np.where(np.isnan(rep.margins), np.inf, rep.margins)))  # NaN first
+    x, f, lg = rep.points[w], rep.margins[w], rep.lg_norm[w]
+    return [("zero_set", "PASS" if rep.holds else "FAIL"), ("zero_set_detail",
+            f"{rep.n_axis} heights, {len(rep.points) - rep.n_axis} off-axis roots; max F = "
+            f"{f:.6g} at ({', '.join(f'{v:.6g}' for v in x)}), where |L_g v2| = {lg:.3g}")]
+
+
 def cmd_simulate(cfg: dict, out: str, hdr: list) -> int:
     p, d = _system(cfg)
     cl = closed_loop(p, d)
@@ -299,25 +309,29 @@ def cmd_scan_lv(cfg: dict, out: str, hdr: list) -> int:
     p, d = _system(cfg)
     cl = closed_loop(p, d)
     full, sl = (scan_generator(cl, pts) for pts in _scan_grids(cfg))
-    write_scan_csv(full, os.path.join(out, "scan_full.csv"), hdr)
-    write_scan_csv(sl, os.path.join(out, "scan_slice.csv"), hdr)
+    zs = _zero_set_items(p, d, _axis(cfg))
+    for name, rep in (("full", full), ("slice", sl)):
+        write_csv(os.path.join(out, f"scan_{name}.csv"), ["x1", "x2", "x3", "LV"],
+                  np.column_stack([rep.points, rep.values]).tolist(), hdr)
     write_summary(os.path.join(out, "summary.txt"), [
         ("full_points", len(full.points)),
         ("full_violations", len(full.violations)),
         ("full_min_lv", _fmt(full.min_value)),
         ("full_argmin", _fmt(tuple(full.argmin))),
-        ("full_on_axis_points", full.on_axis_count),
-        ("full_on_axis_max_lv", _fmt(full.on_axis_max)),
         ("slice_points", len(sl.points)),
         ("slice_violations", len(sl.violations)),
         ("slice_min_lv", _fmt(sl.min_value)),
         ("slice_max_lv", _fmt(float(sl.values.max()))),
+        *zs,
     ], hdr)
     n_bad = len(full.violations) + len(sl.violations)
     print(f"scan-lv: {len(full.points)} grid points, min LV = {full.min_value:.6g}")
+    (_, verdict), (_, detail) = zs
+    print(f"scan-lv: zero set of L_g v2: {verdict} ({detail})")
     if n_bad:
         print(f"scan-lv: {n_bad} sign violations "
               f"(first at {tuple((full.violations if len(full.violations) else sl.violations)[0].tolist())})")
+    if n_bad or verdict == "FAIL":
         return 4
     print("scan-lv: generator negative at every scanned point")
     return 0
@@ -326,30 +340,27 @@ def cmd_scan_lv(cfg: dict, out: str, hdr: list) -> int:
 def cmd_check_design(cfg: dict, out: str, hdr: list) -> int:
     p, d = _system(cfg)
     ax = _axis(cfg)
-    b_fn = None
     if cfg["sabotage_b1"]:
         # Negative control: constant B1 cannot vanish at the origin.
         b_fn = lambda pts: (np.ones_like(np.asarray(pts, float)[..., 0]),
                             diffusion_b(d, p, pts)[1])
+        zero_set = [("zero_set", "SKIPPED (the sabotaged B is not the kernel's)")]
+    else:
+        b_fn, zero_set = None, _zero_set_items(p, d, ax)
     rep = check_design_conditions(p, d, grid_points(ax, ax, ax), b_fn=b_fn)
-    items = []
-    for name, ok in rep.conditions.items():
-        items.append((name, "PASS" if ok else "FAIL"))
-        items.append((f"{name}_detail", rep.details[name]))
-    items.append(("c1_sequence", _fmt(rep.c1_sequence)))
-    items.append(("c2_sequence", _fmt(rep.c2_sequence)))
-    sc_ok = None
+    items = [item for name, ok in rep.conditions.items() for item in
+             ((name, "PASS" if ok else "FAIL"), (f"{name}_detail", rep.details[name]))]
+    items += [("c1_sequence", _fmt(rep.c1_sequence)), ("c2_sequence", _fmt(rep.c2_sequence))]
     if rep.passed:
         sc = small_control_scan(closed_loop(p, d), cfg["n_dirs"], cfg["seed"])
-        sc_ok = sc.holds
         items.append(("small_control_radii", _fmt(sc.radii)))
         items.append(("small_control_max", _fmt(tuple(sc.max_control))))
-        items.append(("small_control", "PASS" if sc_ok else "FAIL"))
+        items.append(("small_control", "PASS" if sc.holds else "FAIL"))
     else:
         items.append(("small_control", "SKIPPED (design conditions failed)"))
-    failed = rep.failed()
-    if sc_ok is False:
-        failed = failed + ["small_control"]
+    items += zero_set
+    # every verdict reads PASS, FAIL or SKIPPED, and no detail reads FAIL alone
+    failed = [name for name, value in items if value == "FAIL"]
     items.append(("overall", "PASS" if not failed else "FAIL"))
     if failed:
         items.append(("failed", ",".join(failed)))

@@ -74,7 +74,8 @@ def _finite(x: np.ndarray) -> bool:
     """
     if np.vdot(x, x) <= 0.5 * NORM_SQ_BOUND:
         return True
-    return bool(((x * x).sum(-1) <= NORM_SQ_BOUND).all())
+    with np.errstate(over="ignore"):  # a square beyond the float range fails
+        return bool(((x * x).sum(-1) <= NORM_SQ_BOUND).all())
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Numerical evidence for the noise-assisted stabilizer.
 
-Everything here reduces a stability claim to a reproducible number: scans
-of the generator's sign, Monte Carlo estimates of convergence and
-supremum-exceedance probabilities with Wilson intervals, shrinking-radius
-control scans, Wong-Zakai mesh-refinement errors, and strong-order slopes.
-Every check reads its states as an (N, 3) float array; :func:`grid_points`
-builds the rectangular ones.
+Everything here reduces a stability claim to a reproducible number: the
+paper's condition F < 0 on the exact zero set of L_g v2, off which the
+generator is -hypot(F, G) < 0, scans of its sign, Monte Carlo estimates of
+convergence and supremum-exceedance probabilities with Wilson intervals,
+shrinking-radius control scans, Wong-Zakai mesh-refinement errors, and
+strong-order slopes.  Scans read (N, 3) states (:func:`grid_points`).
 All randomness derives from a single master seed; per-path seeds are words
 of the master's seed sequence, so path i is the same no matter how many
 paths run or in what order.
@@ -23,11 +23,11 @@ import numpy as np
 
 from . import brockett
 from .brockett import ClosedLoop, DiffusionDesign, SystemParams
-from .lyapunov import v2_eval
+from .lyapunov import X_GUARD, v2_eval, v2_gradient
 from .sde import (ITO, NORM_SQ_BOUND, STRATONOVICH, SdeSystem, _em_step,
                   _failure_text, _final_state, _initial_state, _is_int, _rk4_step,
                   _run_shares, _share_bounds, _step_count, piecewise_linear_lift,
-                  header_text, sample_wiener, wiener_increments, write_csv)
+                  header_text, sample_wiener, wiener_increments)
 
 
 # Samples one block of a per-path experiment holds at once (2 MiB of
@@ -89,12 +89,8 @@ def grid_points(a1, a2, a3, exclude_radius: float = 0.0) -> np.ndarray:
 
 @dataclass(eq=False)
 class ScanReport:
-    """Generator values over a set of states, with sign violations singled out.
-
-    ``violations`` collects the points where the generator is not < 0; the
-    on-axis fields summarize the x1 = x2 = 0 subset, where the drift term
-    vanishes and only the noise trace is at work.
-    """
+    """Generator values over a set of states; ``violations`` are the points
+    where the generator is not < 0."""
 
     points: np.ndarray
     values: np.ndarray
@@ -102,8 +98,6 @@ class ScanReport:
     violation_values: np.ndarray
     min_value: float
     argmin: np.ndarray
-    on_axis_count: int
-    on_axis_max: float
 
     @property
     def clean(self) -> bool:
@@ -129,65 +123,64 @@ def scan_generator(cl: ClosedLoop, points) -> ScanReport:
     (lg1, lg2), (u1, u2) = t.lg, t.control
     lv = t.f_term + (lg1 * u1 + lg2 * u2)
     bad = ~(lv < 0.0)
-    on_axis = (pts[:, 0] == 0.0) & (pts[:, 1] == 0.0)
     k = int(np.argmin(lv))
-    return ScanReport(
-        points=pts,
-        values=lv,
-        violations=pts[bad],
-        violation_values=lv[bad],
-        min_value=float(lv[k]),
-        argmin=pts[k].copy(),
-        on_axis_count=int(on_axis.sum()),
-        on_axis_max=float(lv[on_axis].max()) if on_axis.any() else float("nan"),
-    )
-
-
-def write_scan_csv(report: ScanReport, path, header_lines=()) -> None:
-    """Serialize a scan as ``x1,x2,x3,LV`` rows at 17 significant digits."""
-    write_csv(path, ["x1", "x2", "x3", "LV"],
-              np.column_stack([report.points, report.values]).tolist(),
-              header_lines)
+    return ScanReport(pts, lv, pts[bad], lv[bad], float(lv[k]), pts[k].copy())
 
 
 @dataclass(eq=False)
-class SclfReport:
-    """Outcome of the control-Lyapunov condition check on a set of states.
+class ZeroSetReport:
+    """F (``margins``) and ||L_g v2|| (``lg_norm``) on the zero set of L_g v2:
+    the axis points (0, 0, x3) of ``n_axis`` heights, then the off-axis roots."""
 
-    The condition is tested only where the control derivative nearly
-    vanishes (there is nothing to check elsewhere); ``vacuous`` flags sets
-    that contained no such points.
-    """
-
-    n_tested: int
-    n_holds: int
-    margins: np.ndarray
     points: np.ndarray
-    vacuous: bool
+    margins: np.ndarray
+    lg_norm: np.ndarray
+    n_axis: int
 
     @property
     def holds(self) -> bool:
-        return (not self.vacuous) and self.n_holds == self.n_tested
+        """F < 0 at every point, the origin left out (F = 0 there); false with no height."""
+        return self.n_axis > 0 and bool(np.all(self.margins < 0.0))
 
 
-def sclf_condition_check(p: SystemParams, d: DiffusionDesign,
-                         points) -> SclfReport:
-    """Where ||L_g v2|| < 1e-6 on the (N, 3) states, test the noise condition
+# A height too large for float arithmetic has a NaN margin, which fails.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def zero_set_check(p: SystemParams, d: DiffusionDesign, heights) -> ZeroSetReport:
+    """The zero set of L_g v2 at each distinct nonzero height x3, and F there.
 
-        (1/2) B^T (g^T Hess v2 g) B + (1/2) grad v2 . (d(gB)/dx)(gB) < -L_f v2.
-
-    The plant is driftless, so L_f v2 = 0.  Where L_g v2 = 0 the
-    pre-feedback g v adds nothing to the generator, so the left side is the
-    kernel's F, read from one :func:`brockett.loop_columns` pass.  The
-    origin is left out: it is the equilibrium, where F = 0 by construction
-    and the strict inequality cannot hold.
+    L_g v2 = M (x1, x2)^T, M = [[b1 P, b3 x3 A], [-b4 x3 A, b2 P]], is 0 on
+    the axis and where det M = b1 b2 (P - s x3 A)(P + s x3 A) = 0, s^2 =
+    rho = -b3 b4 / (b1 b2): off the axis only if rho >= 0.  Each factor, from
+    v2's gradient at (r, 0, x3), is bisected from its sign changes on a log
+    grid of X = r^2 in [X_GUARD, 1e4]; each root lies on M's null vector.
+    There g v adds nothing to the generator, which one kernel pass gives as F.
     """
-    pts = brockett._states(points)
-    t = brockett.loop_columns(p, d, pts[:, 0], pts[:, 1], pts[:, 2])
-    mask = (np.hypot(*t.lg) < 1e-6) & pts.any(axis=1)
-    margins = t.f_term[mask]
-    return SclfReport(len(margins), int((margins < 0.0).sum()), margins,
-                      pts[mask], not mask.any())
+    def factor(r, x3, s):
+        grad = v2_gradient(np.stack(np.broadcast_arrays(r, 0.0, x3), axis=-1))
+        return grad[..., 0] / r - s * grad[..., 2]
+
+    x3 = np.setdiff1d(np.asarray(heights, dtype=float), [0.0])
+    pts = [np.column_stack([np.zeros((len(x3), 2)), x3])]
+    rho = -(p.b3 * p.b4) / (p.b1 * p.b2)
+    if rho >= 0.0:
+        s = np.unique([-math.sqrt(rho), math.sqrt(rho)])[:, None, None]
+        r = np.sqrt(np.geomspace(X_GUARD, 1e4, 2000))
+        f = factor(r, x3[:, None], s)
+        neg, ok = f < 0.0, np.isfinite(f)
+        i, j, k = np.nonzero((neg[..., 1:] != neg[..., :-1]) & ok[..., 1:] & ok[..., :-1])
+        lo, hi, z, sk, neg_lo = r[k], r[k + 1], x3[j], s[i, 0, 0], neg[i, j, k]
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            left = (factor(mid, z, sk) < 0.0) == neg_lo
+            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        # where P = sk x3 A, M's null vector is (b2 sk, b4) or (-b3, b1 sk): the longer
+        u = np.stack([p.b2 * sk, np.full_like(sk, p.b4)])
+        v = np.stack([np.full_like(sk, -p.b3), p.b1 * sk])
+        u = np.where(np.hypot(*u) >= np.hypot(*v), u, v)
+        pts.append(np.column_stack([(u * (lo / np.hypot(*u))).T, z]))
+    pts = np.concatenate(pts)
+    t = brockett.loop_columns(p, d, *pts.T)
+    return ZeroSetReport(pts, t.f_term, np.hypot(*t.lg), len(x3))
 
 
 @dataclass(eq=False)

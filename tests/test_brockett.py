@@ -49,6 +49,9 @@ def test_params_validation():
     for b3 in (1.0, -1e200):
         with pytest.raises(ValueError, match=r"^b1\*b4 \+ b2\*b3 must be nonzero and finite$"):
             SystemParams(1e200, 1e200, b3, 1e200)
+    # b1*b4 + b2*b3 = 1e307 is finite, but b1*b4 - b2*b3 overflows
+    with pytest.raises(ValueError, match=r"^b1\*b4 - b2\*b3 must be finite$"):
+        SystemParams(1.0, 1.0, -9e307, 1e308)
     SystemParams(1.0, 1.0, 1.0, 0.0)  # chained form is fine
     # nan passes every comparison above, so finiteness is checked first
     for bad in (np.nan, np.inf, -np.inf):
@@ -407,7 +410,7 @@ def test_check_design_passes_reference_configuration():
     grid = np.random.default_rng(12).uniform(-2, 2, (400, 3))
     rep = check_design_conditions(P44, D4, grid)
     assert rep.passed
-    assert rep.failed() == []
+    assert all(rep.conditions.values())
     assert set(rep.conditions) == {"brockett6", "brockett7", "brockett8",
                                    "continuous1", "continuous2"}
     assert len(rep.c1_sequence) == len(CONTINUITY_RADII)
@@ -455,7 +458,7 @@ def test_check_design_flags_constant_gain():
 
     rep = check_design_conditions(P44, d1, grid, b_fn=stub)
     assert not rep.passed
-    assert "brockett6" in rep.failed()
+    assert not rep.conditions["brockett6"]
 
 
 def test_check_design_accepts_grid_object():

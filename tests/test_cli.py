@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from stostab import Trajectory, cli, closed_loop, verify
+from stostab import (DiffusionDesign, SystemParams, Trajectory, __version__, cli,
+                     closed_loop, verify)
 from stostab.verify import mc_stability
 
 import csv_oracle
@@ -350,6 +351,23 @@ def test_scan_lv_csv_shape(tmp_path):
     assert len(data_rows) == 1 + 5 ** 3 - 1  # origin excluded
 
 
+def test_scan_lv_csv_holds_the_scan(tmp_path):
+    # the header, the column names, then every scanned point and its LV at
+    # 17 digits, which read back to the scan's doubles
+    out = tmp_path / "s"
+    assert run_cli(["scan-lv", "--grid-count", "3", "--grid-extent", "1", "--out", str(out)]) == 0
+    ax = np.linspace(-1.0, 1.0, 3)
+    rep = verify.scan_generator(closed_loop(SystemParams(1.0, 1.0, 4.0, 4.0),
+                                            DiffusionDesign(1e-4, 1e-4)),
+                                verify.grid_points(ax, ax, ax, 1e-3))
+    lines = (out / "scan_full.csv").read_text().splitlines()
+    assert lines[:2] == ["# stostab " + __version__, "# subcommand: scan-lv"]
+    assert lines[5] == "x1,x2,x3,LV" and len(lines) == 6 + len(rep.points)
+    data = np.loadtxt(out / "scan_full.csv", delimiter=",", skiprows=6)
+    assert np.array_equal(data[:, :3], rep.points)
+    assert np.array_equal(data[:, 3], rep.values)
+
+
 def test_check_design_pass_and_sabotage(tmp_path):
     ok = tmp_path / "ok"
     assert run_cli(["check-design", "--n-dirs", "100", "--out", str(ok)]) == 0
@@ -384,11 +402,12 @@ def test_check_design_fails_on_the_small_control_scan_alone(tmp_path, capsys, mo
 
 def test_check_design_fails_a_grid_the_kernel_cannot_evaluate(tmp_path, capsys):
     # |x|^2 overflows at 1e300: the gains are NaN there, which fails both
-    # conditions with a count of the points, and no RuntimeWarning leaks
+    # conditions with a count of the points, and no RuntimeWarning leaks.
+    # F is NaN at the heights +-1e300, which fails the zero-set verdict.
     out = tmp_path / "big"
     assert run_cli(["check-design", "--grid-extent", "1e300", "--grid-count", "3",
                     "--n-dirs", "10", "--out", str(out)]) == 4
-    assert capsys.readouterr().out == "check-design: FAIL (brockett7, brockett8)\n"
+    assert capsys.readouterr().out == "check-design: FAIL (brockett7, brockett8, zero_set)\n"
     report = (out / "design_report.txt").read_text().splitlines()
     assert "brockett7 = FAIL" in report
     assert ("brockett7_detail = min (b1 b4 - b2 b3) B1 B2 x3 = nan over 27 points, "
@@ -397,6 +416,9 @@ def test_check_design_fails_a_grid_the_kernel_cannot_evaluate(tmp_path, capsys):
     assert ("brockett8_detail = min |B1| = nan, min |B2| = nan on the axis, "
             "not finite at 2 points") in report
     assert "small_control = SKIPPED (design conditions failed)" in report
+    assert "zero_set = FAIL" in report
+    assert ("zero_set_detail = 2 heights, 0 off-axis roots; max F = nan at "
+            "(0, 0, -1e+300), where |L_g v2| = nan") in report
 
 
 def test_simulate_artifacts(tmp_path):
@@ -560,6 +582,58 @@ def test_wong_zakai_divergence_exits_3(tmp_path, capsys):
                     "--meshes", "16,64", "--out", str(tmp_path)])
     assert code == 3
     assert capsys.readouterr().err == "error: integration diverged at t=0.0625\n"
+
+
+def test_wong_zakai_overflowing_start_prints_one_error_line(tmp_path):
+    # from x0 = 1e300 the divergence screen squares states beyond the float
+    # range: the per-row test fails them without a warning, so stderr holds
+    # the error line alone (a RuntimeWarning there added two lines)
+    r = subprocess.run([sys.executable, "-m", "stostab.cli", "wong-zakai", "--x0", "1e300",
+                        "--out", str(tmp_path / "w")],
+                       capture_output=True, text=True, env=child_env())
+    assert r.returncode == 3
+    assert r.stderr == "error: integration diverged at t=0.0625\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "check-design"])
+def test_a_plant_whose_b1_b4_minus_b2_b3_overflows_is_refused(tmp_path, capsys, command):
+    # b1 b4 + b2 b3 = 1e307 is finite, b1 b4 - b2 b3 = 1.9e308 is not; the
+    # loop reads (b2 b3 - b1 b4) / 2 in its Ito row and the design check in
+    # its sign condition
+    out = tmp_path / "o"
+    assert run_cli([command, "--b3=-9e307", "--b4=1e308", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: b1*b4 - b2*b3 must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("plant, code", [
+    (("1", "1", "4", "4"), 0), (("1", "1", "1", "4"), 0),
+    (("1", "-1", "4", "1"), 4), (("2", "-1", "1", "1"), 4), (("1", "1", "0", "1"), 4),
+])
+@pytest.mark.parametrize("command, args, report", [
+    ("scan-lv", [], "summary.txt"),
+    ("check-design", ["--n-dirs", "100"], "design_report.txt"),
+], ids=("scan-lv", "check-design"))
+def test_the_zero_set_verdict_sets_the_exit_code(tmp_path, command, args, report, plant,
+                                                 code):
+    # the reference plants have no off-axis root; each failing plant has one
+    # with F > 0, which both commands name in their verdict
+    out = tmp_path / "o"
+    flags = [f"--b{i}={b}" for i, b in enumerate(plant, 1)]
+    assert run_cli([command, *flags, *args, "--grid-count", "21", "--out", str(out)]) == code
+    items = dict(line.split(" = ", 1) for line in (out / report).read_text().splitlines()
+                 if not line.startswith("#"))
+    detail = items["zero_set_detail"]
+    assert detail.startswith("20 heights, ")
+    if code == 0:
+        assert items["zero_set"] == "PASS" and ", 0 off-axis roots; max F = -" in detail
+        return
+    assert items["zero_set"] == "FAIL"
+    if command == "check-design":
+        assert "zero_set" in items["failed"].split(",")
+    f, point = detail.split("max F = ")[1].split(" at (")
+    x1, x2, _ = (float(v) for v in point.split(")")[0].split(", "))
+    assert float(f) > 0.0 and (x1, x2) != (0.0, 0.0)
 
 
 def test_all_diverged_run_makes_no_drift_claim(tmp_path, capsys):

@@ -372,6 +372,12 @@ def test_screen_falls_back_to_the_per_row_test():
     assert _finite(x) is False
 
 
+def test_screen_fails_an_overflowing_row_without_a_warning():
+    # 1e300 squared overflows to inf in the per-row test; RuntimeWarnings
+    # are errors in this suite
+    assert _finite(np.array([[1e300]])) is False
+
+
 def test_heun_zero_fields_is_constant():
     sys = SdeSystem(1, ZERO, ZERO, STRATONOVICH)
     path = sample_wiener(0.1, 1.0, seed=3)

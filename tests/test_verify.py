@@ -18,10 +18,10 @@ from stostab import (CONTINUITY_RADII, DiffusionDesign, SdeSystem, SystemParams,
                      closed_loop, euler_maruyama, g_matrix, grid_points,
                      StabilityReport, heun_stratonovich, mc_stability, ode_drive,
                      piecewise_linear_lift, sample_wiener,
-                     scan_generator, sclf_condition_check, sigma, SmallControlReport,
+                     scan_generator, sigma, SmallControlReport,
                      small_control_scan, strong_order_estimate, v2_gradient,
-                     wilson_interval, wong_zakai_experiment, write_scan_csv,
-                     write_summary)
+                     wilson_interval, wong_zakai_experiment, write_summary,
+                     zero_set_check)
 from stostab import loop_columns, sde, verify
 from stostab.sde import ITO, STRATONOVICH, IntegrationDiverged
 from stostab.verify import path_seeds, wilson_halfwidth
@@ -150,31 +150,32 @@ def test_checks_read_a_set_that_is_not_a_grid(p):
     (lg1, lg2), (u1, u2) = t.lg, t.control
     assert np.array_equal(rep.points, pts)
     assert np.array_equal(rep.values, t.f_term + (lg1 * u1 + lg2 * u2))
-    assert rep.on_axis_count == 8
+    # L_g v2 and u vanish on the axis, where LV is F
+    assert np.array_equal(rep.values[on_axis], t.f_term[on_axis])
 
-    # L_g v2 vanishes on the axis alone, so the SCLF margins are F there
-    sc = sclf_condition_check(p, D4, pts)
-    assert np.array_equal(sc.points, pts[on_axis])
-    assert np.array_equal(sc.margins, t.f_term[on_axis])
-    assert sc.n_tested == 8 and not sc.vacuous
+    # the zero-set check at the axis points' heights: its axis margins are
+    # F there, in the order of the sorted heights
+    sc = zero_set_check(p, D4, pts[on_axis, 2])
+    order = np.argsort(pts[on_axis, 2])
+    axis, margins = sc.points[:sc.n_axis], sc.margins[:sc.n_axis]
+    assert np.array_equal(axis, pts[on_axis][order])
+    assert np.array_equal(margins, t.f_term[on_axis][order])
+    assert sc.n_axis == 8
     if p == P44:
-        assert rep.clean and sc.holds and sc.n_holds == 8
+        assert rep.clean and sc.holds and len(sc.points) == 8
     else:
         # on the chained plant F vanishes at |x3| = 1, which fails the
         # strict condition and the strict sign of the generator
-        assert not sc.holds and sc.n_holds == 6
-        assert np.array_equal(sc.points[sc.margins >= 0.0],
-                              [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
+        assert not sc.holds and np.count_nonzero(margins < 0.0) == 6
+        assert np.array_equal(axis[margins >= 0.0], [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
         assert np.array_equal(rep.violations, [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
 
     with pytest.raises(ValueError, match="exclude a ball of radius >= 1e-3"):
         scan_generator(cl, np.vstack([pts, np.zeros((1, 3))]))
     with pytest.raises(ValueError, match="empty grid"):
         scan_generator(cl, np.empty((0, 3)))
-    for check in (lambda q: scan_generator(cl, q),
-                  lambda q: sclf_condition_check(p, D4, q)):
-        with pytest.raises(ValueError, match=r"must have shape \(N, 3\)"):
-            check(pts[:, :2])
+    with pytest.raises(ValueError, match=r"must have shape \(N, 3\)"):
+        scan_generator(cl, pts[:, :2])
 
 
 ORACLE_PLANTS = (P44, SystemParams(1.0, 1.0, 1.0, 0.0),
@@ -226,7 +227,6 @@ def test_scan_zero_noise_violations_sit_on_the_axis():
     assert np.all(rep.violations[:, 0] == 0.0)
     assert np.all(rep.violations[:, 1] == 0.0)
     assert np.all(rep.violation_values == 0.0)
-    assert rep.on_axis_count == 10
     off = rep.values[(rep.points[:, 0] != 0.0) | (rep.points[:, 1] != 0.0)]
     assert np.all(off < 0.0)
 
@@ -246,32 +246,19 @@ def test_scan_reference_design_is_clean():
     rep = scan_generator(cl, cube(11, exclude_radius=1e-3))
     assert rep.clean
     assert rep.min_value < 0.0
-    assert rep.on_axis_max < 0.0
+    on_axis = (rep.points[:, 0] == 0.0) & (rep.points[:, 1] == 0.0)
+    assert np.count_nonzero(on_axis) == 10 and rep.values[on_axis].max() < 0.0
     assert len(rep.violations) == 0 and len(rep.violation_values) == 0
 
 
-def test_write_scan_csv(tmp_path):
-    cl = closed_loop(P44, D4)
-    rep = scan_generator(cl, cube(3, exclude_radius=1e-3, extent=1.0))
-    out = tmp_path / "scan.csv"
-    write_scan_csv(rep, out, header_lines=["demo"])
-    lines = out.read_text().splitlines()
-    assert lines[0] == "# demo"
-    assert lines[1] == "x1,x2,x3,LV"
-    assert len(lines) == 2 + len(rep.points)
-    data = np.loadtxt(out, delimiter=",", skiprows=2)
-    assert np.array_equal(data[:, :3], rep.points)
-    assert np.array_equal(data[:, 3], rep.values)
-
-
 def test_sclf_check_reference_design():
-    rep = sclf_condition_check(P44, D4, cube(11, exclude_radius=1e-3))
-    # the control derivative only vanishes on the axis: 10 grid points
-    assert rep.n_tested == 10
-    assert rep.n_holds == 10
+    # the 10 nonzero heights of the 11-point axis; off the axis L_g v2 does
+    # not vanish on this plant, so the zero set is the 10 axis points
+    rep = zero_set_check(P44, D4, cube(11, exclude_radius=1e-3)[:, 2])
+    assert rep.n_axis == 10 and len(rep.points) == 10
+    assert np.all(rep.points[:, :2] == 0.0) and np.all(rep.points[:, 2] != 0.0)
     assert rep.holds
-    assert not rep.vacuous
-    assert np.all(rep.margins < 0.0)
+    assert np.all(rep.margins < 0.0) and np.all(rep.lg_norm == 0.0)
 
 
 def test_sclf_check_rejects_sum_of_squares():
@@ -292,14 +279,14 @@ def test_sclf_check_rejects_sum_of_squares():
 
 
 def test_sclf_check_vacuous_grid():
-    # off the axis, and on the x3 = 0 plane where the axis meets it only at
-    # the origin, which is not tested
-    for grid in (grid_points([1.0], [1.0], np.linspace(0.0, 1.0, 3)),
-                 grid_points(np.linspace(-1.0, 1.0, 3), np.linspace(-1.0, 1.0, 3), [0.0])):
-        rep = sclf_condition_check(P44, D4, grid)
-        assert rep.vacuous
-        assert rep.n_tested == 0
-        assert not rep.holds
+    # no height, and the x3 = 0 plane's, where the axis meets the plane only
+    # at the origin, which is not tested; on either plant class
+    plane = grid_points(np.linspace(-1.0, 1.0, 3), np.linspace(-1.0, 1.0, 3), [0.0])
+    for p in (P44, SystemParams(1.0, -1.0, 4.0, 1.0)):
+        for heights in ([], plane[:, 2]):
+            rep = zero_set_check(p, D4, heights)
+            assert rep.n_axis == 0 and rep.points.shape == (0, 3)
+            assert not rep.holds
 
 
 def test_sclf_check_leaves_out_the_origin():
@@ -307,13 +294,14 @@ def test_sclf_check_leaves_out_the_origin():
     # gives the verdict of the grid that excludes it
     grid = cube(21)
     assert (grid == 0.0).all(axis=1).sum() == 1
-    rep = sclf_condition_check(P44, D4, grid)
-    assert (rep.n_tested, rep.n_holds, rep.holds) == (20, 20, True)
+    rep = zero_set_check(P44, D4, grid[:, 2])
+    assert (rep.n_axis, np.count_nonzero(rep.margins < 0.0), rep.holds) == (20, 20, True)
     assert np.all(rep.points.any(axis=1))
-    chained = sclf_condition_check(SystemParams(1.0, 1.0, 1.0, 0.0), D4, grid)
-    assert (chained.n_tested, chained.n_holds, chained.holds) == (20, 18, False)
-    assert np.array_equal(chained.points[chained.margins >= 0.0],
-                          [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
+    chained = zero_set_check(SystemParams(1.0, 1.0, 1.0, 0.0), D4, grid[:, 2])
+    axis, margins = chained.points[:chained.n_axis], chained.margins[:chained.n_axis]
+    assert (chained.n_axis, np.count_nonzero(margins < 0.0), chained.holds) == (20, 18, False)
+    assert np.all(chained.points.any(axis=1))
+    assert np.array_equal(axis[margins >= 0.0], [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
 
 
 @pytest.mark.parametrize("p", ORACLE_PLANTS)
@@ -323,23 +311,23 @@ def test_sclf_margins_are_the_kernel_f(p, k):
     # generator and the paper's margin is the kernel's F, bit for bit.
     d = DiffusionDesign(k, k)
     pts = cube(21, exclude_radius=1e-3)
-    rep = sclf_condition_check(p, d, pts)
+    rep = zero_set_check(p, d, pts[:, 2])
     axis = pts[(pts[:, 0] == 0.0) & (pts[:, 1] == 0.0) & (pts[:, 2] != 0.0)]
-    assert len(axis) == 20 and rep.n_tested == 20 and not rep.vacuous
-    assert np.array_equal(rep.points, axis)
+    assert len(axis) == 20 and rep.n_axis == 20
+    assert np.array_equal(rep.points[:20], axis)
     t = loop_columns(p, d, axis[:, 0], axis[:, 1], axis[:, 2])
-    assert np.array_equal(rep.margins, t.f_term)
-    assert rep.n_holds == np.count_nonzero(t.f_term < 0.0)
+    margins = rep.margins[:20]
+    assert np.array_equal(margins, t.f_term)
+    assert np.all(rep.lg_norm[:20] == 0.0)
     if p == SystemParams(1.0, 1.0, 1.0, 0.0):
         # with k1 = k2, F = -(1/2) B1^2 (1 - x3^2)^2 on the axis: it
         # vanishes at |x3| = 1, so the strict condition fails there
         x3 = axis[:, 2]
         want = -0.5 * t.b1 ** 2 * (1.0 - x3 ** 2) ** 2
         off = np.abs(x3) != 1.0
-        assert np.all(np.abs(rep.margins[off] - want[off]) <= 1e-12 * np.abs(want[off]))
-        assert rep.n_holds == 18 and rep.holds is False
-        assert np.array_equal(rep.points[rep.margins >= 0.0],
-                              [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
+        assert np.all(np.abs(margins[off] - want[off]) <= 1e-12 * np.abs(want[off]))
+        assert np.count_nonzero(margins < 0.0) == 18 and rep.holds is False
+        assert np.array_equal(axis[margins >= 0.0], [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
 
 
 def test_mc_zero_dynamics_freezes():

@@ -1,4 +1,5 @@
-"""Where L_g v2 vanishes, and the plants on which that is the x3-axis alone.
+"""Where L_g v2 vanishes, the plants on which that is the x3-axis alone, and
+the paper's condition F < 0 there.
 
 Write y = x3^2 and X = x1^2 + x2^2, and let P and A be the planar and
 axial factors of v2's gradient,
@@ -11,9 +12,13 @@ and det M = b1 b2 P^2 + b3 b4 y A^2.  When (b1 b2)(b3 b4) > 0 the two
 terms share a sign, and they vanish together only where P = 0 and y A^2 =
 0.  At y = 0, P = 1.  For y > 0, P = 0 forces X/2 < 1, and there
 A > 2 - 2/e, since a log a >= -1/e on (0, 1).  So det M != 0 off the
-axis, and L_g v2 = 0 off the origin only on the x3-axis, where
-``check-design`` samples the paper's condition F < 0.  On any other sign pattern det M
-changes sign off the axis, and L_g v2 vanishes on a curve there.
+axis, and L_g v2 = 0 off the origin only on the x3-axis.  On any other
+sign pattern det M changes sign off the axis, or touches 0 where P does
+(b3 b4 = 0), and L_g v2 vanishes on a curve there.
+
+On the axis F has a closed form, derived below, which is negative at every
+x3 != 0 on the two reference plants.  ``verify.zero_set_check`` finds the
+off-axis roots; its roots are checked against a 40-digit root of det M.
 
 Every step is checked in sympy; nothing here reuses the package's
 formulas, which are only compared with the result.
@@ -23,8 +28,10 @@ import mpmath
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from stostab import DiffusionDesign, SystemParams, loop_columns
+from stostab import DiffusionDesign, SystemParams, loop_columns, v2_gradient, zero_set_check
 
 x1, x2, x3 = sp.symbols("x1 x2 x3", real=True)
 B = sp.symbols("b1 b2 b3 b4", real=True)
@@ -162,3 +169,138 @@ def test_det_M_changes_sign_off_the_axis_outside_the_class():
                       np.array([k[0], float(r)]), np.array([k[1], 0.0]),
                       np.array([float(r)] * 2)).lg
     assert np.abs(lg[:, 0]).max() < 1e-12 * np.abs(lg[:, 1]).max()
+
+
+# The heights scan-lv and check-design read at their defaults, and the
+# plants on which the condition holds and fails.
+HEIGHTS = np.linspace(-2.0, 2.0, 41)
+REFERENCE = ((1, 1, 4, 4), (1, 1, 1, 4))
+FAILING = ((1, -1, 4, 1), (2, -1, 1, 1), (1, 1, 0, 1))
+
+
+def _axis_f():
+    """F at (0, 0, z), z != 0, for symbolic b1..b4 and k1, k2 > 0.
+
+    The Ito drift's third entry on the axis comes from g v + (1/2)(d sigma/dx)
+    sigma with B1, B2 unknown functions of x, so the grouped form is derived
+    rather than assumed; v2's gradient and Hessian are their limits as the
+    axis is approached along x1.  Returns F and (B1, B2) on the axis.
+    """
+    g = sp.Matrix([[b1, 0], [0, b2], [b3 * x2, -b4 * x1]])
+    gains = [sp.Function(name)(x1, x2, x3) for name in ("B1", "B2")]
+    sig = g * sp.Matrix(gains)
+    corr = sig.jacobian((x1, x2, x3)) * sig
+    v = sp.Matrix([-corr[0] / (2 * b1), -corr[1] / (2 * b2)])
+    ito = (g * v + corr / 2)[2].subs({x1: 0, x2: 0}).doit()
+
+    z = sp.Symbol("z", real=True, nonzero=True)
+    t = sp.Symbol("t", positive=True)
+    half_x = (x1 ** 2 + x2 ** 2) / 2
+    v2 = 2 * Y - half_x * (1 + Y) + 2 * half_x ** (1 + Y / 2)
+
+    def on_axis(e):
+        return sp.limit(e.subs({x2: 0, x3: z}).subs(x1, t), t, 0, "+")
+
+    hess = sp.hessian(v2, (x1, x2, x3))
+    ga = sp.Matrix([[b1, 0], [0, b2]])       # g's nonzero rows on the axis
+    h = ga.T * sp.Matrix(2, 2, lambda i, j: on_axis(hess[i, j])) * ga
+    mid = (h[0, 0] + h[1, 1]) / 2
+    rad = sp.sqrt(((h[0, 0] - h[1, 1]) / 2) ** 2 + h[0, 1] ** 2)
+    k1, k2 = sp.symbols("k1 k2", positive=True)
+    b = sp.Matrix([k1 * (mid - rad) ** 2 * z ** 2, k2 * (mid + rad) ** 2 * z ** 2 * z])
+    ito = ito.subs(x3, z).subs({gi.subs({x1: 0, x2: 0, x3: z}): bi for gi, bi in zip(gains, b)})
+    return on_axis(sp.diff(v2, x3)) * ito + (b.T * h * b)[0] / 2, z, (k1, k2), b
+
+
+def test_axis_f_has_the_closed_form():
+    f, z, _, b = _axis_f()
+    g1, g2 = sp.symbols("B1 B2", real=True)
+    closed = 2 * z * (b2 * b3 - b1 * b4) * g1 * g2 - (1 + z ** 2) * (b1 ** 2 * g1 ** 2
+                                                                      + b2 ** 2 * g2 ** 2) / 2
+    assert sp.simplify(f - closed.subs({g1: b[0], g2: b[1]})) == 0
+
+
+@pytest.mark.parametrize("plant", REFERENCE)
+def test_axis_f_is_negative_on_the_reference_plants(plant):
+    # an expanded sum of terms, each a positive coefficient times even
+    # powers of z != 0 and powers of k1, k2 > 0
+    f, _, _, _ = _axis_f()
+    assert (-sp.expand(f.subs(dict(zip(B, plant))))).is_positive
+
+
+@pytest.mark.parametrize("plant", REFERENCE + FAILING)
+@pytest.mark.parametrize("k", (1e-4, 1.0))
+def test_zero_set_check_reads_the_kernel_f_on_the_axis(plant, k):
+    f, z, gains, _ = _axis_f()
+    closed = sp.lambdify((z, *gains), f.subs(dict(zip(B, plant))), modules="mpmath")
+    p, d = SystemParams(*plant), DiffusionDesign(k, k)
+    rep = zero_set_check(p, d, HEIGHTS)
+    axis = rep.points[:rep.n_axis]
+    assert rep.n_axis == 40 and np.array_equal(axis[:, 2], HEIGHTS[HEIGHTS != 0.0])
+    t = loop_columns(p, d, *axis.T)
+    assert np.array_equal(rep.margins[:rep.n_axis], t.f_term)
+    with mpmath.workdps(40):
+        want = np.array([float(closed(mpmath.mpf(h), k, k)) for h in axis[:, 2]])
+    assert np.all(np.abs(t.f_term - want) <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.parametrize("plant", REFERENCE)
+@pytest.mark.parametrize("k", (1e-4, 1.0))
+def test_no_off_axis_root_on_the_reference_plants(plant, k):
+    rep = zero_set_check(SystemParams(*plant), DiffusionDesign(k, k), HEIGHTS)
+    assert len(rep.points) == rep.n_axis == 40
+    assert rep.holds
+
+
+@pytest.mark.parametrize("plant, root, f", [
+    ((1, -1, 4, 1), (2.2583674, 1.1291837, -0.1), 13.5122),
+    ((2, -1, 1, 1), (2.0317679, 2.8733538, -0.1), 405.114),
+    ((1, 1, 0, 1), (0.0, 1.3512001, -2.0), 2.17211),
+])
+@pytest.mark.parametrize("k", (1e-4, 1.0))
+def test_an_off_axis_root_has_f_above_0_on_the_failing_plants(plant, root, f, k):
+    rep = zero_set_check(SystemParams(*plant), DiffusionDesign(k, k), HEIGHTS)
+    assert not rep.holds and np.all(rep.margins[:rep.n_axis] < 0.0)
+    off = rep.points[rep.n_axis:]
+    worst = rep.n_axis + int(np.argmax(rep.margins[rep.n_axis:]))
+    # the root and its mirror image through the axis are one root
+    x = rep.points[worst].copy()
+    x[:2] *= np.sign(x[:2] @ root[:2])
+    assert np.allclose(x, root, rtol=1e-7, atol=1e-7)
+    # F scales as k^2, as the gains scale as k
+    assert rep.margins[worst] == pytest.approx(f * (k / 1e-4) ** 2, rel=1e-5)
+    assert len(off) > 0 and np.all(off[:, :2].any(axis=1))
+
+
+@pytest.mark.parametrize("plant", FAILING)
+def test_the_roots_are_zeros_of_lg_v2_and_of_the_40_digit_det_M(plant):
+    rep = zero_set_check(SystemParams(*plant), DiffusionDesign(1e-4, 1e-4),
+                         np.linspace(-2.0, 2.0, 21))
+    roots, lg = rep.points[rep.n_axis:], rep.lg_norm[rep.n_axis:]
+    assert len(roots) >= 4
+    assert np.all(lg <= 1e-12 * np.linalg.norm(v2_gradient(roots), axis=1))
+    det = sp.lambdify((x1, x3), _m(P, A).subs(dict(zip(B, plant))).det().subs(x2, 0),
+                      modules="mpmath")
+    big_x = roots[:, 0] ** 2 + roots[:, 1] ** 2
+    with mpmath.workdps(40):
+        # in log X, so no step leaves X > 0; a b3 b4 = 0 plant's det M = b1 b2 P^2
+        # has double roots, which modified Newton converges to as fast
+        want = [float(mpmath.exp(mpmath.findroot(
+                    lambda u: det(mpmath.exp(u / 2), mpmath.mpf(z)), mpmath.log(x),
+                    solver="mnewton"))) for x, z in zip(big_x, roots[:, 2])]
+    assert np.all(np.abs(big_x - want) <= 1e-12 * big_x)
+
+
+_gain = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(_gain, _gain, _gain, _gain), st.sampled_from([1, -1]),
+       st.sampled_from([1, -1]), st.sampled_from([1, -1]),
+       st.floats(0.0, 1e3), st.floats(0.0, 1e3))
+def test_no_off_axis_root_on_the_covered_class(mags, s1, s2, s3, k1, k2):
+    # b1 b2 = s1 s2 |b1 b2| and b3 b4 = s1 s2 |b3 b4|: the same sign
+    b = (s1 * mags[0], s2 * mags[1], s3 * mags[2], s1 * s2 * s3 * mags[3])
+    assume(b[0] * b[3] + b[1] * b[2] != 0.0)
+    rep = zero_set_check(SystemParams(*b), DiffusionDesign(k1, k2), HEIGHTS)
+    assert len(rep.points) == rep.n_axis == 40
