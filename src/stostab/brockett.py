@@ -30,7 +30,8 @@ from numpy import (add, copysign, count_nonzero, divide, equal, maximum, minimum
                    multiply, negative, sqrt, subtract, where)
 
 from .lyapunov import (_HALF, _ONE, _TWO, _V2_OUT, _V2_ROWS, _ZERO, _bind_sontag_factor,
-                       _bind_v2, _columns, _const, _v2_columns, _v2_views, _workspace)
+                       _bind_v2, _columns, _const, _state_block, _v2_columns, _v2_views,
+                       _workspace)
 # Not called here: tools that trace the loop's layers look them up on this module.
 from .lyapunov import v2_gradient, v2_hessian  # noqa: F401
 from .sde import ITO, SdeSystem
@@ -123,33 +124,30 @@ def _plant(p: SystemParams) -> tuple:
     return tuple(map(_const, (p.b1, p.b2, p.b3, -p.b4, 0.5 * (p.b2 * p.b3 - p.b1 * p.b4))))
 
 
-def _bind_h_entries(p: tuple, x1, x2, c, e, hess, out, t) -> Callable[[], tuple]:
+def _bind_h_entries(p: tuple, x, hess, out) -> Callable[[], tuple]:
     """A pass, for plant coefficients ``p`` from :func:`_plant`, that
-    computes the third row (c, e) = (b3 x2, -b4 x1) of g,
-    then the entries (H11, H12, H22) of H = g^T Hess(v2) g into the first
-    three of the five columns ``out``, and returns them; ``t`` is scratch.
+    computes the third row (c, e) = (b3 x2, -b4 x1) of g at the (3, *shape)
+    state block ``x`` into the first two rows of the ten-row block ``out``,
+    then the entries (H11, H12, H22) of H = g^T Hess(v2) g into rows 3, 5
+    and 4, and returns them; the other rows are scratch.
 
     ``hess`` is the entries (h11, h12, h13, h22, h23, h33) of Hess(v2).  H
     is written out as the double sum over g's nonzero entries, in its order.
     """
     b1, b2, b3, minus_b4, _ = p
     h11, h12, h13, h22, h23, h33 = hess
-    k11, k12, k22, b1_h13, c_h33 = out
+    c, e, t, k11, k22, k12, b1_h13, b2_h23, c_h33, e_h33 = (out[i, ...] for i in range(10))
+    ce, diagonal, b_h, ce_h33 = out[0:2], out[3:5], out[6:8], out[8:10]
+    x1, x2 = x[0, ...], x[1, ...]
     entries = (k11, k12, k22)
 
     def h_pass():
         multiply(b3, x2, c)
         multiply(minus_b4, x1, e)
         multiply(b1, h13, b1_h13)
+        multiply(b2, h23, b2_h23)
         multiply(c, h33, c_h33)
-        # ((b1 h11) b1 + 2 (b1_h13 c)) + c_h33 c
-        multiply(b1, h11, k11)
-        multiply(k11, b1, k11)
-        multiply(b1_h13, c, t)
-        multiply(t, _TWO, t)
-        add(k11, t, k11)
-        multiply(c_h33, c, t)
-        add(k11, t, k11)
+        multiply(e, h33, e_h33)
         # (((b1 h12) b2 + b1_h13 e) + (c h23) b2) + c_h33 e
         multiply(b1, h12, k12)
         multiply(k12, b2, k12)
@@ -160,16 +158,16 @@ def _bind_h_entries(p: tuple, x1, x2, c, e, hess, out, t) -> Callable[[], tuple]
         add(k12, t, k12)
         multiply(c_h33, e, t)
         add(k12, t, k12)
-        # ((b2 h22) b2 + 2 ((b2 h23) e)) + (e h33) e
+        # ((b1 h11) b1 + 2 (b1_h13 c)) + c_h33 c, and H22 of (b2, h22, b2_h23, e, e_h33)
+        multiply(b1, h11, k11)
+        multiply(k11, b1, k11)
         multiply(b2, h22, k22)
         multiply(k22, b2, k22)
-        multiply(b2, h23, t)
-        multiply(t, e, t)
-        multiply(t, _TWO, t)
-        add(k22, t, k22)
-        multiply(e, h33, t)
-        multiply(t, e, t)
-        add(k22, t, k22)
+        multiply(b_h, ce, b_h)
+        multiply(b_h, _TWO, b_h)
+        add(diagonal, b_h, diagonal)
+        multiply(ce_h33, ce, ce_h33)
+        add(diagonal, ce_h33, diagonal)
         return entries
 
     return h_pass
@@ -177,18 +175,18 @@ def _bind_h_entries(p: tuple, x1, x2, c, e, hess, out, t) -> Callable[[], tuple]
 
 def _bind_eigs(h11, h12, h22, out, zero) -> Callable[[], tuple]:
     """A pass that computes the eigenvalues of [[h11, h12], [h12, h22]],
-    ascending, into the first two of the four columns ``out`` (the boolean
-    ``zero`` is scratch) and returns them.  The smaller in magnitude is
-    det(H) over the larger, since mid -/+ rad would cancel."""
-    mid, h12_sq, big, small = out
-    eigenvalues = (mid, h12_sq)
+    ascending, into the first two rows of the four-row block ``out`` (the
+    boolean ``zero`` is scratch) and returns them.  The smaller in magnitude
+    is det(H) over the larger, since mid -/+ rad would cancel."""
+    mid, big, h12_sq, small = (out[i, ...] for i in range(4))
+    mid_big = out[:2]
+    eigenvalues = (mid, big)
 
     def eig_pass():
         add(h11, h22, mid)
-        multiply(mid, _HALF, mid)
-        multiply(h12, h12, h12_sq)
         subtract(h11, h22, big)
-        multiply(big, _HALF, big)
+        multiply(mid_big, _HALF, mid_big)
+        multiply(h12, h12, h12_sq)
         multiply(big, big, big)
         add(big, h12_sq, big)
         sqrt(big, big)
@@ -199,7 +197,7 @@ def _bind_eigs(h11, h12, h22, out, zero) -> Callable[[], tuple]:
         equal(big, _ZERO, zero)
         divide(small, where(zero, _ONE, big) if count_nonzero(zero) else big, small)
         minimum(small, big, out=mid)
-        maximum(small, big, out=h12_sq)
+        maximum(small, big, out=big)
         return eigenvalues
 
     return eig_pass
@@ -207,11 +205,9 @@ def _bind_eigs(h11, h12, h22, out, zero) -> Callable[[], tuple]:
 
 def h_matrix(p: SystemParams, x) -> np.ndarray:
     """Symmetric 2x2 form H(x) = g^T Hess(v2) g, batched."""
-    x1, x2, x3 = _columns(x)
-    plant = _plant(p)
-    rows = _workspace(np.empty((8,) + np.shape(x1))).rows
-    h11, h12, h22 = _bind_h_entries(plant, x1, x2, *rows[6:], _v2_columns(x1, x2, x3).hess,
-                                    rows[:5], rows[5])()
+    x = _state_block(*_columns(x))
+    h11, h12, h22 = _bind_h_entries(_plant(p), x, _v2_columns(*x).hess,
+                                    np.empty((10,) + x.shape[1:]))()
     return np.stack([np.stack([h11, h12], axis=-1),
                      np.stack([h12, h22], axis=-1)], axis=-2)
 
@@ -225,7 +221,7 @@ def eigs_sym2(h) -> tuple:
               > 1e-9 * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))):
         raise ValueError("matrix is not symmetric")
     ws = _workspace(np.empty((4,) + h.shape[:-2]))
-    return _bind_eigs(h[..., 0, 0], h[..., 0, 1], h[..., 1, 1], ws.rows, ws.masks[0])()
+    return _bind_eigs(h[..., 0, 0], h[..., 0, 1], h[..., 1, 1], ws.block, ws.masks[0])()
 
 
 def diffusion_b(d: DiffusionDesign, p: SystemParams, x) -> tuple:
@@ -265,94 +261,96 @@ class LoopColumns(NamedTuple):
 
 
 # Rows of the kernel's workspace: those of a v2 pass, then the 15 columns of
-# the loop's own results.  The kernel's temporaries take v2's 18 scratch
+# the loop's own results.  The kernel's temporaries take v2's 17 scratch
 # rows once the v2 pass has returned.
 _N_ROWS = _V2_ROWS + 15
 
 
 def _bind_loop(block: np.ndarray, p: SystemParams, d: DiffusionDesign,
-               x1, x2, x3) -> Callable[[], LoopColumns]:
+               x: np.ndarray) -> Callable[[], LoopColumns]:
     """A pass of :func:`loop_columns` for plant ``p`` and design ``d`` at the
-    states in the coordinate columns x1, x2, x3, into ``block``, a float
-    array of shape ``(_N_ROWS, *shape)``.
+    states in ``x``, a float block of shape ``(3, *shape)`` whose rows are
+    x1, x2, x3, into ``block``, a float array of shape ``(_N_ROWS, *shape)``.
 
     The workspace's rows, the coefficients as 0-d arrays, the helper passes
     and the result, a :class:`LoopColumns` of views of ``block``, are bound
-    here once.  Each call reads the columns' values then, makes only ufunc
-    calls and returns that result; it allocates no column unless some row
-    has a degenerate H.
+    here once.  Each call reads the states ``x`` holds then, makes only
+    ufunc calls and returns that result; it allocates no column unless some
+    row has a degenerate H.
+
+    The two halves of each paired computation sit in adjacent rows, and one
+    call on the (2, *shape) row blocks does both, each element with the
+    IEEE operations of two calls: (x1, x2), (h11, h22), (c, e), (H11, H22),
+    (lam1, lam2), (B1, B2), (F, G), (lg1, lg2) and (u1, u2).  Every operand
+    of a call has one shape or is 0-d: at 200 rows a column broadcast over
+    a row pair cost more than the two calls it replaced.
     """
     ws = _workspace(block)
     v = _v2_views(ws)
     _, norm_sq, (d1, d2, d3), _ = v
+    x3 = x[2, ...]
     plant = _plant(p)
     b1, b2, _, _, third = plant
     k1, k2 = _const(d.k1), _const(d.k2)
-    scratch = ws.rows[_V2_OUT:_V2_ROWS]
-    c, e, t = scratch[:3]
-    h_rows, eig_rows = scratch[3:8], scratch[8:12]
-    # H's entries stay alive for F; its fourth row is free once H is out
-    k11, k12, k22, quad = h_rows[:4]
-    lam1, lam2 = eig_rows[:2]
+    scratch = block[_V2_OUT:_V2_ROWS]
+    # (c, e, t, H11, H22, H12), then four rows of H's scratch, which the
+    # eigenvalues take; after them, its last two rows are the pair scratch
+    c, e, t, k11, k22, k12 = ws.rows[_V2_OUT:_V2_OUT + 6]
+    ce, diagonal, lam, pair = scratch[0:2], scratch[3:5], scratch[6:8], scratch[8:10]
+    pair0, pair1 = pair[0, ...], pair[1, ...]
     results = block[_V2_ROWS:]
     (b1v, b2v, s1, s2, s3, f_term, g_term, lg1, lg2, u1, u2,
      dr1, dr2, dr3, ito) = ws.rows[_V2_ROWS:]
-    v2_pass = _bind_v2(ws, x1, x2, x3)
+    gains, lg, u = results[0:2], results[7:9], results[9:11]
+    v2_pass = _bind_v2(ws, x)
     # (c, e) is the third row of g; the first two rows are diag(b1, b2).
-    h_pass = _bind_h_entries(plant, x1, x2, c, e, v.hess, h_rows, t)
-    eig_pass = _bind_eigs(*h_rows[:3], eig_rows, ws.masks[0])
-    factor_pass = _bind_sontag_factor(f_term, g_term, quad, t, ws.masks[0])
+    h_pass = _bind_h_entries(plant, x, v.hess, scratch[:10])
+    eig_pass = _bind_eigs(k11, k12, k22, scratch[6:10], ws.masks[0])
+    factor_pass = _bind_sontag_factor(results[5:7], pair, ws.masks[0])
     columns = LoopColumns(v.value, v.norm_sq, b1v, b2v, results[2:5], f_term, g_term,
-                          results[7:9], results[9:11], results[11:14], ito)
+                          lg, u, results[11:14], ito)
 
     def loop_pass():
         v2_pass()
         h_pass()
         eig_pass()
-        multiply(lam1, lam1, b1v)        # k1 lam1^2 |x|^2
-        multiply(b1v, k1, b1v)
+        multiply(lam, lam, gains)        # (lam1^2, lam2^2)
+        multiply(b1v, k1, b1v)           # k1 lam1^2 |x|^2
         multiply(b1v, norm_sq, b1v)
-        multiply(lam2, lam2, b2v)        # k2 lam2^2 |x|^2 x3
-        multiply(b2v, k2, b2v)
+        multiply(b2v, k2, b2v)           # k2 lam2^2 |x|^2 x3
         multiply(b2v, norm_sq, b2v)
         multiply(b2v, x3, b2v)
         multiply(b1, b1v, s1)
         multiply(b2, b2v, s2)
-        multiply(c, b1v, s3)
-        multiply(e, b2v, t)
-        add(s3, t, s3)
+        multiply(ce, gains, pair)        # s3 = c B1 + e B2
+        add(pair0, pair1, s3)
         multiply(third, b1v, ito)
         multiply(ito, b2v, ito)
         # sigma^T Hess(v2) sigma = B^T H B, as B1 (H11 B1 + 2 (H12 B2)) + (H22 B2) B2
-        multiply(k11, b1v, quad)
+        multiply(diagonal, gains, pair)
         multiply(k12, b2v, t)
         multiply(t, _TWO, t)
-        add(quad, t, quad)
-        multiply(quad, b1v, quad)
-        multiply(k22, b2v, t)
-        multiply(t, b2v, t)
-        add(quad, t, quad)
+        add(pair0, t, pair0)
+        multiply(pair, gains, pair)
+        add(pair0, pair1, pair0)
         multiply(d3, ito, f_term)
-        multiply(quad, _HALF, quad)
-        add(f_term, quad, f_term)
-        multiply(b1, d1, lg1)
-        multiply(c, d3, t)
-        add(lg1, t, lg1)
+        multiply(pair0, _HALF, pair0)
+        add(f_term, pair0, f_term)
+        multiply(b1, d1, lg1)            # L_g v2 = (b1 d1 + c d3, b2 d2 + e d3)
         multiply(b2, d2, lg2)
-        multiply(e, d3, t)
-        add(lg2, t, lg2)
-        multiply(lg1, lg1, g_term)
-        multiply(lg2, lg2, t)
-        add(g_term, t, g_term)
+        multiply(c, d3, pair0)
+        multiply(e, d3, pair1)
+        add(lg, pair, lg)
+        multiply(lg, lg, pair)
+        add(pair0, pair1, g_term)
         minus_factor = factor_pass()
         negative(minus_factor, minus_factor)
         multiply(minus_factor, lg1, u1)
         multiply(minus_factor, lg2, u2)
         multiply(b1, u1, dr1)
         multiply(b2, u2, dr2)
-        multiply(c, u1, dr3)
-        multiply(e, u2, t)
-        add(dr3, t, dr3)
+        multiply(ce, u, pair)
+        add(pair0, pair1, dr3)
         add(dr3, ito, dr3)
         return columns
 
@@ -369,8 +367,8 @@ def loop_columns(p: SystemParams, d: DiffusionDesign, x1, x2, x3) -> LoopColumns
     views are returned (see :class:`LoopColumns`).  A caller that evaluates
     the loop again and again binds one pass to one block (:func:`_bind_loop`).
     """
-    shape = np.broadcast_shapes(np.shape(x1), np.shape(x2), np.shape(x3))
-    return _bind_loop(np.empty((_N_ROWS,) + shape), p, d, x1, x2, x3)()
+    x = _state_block(x1, x2, x3)
+    return _bind_loop(np.empty((_N_ROWS,) + x.shape[1:]), p, d, x)()
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,7 +32,7 @@ from .brockett import (DiffusionDesign, SystemParams, check_design_conditions,
                        closed_loop, controllability_rank, diffusion_b)
 from .lyapunov import v2_eval
 from .sde import IntegrationDiverged, write_csv, write_path_csvs
-from .verify import (_ensemble_plan, _wong_zakai_plan, grid_points,
+from .verify import (IDENTITY_TOL, _ensemble_plan, _wong_zakai_plan, grid_points,
                      mc_stability, scan_generator, small_control_scan,
                      wong_zakai_experiment, write_summary, zero_set_check)
 
@@ -171,6 +171,8 @@ def _validate(command: str, cfg: dict) -> None:
             _require(np.isfinite(v2_start),
                      f"v2(x0) is not finite at x0 = {cfg['x0']}, so the "
                      "default m_level = 10 v2(x0) is undefined")
+            _require(v2_start > 0.0, f"v2(x0) = {v2_start:g} at x0 = {cfg['x0']}, so the "
+                     "default m_level = 10 v2(x0) is not positive; set m_level")
             cfg["m_level"] = 10.0 * v2_start
     elif command in ("scan-lv", "check-design"):
         _require(cfg["grid_count"] >= 2, "grid_count must be at least 2")
@@ -309,6 +311,7 @@ def cmd_scan_lv(cfg: dict, out: str, hdr: list) -> int:
     p, d = _system(cfg)
     cl = closed_loop(p, d)
     full, sl = (scan_generator(cl, pts) for pts in _scan_grids(cfg))
+    residual = float(np.max([full.identity_residual, sl.identity_residual]))
     zs = _zero_set_items(p, d, _axis(cfg))
     for name, rep in (("full", full), ("slice", sl)):
         write_csv(os.path.join(out, f"scan_{name}.csv"), ["x1", "x2", "x3", "LV"],
@@ -322,6 +325,7 @@ def cmd_scan_lv(cfg: dict, out: str, hdr: list) -> int:
         ("slice_violations", len(sl.violations)),
         ("slice_min_lv", _fmt(sl.min_value)),
         ("slice_max_lv", _fmt(float(sl.values.max()))),
+        ("identity_residual", _fmt(residual)),
         *zs,
     ], hdr)
     n_bad = len(full.violations) + len(sl.violations)
@@ -331,7 +335,10 @@ def cmd_scan_lv(cfg: dict, out: str, hdr: list) -> int:
     if n_bad:
         print(f"scan-lv: {n_bad} sign violations "
               f"(first at {tuple((full.violations if len(full.violations) else sl.violations)[0].tolist())})")
-    if n_bad or verdict == "FAIL":
+    if not residual <= IDENTITY_TOL:
+        print(f"scan-lv: LV = -hypot(F, G) off the zero set fails by {residual:.3g} "
+              f"relative, above {IDENTITY_TOL:g}")
+    if n_bad or verdict == "FAIL" or not residual <= IDENTITY_TOL:
         return 4
     print("scan-lv: generator negative at every scanned point")
     return 0

@@ -67,18 +67,23 @@ _X_GUARD, _G_ZERO = _const(X_GUARD), _const(G_ZERO)
 
 
 class _Workspace(NamedTuple):
-    """Column buffers of one shape that a kernel pass computes into."""
+    """A float block that a kernel pass computes into, one column a row."""
 
-    rows: tuple             # the float columns, one a row of a block
+    block: np.ndarray       # the float block, whose row slices pair columns
+    rows: tuple             # its rows, one column each
     masks: tuple            # two boolean columns
 
 
 def _workspace(block: np.ndarray) -> _Workspace:
-    """The rows of the float ``block`` as columns, and two boolean columns
-    of their shape."""
+    """``block``, its rows as columns, and two boolean columns of their shape."""
     masks = np.empty((2,) + block.shape[1:], dtype=bool)
-    return _Workspace(tuple(block[i, ...] for i in range(len(block))),
+    return _Workspace(block, tuple(block[i, ...] for i in range(len(block))),
                       (masks[0, ...], masks[1, ...]))
+
+
+def _state_block(x1, x2, x3) -> np.ndarray:
+    """The coordinate columns x1, x2, x3 as one float block of shape (3, *shape)."""
+    return np.array(np.broadcast_arrays(x1, x2, x3), dtype=float)
 
 
 class _V2Columns(NamedTuple):
@@ -91,25 +96,28 @@ class _V2Columns(NamedTuple):
 
 
 # Rows of a workspace that a v2 pass fills: the 11 columns of its result
-# first, then 18 of scratch, which are free again once it returns.
+# first, then 17 of scratch, which are free again once it returns.
 _V2_OUT = 11
-_V2_ROWS = _V2_OUT + 18
+_V2_ROWS = _V2_OUT + 17
 
 
 def _v2_views(ws: _Workspace) -> _V2Columns:
-    """The first ``_V2_OUT`` rows of ``ws``, which a v2 pass returns."""
+    """The first ``_V2_OUT`` rows of ``ws``, which a v2 pass returns; h11
+    and h22 are adjacent rows."""
     r = ws.rows
-    return _V2Columns(r[0], r[1], r[2:5], r[5:11])
+    return _V2Columns(r[0], r[1], r[2:5], (r[5], r[7], r[8], r[6], r[9], r[10]))
 
 
-def _bind_v2(ws: _Workspace, x1, x2, x3) -> Callable[[], _V2Columns]:
-    """A pass, bound once to the coordinate columns x1, x2, x3 and to the
+def _bind_v2(ws: _Workspace, x: np.ndarray) -> Callable[[], _V2Columns]:
+    """A pass, bound once to the (3, *shape) state block ``x`` and to the
     first ``_V2_ROWS`` rows of ``ws``, that computes v2, |x|^2, the gradient
-    and the Hessian entries of :func:`v2_eval` at the states the columns
-    hold when it is called, and returns :func:`_v2_views` of ``ws``.
+    and the Hessian entries of :func:`v2_eval` at the states ``x`` holds
+    when it is called, and returns :func:`_v2_views` of ``ws``.
 
     X/2, the power (X/2)^(1 + x3^2/2) and log(X/2) are evaluated once; the
     lower powers follow by dividing by X/2, and v2 reuses the same power.
+    Paired columns sit in adjacent rows, so one call on same-shape row
+    blocks computes (x1^2, x2^2, x3^2), (X/2, x3^2/2) and (h11, h22).
     Each temporary overwrites a dead row, and each element takes the IEEE
     operations of fresh temporaries, up to the order of a commutative
     operation's operands; v2 adds its terms in :func:`v2_eval`'s order, so
@@ -119,19 +127,20 @@ def _bind_v2(ws: _Workspace, x1, x2, x3) -> Callable[[], _V2Columns]:
     """
     v = _v2_views(ws)
     value, norm_sq, (d1, d2, d3), (h11, h12, h13, h22, h23, h33) = v
-    (q1, q2, y, big_x, a, p, two_y, h_axis, a_safe, log_a, a_p, a_pm1, two_p,
-     planar, axial, rank1, cross, t) = ws.rows[_V2_OUT:_V2_ROWS]
+    (t, q1, big_x, y, a, p, two_y, h_axis, a_safe, log_a, a_p, a_pm1, two_p,
+     planar, axial, rank1, cross) = ws.rows[_V2_OUT:_V2_ROWS]
+    s, x1, x2, x3, x12 = _V2_OUT, x[0, ...], x[1, ...], x[2, ...], x[:2]
+    # row blocks: X overwrites x2^2, beside x3^2, and (t, q1) is (rank1 x1, rank1 x2)
+    squares, halves, rank1_x = ws.block[s + 1:s + 4], ws.block[s + 4:s + 6], ws.block[s:s + 2]
+    big_x_y, h_ii = squares[1:], ws.block[5:7]
     small, axis_y = ws.masks
     off_diagonal = (h12, h13, h23)
 
     def v2_pass():
-        multiply(x1, x1, q1)
-        multiply(x2, x2, q2)
-        multiply(x3, x3, y)
-        add(q1, q2, big_x)
+        multiply(x, x, squares)
+        add(q1, big_x, big_x)
         add(big_x, y, norm_sq)
-        multiply(_HALF, big_x, a)
-        multiply(_HALF, y, p)
+        multiply(_HALF, big_x_y, halves)      # (a, p) = (X/2, x3^2/2)
         add(p, _ONE, p)
         multiply(_TWO, y, two_y)
         subtract(_MINUS_ONE, y, h_axis)    # planar Hessian on X = 0
@@ -167,11 +176,10 @@ def _bind_v2(ws: _Workspace, x1, x2, x3) -> Callable[[], _V2Columns]:
         multiply(_TWO, x3, cross)
         multiply(cross, t, cross)
         multiply(rank1, x1, t)
-        multiply(t, x1, h11)
-        add(h11, planar, h11)
+        multiply(rank1, x2, q1)
+        multiply(rank1_x, x12, h_ii)          # (h11, h22) less the planar term
         multiply(t, x2, h12)
-        multiply(rank1, x2, h22)
-        multiply(h22, x2, h22)
+        add(h11, planar, h11)
         add(h22, planar, h22)
         multiply(x1, cross, h13)
         multiply(x2, cross, h23)
@@ -207,8 +215,8 @@ def _bind_v2(ws: _Workspace, x1, x2, x3) -> Callable[[], _V2Columns]:
 
 def _v2_columns(x1, x2, x3) -> _V2Columns:
     """:func:`_bind_v2` on a fresh workspace, run once."""
-    shape = np.broadcast_shapes(np.shape(x1), np.shape(x2), np.shape(x3))
-    return _bind_v2(_workspace(np.empty((_V2_ROWS,) + shape)), x1, x2, x3)()
+    x = _state_block(x1, x2, x3)
+    return _bind_v2(_workspace(np.empty((_V2_ROWS,) + x.shape[1:])), x)()
 
 
 def v2_gradient(x):
@@ -239,27 +247,29 @@ def v2_hessian(x):
     return np.stack([row1, row2, row3], axis=-2)
 
 
-def _bind_sontag_factor(f_term, g_term, out, t, mask) -> Callable[[], np.ndarray]:
+def _bind_sontag_factor(fg, out, mask) -> Callable[[], np.ndarray]:
     """A pass that computes (F + sqrt(F^2 + G^2)) / G, or 0 where G <= ``G_ZERO``
-    or is NaN, into ``out`` and returns it; ``t`` and ``mask`` are scratch."""
+    or is NaN, from the rows (F, G) of the block ``fg`` into the first row of
+    the block ``out``, of its shape, and returns that row; the second row and
+    ``mask`` are scratch."""
+    f_term, g_term, factor, t = fg[0, ...], fg[1, ...], out[0, ...], out[1, ...]
     size = mask.size
 
     def factor_pass():
-        multiply(f_term, f_term, out)
-        multiply(g_term, g_term, t)
-        add(out, t, out)
-        sqrt(out, out)
-        add(out, f_term, out)
+        multiply(fg, fg, out)               # (F^2, G^2)
+        add(factor, t, factor)
+        sqrt(factor, factor)
+        add(factor, f_term, factor)
         greater(g_term, _G_ZERO, mask)
         if count_nonzero(mask) == size:
-            divide(out, g_term, out)
-            return out
+            divide(factor, g_term, factor)
+            return factor
         zero = logical_not(mask, mask)
         copyto(t, g_term)
         copyto(t, _ONE, where=zero)
-        divide(out, t, out)
-        copyto(out, _ZERO, where=zero)
-        return out
+        divide(factor, t, factor)
+        copyto(factor, _ZERO, where=zero)
+        return factor
 
     return factor_pass
 
@@ -277,6 +287,6 @@ def sontag_control(f_term, g_term, lg_v) -> np.ndarray:
     gg = np.einsum('...k,...k->...', lg, lg)
     if np.any(np.abs(g_term - gg) > 1e-12 * np.maximum(1.0, np.abs(g_term))):
         raise ValueError("g_term is inconsistent with lg_v . lg_v^T")
-    ws = _workspace(np.empty((2,) + np.broadcast_shapes(f_term.shape, g_term.shape)))
-    factor = _bind_sontag_factor(f_term, g_term, *ws.rows, ws.masks[0])()
+    fg = np.array(np.broadcast_arrays(f_term, g_term))
+    factor = _bind_sontag_factor(fg, np.empty_like(fg), np.empty(fg.shape[1:], bool))()
     return -factor[..., None] * lg

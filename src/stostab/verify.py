@@ -23,7 +23,7 @@ import numpy as np
 
 from . import brockett
 from .brockett import ClosedLoop, DiffusionDesign, SystemParams
-from .lyapunov import X_GUARD, v2_eval, v2_gradient
+from .lyapunov import G_ZERO, X_GUARD, v2_eval, v2_gradient
 from .sde import (ITO, NORM_SQ_BOUND, STRATONOVICH, SdeSystem, _em_step,
                   _failure_text, _final_state, _initial_state, _is_int, _rk4_step,
                   _run_shares, _share_bounds, _step_count, piecewise_linear_lift,
@@ -87,10 +87,17 @@ def grid_points(a1, a2, a3, exclude_radius: float = 0.0) -> np.ndarray:
     return pts
 
 
+# Largest relative residual of Sontag's identity LV = -hypot(F, G) that the
+# kernel may leave off the zero set; it met 1.3e-15 on 6.4 million states.
+IDENTITY_TOL = 1e-12
+
+
 @dataclass(eq=False)
 class ScanReport:
     """Generator values over a set of states; ``violations`` are the points
-    where the generator is not < 0."""
+    where the generator is not < 0.  ``identity_residual`` is the largest
+    |LV + hypot(F, G)| / hypot(F, G) where G > ``G_ZERO`` (0 with no such
+    state), NaN when one is not finite."""
 
     points: np.ndarray
     values: np.ndarray
@@ -98,6 +105,7 @@ class ScanReport:
     violation_values: np.ndarray
     min_value: float
     argmin: np.ndarray
+    identity_residual: float
 
     @property
     def clean(self) -> bool:
@@ -112,7 +120,10 @@ def scan_generator(cl: ClosedLoop, points) -> ScanReport:
 
     One kernel pass gives LV = F + L_g v2 . u; every value that is not
     negative, NaN included, is a violation.  There must be a point, and
-    none within 1e-3 of the origin, where LV is zero by construction.
+    none within 1e-3 of the origin, where LV is zero by construction.  Off
+    the zero set Sontag's formula makes LV = -hypot(F, G), and the report
+    carries the residual of that identity, a self-check of the kernel's
+    factor and control.
     """
     pts = brockett._states(points)
     if len(pts) == 0:
@@ -124,7 +135,10 @@ def scan_generator(cl: ClosedLoop, points) -> ScanReport:
     lv = t.f_term + (lg1 * u1 + lg2 * u2)
     bad = ~(lv < 0.0)
     k = int(np.argmin(lv))
-    return ScanReport(pts, lv, pts[bad], lv[bad], float(lv[k]), pts[k].copy())
+    off = t.g_term > G_ZERO
+    h = np.hypot(t.f_term[off], t.g_term[off])
+    residual = float(np.max(np.abs(lv[off] + h) / h, initial=0.0))
+    return ScanReport(pts, lv, pts[bad], lv[bad], float(lv[k]), pts[k].copy(), residual)
 
 
 @dataclass(eq=False)
@@ -345,9 +359,12 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
     place: ``x += f dt``, then ``x += s w`` (``s *= w`` row by row).  The
     kernel pass is bound once to ``x`` and one workspace
     (:func:`brockett._bind_loop`), and the loop calls ufuncs by local name
-    on the pass's rows.  The previous v2 has a column of its own.  A step
-    allocates no column of the share's size unless some path diverges, and
-    a path's results do not depend on the paths stepped with it.
+    on the pass's rows, each operand of one shape.  The pass's first two
+    rows are (v2, |x|^2): one call keeps their running maxima in a (2, n)
+    block, and one sum of that row pair screens for divergence.  A spent
+    noise column holds the previous v2.  A step allocates no column of the
+    share's size unless some path diverges, and a path's results do not
+    depend on the paths stepped with it.
     """
     add, subtract, multiply, divide, maximum, copyto, isfinite = (
         np.add, np.subtract, np.multiply, np.divide, np.maximum, np.copyto, np.isfinite)
@@ -355,16 +372,15 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
     n_paths, dw = len(seeds), out["dw"]
     wiener_increments(dt, seeds, n_steps, out=dw)
     x = np.repeat(x0[:, None], n_paths, axis=1)
-    evaluate = brockett._bind_loop(_mapped((brockett._N_ROWS, n_paths)),
-                                   cl.params, cl.design, *x)
+    block = _mapped((brockett._N_ROWS, n_paths))
+    evaluate = brockett._bind_loop(block, cl.params, cl.design, x)
     t = evaluate()
     v2, norm_sq, drift, sigma, control = t.v2, t.norm_sq, t.drift, t.sigma, t.control
     s1, s2, s3 = sigma
-    sup_v2, sup_norm_sq, death = out["sup_v2"], out["sup_norm_sq"], out["death"]
-    sup_v2[:] = v2
-    sup_norm_sq[:] = norm_sq
+    v2_norm_sq = block[:2]
+    sups = v2_norm_sq.copy()
+    death = out["death"]
     death[:] = n_steps
-    v2_prev = v2.copy()
     dt = np.array(dt)
 
     if rec_steps is not None:
@@ -385,12 +401,14 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
         multiply(s2, w, s2)
         multiply(s3, w, s3)
         add(x, sigma, x)
+        copyto(w, v2)
         evaluate()
-        subtract(v2, v2_prev, w)
+        subtract(v2, w, w)
         divide(w, dt, w)
-        # The sum of the |x|^2 column bounds each row, and a NaN or inf (a
-        # finite state can overflow v2) makes a sum fail: only then test rows.
-        if not (total(norm_sq) <= NORM_SQ_BOUND and math.isfinite(total(v2))):
+        # The sum of the |x|^2 row bounds each of its values, and a NaN or
+        # inf (a finite state can overflow v2) makes a sum fail: only then test rows.
+        v2_sum, norm_sq_sum = total(v2_norm_sq, 1)
+        if not (norm_sq_sum <= NORM_SQ_BOUND and math.isfinite(v2_sum)):
             fine = (norm_sq <= NORM_SQ_BOUND) & isfinite(v2)
             newly_dead = ~fine & (death == n_steps)
             if newly_dead.any():
@@ -401,15 +419,14 @@ def _step_paths(cl: ClosedLoop, x0: np.ndarray, dt: float, seeds: np.ndarray,
                 x[:, newly_dead] = 0.0
                 evaluate()
         # A parked path sits at v2 = |x|^2 = 0, and its sups become inf later.
-        maximum(sup_v2, v2, out=sup_v2)
-        maximum(sup_norm_sq, norm_sq, out=sup_norm_sq)
-        copyto(v2_prev, v2)
+        maximum(sups, v2_norm_sq, out=sups)
         if rec_steps is not None and k + 1 == rec_steps[j]:
             record(j)
             j += 1
 
     out["terminal"][:] = x.T
-    out["v2"][:] = v2_prev
+    out["v2"][:] = v2
+    out["sup_v2"][:], out["sup_norm_sq"][:] = sups
 
 
 def _ensemble_plan(x0, dt: float, horizon: float, n_paths: int, eps: float,

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from stostab import (DiffusionDesign, SystemParams, Trajectory, __version__, cli,
+from stostab import (DiffusionDesign, SystemParams, Trajectory, __version__, brockett, cli,
                      closed_loop, verify)
 from stostab.verify import mc_stability
 
@@ -227,6 +227,23 @@ def test_malformed_values_rejected(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_a_start_where_v2_is_zero_names_x0_and_the_default_m_level(tmp_path, capsys):
+    # v2(x0) = 0 at the origin, and underflows to 0 at (1e-200, 0, 0): the
+    # default m_level = 10 v2(x0) is 0, which the user never set
+    for x0, shown in (("0,0,0", "(0.0, 0.0, 0.0)"), ("1e-200,0,0", "(1e-200, 0.0, 0.0)")):
+        out = tmp_path / "zero"
+        assert run_cli(["simulate", "--x0", x0, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: v2(x0) = 0 at x0 = {shown}, so the default m_level = 10 v2(x0) "
+            "is not positive; set m_level\n")
+        assert not out.exists()
+    # a level the user sets runs from the origin
+    out = tmp_path / "set"
+    assert run_cli(["simulate", "--x0", "0,0,0", "--m-level", "1", "--horizon", "0.01",
+                    "--n-paths", "2", "--out", str(out)]) == 0
+    assert "m_level = 1\n" in (out / "summary.txt").read_text()
+
+
 @pytest.mark.parametrize("line, error", [
     ("sabotage_b1 = maybe", "error: bad value for 'sabotage_b1': 'maybe' (expected true or false)"),
     ("sabotage_b1", "error: {cfg}:1: expected key = value"),
@@ -314,6 +331,50 @@ def test_scan_lv_exit_codes(tmp_path, capsys):
     assert "full_min_lv = nan" in summary
     # the first violation prints as plain floats, not numpy scalar reprs
     assert "(first at (-1e+300, -1e+300, -1e+300))" in capsys.readouterr().out
+
+
+def _identity_residual(out) -> float:
+    lines = (out / "summary.txt").read_text().splitlines()
+    return float(next(l for l in lines if l.startswith("identity_residual = ")).split(" = ")[1])
+
+
+@pytest.mark.parametrize("plant", [("1", "1", "4", "4"), ("1", "1", "1", "4")])
+def test_scan_lv_meets_sontags_identity_on_the_reference_plants(tmp_path, plant):
+    # off the zero set LV = -hypot(F, G); the kernel met it within 1.3e-15
+    out = tmp_path / "s"
+    flags = [arg for i, b in enumerate(plant, 1) for arg in (f"--b{i}", b)]
+    assert run_cli(["scan-lv", "--grid-count", "21", *flags, "--out", str(out)]) == 0
+    assert 0.0 < _identity_residual(out) <= verify.IDENTITY_TOL
+
+
+@pytest.mark.parametrize("how", ["sign", "scale"])
+def test_scan_lv_fails_a_control_that_breaks_sontags_identity(tmp_path, capsys, monkeypatch,
+                                                               how):
+    # a Sontag factor of the wrong sign, or a control 1e-9 too large: the
+    # second leaves every LV negative and the zero set's verdict as it was,
+    # so the identity alone sets the exit code
+    real = brockett._bind_sontag_factor
+
+    def broken(fg, out, mask):
+        run = real(fg, out, mask)
+
+        def factor_pass():
+            factor = run()
+            if how == "sign":
+                np.negative(factor, out=factor)
+            else:
+                np.multiply(factor, 1.0 + 1e-9, out=factor)
+            return factor
+        return factor_pass
+
+    monkeypatch.setattr(brockett, "_bind_sontag_factor", broken)
+    out = tmp_path / "s"
+    assert run_cli(["scan-lv", "--grid-count", "11", "--out", str(out)]) == 4
+    assert _identity_residual(out) > verify.IDENTITY_TOL
+    assert "LV = -hypot(F, G) off the zero set fails by" in capsys.readouterr().out
+    if how == "scale":
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert {"full_violations = 0", "slice_violations = 0", "zero_set = PASS"} <= set(summary)
 
 
 @pytest.mark.parametrize("args, name", [

@@ -664,11 +664,13 @@ def test_mc_maps_seven_arrays_without_recording(monkeypatch):
 
 def test_mc_steps_allocate_no_columns(monkeypatch):
     # from the noise draw to the drift statistics, a share allocates its
-    # three state columns, the previous step's v2 and two boolean columns,
-    # and nothing else of its size: its workspace is mapped, like the noise
-    # and the results, out of tracemalloc's sight, and every step computes
-    # into it.  A kernel that made fresh temporaries held dozens of columns
-    # at once.  On one CPU the whole ensemble steps in this process.
+    # three state columns, the running maxima of v2 and |x|^2 (the previous
+    # step's v2 waits in the spent noise column), two boolean columns and
+    # the views of the bound pass, and nothing else of its size: its
+    # workspace is mapped, like the noise and the results, out of
+    # tracemalloc's sight, and every step computes into it.  A kernel that
+    # made fresh temporaries held dozens of columns at once.  On one CPU the
+    # whole ensemble steps in this process.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     cl = closed_loop(P44, D4)
     marks = {}
@@ -693,8 +695,49 @@ def test_mc_steps_allocate_no_columns(monkeypatch):
     finally:
         tracemalloc.stop()
     assert rep.n_steps == 50 and rep.n_diverged == 0
-    # 4.5 columns here; 54 with fresh temporaries
+    # 5.9 columns here; 54 with fresh temporaries
     assert marks["peak"] - marks["start"] <= 6 * 8 * n_paths
+
+
+def test_an_ensemble_step_makes_at_most_11_numpy_calls_beside_the_pass(monkeypatch):
+    # at 200 paths a step is dispatch-bound: beside the kernel pass it makes
+    # the update x += f dt + s w, the drift sample, one sum of the (v2, |x|^2)
+    # row pair as the divergence screen and one running maximum of that
+    # pair.  The calls are counted between consecutive passes, on paths that
+    # take no branch; the step loop reads its numpy names from np on entry.
+    calls, starts = [0], []
+
+    class Counted:
+        def __init__(self, fn):
+            self.fn = fn
+
+        def __call__(self, *args, **kwargs):
+            calls[0] += 1
+            return self.fn(*args, **kwargs)
+
+        def __getattr__(self, name):      # np.add.reduce is counted too
+            return Counted(getattr(self.fn, name))
+
+    for name, obj in list(vars(np).items()):
+        if isinstance(obj, np.ufunc) or name in ("copyto", "count_nonzero", "where"):
+            monkeypatch.setattr(np, name, Counted(obj))
+    bind = verify.brockett._bind_loop
+
+    def bind_counted(*args):
+        run = bind(*args)
+
+        def counted_pass():
+            starts.append(calls[0])
+            return run()
+        return counted_pass
+
+    monkeypatch.setattr(verify.brockett, "_bind_loop", bind_counted)
+    rep = mc_stability(closed_loop(P44, D4), (0.4, -0.3, 0.8), 1e-3, 0.02, 200,
+                       5.0, 0.1, 20.0, seed=1)
+    # a pass for v2 at the start, one at the share's start, then one a step
+    assert rep.n_diverged == 0 and len(starts) == 2 + 20
+    steps = np.diff(starts[1:])[1:]
+    assert len(steps) == 19 and max(steps) <= 11, steps
 
 
 def test_mc_overflow_counts_as_divergence():
