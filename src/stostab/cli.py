@@ -267,6 +267,16 @@ def _zero_set_items(p, d, heights) -> list:
 
 def cmd_simulate(cfg: dict, out: str, hdr: list) -> int:
     p, d = _system(cfg)
+    # the paper's condition, at the heights of check-design's default grid,
+    # before any path is drawn; a passing plant adds nothing to the output
+    defaults = {key: SUBCOMMAND_SCHEMA["check-design"][key][1]
+                for key in ("grid_count", "grid_extent")}
+    (_, verdict), (_, detail) = _zero_set_items(p, d, _axis(defaults))
+    if verdict == "FAIL":
+        print(f"simulate: zero set of L_g v2: {verdict} ({detail})")
+        print("error: F < 0 fails on the zero set of L_g v2, so the design does not "
+              "stabilize this plant; no paths were simulated", file=sys.stderr)
+        return 4
     cl = closed_loop(p, d)
     rep = mc_stability(cl, cfg["x0"], cfg["dt"], cfg["horizon"],
                        cfg["n_paths"], cfg["eps"], cfg["conv_threshold"],

@@ -30,7 +30,7 @@ import functools
 import os
 import pickle
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -497,24 +497,248 @@ def header_text(header_lines) -> str:
     return "".join(f"# {line}\n" for line in header_lines)
 
 
-def write_csv(path, columns, rows, header_lines=()) -> None:
-    """Write the header, the column names, then rows of numbers at ``.17g``.
+# The block formatter.  A finite nonzero |v| = f 2^e2 (f in [0.5, 1)) with
+# E = floor(log10 |v|) has the 17 digits D = round(y), y = |v| 10^(16 - E) in
+# [10^16, 10^17).  y comes from one table row 10^k = (hi + lo) 2^s, hi in
+# [1, 2): Dekker's exact product f hi plus f lo, as a double-double (y, r)
+# scaled by 2^(e2 + s), with an error below 2^-42.  For k in [0, 22] lo is 0
+# and (y, r) is y exactly, so a tie rounds half-even; elsewhere a fraction
+# within _TIE_TOL of one half goes to "%.17g" (the exact ties at E = -7 and
+# -8 do).  An E off by one from log10 leaves y outside [10^16, 10^17), and y
+# is recomputed at the corrected E.
+_SPLITTER = 134217729.0                 # 2^27 + 1, splits a double into halves
+_K_MIN, _K_MAX = -293, 341              # k = 16 - E for E = -324..308, +-1
+_TIE_TOL = 2.0 ** -40
 
-    Each row fills one prebuilt ``%.17g,...`` format, one field per column.
-    Rows of Python numbers (``.tolist()``) format faster than numpy scalars.
-    Path CSVs, whose rows share a time column, go through
-    :func:`write_path_csvs` instead.
+# A value's text is gathered from a 32-byte source row: the sign ('-' or
+# NUL), '.', '0', the 17 digits, NUL, 'i', 'n', 'e', the exponent's sign,
+# hundreds (or NUL), tens and units, the field's separator, 'f' and 'a'.
+_SIGN, _POINT, _ZERO, _DIGITS, _NUL, _I, _N, _E, _EXP, _SEP, _F, _A = (
+    0, 1, 2, 3, 20, 21, 22, 23, 24, 28, 29, 30)
+# Layout classes: %g's fixed notation for E = -4..16, scientific, then 0,
+# +-inf and NaN.  A field is at most 24 bytes and its separator.
+_SCIENTIFIC, _ZERO_CLASS, _INF_CLASS, _NAN_CLASS = 21, 22, 23, 24
+_FIELD = 25
+
+# Values the formatter takes at once.  On a 2-CPU host 2^11 took 20 % longer
+# a value than 2^12, and 2^13 and 2^14 were no faster; the temporaries are
+# about 270 bytes a value, so a block of 2^12 keeps them near 1 MB.
+_CSV_BLOCK = 2 ** 12
+
+
+class _FormatTables(NamedTuple):
+    hi: np.ndarray              # 10^k = (hi + lo) 2^shift, hi in [1, 2]
+    lo: np.ndarray
+    shift: np.ndarray
+    hi_top: np.ndarray          # hi's Veltkamp halves
+    hi_bottom: np.ndarray
+    groups: np.ndarray          # 0..9999 as uint32 words of four ASCII digits
+    zeros: np.ndarray           # trailing zeros of those four digits
+    exps: np.ndarray            # E = -400..399 as uint32 words: sign, digits
+    source: np.ndarray          # a source row's constant bytes
+    layouts: np.ndarray         # source bytes of a field, by class * 18 + nd
+
+
+def _layout(cls: int, nd: int) -> list:
+    """Source-row bytes of a field of class ``cls`` with ``nd`` significant digits."""
+    digits = list(range(_DIGITS, _DIGITS + nd))
+    if cls == _NAN_CLASS:
+        return [_N, _A, _N, _SEP]               # NaN has no sign
+    if cls == _INF_CLASS:
+        body = [_I, _N, _F]
+    elif cls == _ZERO_CLASS:
+        body = [_ZERO]
+    elif cls == _SCIENTIFIC:
+        body = digits[:1] + ([_POINT] + digits[1:] if nd > 1 else []) + [
+            _E, _EXP, _EXP + 1, _EXP + 2, _EXP + 3]
+    elif cls < 4:                               # E < 0: 0.000ddd
+        body = [_ZERO, _POINT] + [_ZERO] * (3 - cls) + digits
+    else:                                       # E >= 0: integer part, digits left
+        e = cls - 4
+        body = (digits + [_ZERO] * e)[:e + 1] + (
+            [_POINT] + digits[e + 1:] if nd > e + 1 else [])
+    return [_SIGN] + body + [_SEP]
+
+
+@functools.cache
+def _format_tables() -> _FormatTables:
+    """The block formatter's tables, built on first use."""
+    from fractions import Fraction
+    n = _K_MAX - _K_MIN + 1
+    hi, lo, shift = np.empty(n), np.empty(n), np.empty(n, np.int64)
+    for i, k in enumerate(range(_K_MIN, _K_MAX + 1)):
+        s = (10 ** k).bit_length() - 1 if k >= 0 else -(10 ** -k).bit_length()
+        m = Fraction(10) ** k / Fraction(2) ** s
+        hi[i], shift[i] = float(m), s
+        lo[i] = float(m - Fraction(hi[i]))
+    split = hi * _SPLITTER
+    hi_top = split - (split - hi)
+    g = np.arange(10000)
+    groups = (np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
+              .astype(np.uint8) + ord("0")).view(np.uint32).ravel()
+    zeros = np.select([g % 10 != 0, g % 100 != 0, g % 1000 != 0, g != 0], [0, 1, 2, 3], 4)
+    e = np.arange(-400, 400)
+    ae = np.abs(e)
+    exps = (np.stack([np.where(e < 0, ord("-"), ord("+")),
+                      np.where(ae >= 100, ae // 100 + ord("0"), 0),
+                      ae // 10 % 10 + ord("0"), ae % 10 + ord("0")], axis=1)
+            .astype(np.uint8).view(np.uint32).ravel())
+    source = np.zeros(32, np.uint8)
+    source[[_POINT, _ZERO, _I, _N, _E, _SEP, _F, _A]] = list(b".0ine,fa")
+    layouts = np.full((_NAN_CLASS + 1, 18, _FIELD), _NUL, np.intp)
+    for cls in range(_NAN_CLASS + 1):
+        for nd in range(1, 18):
+            row = _layout(cls, nd)
+            layouts[cls, nd, :len(row)] = row
+    return _FormatTables(hi, lo, shift, hi_top, hi - hi_top, groups, zeros, exps,
+                         source, layouts.reshape(-1, _FIELD))
+
+
+def _scaled(f, e2, k, t: _FormatTables) -> tuple:
+    """f 10^k 2^e2 as a double-double (y, r), from the table row of k."""
+    i = k - _K_MIN
+    h, ht, hb = t.hi[i], t.hi_top[i], t.hi_bottom[i]
+    p = f * h
+    split = f * _SPLITTER
+    ft = split - (split - f)
+    fb = f - ft
+    q = (((ft * ht - p) + ft * hb + fb * ht) + fb * hb) + f * t.lo[i]
+    y = p + q
+    # 2^(e2 + s) from its exponent bits: y is near 2^56, so the power is normal
+    scale = ((e2 + t.shift[i] + 1023) << 52).view(np.float64)
+    return y * scale, (q - (y - p)) * scale
+
+
+def _digits(a, t: _FormatTables) -> tuple:
+    """(D, E, unsure) of finite positive ``a``: D its 17 digits, rounded half
+    to even, E its decimal exponent, unsure where a rounding is undecided."""
+    f, e2 = np.frexp(a)
+    exp10 = np.floor(np.log10(a)).astype(np.int64)
+    y, r = _scaled(f, e2, 16 - exp10, t)
+    floor = np.floor(r)
+    d = y.astype(np.int64) + floor.astype(np.int64)
+    off = (d >= 10 ** 17).astype(np.int64) - (d < 10 ** 16)
+    redo = np.flatnonzero(off)
+    if redo.size:                        # E was off by one
+        exp10[redo] += off[redo]
+        y, r[redo] = _scaled(f[redo], e2[redo], 16 - exp10[redo], t)
+        floor[redo] = np.floor(r[redo])
+        d[redo] = y.astype(np.int64) + floor[redo].astype(np.int64)
+    frac = r - floor
+    exact = (exp10 >= -6) & (exp10 <= 16)          # 10^k with k in [0, 22]
+    unsure = ~exact & (np.abs(frac - 0.5) <= _TIE_TOL)
+    # at the corrected E, a y within its error of 10^16 or 10^17 may read
+    # 10^16 - 1 + (r > 1/2) or 10^17 + 0: the rounding and the carry fix both
+    unsure[redo] |= (d[redo] < 10 ** 16 - 1) | (d[redo] > 10 ** 17)
+    d += frac > 0.5
+    tie = np.flatnonzero((frac == 0.5) & exact)
+    d[tie] += d[tie] % 2
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    return d, exp10 + carry, unsure
+
+
+def _source_rows(v) -> tuple:
+    """(source, layout, unsure) of the float64 values ``v``: each value's
+    32-byte source row, its layout row and whether "%.17g" must decide it."""
+    t = _format_tables()
+    a = np.abs(v)
+    finite = (a > 0) & (a < np.inf)
+    if not finite.all():
+        a[~finite] = 1.0
+    d, e, unsure = _digits(a, t)
+    src = np.empty((len(v), 32), np.uint8)
+    src[...] = t.source
+    src[:, _SIGN] = np.signbit(v) * np.uint8(ord("-"))
+    # D's first digit, then four groups of four: D = first 10^16 + g0 10^12 + ...
+    top = d // 10 ** 8
+    bottom = d - top * 10 ** 8
+    high = top // 10 ** 4
+    first = high // 10 ** 4
+    g = [high - first * 10 ** 4, top - high * 10 ** 4, bottom // 10 ** 4]
+    g.append(bottom - g[2] * 10 ** 4)
+    src[:, _DIGITS] = first + ord("0")
+    words = src.view(np.uint32)
+    for j in range(4):
+        words[:, 1 + j] = t.groups[g[j]]
+    words[:, _EXP // 4] = t.exps[e + 400]
+    nd = 17 - (t.zeros[g[3]] + (g[3] == 0) * (
+        t.zeros[g[2]] + (g[2] == 0) * (t.zeros[g[1]] + (g[1] == 0) * t.zeros[g[0]])))
+    cls = np.where((e >= -4) & (e < 17), e + 4, _SCIENTIFIC)
+    if not finite.all():
+        w = v[~finite]
+        cls[~finite] = np.where(w == 0, _ZERO_CLASS, np.where(w != w, _NAN_CLASS, _INF_CLASS))
+    return src, cls * 18 + nd, unsure & finite
+
+
+def _field_bytes(values) -> np.ndarray:
+    """The ``%.17g`` text of each float64 of ``values`` (..., m), then a comma
+    or, after the last column, a newline, as NUL-padded rows of ``_FIELD`` bytes."""
+    v = values.ravel()
+    src, layout, unsure = _source_rows(v)
+    src.reshape(values.shape + (32,))[..., -1, _SEP] = ord("\n")
+    index = _format_tables().layouts[layout]
+    index += np.arange(0, src.size, 32)[:, None]
+    text = src.ravel()[index]
+    for i in np.flatnonzero(unsure):
+        field = ("%.17g" % v[i]).encode() + bytes(src[i, _SEP:_SEP + 1])
+        text[i] = 0
+        text[i, :len(field)] = np.frombuffer(field, np.uint8)
+    return text
+
+
+def _csv_texts(values, lead=None) -> list:
+    """The CSV text of each (n, m) slab of ``values`` (k, n, m): n lines of m
+    ``"%.17g" % v`` fields joined by commas, byte for byte.  ``lead``, if
+    given, holds the (n, 1, ``_FIELD``) field bytes of a first column that
+    every slab shares.
+
+    Blocks of at most ``_CSV_BLOCK`` values (whole slabs, or rows of one
+    long slab) go through :func:`_field_bytes`, whose NUL padding is dropped.
     """
-    fmt = ",".join(["%.17g"] * len(columns)) + "\n"
+    k, n, m = values.shape
+    if n * m == 0:
+        return ["\n" * n] * k
+    rows = max(1, _CSV_BLOCK // m)
+    if n > rows:
+        return ["".join(_csv_texts(slab[None, i:i + rows],
+                                   None if lead is None else lead[i:i + rows])[0]
+                        for i in range(0, n, rows)) for slab in values]
+    per = rows // n
+    texts = []
+    for lo in range(0, k, per):
+        text = _field_bytes(values[lo:lo + per])
+        text = text.reshape(-1, n, m, _FIELD)
+        if lead is not None:
+            text = np.concatenate([np.broadcast_to(lead, (len(text), n, 1, _FIELD)),
+                                   text], axis=2)
+        texts += [t[t != 0].tobytes().decode("ascii") for t in text]
+    return texts
+
+
+def write_csv(path, columns, rows, header_lines=()) -> None:
+    """Write the header, the column names, then rows of numbers at ``%.17g``.
+
+    The rows, one number per column each, are formatted as one float64
+    block (:func:`_csv_texts`).  Path CSVs, whose rows share a time column,
+    go through :func:`write_path_csvs` instead.
+    """
+    values = np.array(list(rows), dtype=np.float64)
+    if values.size and values.shape[1:] != (len(columns),):
+        raise ValueError("need one number per column in every row")
+    text, = _csv_texts(values.reshape(1, -1, len(columns)))
     with open(path, "w") as fh:
         fh.write(header_text(header_lines))
         fh.write(",".join(columns) + "\n")
-        fh.writelines(fmt % tuple(row) for row in rows)
+        fh.write(text)
 
 
-# Fewest formatted values one writing process takes: formatting takes about
-# 1 us a value, so 2**15 values (some 30 ms) outweigh a fork.
-SHARE_MIN_VALUES = 2 ** 15
+# Fewest formatted values one writing process takes.  Formatting takes about
+# 0.2 us a value, a fork and reap about 2 ms.  Two writers of 251-row path
+# files on a 2-CPU host, against one, in two runs of 15 alternating pairs:
+# 2^13 values in all 1.64-1.65x, 2^14 1.16-1.25x, 2^15 0.94-0.97x, 2^16
+# 0.71-0.86x, 2^17 0.77x and 2^18 0.59-0.63x; so two share from 2^15 on.
+SHARE_MIN_VALUES = 2 ** 14
 
 
 def write_path_csvs(paths, times, states, controls=None, header_lines=()) -> None:
@@ -522,10 +746,10 @@ def write_path_csvs(paths, times, states, controls=None, header_lines=()) -> Non
 
     ``times`` has shape ``(n,)``, ``states`` ``(N, n, dim)`` and
     ``controls`` ``(N, n, m)`` (or None) for the N paths.  Every file has
-    the same header, column names and time column, formatted once into one
-    template whose other ``%.17g`` fields are a path's states and controls;
-    each file is one ``%`` and one write, with the bytes of formatting every
-    number, row by row, as :func:`write_csv` does.
+    the same header, column names and time column, formatted once; the
+    states and controls of as many files as fit in ``_CSV_BLOCK`` values
+    are formatted as one block (:func:`_csv_texts`), with the bytes of
+    ``"%.17g" % v`` for every number, and each file is one write.
 
     :func:`_run_shares` writes the files in shares of at least
     ``SHARE_MIN_VALUES`` values, the first here and the others in forked
@@ -539,22 +763,25 @@ def write_path_csvs(paths, times, states, controls=None, header_lines=()) -> Non
         raise ValueError("need one file name per path, and one row per time")
     cols = (["t"] + [f"x{i + 1}" for i in range(dim)]
             + [f"u{i + 1}" for i in range(n_controls)])
-    # header lines are free text: escape them for the one % below
-    head = (header_text(header_lines) + ",".join(cols) + "\n").replace("%", "%%")
-    row = ",%.17g" * (dim + n_controls) + "\n"
-    template = head + "".join(["%.17g" % t + row
-                               for t in np.asarray(times, float).tolist()])
+    head = header_text(header_lines) + ",".join(cols) + "\n"
+    width = len(cols) - 1
+    per = max(1, _CSV_BLOCK // max(1, n_rows * width))
+    # the time column's fields, once for every file; other columns follow it
+    lead = _field_bytes(np.asarray(times, np.float64).reshape(-1, 1)).reshape(-1, 1, _FIELD)
+    lead[lead == ord("\n")] = ord(",")
 
     def write_share(lo, hi):
-        values = np.empty((n_rows, dim + n_controls))
-        for i in range(lo, hi):
-            values[:, :dim] = states[i]
+        for first in range(lo, hi, per):
+            last = min(first + per, hi)
+            block = np.empty((last - first, n_rows, width))
+            block[..., :dim] = states[first:last]
             if controls is not None:
-                values[:, dim:] = controls[i]
-            with open(paths[i], "w") as fh:
-                fh.write(template % tuple(values.ravel().tolist()))
+                block[..., dim:] = controls[first:last]
+            for i, text in zip(range(first, last), _csv_texts(block, lead)):
+                with open(paths[i], "w") as fh:
+                    fh.write(head + text)
 
-    failed = _run_shares(write_share, np.full(n_paths, n_rows * (dim + n_controls)),
+    failed = _run_shares(write_share, np.full(n_paths, n_rows * width),
                          SHARE_MIN_VALUES)
     if failed is not None:
         lo, exc = failed

@@ -697,6 +697,28 @@ def test_the_zero_set_verdict_sets_the_exit_code(tmp_path, command, args, report
     assert float(f) > 0.0 and (x1, x2) != (0.0, 0.0)
 
 
+@pytest.mark.parametrize("plant, code", [
+    (("1", "1", "4", "4"), 0), (("1", "1", "1", "4"), 0),
+    (("1", "-1", "4", "1"), 4), (("2", "-1", "1", "1"), 4), (("1", "1", "0", "1"), 4),
+    (("1", "1", "1", "0"), 4),
+])
+def test_simulate_is_gated_by_the_zero_set_verdict(tmp_path, capsys, plant, code):
+    # the verdict at check-design's default heights comes before any path: a
+    # failing plant exits 4 with its verdict line and writes no file, and a
+    # passing one prints and writes what it did before the gate
+    out = tmp_path / "o"
+    flags = [f"--b{i}={b}" for i, b in enumerate(plant, 1)]
+    assert run_cli(["simulate", *flags, "--n-paths", "4", "--horizon", "0.05",
+                    "--out", str(out)]) == code
+    stdout = capsys.readouterr().out
+    if code == 0:
+        assert stdout.startswith("simulate: 4 paths, 50 steps each")
+        assert "zero_set" not in (out / "summary.txt").read_text()
+        return
+    assert stdout.startswith("simulate: zero set of L_g v2: FAIL (40 heights, ")
+    assert os.listdir(out) == []
+
+
 def test_all_diverged_run_makes_no_drift_claim(tmp_path, capsys):
     # every path diverges in its first step, so no drift bucket holds a
     # sample and the drift verdict has nothing to rest on

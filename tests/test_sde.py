@@ -4,6 +4,7 @@ import os
 import pickle
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -746,6 +747,122 @@ def test_write_path_csvs_rejects_mismatched_shapes(tmp_path):
     with pytest.raises(ValueError):
         write_path_csvs(files[:1], times, states[:1], np.zeros((3, 3)))
     assert not any(f.exists() for f in files)
+
+
+def _ties(rng, per_q):
+    # m 2^-q with m odd has the digits of m 5^q, which end in 5: with 18 of
+    # them its 17-digit rounding is an exact tie, for E = 17 - q in -8..15
+    out = []
+    for q in range(2, 26):
+        lo, hi = -(-10 ** 17 // 5 ** q), min((10 ** 18 - 1) // 5 ** q, 2 ** 53 - 1)
+        m = rng.integers(lo, hi + 1, per_q) | 1
+        out.append(np.ldexp(m[m <= hi].astype(np.float64), -q))
+    return np.concatenate(out)
+
+
+def _formatter_cases() -> np.ndarray:
+    rng = np.random.default_rng(33)
+    p10 = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    near = [np.nextafter(p10, 0.0), p10, np.nextafter(p10, np.inf),
+            np.nextafter(np.nextafter(p10, 0.0), 0.0)]
+    # 17 digits of nines and a rounding digit: most round up to 10^(E+1)
+    nines = np.array([float(f"9.9999999999999999{d}e{e}")
+                      for e in range(-320, 308) for d in (4, 5, 6, 9)])
+    switch = np.concatenate([np.geomspace(lo, hi, 20_000)
+                             for lo, hi in ((9e-6, 1.1e-5), (9e-5, 1.1e-4),
+                                            (9e15, 1.1e16), (9e16, 1.1e17))])
+    cases = [
+        *near, nines, switch, _ties(rng, 4_000),
+        np.array([14.7523956298828125, 9.9999999999999998e-249, 0.0, 5e-324,
+                  2.2250738585072014e-308, 1.7976931348623157e308, np.inf, np.nan]),
+        rng.integers(1, 2 ** 52, 50_000, dtype=np.int64).view(np.float64),  # subnormal
+        rng.integers(-2 ** 60, 2 ** 60, 100_000).astype(np.float64),
+        np.arange(-50_000, 50_000, dtype=np.float64),
+        rng.integers(0, 2 ** 64, 250_000, dtype=np.uint64).view(np.float64),
+        rng.standard_normal(100_000) * 10.0 ** rng.integers(-9, 3, 100_000),
+    ]
+    values = np.concatenate(cases)
+    return np.concatenate([values, -values])
+
+
+def test_the_block_formatter_is_percent_17g_on_a_million_values():
+    # exact ties need half-even rounding, and an exponent estimate one too
+    # high must be re-checked before a 17-digit D of 10^16 is accepted, or
+    # 9.9999999999999998e-249 prints as 1e-248
+    values = _formatter_cases()
+    assert values.size >= 10 ** 6
+    want = "".join("%.17g\n" % v for v in values.tolist())
+    got, = sde._csv_texts(values.reshape(1, -1, 1))
+    if got != want:
+        bad = [(v, g, w) for v, g, w in zip(values.tolist(), got.split("\n"),
+                                             want.split("\n")) if g != w]
+        pytest.fail(f"{len(bad)} values differ from %.17g, first {bad[:3]}")
+
+
+def test_the_block_formatter_splits_long_slabs_and_many_slabs(monkeypatch):
+    # blocks of 8 values: a slab of 10 rows of 3 goes in row blocks, and
+    # slabs of 2 rows two to a block; the texts are the same
+    monkeypatch.setattr(sde, "_CSV_BLOCK", 8)
+    values = np.random.default_rng(2).normal(size=(3, 10, 3)) * 10.0 ** np.arange(-6, 24, 10)
+    rows = [",".join("%.17g" % v for v in row) + "\n" for row in values.reshape(-1, 3).tolist()]
+    assert sde._csv_texts(values) == ["".join(rows[i:i + 10]) for i in (0, 10, 20)]
+    pairs = values.reshape(15, 2, 3)
+    assert sde._csv_texts(pairs) == ["".join(rows[i:i + 2]) for i in range(0, 30, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_write_csv_matches_the_row_writer(data):
+    # drift-bucket rows mix float edges with integer counts, and NaN where a
+    # bucket is empty; Wong-Zakai rows mix integer meshes with floats
+    n_cols = data.draw(st.integers(1, 5), label="n_cols")
+    kinds = data.draw(st.lists(st.sampled_from(["float", "count", "mesh"]),
+                               min_size=n_cols, max_size=n_cols), label="kinds")
+    cell = {"float": CSV_VALUES, "count": st.integers(0, 10 ** 6),
+            "mesh": st.integers(1, 2 ** 40)}
+    rows = data.draw(st.lists(st.tuples(*(cell[k] for k in kinds)), max_size=30),
+                     label="rows")
+    columns = [f"c{i}" for i in range(n_cols)]
+    header = ["stostab", "config: out=/a%d_{}%%s 100%"]
+    with tempfile.TemporaryDirectory() as tmp:
+        ref, new = os.path.join(tmp, "ref.csv"), os.path.join(tmp, "new.csv")
+        csv_oracle.write_csv(ref, columns, [list(r) for r in rows], header)
+        write_csv(new, columns, iter(rows), header)
+        with open(ref, "rb") as a, open(new, "rb") as b:
+            assert b.read() == a.read()
+
+
+def test_write_csv_rejects_a_row_of_the_wrong_width(tmp_path):
+    with pytest.raises(ValueError, match="one number per column"):
+        write_csv(tmp_path / "w.csv", ["a", "b"], [[1.0, 2.0, 3.0]])
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "w.csv", ["a", "b"], [[1.0, 2.0], [3.0, 4.0, 5.0]])
+    assert not (tmp_path / "w.csv").exists()
+
+
+# Peak traced memory of one writer of simulate-dense's 200 x 251 x 5 values:
+# about 1.0 MB, the temporaries of one formatter block; 2 MB keeps the
+# benchmark's peak RSS within its 5 % bound.
+WRITER_PEAK_BOUND = 2 * 2 ** 20
+
+
+def test_one_writer_formats_in_bounded_memory(tmp_path, monkeypatch):
+    monkeypatch.setattr(sde, "SHARE_MIN_VALUES", 10 ** 9)
+    rng = np.random.default_rng(7)
+    times = np.arange(251) * 1e-3
+    states = rng.normal(size=(200, 251, 3)) * [1e-3, 1e-2, 1.0]
+    controls = rng.normal(size=(200, 251, 2)) * 1e-5
+    paths = [str(tmp_path / f"path_{i:04d}.csv") for i in range(200)]
+    write_path_csvs(paths[:1], times, states[:1], controls[:1])     # tables built
+    tracemalloc.start()
+    try:
+        write_path_csvs(paths, times, states, controls, ["stostab"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < WRITER_PEAK_BOUND
+    want = _oracle_bytes(tmp_path / "ref.csv", times, states[-1], controls[-1], ["stostab"])
+    assert (tmp_path / "path_0199.csv").read_bytes() == want
 
 
 @pytest.mark.parametrize("horizon, dt, n", [
